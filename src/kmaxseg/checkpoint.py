@@ -48,9 +48,17 @@ def _parse_manifest(blob, path):
         raise ConfigError(f"{path} is not a {MAGIC} checkpoint")
     entries = []
     for line in header[1:]:
-        parts = dict(kv.split("=", 1) for kv in line.split()[1:])
-        shape = tuple(int(v) for v in parts["shape"].split(",") if v)
-        entries.append((parts["name"], shape, int(parts["offset"])))
+        try:
+            kind, *fields = line.split()
+            parts = dict(kv.split("=", 1) for kv in fields)
+            name = parts["name"]
+            shape = tuple(int(v) for v in parts["shape"].split(",") if v)
+            offset = int(parts["offset"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path} has a malformed manifest line {line!r}") from exc
+        if kind != "param" or offset < 0:
+            raise ConfigError(f"{path} has a malformed manifest line {line!r}")
+        entries.append((name, shape, offset))
     return entries, blob[cut + len(marker):]
 
 
@@ -72,6 +80,12 @@ def load_checkpoint(path, model):
                 f"{tuple(tensor.data.shape)}"
             )
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        end = offset + 8 * count
+        if end > len(payload):
+            raise ConfigError(
+                f"{path} is truncated: parameter {name} needs payload bytes "
+                f"{offset}..{end} but the payload holds {len(payload)}"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         tensor.data[...] = arr.reshape(shape)
         seen.add(name)

@@ -1,7 +1,8 @@
 """Typed configuration with a flat ``key = value`` text format.
 
 Four sections (model, train, data, infer) cover every tunable in the
-package; docs/config.md enumerates them with their defaults. Parsing and
+package; the dataclasses below (``ModelConfig``, ``TrainConfig``,
+``DataConfig``, ``InferConfig``) list them with their defaults. Parsing and
 serialization round-trip exactly: parse(serialize(parse(text))) equals
 parse(text).
 """

@@ -10,6 +10,16 @@ little of their own binary mask, and finally assign instance ids (fresh per
 class match when IoU exceeds 0.5 (such a match is unique), and
 PQ = sum of matched IoUs / (TP + FP/2 + FN/2), averaged over classes that
 occur. Void pixels never count against intersection-over-union denominators.
+
+Scoring never scans the image once per segment. Each map's pixels get a
+dense index into its sorted (class id, instance id) pairs
+(``PanopticMap.segment_index``), and one ``np.bincount`` over the pairs
+``gt_index * n_pred + pred_index`` gives the full gt-by-prediction
+intersection matrix. Segment areas are its row and column sums, and a
+prediction's void overlap is its column summed over the gt rows of class
+``VOID``. Matching then walks this small integer matrix. mIoU uses the same
+histogram over pairs of class ids: intersections on its diagonal, unions from
+row sum plus column sum minus the diagonal.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .panoptic import VOID, PanopticMap
+from .panoptic import VOID, PanopticMap, label_index
 from .tensor import no_grad
 
 __all__ = ["PanopticResult", "merge_masks", "panoptic_quality", "miou",
@@ -133,41 +143,44 @@ class PQStat:
                 f"prediction grid {pred_map.class_map.shape} does not match "
                 f"ground truth {gt.class_map.shape}"
             )
-        gt_segments = gt.segments()
-        pred_segments = pred_map.segments()
-        void_mask = gt.class_map == VOID
+        g_index, g_keys = gt.segment_index()
+        p_index, p_keys = pred_map.segment_index()
+        inter = _pair_histogram(g_index, p_index, len(g_keys), len(p_keys))
+        g_area = inter.sum(axis=1).tolist()
+        p_area = inter.sum(axis=0).tolist()
+        p_void = inter[g_keys[:, 0] == VOID].sum(axis=0).tolist()
+        inter = inter.tolist()
+        g_cls = g_keys[:, 0].tolist()
+        p_cls = p_keys[:, 0].tolist()
+        gt_rows = [i for i, cls in enumerate(g_cls) if cls != VOID]
+        pred_cols = [j for j, cls in enumerate(p_cls) if cls != VOID]
 
         gt_matched = set()
         pred_matched = set()
-        for i, gseg in enumerate(gt_segments):
-            g_area = int(gseg.mask.sum())
-            for j, pseg in enumerate(pred_segments):
-                if pseg.class_id != gseg.class_id or j in pred_matched:
+        for i in gt_rows:
+            for j in pred_cols:
+                if p_cls[j] != g_cls[i] or j in pred_matched:
                     continue
-                inter = int((gseg.mask & pseg.mask).sum())
-                if inter == 0:
+                overlap = inter[i][j]
+                if overlap == 0:
                     continue
-                p_area = int(pseg.mask.sum())
-                p_void = int((pseg.mask & void_mask).sum())
-                union = g_area + p_area - inter - p_void
-                iou = inter / union if union > 0 else 0.0
+                union = g_area[i] + p_area[j] - overlap - p_void[j]
+                iou = overlap / union if union > 0 else 0.0
                 if iou > 0.5:
-                    self._bump(self.tp, gseg.class_id)
-                    self._bump(self.iou, gseg.class_id, iou)
+                    self._bump(self.tp, g_cls[i])
+                    self._bump(self.iou, g_cls[i], iou)
                     gt_matched.add(i)
                     pred_matched.add(j)
                     break
-        for i, gseg in enumerate(gt_segments):
+        for i in gt_rows:
             if i not in gt_matched:
-                self._bump(self.fn, gseg.class_id)
-        for j, pseg in enumerate(pred_segments):
+                self._bump(self.fn, g_cls[i])
+        for j in pred_cols:
             if j in pred_matched:
                 continue
-            p_area = int(pseg.mask.sum())
-            p_void = int((pseg.mask & void_mask).sum())
-            if p_area and p_void / p_area > 0.5:
+            if p_area[j] and p_void[j] / p_area[j] > 0.5:
                 continue  # mostly-void predictions are not false positives
-            self._bump(self.fp, pseg.class_id)
+            self._bump(self.fp, p_cls[j])
         return self
 
     def summarize(self, thing_ids=frozenset()):
@@ -211,23 +224,23 @@ def miou(pred, gt):
             f"prediction grid {pred_map.class_map.shape} does not match "
             f"ground truth {gt.class_map.shape}"
         )
-    classes = sorted(int(c) for c in np.unique(gt.class_map) if c != VOID)
-    if not classes:
+    classes, inter, union, gt_area = _class_overlap(pred_map, gt)
+    scored = (classes != VOID) & (gt_area > 0)
+    if not scored.any():
         return 0.0
-    ious = []
-    for cls in classes:
-        p = pred_map.class_map == cls
-        g = gt.class_map == cls
-        union = (p | g).sum()
-        ious.append((p & g).sum() / union if union else 0.0)
-    return float(np.mean(ious))
+    return float(np.mean(inter[scored] / union[scored]))
 
 
 def evaluate_model(model, examples, infer_cfg, class_table):
-    """Aggregate PQ and mIoU of a model over (image, ground truth) pairs."""
+    """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
+
+    Unlike ``miou``, the mIoU here is dataset-level: intersections and unions
+    are summed over all images before each class's IoU is taken.
+    """
     stat = PQStat()
-    inter = {}
-    union = {}
+    num_classes = class_table.num_classes
+    inter = np.zeros(num_classes, dtype=np.int64)
+    union = np.zeros(num_classes, dtype=np.int64)
     thing_ids = class_table.thing_ids
     for img, gt in examples:
         with no_grad():
@@ -238,15 +251,36 @@ def evaluate_model(model, examples, infer_cfg, class_table):
                              mask_binarize=infer_cfg.mask_binarize)
         full = merged.upscale(gt.height // pred.height)
         stat.update(full, gt, thing_ids)
-        for cls in range(class_table.num_classes):
-            p = full.class_map == cls
-            g = gt.class_map == cls
-            inter[cls] = inter.get(cls, 0) + int((p & g).sum())
-            union[cls] = union.get(cls, 0) + int((p | g).sum())
+        classes, img_inter, img_union, _ = _class_overlap(full, gt)
+        keep = (classes >= 0) & (classes < num_classes)
+        inter[classes[keep]] += img_inter[keep]
+        union[classes[keep]] += img_union[keep]
     result = stat.summarize(thing_ids)
-    present = [c for c in union if union[c]]
-    result["miou"] = float(np.mean([inter[c] / union[c] for c in present])) if present else 0.0
+    present = union > 0
+    result["miou"] = float(np.mean(inter[present] / union[present])) if present.any() else 0.0
     return result
+
+
+def _pair_histogram(rows, cols, n_rows, n_cols):
+    """(n_rows, n_cols) pixel count of every (row label, column label) pair."""
+    return np.bincount(rows * n_cols + cols,
+                       minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
+def _class_overlap(pred_map, gt):
+    """Per-class pixel intersection and union of two semantic maps.
+
+    Returns the sorted class ids found in either map, void included, with
+    int64 arrays of each class's intersection, union and ground-truth area.
+    """
+    hw = gt.class_map.size
+    index, classes = label_index(
+        np.concatenate([gt.class_map.reshape(-1), pred_map.class_map.reshape(-1)]))
+    classes = classes[:, 0]
+    hist = _pair_histogram(index[:hw], index[hw:], classes.size, classes.size)
+    inter = hist.diagonal()
+    gt_area = hist.sum(axis=1)
+    return classes, inter, gt_area + hist.sum(axis=0) - inter, gt_area
 
 
 def evaluation_report(result, class_table):

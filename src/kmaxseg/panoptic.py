@@ -45,17 +45,22 @@ class PanopticMap:
     def width(self):
         return self.class_map.shape[1]
 
+    def segment_index(self):
+        """Dense segment index of every pixel, void segments included.
+
+        Returns ``(index, keys)``: ``keys`` is an (S, 2) int64 array of the
+        distinct (class id, instance id) pairs in canonical lexicographic
+        order, and ``index`` maps each of the H*W pixels to its row of
+        ``keys``.
+        """
+        return label_index(self.class_map.reshape(-1), self.instance_map.reshape(-1))
+
     def segments(self):
         """Non-void segments in canonical (class id, instance id) order."""
-        keys = np.stack([self.class_map.reshape(-1), self.instance_map.reshape(-1)])
-        uniq = np.unique(keys, axis=1).T
-        out = []
-        for cls, inst in uniq:
-            if cls == VOID:
-                continue
-            mask = (self.class_map == cls) & (self.instance_map == inst)
-            out.append(Segment(int(cls), int(inst), mask))
-        return out
+        index, keys = self.segment_index()
+        shape = self.class_map.shape
+        return [Segment(cls, inst, (index == k).reshape(shape))
+                for k, (cls, inst) in enumerate(keys.tolist()) if cls != VOID]
 
     def downsample(self, stride):
         """Nearest-sample every ``stride``-th pixel (window centers)."""
@@ -68,6 +73,26 @@ class PanopticMap:
     def flip_horizontal(self):
         return PanopticMap(self.class_map[:, ::-1].copy(),
                            self.instance_map[:, ::-1].copy())
+
+
+def label_index(*keys):
+    """Rank the distinct tuples of equal-length int arrays.
+
+    Returns ``(index, rows)``: ``rows`` is an (n, len(keys)) array holding
+    each distinct tuple once, in lexicographic order with the first key most
+    significant, and ``index`` maps every element to its row. The keys are
+    sorted together, never packed into one integer, so any int64 values rank
+    exactly.
+    """
+    order = np.lexsort(keys[::-1])
+    ordered = [key[order] for key in keys]
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in ordered:
+        starts[1:] |= key[1:] != key[:-1]
+    index = np.empty(order.size, dtype=np.int64)
+    index[order] = np.cumsum(starts) - 1
+    return index, np.stack([key[starts] for key in ordered], axis=1)
 
 
 def _softmax_np(x, axis):

@@ -27,7 +27,7 @@ from .config import Config
 from .data import SyntheticDataset, SceneSpec, augment_flip
 from .errors import ContractError, ShapeError
 from .model import KMaxModel
-from .panoptic import PanopticMap, PredictionSet
+from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import (Tensor, cross_entropy_from_logits, div, mul, reduce_sum,
                      reshape, scale, softmax, take, upsample2x_nearest)
 
@@ -75,10 +75,10 @@ def hungarian_match(cost):
 
 def _gt_arrays(gt, num_classes):
     """Segment masks and class ids at the supervision resolution."""
-    segs = gt.segments()
-    masks = np.stack([s.mask.reshape(-1) for s in segs], axis=1).astype(np.float64) \
-        if segs else np.zeros((gt.height * gt.width, 0))
-    class_ids = np.array([s.class_id for s in segs], dtype=np.int64)
+    index, keys = gt.segment_index()
+    segs = np.nonzero(keys[:, 0] != VOID)[0]
+    masks = (index[:, None] == segs).astype(np.float64)
+    class_ids = keys[segs, 0]
     if class_ids.size and class_ids.max() >= num_classes:
         raise ShapeError(
             f"ground truth class {class_ids.max()} exceeds {num_classes} classes"

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from kmaxseg.config import InferConfig
+from kmaxseg.data import SceneSpec
 from kmaxseg.errors import ShapeError
-from kmaxseg.metrics import (PanopticResult, PQStat, evaluation_report,
-                             merge_masks, miou, panoptic_quality)
+from kmaxseg.metrics import (PanopticResult, PQStat, evaluate_model,
+                             evaluation_report, merge_masks, miou,
+                             panoptic_quality)
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
 
@@ -202,7 +208,6 @@ def test_evaluation_report_is_stable():
     pred = PanopticResult(gt.class_map.copy(), gt.instance_map.copy(), [])
     result = panoptic_quality(pred, gt, thing_ids={1})
     result["miou"] = miou(pred, gt)
-    from kmaxseg.data import SceneSpec
     table = SceneSpec(seed=0).class_table()
     a = evaluation_report(result, table)
     b = evaluation_report(result, table)
@@ -213,3 +218,175 @@ def test_evaluation_report_is_stable():
     assert lines[2].startswith("overall pq_stuff ")
     assert lines[3].startswith("overall miou ")
     assert all(line.startswith("class ") for line in lines[4:])
+
+
+# Reference implementations: one boolean mask per segment and one full-map
+# scan per segment pair. The package scores from a label-pair histogram and
+# must agree with these exactly.
+
+def _reference_segments(pmap):
+    keys = np.stack([pmap.class_map.reshape(-1), pmap.instance_map.reshape(-1)])
+    out = []
+    for cls, inst in np.unique(keys, axis=1).T:
+        if cls == VOID:
+            continue
+        mask = (pmap.class_map == cls) & (pmap.instance_map == inst)
+        out.append((int(cls), int(inst), mask))
+    return out
+
+
+def _reference_pq_counts(pred_map, gt, counts=None):
+    """tp/fp/fn/iou dicts of one image, accumulated into ``counts`` if given."""
+    counts = counts or {"tp": {}, "fp": {}, "fn": {}, "iou": {}}
+    tp, fp, fn, iou_sum = counts["tp"], counts["fp"], counts["fn"], counts["iou"]
+
+    def bump(store, cls, amount=1):
+        store[cls] = store.get(cls, 0) + amount
+
+    gt_segments = _reference_segments(gt)
+    pred_segments = _reference_segments(pred_map)
+    void_mask = gt.class_map == VOID
+    gt_matched, pred_matched = set(), set()
+    for i, (g_cls, _, g_mask) in enumerate(gt_segments):
+        g_area = int(g_mask.sum())
+        for j, (p_cls, _, p_mask) in enumerate(pred_segments):
+            if p_cls != g_cls or j in pred_matched:
+                continue
+            inter = int((g_mask & p_mask).sum())
+            if inter == 0:
+                continue
+            p_area = int(p_mask.sum())
+            p_void = int((p_mask & void_mask).sum())
+            union = g_area + p_area - inter - p_void
+            iou = inter / union if union > 0 else 0.0
+            if iou > 0.5:
+                bump(tp, g_cls)
+                bump(iou_sum, g_cls, iou)
+                gt_matched.add(i)
+                pred_matched.add(j)
+                break
+    for i, (g_cls, _, _) in enumerate(gt_segments):
+        if i not in gt_matched:
+            bump(fn, g_cls)
+    for j, (p_cls, _, p_mask) in enumerate(pred_segments):
+        if j in pred_matched:
+            continue
+        p_area = int(p_mask.sum())
+        p_void = int((p_mask & void_mask).sum())
+        if p_area and p_void / p_area > 0.5:
+            continue
+        bump(fp, p_cls)
+    return counts
+
+
+def _reference_miou(pred_map, gt):
+    classes = sorted(int(c) for c in np.unique(gt.class_map) if c != VOID)
+    if not classes:
+        return 0.0
+    ious = []
+    for cls in classes:
+        p = pred_map.class_map == cls
+        g = gt.class_map == cls
+        union = (p | g).sum()
+        ious.append((p & g).sum() / union if union else 0.0)
+    return float(np.mean(ious))
+
+
+CLASS_POOLS = [(VOID,), (0,), (VOID, 1), (0, 1, 2), (VOID, 0, 1, 2)]
+INSTANCE_IDS = st.integers(-2**40, 2**40)
+
+
+@st.composite
+def _label_maps(draw, shape):
+    classes = draw(st.sampled_from(CLASS_POOLS))
+    instances = draw(st.lists(INSTANCE_IDS, min_size=1, max_size=4))
+    cls = draw(arrays(np.int64, shape, elements=st.sampled_from(classes)))
+    inst = draw(arrays(np.int64, shape, elements=st.sampled_from(instances)))
+    return cls, inst
+
+
+@st.composite
+def _gt_and_pred(draw):
+    """A ground truth and a prediction that is independent of it, a noisy
+    relabeled copy of it (so matches occur), or empty."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    gt_cls, gt_inst = draw(_label_maps(shape))
+    kind = draw(st.sampled_from(["independent", "noisy copy", "empty"]))
+    if kind == "empty":
+        pred_cls = np.full(shape, VOID, dtype=np.int64)
+        pred_inst = np.zeros(shape, dtype=np.int64)
+    else:
+        pred_cls, pred_inst = draw(_label_maps(shape))
+        if kind == "noisy copy":
+            keep = draw(arrays(np.bool_, shape, elements=st.booleans()))
+            pred_cls = np.where(keep, gt_cls, pred_cls)
+            pred_inst = np.where(keep, gt_inst * 13 + 5, pred_inst)
+    return PanopticMap(pred_cls, pred_inst), PanopticMap(gt_cls, gt_inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gt_and_pred())
+def test_histogram_scoring_equals_per_segment_reference(maps):
+    pred, gt = maps
+    for pmap in (pred, gt):
+        got = pmap.segments()
+        want = _reference_segments(pmap)
+        assert [(s.class_id, s.instance_id) for s in got] == [w[:2] for w in want]
+        for seg, (_, _, mask) in zip(got, want):
+            assert np.array_equal(seg.mask, mask)
+    stat = PQStat().update(pred, gt)
+    assert {"tp": stat.tp, "fp": stat.fp, "fn": stat.fn,
+            "iou": stat.iou} == _reference_pq_counts(pred, gt)
+    assert miou(pred, gt) == _reference_miou(pred, gt)
+
+
+class _ReplayModel:
+    """Returns a fixed sequence of predictions from ``forward``."""
+
+    def __init__(self, preds):
+        self._preds = iter(preds)
+
+    def forward(self, img, train_mode):
+        return next(self._preds), None, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_model_equals_per_image_reference_sums(seed):
+    rng = np.random.default_rng(seed)
+    table = SceneSpec(seed=0).class_table()
+    num_classes = table.num_classes
+    infer = InferConfig()
+    preds, fulls, examples = [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        pred = PredictionSet(Tensor(rng.normal(size=(16, 6)) * 4),
+                             Tensor(rng.normal(size=(6, num_classes + 1)) * 4), 4, 4)
+        full = merge_masks(pred, infer.conf_thresh, infer.overlap_thresh,
+                           table.thing_ids, infer.mask_binarize).upscale(2)
+        # ground truth: the merged prediction with a fifth of its pixels redrawn
+        noise = rng.random(size=(8, 8)) < 0.2
+        gt = PanopticMap(np.where(noise, rng.integers(VOID, num_classes, size=(8, 8)),
+                                  full.class_map),
+                         np.where(noise, rng.integers(0, 3, size=(8, 8)),
+                                  full.instance_map))
+        preds.append(pred)
+        fulls.append(full)
+        examples.append((None, gt))
+    result = evaluate_model(_ReplayModel(preds), examples, infer, table)
+
+    counts = None
+    inter, union = {}, {}
+    for full, (_, gt) in zip(fulls, examples):
+        counts = _reference_pq_counts(full.to_map(), gt, counts)
+        for cls in range(num_classes):
+            p = full.class_map == cls
+            g = gt.class_map == cls
+            inter[cls] = inter.get(cls, 0) + int((p & g).sum())
+            union[cls] = union.get(cls, 0) + int((p | g).sum())
+    present = [c for c in union if union[c]]
+    reference = PQStat()
+    reference.tp, reference.fp, reference.fn, reference.iou = (
+        counts["tp"], counts["fp"], counts["fn"], counts["iou"])
+    want = reference.summarize(table.thing_ids)
+    want["miou"] = float(np.mean([inter[c] / union[c] for c in present])) if present else 0.0
+    assert result == want

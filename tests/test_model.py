@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,27 @@ def test_checkpoint_magic_validation(tmp_path):
     bad.write_bytes(b"NOTACKPT\ndata\n")
     with pytest.raises(ConfigError):
         load_checkpoint(bad, KMaxModel(_small_cfg(), seed=0))
+
+
+def test_checkpoint_truncated_payload_names_the_parameter(tmp_path):
+    model = KMaxModel(_small_cfg(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    path.write_bytes(path.read_bytes()[:-8])
+    last = list(model.named_parameters())[-1][0]
+    with pytest.raises(ConfigError, match=rf"truncated: parameter {re.escape(last)} "):
+        load_checkpoint(path, model)
+
+
+def test_checkpoint_manifest_line_without_name_is_rejected(tmp_path):
+    model = KMaxModel(_small_cfg(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+    first = list(model.named_parameters())[0][0]
+    path.write_bytes(blob.replace(f"name={first} ".encode(), b"", 1))
+    with pytest.raises(ConfigError, match="malformed manifest line 'param shape="):
+        load_checkpoint(path, model)
 
 
 def test_shared_heads_share_tensors():
