@@ -17,11 +17,10 @@ The package groups into:
 
 from .config import Config, ModelConfig, load_config, parse_config, serialize_config
 from .data import SceneSpec, SyntheticDataset, augment_flip, generate
-from .decoder import AuxiliaryPrediction, KMaxDecoderBlock, decoder_forward, stack_forward
+from .decoder import AuxiliaryPrediction, KMaxDecoderBlock, stack_forward
 from .gradcheck import grad_check
 from .kernels import (PixelFeatures, ProjectionWeights, cross_attention_kmeans,
-                      cross_attention_softmax, kmeans_step, lloyd_kmeans,
-                      self_attention)
+                      cross_attention_softmax, kmeans_step, lloyd_kmeans)
 from .metrics import (PanopticResult, evaluate_model, evaluation_report,
                       merge_masks, miou, panoptic_quality)
 from .model import FeaturePyramid, KMaxModel, predict_masks

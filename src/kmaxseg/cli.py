@@ -35,7 +35,7 @@ def _load_config(path):
 
 def _build_dataset(cfg):
     return SyntheticDataset(scene_spec_from_config(cfg), cfg.train.train_size,
-                            cfg.train.val_size, threads=cfg.data.threads)
+                            cfg.train.val_size)
 
 
 def _cmd_train(args):

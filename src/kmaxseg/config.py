@@ -50,7 +50,6 @@ class TrainConfig:
     w_pq: float = 3.0
     w_sem: float = 1.0
     w_maskid: float = 0.3
-    w_inst: float = 0.0   # reserved slot; the loss itself is out of scope
     w_void: float = 0.1
     w_aux: float = 1.0
     pq_norm: str = "K"    # K | N
@@ -65,7 +64,6 @@ class DataConfig:
     color_jitter: float = 0.08
     min_segment_px: int = 8
     separate_background_classes: bool = False
-    threads: int = 1
 
 
 @dataclass
@@ -95,8 +93,6 @@ class Config:
             raise ConfigError(f"model.heads must divide model.d ({self.model.d})")
         if self.train.pq_norm not in ("K", "N"):
             raise ConfigError(f"train.pq_norm must be K or N, got {self.train.pq_norm!r}")
-        if self.train.w_inst != 0.0:
-            raise ConfigError("train.w_inst is a reserved slot and must stay 0")
         if not 0.0 <= self.infer.conf_thresh <= 1.0 or not 0.0 <= self.infer.overlap_thresh <= 1.0:
             raise ConfigError("infer thresholds must lie in [0, 1]")
         if self.train.steps < 1 or self.train.train_size < 1 or self.train.val_size < 1:

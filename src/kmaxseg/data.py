@@ -14,15 +14,12 @@ classes instead.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .panoptic import PanopticMap
-from .ppm import write_ppm
 
 _SHAPE_COLORS = {
     "circle": (0.85, 0.15, 0.15),
@@ -181,36 +178,10 @@ class SyntheticDataset:
 
     VAL_OFFSET = 1_000_000
 
-    def __init__(self, spec, train_size, val_size, threads=1):
+    def __init__(self, spec, train_size, val_size):
         self.spec = spec
         self.class_table = spec.class_table()
+        self.train = [generate(spec, i) for i in range(train_size)]
+        self.val = [generate(spec, i)
+                    for i in range(self.VAL_OFFSET, self.VAL_OFFSET + val_size)]
 
-        def build(indices):
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    return list(pool.map(lambda i: generate(spec, i), indices))
-            return [generate(spec, i) for i in indices]
-
-        self.train = build(range(train_size))
-        self.val = build(range(self.VAL_OFFSET, self.VAL_OFFSET + val_size))
-
-
-def dump_dataset(spec, indices, out_dir):
-    """Write PPM images plus plain-text segment maps for the given indices."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for index in indices:
-        img, gt = generate(spec, index)
-        img_path = os.path.join(out_dir, f"scene_{index:06d}.ppm")
-        map_path = os.path.join(out_dir, f"scene_{index:06d}.seg.txt")
-        write_ppm(img_path, img)
-        with open(map_path, "w", encoding="utf-8") as fh:
-            fh.write(f"panoptic-map {gt.height} {gt.width}\n")
-            fh.write("classes\n")
-            for row in gt.class_map:
-                fh.write(" ".join(str(v) for v in row) + "\n")
-            fh.write("instances\n")
-            for row in gt.instance_map:
-                fh.write(" ".join(str(v) for v in row) + "\n")
-        paths.append((img_path, map_path))
-    return paths

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .kernels import PixelFeatures, ProjectionWeights, _run_interaction
 from .tensor import Tensor, gelu, layer_norm, matmul, scale, transpose
 
-__all__ = ["KMaxDecoderBlock", "AuxiliaryPrediction", "decoder_forward", "stack_forward"]
+__all__ = ["KMaxDecoderBlock", "AuxiliaryPrediction", "stack_forward"]
 
 
 @dataclass
@@ -41,9 +41,8 @@ class AuxiliaryPrediction:
 
 
 class _LayerNormParams:
-    def __init__(self, d, requires_grad=True, zero=False):
-        gain = np.zeros(d) if zero else np.ones(d)
-        self.gain = Tensor(gain, requires_grad)
+    def __init__(self, d, requires_grad=True):
+        self.gain = Tensor(np.ones(d), requires_grad)
         self.bias = Tensor(np.zeros(d), requires_grad)
 
     def __call__(self, x):
@@ -64,7 +63,7 @@ class KMaxDecoderBlock:
 
     def __init__(self, rng, d, num_classes, kernel="kmeans", ffn_hidden=256,
                  heads=1, kmeans_normalize=False, selfattn_first=True,
-                 requires_grad=True, zero=False):
+                 requires_grad=True):
         if kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"unknown interaction kernel {kernel!r}")
         self.kernel = kernel
@@ -73,42 +72,24 @@ class KMaxDecoderBlock:
         self.d = d
 
         def proj():
-            if zero:
-                z = lambda: Tensor(np.zeros((d, d)), requires_grad)
-                zb = lambda: Tensor(np.zeros(d), requires_grad)
-                return ProjectionWeights(z(), z(), z(), zb(), zb(), zb(), heads)
             return ProjectionWeights.init(rng, d, heads=heads, requires_grad=requires_grad)
 
-        self.sa_ln = _LayerNormParams(d, requires_grad, zero)
-        self.sa_ln_out = _LayerNormParams(d, requires_grad, zero)
+        self.sa_ln = _LayerNormParams(d, requires_grad)
+        self.sa_ln_out = _LayerNormParams(d, requires_grad)
         self.sa_proj = proj()
-        self.ker_ln_c = _LayerNormParams(d, requires_grad, zero)
-        self.ker_ln_p = _LayerNormParams(d, requires_grad, zero)
-        self.ker_ln_out = _LayerNormParams(d, requires_grad, zero)
+        self.ker_ln_c = _LayerNormParams(d, requires_grad)
+        self.ker_ln_p = _LayerNormParams(d, requires_grad)
+        self.ker_ln_out = _LayerNormParams(d, requires_grad)
         self.ker_proj = proj()
-        self.ffn_ln = _LayerNormParams(d, requires_grad, zero)
-        self.ffn_ln_out = _LayerNormParams(d, requires_grad, zero)
-        if zero:
-            self.ffn_w1 = Tensor(np.zeros((d, ffn_hidden)), requires_grad)
-            self.ffn_b1 = Tensor(np.zeros(ffn_hidden), requires_grad)
-            self.ffn_w2 = Tensor(np.zeros((ffn_hidden, d)), requires_grad)
-            self.ffn_b2 = Tensor(np.zeros(d), requires_grad)
-            self.mask_w = Tensor(np.zeros((d, d)), requires_grad)
-            self.class_w = Tensor(np.zeros((d, num_classes + 1)), requires_grad)
-        else:
-            self.ffn_w1, self.ffn_b1 = _affine(rng, d, ffn_hidden, requires_grad)
-            self.ffn_w2, self.ffn_b2 = _affine(rng, ffn_hidden, d, requires_grad)
-            self.mask_w, _ = _affine(rng, d, d, requires_grad)
-            self.class_w, _ = _affine(rng, d, num_classes + 1, requires_grad)
+        self.ffn_ln = _LayerNormParams(d, requires_grad)
+        self.ffn_ln_out = _LayerNormParams(d, requires_grad)
+        self.ffn_w1, self.ffn_b1 = _affine(rng, d, ffn_hidden, requires_grad)
+        self.ffn_w2, self.ffn_b2 = _affine(rng, ffn_hidden, d, requires_grad)
+        self.mask_w, _ = _affine(rng, d, d, requires_grad)
+        self.class_w, _ = _affine(rng, d, num_classes + 1, requires_grad)
         self.mask_b = Tensor(np.zeros(d), requires_grad)
         self.class_b = Tensor(np.zeros(num_classes + 1), requires_grad)
-        self.head_ln = _LayerNormParams(d, requires_grad, zero)
-
-    @staticmethod
-    def zeros(d, num_classes, kernel="kmeans", ffn_hidden=256):
-        """All-zero parameters; useful for degenerate-behavior tests."""
-        return KMaxDecoderBlock(None, d, num_classes, kernel=kernel,
-                                ffn_hidden=ffn_hidden, zero=True)
+        self.head_ln = _LayerNormParams(d, requires_grad)
 
     def named_parameters(self):
         out = []
@@ -133,19 +114,12 @@ class KMaxDecoderBlock:
 
     def _self_attention(self, c):
         x = self.sa_ln(c)
-        q = matmul(x, self.sa_proj.wq) + self.sa_proj.bq
-        k = matmul(x, self.sa_proj.wk) + self.sa_proj.bk
-        v = matmul(x, self.sa_proj.wv) + self.sa_proj.bv
-        update, _, _ = _run_interaction(q, k, v, "softmax",
-                                        heads=self.sa_proj.heads,
-                                        logit_scale=self._scale())
+        update, _, _ = self.sa_proj.attend(x, x, logit_scale=self._scale())
         return c + self.sa_ln_out(update)
 
     def _interaction(self, c, pixels):
-        q = matmul(self.ker_ln_c(c), self.ker_proj.wq) + self.ker_proj.bq
-        p_in = self.ker_ln_p(pixels)
-        k = matmul(p_in, self.ker_proj.wk) + self.ker_proj.bk
-        v = matmul(p_in, self.ker_proj.wv) + self.ker_proj.bv
+        # not ``attend``: the mask embedding needs the projected q and k
+        q, k, v = self.ker_proj.project(self.ker_ln_c(c), self.ker_ln_p(pixels))
         mask_emb = matmul(q, self.mask_w) + self.mask_b
         sup_logits = scale(matmul(mask_emb, k.T), self._scale())
         if self.kernel == "kmeans":
@@ -187,10 +161,6 @@ class KMaxDecoderBlock:
             affinity=np.array(sup_logits.data, copy=True),
         )
         return c, aux
-
-
-def decoder_forward(block, centers, pixels, stage=0):
-    return block.forward(centers, pixels, stage)
 
 
 def stack_forward(blocks, centers, pixel_pyramid, schedule):

@@ -14,6 +14,13 @@ queries) from pixel features:
   update, kept as a reference the hard-attention kernel can be checked
   against.
 
+The two attention kernels share one path, ``ProjectionWeights.attend``: it
+projects queries to Q and keys to K/V, then runs the attention map of the
+requested kind, which is the only step where the two differ. The decoder's
+self-attention and the stride-32 pixel block go through it too; the
+decoder's interaction kernel calls ``ProjectionWeights.project`` directly,
+because its mask embedding needs the projected Q and K.
+
 Feed-forward layers and normalization are deliberately absent here; they
 belong to the decoder block that wraps these kernels.
 """
@@ -32,7 +39,6 @@ __all__ = [
     "ProjectionWeights",
     "cross_attention_softmax",
     "cross_attention_kmeans",
-    "self_attention",
     "kmeans_step",
     "lloyd_kmeans",
 ]
@@ -56,7 +62,11 @@ class PixelFeatures:
 
 @dataclass
 class ProjectionWeights:
-    """Query/key/value projections shared by the attention kernels."""
+    """Query/key/value projections and the one attention path through them.
+
+    ``project`` is the only place the projections are applied; ``attend``
+    projects and then runs the attention map.
+    """
 
     wq: Tensor
     wk: Tensor
@@ -72,18 +82,17 @@ class ProjectionWeights:
         return ProjectionWeights(Tensor(eye), Tensor(eye), Tensor(eye))
 
     @staticmethod
-    def init(rng, d, heads=1, bias=True, requires_grad=True):
+    def init(rng, d, heads=1, requires_grad=True):
         def w():
             return Tensor(rng.normal(0.0, d ** -0.5, (d, d)), requires_grad)
 
         def b():
-            return Tensor(np.zeros(d), requires_grad) if bias else None
+            return Tensor(np.zeros(d), requires_grad)
 
         return ProjectionWeights(w(), w(), w(), b(), b(), b(), heads)
 
     def tensors(self):
-        named = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
-                 ("bq", self.bq), ("bk", self.bk), ("bv", self.bv)]
+        named = [(n, getattr(self, n)) for n in ("wq", "wk", "wv", "bq", "bk", "bv")]
         return [(n, t) for n, t in named if t is not None]
 
     def project(self, centers, pixels):
@@ -97,6 +106,18 @@ class ProjectionWeights:
         if self.bv is not None:
             v = v + self.bv
         return q, k, v
+
+    def attend(self, queries, keys, kind="softmax", logit_scale=1.0,
+               normalize=False, prev_centers=None):
+        """Project ``queries`` to Q and ``keys`` to K/V, then attend.
+
+        Returns (update, logits, assignment) as ``_run_interaction`` does,
+        over ``self.heads`` heads.
+        """
+        _check_dims(queries, keys, self)
+        q, k, v = self.project(queries, keys)
+        return _run_interaction(q, k, v, kind, heads=self.heads, normalize=normalize,
+                                prev_centers=prev_centers, logit_scale=logit_scale)
 
 
 def _check_dims(centers, pixels, w):
@@ -175,11 +196,8 @@ def cross_attention_softmax(centers, pixels, w, residual=True):
     of pixel values. Returns (updated centers, affinity logits).
     """
     pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    _check_dims(centers, pixels, w)
-    q, k, v = w.project(centers, pixels)
-    update, logits, _ = _run_interaction(q, k, v, "softmax", heads=w.heads)
-    out = centers + update if residual else update
-    return out, logits
+    update, logits, _ = w.attend(centers, pixels)
+    return (centers + update if residual else update), logits
 
 
 def cross_attention_kmeans(centers, pixels, w, residual=True, normalize=False):
@@ -193,20 +211,9 @@ def cross_attention_kmeans(centers, pixels, w, residual=True, normalize=False):
     query/key projections receive no gradient at all.
     """
     pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    _check_dims(centers, pixels, w)
-    q, k, v = w.project(centers, pixels)
-    update, logits, _ = _run_interaction(
-        q, k, v, "kmeans", heads=w.heads, normalize=normalize,
-        prev_centers=None if residual else centers,
-    )
-    out = centers + update if residual else update
-    return out, logits
-
-
-def self_attention(centers, w, residual=True):
-    """Standard transformer self-attention over the cluster centers."""
-    out, _ = cross_attention_softmax(centers, centers, w, residual=residual)
-    return out
+    update, logits, _ = w.attend(centers, pixels, "kmeans", normalize=normalize,
+                                 prev_centers=None if residual else centers)
+    return (centers + update if residual else update), logits
 
 
 def kmeans_step(centers, pixels, normalize=False):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import ModelConfig
 from .decoder import KMaxDecoderBlock, _LayerNormParams, stack_forward
-from .errors import ConfigError, ShapeError
-from .kernels import PixelFeatures, ProjectionWeights, _run_interaction
+from .errors import ConfigError, ContractError, ShapeError
+from .kernels import PixelFeatures, ProjectionWeights
 from .panoptic import PredictionSet
 from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, softmax,
                      take, transpose, upsample2x_nearest)
@@ -160,11 +160,14 @@ class KMaxModel:
     def pixel_path(self, image):
         """Toy encoder plus pyramid decoder; returns features per stride."""
         x = image if isinstance(image, Tensor) else Tensor(image)
-        h, w = x.data.shape[:2]
         if x.data.ndim != 3 or x.data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) image, got {x.data.shape}")
+        h, w = x.data.shape[:2]
         if h % 32 or w % 32:
             raise ShapeError(f"image dims {h}x{w} must be multiples of 32")
+        if not np.isfinite(x.data).all():
+            # a NaN would reach every mask logit and merge to an all-void map
+            raise ContractError("image has non-finite pixel values")
 
         skips = {}
         stride = 1
@@ -187,11 +190,7 @@ class KMaxModel:
             t = t + self.pos[s]
             if s == 32:
                 a_in = self.attn_ln(t)
-                q = matmul(a_in, self.attn_proj.wq) + self.attn_proj.bq
-                k = matmul(a_in, self.attn_proj.wk) + self.attn_proj.bk
-                v = matmul(a_in, self.attn_proj.wv) + self.attn_proj.bv
-                upd, _, _ = _run_interaction(q, k, v, "softmax",
-                                             logit_scale=self.cfg.d ** -0.5)
+                upd, _, _ = self.attn_proj.attend(a_in, a_in, logit_scale=self.cfg.d ** -0.5)
                 t = t + upd
                 hmid = gelu(matmul(self.mlp_ln(t), self.mlp_w1) + self.mlp_b1)
                 t = t + (matmul(hmid, self.mlp_w2) + self.mlp_b2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, softmax
 
 VOID = -1
 
@@ -95,11 +95,6 @@ def label_index(*keys):
     return index, np.stack([key[starts] for key in ordered], axis=1)
 
 
-def _softmax_np(x, axis):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 @dataclass
 class PredictionSet:
     """N mask logits over pixels plus per-mask class logits.
@@ -135,8 +130,8 @@ class PredictionSet:
 
     def mask_probs(self):
         """Per-pixel softmax over the N masks; rows sum to one."""
-        return _softmax_np(self.mask_logits.data, axis=1)
+        return softmax(Tensor(self.mask_logits.data), axis=1).data
 
     def class_probs(self):
         """Per-mask class distribution including the void class."""
-        return _softmax_np(self.class_logits.data, axis=1)
+        return softmax(Tensor(self.class_logits.data), axis=1).data

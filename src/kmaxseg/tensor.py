@@ -332,10 +332,6 @@ def reshape(x, shape):
     return _make(x.data.reshape(shape), (x,), bwd)
 
 
-def flatten(x):
-    return reshape(x, (-1,))
-
-
 def slice_along(x, axis, start, stop):
     x = _as_tensor(x)
     axis = _check_axis(x, axis)

@@ -294,8 +294,7 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     tc = cfg.train
     seed = tc.seed if seed is None else seed
     if dataset is None:
-        dataset = SyntheticDataset(scene_spec_from_config(cfg), tc.train_size,
-                                   tc.val_size, threads=cfg.data.threads)
+        dataset = SyntheticDataset(scene_spec_from_config(cfg), tc.train_size, tc.val_size)
     table = dataset.class_table
     if table.num_classes != cfg.model.num_classes:
         raise ContractError(
@@ -341,6 +340,9 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         matching = hungarian_match(matching_cost(pred, gt4))
         loss, parts = total_loss(pred, aux, sem, gt4, weights, matching,
                                  return_parts=True)
+        if not np.isfinite(loss.item()):
+            # stop before backward and the update can corrupt the parameters
+            raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")
         loss.backward()
         opt.step(warmup_lr(step, tc.steps, tc.lr, tc.warmup_frac))
 

@@ -1,0 +1,70 @@
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmaxseg.config import (Config, DataConfig, InferConfig, ModelConfig, TrainConfig,
+                            parse_config, serialize_config)
+from kmaxseg.errors import ConfigError
+
+INTS = st.integers(-2**40, 2**40)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+POSITIVE = st.integers(1, 10**6)
+
+
+def _section(cls, **constrained):
+    """Strategy for one config section: every field drawn from its type,
+    except the ones ``validate`` constrains."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        default = getattr(cls(), f.name)
+        if f.name in constrained:
+            kwargs[f.name] = constrained[f.name]
+        elif isinstance(default, bool):
+            kwargs[f.name] = st.booleans()
+        elif isinstance(default, int):
+            kwargs[f.name] = INTS
+        elif isinstance(default, float):
+            kwargs[f.name] = FLOATS
+        elif isinstance(default, tuple):
+            kwargs[f.name] = st.tuples(*[INTS] * len(default))
+        else:
+            raise AssertionError(f"no strategy for {cls.__name__}.{f.name}")
+    return st.builds(cls, **kwargs)
+
+
+@st.composite
+def _model(draw):
+    heads = draw(st.integers(1, 8))
+    return draw(_section(
+        ModelConfig,
+        heads=st.just(heads),
+        d=st.integers(1, 64).map(lambda k: k * heads),
+        image_size=st.integers(1, 8).map(lambda k: 32 * k),
+        schedule=st.tuples(POSITIVE, POSITIVE, POSITIVE),
+        kernel=st.sampled_from(["kmeans", "softmax"]),
+    ))
+
+
+CONFIGS = st.builds(
+    Config,
+    model=_model(),
+    train=_section(TrainConfig, steps=POSITIVE, train_size=POSITIVE, val_size=POSITIVE,
+                   pq_norm=st.sampled_from(["K", "N"])),
+    data=_section(DataConfig),
+    infer=_section(InferConfig, conf_thresh=UNIT, overlap_thresh=UNIT),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS)
+def test_config_round_trips_through_text(cfg):
+    assert parse_config(serialize_config(cfg.validate())) == cfg
+
+
+@pytest.mark.parametrize("section,key", [("data", "threads"), ("train", "w_inst")])
+def test_removed_keys_are_unknown(section, key):
+    with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
+        parse_config(f"[{section}]\n{key} = 1\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kmaxseg.data import SceneSpec, SyntheticDataset, augment_flip, dump_dataset, generate
+from kmaxseg.data import SceneSpec, SyntheticDataset, augment_flip, generate
 from kmaxseg.errors import ConfigError
 from kmaxseg.ppm import read_ppm, write_ppm
 
@@ -109,7 +109,7 @@ def test_image_values_in_unit_range():
 
 
 def test_dataset_splits_are_disjoint_and_sized():
-    ds = SyntheticDataset(SPEC, train_size=4, val_size=2, threads=2)
+    ds = SyntheticDataset(SPEC, train_size=4, val_size=2)
     assert len(ds.train) == 4 and len(ds.val) == 2
     for t_img, _ in ds.train:
         for v_img, _ in ds.val:
@@ -123,18 +123,3 @@ def test_ppm_round_trip(tmp_path):
     back = read_ppm(path)
     assert back.shape == (8, 6, 3)
     assert np.max(np.abs(back.astype(float) / 255.0 - img)) < 1 / 255.0 + 1e-9
-
-
-def test_dump_dataset_files(tmp_path):
-    paths = dump_dataset(SPEC, [0, 1], tmp_path)
-    assert len(paths) == 2
-    img = read_ppm(paths[0][0])
-    assert img.shape == (64, 64, 3)
-    text = open(paths[0][1], encoding="utf-8").read().splitlines()
-    assert text[0] == "panoptic-map 64 64"
-    assert "classes" in text and "instances" in text
-    # the text map reproduces the generated ground truth
-    _, gt = generate(SPEC, 0)
-    class_rows = text[text.index("classes") + 1 : text.index("instances")]
-    parsed = np.array([[int(v) for v in row.split()] for row in class_rows])
-    assert np.array_equal(parsed, gt.class_map)

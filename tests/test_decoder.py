@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kmaxseg import tensor as T
-from kmaxseg.decoder import KMaxDecoderBlock, decoder_forward, stack_forward
+from kmaxseg.decoder import KMaxDecoderBlock, stack_forward
 from kmaxseg.errors import ConfigError
 from kmaxseg.kernels import PixelFeatures
 from kmaxseg.tensor import Tensor
@@ -19,10 +19,12 @@ def _numpy_softmax(x, axis):
 
 def test_zero_block_passes_centers_through():
     rng = np.random.default_rng(0)
-    block = KMaxDecoderBlock.zeros(4, num_classes=3)
+    block = KMaxDecoderBlock(np.random.default_rng(1), 4, num_classes=3)
+    for _, t, _ in block.named_parameters():
+        t.data[...] = 0.0
     c = Tensor(rng.normal(size=(2, 4)))
     p = _pixels(rng, 2, 3, 4)
-    out, aux = decoder_forward(block, c, p)
+    out, aux = block.forward(c, p)
     assert np.array_equal(out.data, c.data)
     assert np.array_equal(aux.mask_logits.data, np.zeros((6, 2)))
     # zero mask logits give uniform per-pixel mask softmax
@@ -36,7 +38,7 @@ def test_softmax_block_matches_reimplementation():
                              kernel="softmax", ffn_hidden=8)
     c = rng.normal(size=(2, 4))
     p = _pixels(rng, 2, 3, 4)
-    out, aux = decoder_forward(block, Tensor(c), p)
+    out, aux = block.forward(Tensor(c), p)
 
     def ln(x, gain, bias, eps=1e-5):
         mu = x.mean(axis=-1, keepdims=True)
@@ -91,8 +93,8 @@ def test_forward_is_deterministic():
     block = KMaxDecoderBlock(np.random.default_rng(5), 4, 3)
     c = Tensor(rng.normal(size=(3, 4)))
     p = _pixels(rng, 2, 2, 4)
-    a1, aux1 = decoder_forward(block, c, p)
-    a2, aux2 = decoder_forward(block, c, p)
+    a1, aux1 = block.forward(c, p)
+    a2, aux2 = block.forward(c, p)
     assert np.array_equal(a1.data, a2.data)
     assert np.array_equal(aux1.class_logits.data, aux2.class_logits.data)
 
@@ -133,12 +135,12 @@ def test_kmeans_block_grad_reaches_wq_only_via_aux_logits():
     c = Tensor(rng.normal(size=(4, 6)))
     p = _pixels(rng, 3, 3, 6)
 
-    out, aux = decoder_forward(block, c, p)
+    out, aux = block.forward(c, p)
     T.reduce_sum(T.mul(out, out)).backward()
     assert block.ker_proj.wq.grad is None
     assert block.ker_proj.wk.grad is None
 
-    out2, aux2 = decoder_forward(block, c, p)
+    out2, aux2 = block.forward(c, p)
     loss = T.add(T.reduce_sum(T.mul(out2, out2)),
                  T.reduce_sum(T.mul(aux2.mask_logits, aux2.mask_logits)))
     loss.backward()

@@ -10,7 +10,6 @@ from kmaxseg.kernels import (
     cross_attention_softmax,
     kmeans_step,
     lloyd_kmeans,
-    self_attention,
 )
 from kmaxseg.tensor import Tensor
 
@@ -193,31 +192,6 @@ def test_kmeans_attention_matches_kmeans_step():
     assert np.allclose(out.data, ref.data, atol=1e-15)
 
 
-def test_kmeans_attention_equals_one_lloyd_step_on_equal_norm_points():
-    # with unit-norm points and centers drawn from them, affinity argmax
-    # agrees with Euclidean nearest-center, so one hard-attention update
-    # (identity projections, no residual, normalized) is one Lloyd step
-    for seed in range(20):
-        rng = np.random.default_rng(100 + seed)
-        m = int(rng.integers(8, 65))
-        d = int(rng.integers(2, 9))
-        n = int(rng.integers(1, 5))
-        pts = rng.normal(size=(m, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        lloyd_centers, lloyd_labels = lloyd_kmeans(pts, n, max_iters=1, seed=seed)
-
-        # rebuild the same seeded initialization lloyd_kmeans used
-        distinct = np.unique(pts, axis=0)
-        init = distinct[np.random.default_rng(seed).choice(distinct.shape[0], n, replace=False)]
-        out, logits = cross_attention_kmeans(
-            Tensor(init), Tensor(pts), ProjectionWeights.identity(d),
-            residual=False, normalize=True,
-        )
-        labels = logits.data.argmax(axis=0)
-        assert np.array_equal(labels, lloyd_labels), f"seed {seed}"
-        assert np.max(np.abs(out.data - lloyd_centers)) < 1e-12, f"seed {seed}"
-
-
 def test_permutation_equivariance_in_cluster_index():
     rng = np.random.default_rng(11)
     c = rng.normal(size=(4, 6))
@@ -235,7 +209,7 @@ def test_self_attention_single_query():
     rng = np.random.default_rng(12)
     c = Tensor(rng.normal(size=(1, 4)))
     w = ProjectionWeights.init(np.random.default_rng(1), 4)
-    out = self_attention(c, w)
+    out, _ = cross_attention_softmax(c, c, w)
     v = c.data @ w.wv.data + w.bv.data
     assert np.allclose(out.data, c.data + v, atol=1e-12)
 
@@ -244,7 +218,7 @@ def test_self_attention_matches_reimplementation():
     rng = np.random.default_rng(13)
     c = rng.normal(size=(3, 4))
     w = ProjectionWeights.init(np.random.default_rng(2), 4)
-    out = self_attention(Tensor(c), w)
+    out, _ = cross_attention_softmax(Tensor(c), Tensor(c), w)
     q = c @ w.wq.data + w.bq.data
     k = c @ w.wk.data + w.bk.data
     v = c @ w.wv.data + w.bv.data
@@ -257,8 +231,8 @@ def test_self_attention_permutation_equivariance():
     c = rng.normal(size=(5, 4))
     w = ProjectionWeights.init(np.random.default_rng(3), 4)
     perm = np.array([4, 2, 0, 1, 3])
-    out = self_attention(Tensor(c), w).data
-    out_perm = self_attention(Tensor(c[perm]), w).data
+    out = cross_attention_softmax(Tensor(c), Tensor(c), w)[0].data
+    out_perm = cross_attention_softmax(Tensor(c[perm]), Tensor(c[perm]), w)[0].data
     assert np.allclose(out_perm, out[perm], atol=1e-12)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
 from kmaxseg.config import ModelConfig
-from kmaxseg.errors import ConfigError, ShapeError
+from kmaxseg.errors import ConfigError, ContractError, ShapeError
 from kmaxseg.model import KMaxModel, predict_masks
 from kmaxseg.tensor import Tensor, no_grad
 
@@ -52,6 +52,19 @@ def test_pixel_path_rejects_bad_sizes():
         model.pixel_path(np.zeros((48, 48, 3)))
     with pytest.raises(ShapeError):
         model.pixel_path(np.zeros((64, 64, 4)))
+
+
+def test_pixel_path_rejects_a_one_dimensional_image():
+    with pytest.raises(ShapeError):
+        KMaxModel(_small_cfg(), seed=0).pixel_path(np.zeros(64))
+
+
+def test_forward_rejects_a_non_finite_pixel():
+    # one NaN pixel used to reach every mask logit and merge to an all-void map
+    img = np.zeros((64, 64, 3))
+    img[10, 20, 1] = np.nan
+    with no_grad(), pytest.raises(ContractError, match="non-finite"):
+        KMaxModel(_small_cfg(), seed=0).forward(img)
 
 
 def test_predict_masks_rows_are_distributions():

@@ -279,6 +279,36 @@ def test_train_loop_rejects_too_few_surviving_queries():
         train_loop(cfg, seed=1)
 
 
+def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):
+    from kmaxseg import training
+
+    models, calls, snapshot = [], [], {}
+
+    class RecordingModel(training.KMaxModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    real_total_loss = training.total_loss
+
+    def nan_at_step_one(*args, **kwargs):
+        loss, parts = real_total_loss(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 1:
+            return loss, parts
+        snapshot.update((n, t.data.copy()) for n, t, _ in models[0].named_parameters())
+        # keeps the graph, so a backward pass would write NaN gradients
+        return T.scale(loss, np.nan), parts
+
+    monkeypatch.setattr(training, "KMaxModel", RecordingModel)
+    monkeypatch.setattr(training, "total_loss", nan_at_step_one)
+    with pytest.raises(ContractError, match="step 1"):
+        train_loop(_tiny_train_config(steps=3), seed=0)
+    for name, t, _ in models[0].named_parameters():
+        assert np.array_equal(t.data, snapshot[name]), name
+        assert t.grad is None, name   # backward never ran on the NaN loss
+
+
 def test_train_loop_writes_metrics_and_checkpoint(tmp_path):
     cfg = _tiny_train_config(steps=5)
     metrics = tmp_path / "metrics.csv"
