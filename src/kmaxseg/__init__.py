@@ -23,7 +23,7 @@ from .kernels import (PixelFeatures, ProjectionWeights, cross_attention_kmeans,
                       cross_attention_softmax, kmeans_step, lloyd_kmeans)
 from .metrics import (PanopticResult, evaluate_model, evaluation_report,
                       merge_masks, miou, panoptic_quality)
-from .model import FeaturePyramid, KMaxModel, predict_masks
+from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet, Segment
 from .tensor import GradTape, Tensor, argmax_onehot, no_grad, softmax
 from .training import (AdamW, LossWeights, Matching, hungarian_match,

@@ -31,48 +31,56 @@ GRAD_TOL = 1e-4
 GRAD_EPS = 1e-5
 
 
+def scalarize(out):
+    """Reduce ``out`` to a scalar through a fixed random projection."""
+    # a fixed projection (same shape, same weights) keeps f deterministic
+    # across the repeated evaluations grad_check performs
+    r = Tensor(np.random.default_rng(42).normal(size=out.data.shape))
+    return T.reduce_sum(T.mul(out, r))
+
+
+def gradient_cases(seed):
+    """name -> (f, input) for every differentiable op, as criterion 1 checks it."""
+    rng = np.random.default_rng(2000 + seed)
+    x = Tensor(rng.normal(size=(4, 3)))
+    img = Tensor(rng.normal(size=(4, 4, 2)))
+    mat = Tensor(rng.normal(size=(3, 5)))
+    other = Tensor(rng.normal(size=(4, 3)))
+    gain, bias = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+    wc = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.5)
+    tall = Tensor(rng.normal(size=(3, 4, 2)))  # H != W: a swapped backward fails
+    ids = np.array([0, 2, 1, 2])
+    return {
+        "add": (lambda t: scalarize(T.add(t, other)), x),
+        "mul": (lambda t: scalarize(T.mul(t, other)), x),
+        "div": (lambda t: scalarize(T.div(t, T.add(T.mul(other, other), Tensor(1.0)))), x),
+        "scale": (lambda t: scalarize(T.scale(t, -1.7)), x),
+        "matmul": (lambda t: scalarize(T.matmul(t, mat)), x),
+        "log": (lambda t: scalarize(T.log(T.add(T.mul(t, t), Tensor(0.5)))), x),
+        "relu": (lambda t: scalarize(T.relu(T.add(t, Tensor(0.25)))), x),
+        "gelu": (lambda t: scalarize(T.gelu(t)), x),
+        "softmax": (lambda t: scalarize(T.softmax(t, axis=1)), x),
+        "layer_norm": (lambda t: scalarize(T.layer_norm(t, gain, bias)), x),
+        "transpose": (lambda t: scalarize(T.transpose(t)), x),
+        "reshape": (lambda t: scalarize(T.reshape(t, (3, 4))), x),
+        "slice": (lambda t: scalarize(T.slice_along(t, 1, 0, 2)), x),
+        "take": (lambda t: scalarize(T.take(t, [1, 3, 1], axis=0)), x),
+        "concat": (lambda t: scalarize(T.concat([t, other], axis=0)), x),
+        "reduce_sum": (lambda t: scalarize(T.reduce_sum(t, axis=0)), x),
+        "reduce_mean": (lambda t: scalarize(T.reduce_mean(t, axis=1)), x),
+        "upsample": (lambda t: scalarize(T.upsample2x_nearest(t)), tall),
+        "conv_s1": (lambda t: scalarize(T.conv3x3(t, wc, stride=1)), img),
+        "conv_s2": (lambda t: scalarize(T.conv3x3(t, wc, stride=2)), img),
+        "cross_entropy": (lambda t: T.cross_entropy_from_logits(t, ids, "mean"), x),
+    }
+
+
 def criterion_1_gradients():
     """grad_check < 1e-4 for every differentiable op and the training loss."""
     started = time.time()
     worst = 0.0
-
-    def scalarize(out, seed=42):
-        r = Tensor(np.random.default_rng(seed).normal(size=out.data.shape))
-        return T.reduce_sum(T.mul(out, r))
-
     for seed in range(5):
-        rng = np.random.default_rng(2000 + seed)
-        x = Tensor(rng.normal(size=(4, 3)))
-        img = Tensor(rng.normal(size=(4, 4, 2)))
-        mat = Tensor(rng.normal(size=(3, 5)))
-        other = Tensor(rng.normal(size=(4, 3)))
-        gain, bias = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
-        wc = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.5)
-        ids = np.array([0, 2, 1, 2])
-        cases = [
-            (lambda t: scalarize(T.add(t, other)), x),
-            (lambda t: scalarize(T.mul(t, other)), x),
-            (lambda t: scalarize(T.div(t, T.add(T.mul(other, other), Tensor(1.0)))), x),
-            (lambda t: scalarize(T.scale(t, -1.7)), x),
-            (lambda t: scalarize(T.matmul(t, mat)), x),
-            (lambda t: scalarize(T.log(T.add(T.mul(t, t), Tensor(0.5)))), x),
-            (lambda t: scalarize(T.relu(T.add(t, Tensor(0.25)))), x),
-            (lambda t: scalarize(T.gelu(t)), x),
-            (lambda t: scalarize(T.softmax(t, axis=1)), x),
-            (lambda t: scalarize(T.layer_norm(t, gain, bias)), x),
-            (lambda t: scalarize(T.transpose(t)), x),
-            (lambda t: scalarize(T.reshape(t, (3, 4))), x),
-            (lambda t: scalarize(T.slice_along(t, 1, 0, 2)), x),
-            (lambda t: scalarize(T.take(t, [1, 3, 1], axis=0)), x),
-            (lambda t: scalarize(T.concat([t, other], axis=0)), x),
-            (lambda t: scalarize(T.reduce_sum(t, axis=0)), x),
-            (lambda t: scalarize(T.reduce_mean(t, axis=1)), x),
-            (lambda t: scalarize(T.upsample2x_nearest(t)), img),
-            (lambda t: scalarize(T.conv3x3(t, wc, stride=1)), img),
-            (lambda t: scalarize(T.conv3x3(t, wc, stride=2)), img),
-            (lambda t: T.cross_entropy_from_logits(t, ids, "mean"), x),
-        ]
-        for f, inp in cases:
+        for f, inp in gradient_cases(seed).values():
             worst = max(worst, grad_check(f, inp, eps=GRAD_EPS))
 
     # training loss on a 2-query / 16-pixel instance, matching frozen

@@ -3,39 +3,67 @@
 Layout::
 
     KMAXCKPT1
+    config <field>=<value> ...
+    sha256 <hex digest of the payload>
     param name=<dotted.name> shape=<d0,d1,...> offset=<byte offset>
     ...
     data
     <raw little-endian float64 payload>
 
-Offsets index into the payload that follows the ``data`` line. Loading is
-exact: the bytes written are the bytes restored.
+The ``config`` line holds every ``ModelConfig`` field that shapes the
+inference model, in the config-file format; ``drop_query`` only acts in
+training, so it is left out. The line is tied to the ``ModelConfig`` fields:
+adding or removing one makes every checkpoint saved before fail its config
+check. Offsets index into the payload that follows the ``data`` line.
+Loading is exact: the bytes written are the bytes restored. It fails with
+``ConfigError`` when the model's config differs from the saved one (two
+kernels have equal parameter shapes, so shapes alone cannot tell them
+apart) or when the payload does not match its checksum. Files written
+before the ``config`` and ``sha256`` lines existed load without those
+checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import os
+
 import numpy as np
 
+from .config import _format_value
 from .errors import ConfigError
 
 MAGIC = "KMAXCKPT1"
+_TRAIN_ONLY = ("drop_query",)
+
+
+def _config_fields(cfg):
+    return {f.name: _format_value(getattr(cfg, f.name))
+            for f in dataclasses.fields(cfg) if f.name not in _TRAIN_ONLY}
 
 
 def save_checkpoint(path, model):
-    manifest = [MAGIC]
+    """Write ``model`` to ``path`` through a temp file renamed over it."""
+    config = " ".join(f"{k}={v}" for k, v in _config_fields(model.cfg).items())
+    params = []
     payload = []
+    digest = hashlib.sha256()
     offset = 0
     for name, tensor, _ in model.named_parameters():
         shape = ",".join(str(s) for s in tensor.data.shape)
-        manifest.append(f"param name={name} shape={shape} offset={offset}")
+        params.append(f"param name={name} shape={shape} offset={offset}")
         raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
         payload.append(raw)
+        digest.update(raw)
         offset += len(raw)
-    manifest.append("data")
-    with open(path, "wb") as fh:
+    manifest = [MAGIC, f"config {config}", f"sha256 {digest.hexdigest()}", *params, "data"]
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(("\n".join(manifest) + "\n").encode("utf-8"))
         for raw in payload:
             fh.write(raw)
+    os.replace(tmp, path)
 
 
 def _parse_manifest(blob, path):
@@ -47,10 +75,17 @@ def _parse_manifest(blob, path):
     if not header or header[0] != MAGIC:
         raise ConfigError(f"{path} is not a {MAGIC} checkpoint")
     entries = []
+    config = checksum = None
     for line in header[1:]:
         try:
             kind, *fields = line.split()
+            if kind == "sha256":
+                (checksum,) = fields
+                continue
             parts = dict(kv.split("=", 1) for kv in fields)
+            if kind == "config":
+                config = parts
+                continue
             name = parts["name"]
             shape = tuple(int(v) for v in parts["shape"].split(",") if v)
             offset = int(parts["offset"])
@@ -59,17 +94,29 @@ def _parse_manifest(blob, path):
         if kind != "param" or offset < 0:
             raise ConfigError(f"{path} has a malformed manifest line {line!r}")
         entries.append((name, shape, offset))
-    return entries, blob[cut + len(marker):]
+    return entries, config, checksum, blob[cut + len(marker):]
 
 
 def load_checkpoint(path, model):
-    """Restore parameters in place; names and shapes must match the model."""
+    """Restore parameters in place; config, names and shapes must match.
+
+    Every check runs before the first parameter is written, so a rejected
+    checkpoint leaves the model as it was.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    entries, payload = _parse_manifest(blob, path)
+    entries, config, checksum, payload = _parse_manifest(blob, path)
+    if config is not None:
+        current = _config_fields(model.cfg)
+        for key in dict.fromkeys([*current, *config]):
+            if config.get(key) != current.get(key):
+                raise ConfigError(
+                    f"{path} was saved with model.{key} = {config.get(key)} but "
+                    f"the model has model.{key} = {current.get(key)}"
+                )
 
     params = {name: tensor for name, tensor, _ in model.named_parameters()}
-    seen = set()
+    arrays = {}
     for name, shape, offset in entries:
         if name not in params:
             raise ConfigError(f"checkpoint parameter {name} not in model")
@@ -86,9 +133,16 @@ def load_checkpoint(path, model):
                 f"{path} is truncated: parameter {name} needs payload bytes "
                 f"{offset}..{end} but the payload holds {len(payload)}"
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        tensor.data[...] = arr.reshape(shape)
-        seen.add(name)
-    missing = set(params) - seen
+        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count,
+                                     offset=offset).reshape(shape)
+    missing = set(params) - set(arrays)
     if missing:
         raise ConfigError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
+    if checksum is not None:
+        actual = hashlib.sha256(payload).hexdigest()
+        if actual != checksum:
+            raise ConfigError(
+                f"{path} fails its sha256 checksum: manifest {checksum}, payload {actual}"
+            )
+    for name, arr in arrays.items():
+        params[name].data[...] = arr

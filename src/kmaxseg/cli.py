@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import Config, load_config, save_config
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .data import SyntheticDataset, generate
 from .errors import ConfigError
 from .metrics import evaluate_model, evaluation_report

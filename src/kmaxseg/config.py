@@ -25,7 +25,6 @@ class ModelConfig:
     schedule: tuple = (2, 2, 2)
     kernel: str = "kmeans"            # kmeans | softmax
     kmeans_normalize: bool = False
-    heads: int = 1
     ffn_hidden: int = 256
     encoder_channels: tuple = (16, 32, 48, 64, 64)
     selfattn_first: bool = True
@@ -89,8 +88,6 @@ class Config:
             raise ConfigError("model.encoder_channels needs five entries (strides 2..32)")
         if len(self.model.schedule) != 3 or any(s < 1 for s in self.model.schedule):
             raise ConfigError(f"model.schedule needs three positive entries, got {self.model.schedule}")
-        if self.model.heads < 1 or self.model.d % self.model.heads:
-            raise ConfigError(f"model.heads must divide model.d ({self.model.d})")
         if self.train.pq_norm not in ("K", "N"):
             raise ConfigError(f"train.pq_norm must be K or N, got {self.train.pq_norm!r}")
         if not 0.0 <= self.infer.conf_thresh <= 1.0 or not 0.0 <= self.infer.overlap_thresh <= 1.0:

@@ -8,21 +8,20 @@ matters most for the hard-assignment kernel, whose per-cluster update is a
 sum over assigned pixels and would otherwise scale with cluster size.
 
 Every block also emits an auxiliary prediction. Its mask logits are the
-kernel's affinity logits recomputed with the mask head applied to the
-projected centers, so the supervised logits match the logits that defined
-the hard assignment up to that one affine head. This is the only gradient
-path into the kernel's query/key projections when the interaction is the
-hard-assignment kind.
+scaled affinity between the mask embedding of the projected centers and the
+projected pixels; for the hard-assignment kernel the argmax of that same
+affinity is the assignment, so the supervised logits define the clustering
+by construction and are the only gradient path into its query/key weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import PixelFeatures, ProjectionWeights, _run_interaction
+from .kernels import PixelFeatures, ProjectionWeights, _aggregate
 from .tensor import Tensor, gelu, layer_norm, matmul, scale, transpose
 
 __all__ = ["KMaxDecoderBlock", "AuxiliaryPrediction", "stack_forward"]
@@ -37,13 +36,18 @@ class AuxiliaryPrediction:
     source: int                # decoder stage index
     height: int
     width: int
-    affinity: np.ndarray = field(repr=False, default=None)  # detached (N, HW)
+
+    @property
+    def affinity(self):  # read-only (N, HW) view of the mask logits, detached
+        view = self.mask_logits.data.T
+        view.flags.writeable = False
+        return view
 
 
 class _LayerNormParams:
-    def __init__(self, d, requires_grad=True):
-        self.gain = Tensor(np.ones(d), requires_grad)
-        self.bias = Tensor(np.zeros(d), requires_grad)
+    def __init__(self, d):
+        self.gain = Tensor(np.ones(d), True)
+        self.bias = Tensor(np.zeros(d), True)
 
     def __call__(self, x):
         return layer_norm(x, self.gain, self.bias)
@@ -52,9 +56,9 @@ class _LayerNormParams:
         return [(f"{prefix}.gain", self.gain, False), (f"{prefix}.bias", self.bias, False)]
 
 
-def _affine(rng, din, dout, requires_grad=True):
-    w = Tensor(rng.normal(0.0, din ** -0.5, (din, dout)), requires_grad)
-    b = Tensor(np.zeros(dout), requires_grad)
+def _affine(rng, din, dout):
+    w = Tensor(rng.normal(0.0, din ** -0.5, (din, dout)), True)
+    b = Tensor(np.zeros(dout), True)
     return w, b
 
 
@@ -62,34 +66,27 @@ class KMaxDecoderBlock:
     """One decoder block: self-attention, interaction kernel, FFN, heads."""
 
     def __init__(self, rng, d, num_classes, kernel="kmeans", ffn_hidden=256,
-                 heads=1, kmeans_normalize=False, selfattn_first=True,
-                 requires_grad=True):
+                 kmeans_normalize=False, selfattn_first=True):
         if kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"unknown interaction kernel {kernel!r}")
         self.kernel = kernel
         self.kmeans_normalize = kmeans_normalize
         self.selfattn_first = selfattn_first
-        self.d = d
-
-        def proj():
-            return ProjectionWeights.init(rng, d, heads=heads, requires_grad=requires_grad)
-
-        self.sa_ln = _LayerNormParams(d, requires_grad)
-        self.sa_ln_out = _LayerNormParams(d, requires_grad)
-        self.sa_proj = proj()
-        self.ker_ln_c = _LayerNormParams(d, requires_grad)
-        self.ker_ln_p = _LayerNormParams(d, requires_grad)
-        self.ker_ln_out = _LayerNormParams(d, requires_grad)
-        self.ker_proj = proj()
-        self.ffn_ln = _LayerNormParams(d, requires_grad)
-        self.ffn_ln_out = _LayerNormParams(d, requires_grad)
-        self.ffn_w1, self.ffn_b1 = _affine(rng, d, ffn_hidden, requires_grad)
-        self.ffn_w2, self.ffn_b2 = _affine(rng, ffn_hidden, d, requires_grad)
-        self.mask_w, _ = _affine(rng, d, d, requires_grad)
-        self.class_w, _ = _affine(rng, d, num_classes + 1, requires_grad)
-        self.mask_b = Tensor(np.zeros(d), requires_grad)
-        self.class_b = Tensor(np.zeros(num_classes + 1), requires_grad)
-        self.head_ln = _LayerNormParams(d, requires_grad)
+        self.logit_scale = d ** -0.5  # transformer scaling; the argmax ignores it
+        self.sa_ln = _LayerNormParams(d)
+        self.sa_ln_out = _LayerNormParams(d)
+        self.sa_proj = ProjectionWeights.init(rng, d)
+        self.ker_ln_c = _LayerNormParams(d)
+        self.ker_ln_p = _LayerNormParams(d)
+        self.ker_ln_out = _LayerNormParams(d)
+        self.ker_proj = ProjectionWeights.init(rng, d)
+        self.ffn_ln = _LayerNormParams(d)
+        self.ffn_ln_out = _LayerNormParams(d)
+        self.ffn_w1, self.ffn_b1 = _affine(rng, d, ffn_hidden)
+        self.ffn_w2, self.ffn_b2 = _affine(rng, ffn_hidden, d)
+        self.mask_w, self.mask_b = _affine(rng, d, d)
+        self.class_w, self.class_b = _affine(rng, d, num_classes + 1)
+        self.head_ln = _LayerNormParams(d)
 
     def named_parameters(self):
         out = []
@@ -108,31 +105,23 @@ class KMaxDecoderBlock:
 
     # -- sublayers ------------------------------------------------------------
 
-    def _scale(self):
-        # standard transformer logit scaling; a no-op for the argmax kind
-        return (self.d // max(self.sa_proj.heads, 1)) ** -0.5
-
     def _self_attention(self, c):
         x = self.sa_ln(c)
-        update, _, _ = self.sa_proj.attend(x, x, logit_scale=self._scale())
+        update, _ = self.sa_proj.attend(x, x, logit_scale=self.logit_scale)
         return c + self.sa_ln_out(update)
 
     def _interaction(self, c, pixels):
-        # not ``attend``: the mask embedding needs the projected q and k
+        # not ``attend``: the affinity is taken against the mask embedding
         q, k, v = self.ker_proj.project(self.ker_ln_c(c), self.ker_ln_p(pixels))
         mask_emb = matmul(q, self.mask_w) + self.mask_b
-        sup_logits = scale(matmul(mask_emb, k.T), self._scale())
+        affinity = matmul(mask_emb, k.T)
+        sup_logits = scale(affinity, self.logit_scale)
         if self.kernel == "kmeans":
             # the supervised mask logits define the hard assignment, so the
             # deep-supervision losses directly shape the clustering
-            update, _, _ = _run_interaction(
-                mask_emb, k, v, "kmeans", heads=self.ker_proj.heads,
-                normalize=self.kmeans_normalize,
-            )
+            update = _aggregate(affinity, v, "kmeans", self.kmeans_normalize)
         else:
-            update, _, _ = _run_interaction(q, k, v, "softmax",
-                                            heads=self.ker_proj.heads,
-                                            logit_scale=self._scale())
+            update = _aggregate(scale(matmul(q, k.T), self.logit_scale), v, "softmax")
         return c + self.ker_ln_out(update), sup_logits
 
     def _ffn(self, c):
@@ -158,7 +147,6 @@ class KMaxDecoderBlock:
             source=stage,
             height=pixels.height,
             width=pixels.width,
-            affinity=np.array(sup_logits.data, copy=True),
         )
         return c, aux
 

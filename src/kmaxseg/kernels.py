@@ -14,12 +14,12 @@ queries) from pixel features:
   update, kept as a reference the hard-attention kernel can be checked
   against.
 
-The two attention kernels share one path, ``ProjectionWeights.attend``: it
-projects queries to Q and keys to K/V, then runs the attention map of the
-requested kind, which is the only step where the two differ. The decoder's
-self-attention and the stride-32 pixel block go through it too; the
-decoder's interaction kernel calls ``ProjectionWeights.project`` directly,
-because its mask embedding needs the projected Q and K.
+The kernels are single-head: ``ProjectionWeights.attend`` projects, takes
+one (N, HW) logit matrix ``Q K^T`` and returns it with the ``_aggregate``d
+update, so the hard assignment is the argmax of the returned logits by
+construction. The decoder's self-attention and the stride-32 pixel block use
+``attend`` too; the decoder's interaction kernel calls ``project`` and
+``_aggregate`` itself, as its logits use the mask embedding of Q.
 
 Feed-forward layers and normalization are deliberately absent here; they
 belong to the decoder block that wraps these kernels.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, argmax_onehot, matmul, mul, softmax
+from .tensor import Tensor, argmax_onehot, matmul, mul, scale, softmax
 
 __all__ = [
     "PixelFeatures",
@@ -65,7 +65,7 @@ class ProjectionWeights:
     """Query/key/value projections and the one attention path through them.
 
     ``project`` is the only place the projections are applied; ``attend``
-    projects and then runs the attention map.
+    projects and then runs one single-head attention map.
     """
 
     wq: Tensor
@@ -74,7 +74,6 @@ class ProjectionWeights:
     bq: Tensor | None = None
     bk: Tensor | None = None
     bv: Tensor | None = None
-    heads: int = 1
 
     @staticmethod
     def identity(d):
@@ -82,14 +81,14 @@ class ProjectionWeights:
         return ProjectionWeights(Tensor(eye), Tensor(eye), Tensor(eye))
 
     @staticmethod
-    def init(rng, d, heads=1, requires_grad=True):
+    def init(rng, d):
         def w():
-            return Tensor(rng.normal(0.0, d ** -0.5, (d, d)), requires_grad)
+            return Tensor(rng.normal(0.0, d ** -0.5, (d, d)), True)
 
         def b():
-            return Tensor(np.zeros(d), requires_grad)
+            return Tensor(np.zeros(d), True)
 
-        return ProjectionWeights(w(), w(), w(), b(), b(), b(), heads)
+        return ProjectionWeights(w(), w(), w(), b(), b(), b())
 
     def tensors(self):
         named = [(n, getattr(self, n)) for n in ("wq", "wk", "wv", "bq", "bk", "bv")]
@@ -111,13 +110,15 @@ class ProjectionWeights:
                normalize=False, prev_centers=None):
         """Project ``queries`` to Q and ``keys`` to K/V, then attend.
 
-        Returns (update, logits, assignment) as ``_run_interaction`` does,
-        over ``self.heads`` heads.
+        Returns (update, logits), the logits ``logit_scale * Q K^T`` being
+        the very matrix whose attention map weighted the update.
         """
         _check_dims(queries, keys, self)
         q, k, v = self.project(queries, keys)
-        return _run_interaction(q, k, v, kind, heads=self.heads, normalize=normalize,
-                                prev_centers=prev_centers, logit_scale=logit_scale)
+        logits = matmul(q, k.T)
+        if logit_scale != 1.0:
+            logits = scale(logits, logit_scale)
+        return _aggregate(logits, v, kind, normalize, prev_centers), logits
 
 
 def _check_dims(centers, pixels, w):
@@ -129,63 +130,30 @@ def _check_dims(centers, pixels, w):
             f"channel mismatch: centers {centers.data.shape}, pixels "
             f"{pixels.data.shape}, projections {w.wq.data.shape}"
         )
-    if w.heads < 1 or cd % w.heads:
-        raise ShapeError(f"{w.heads} heads do not divide channel width {cd}")
 
 
-def _head_slices(d, heads):
-    step = d // heads
-    return [(i * step, (i + 1) * step) for i in range(heads)]
+def _aggregate(logits, v, kind, normalize=False, prev_centers=None):
+    """Attention map over (N, HW) ``logits``, then the per-cluster update of V.
 
-
-def _run_interaction(q, k, v, kind, heads=1, normalize=False, prev_centers=None,
-                     logit_scale=1.0):
-    """Affinity logits -> attention map -> per-cluster update.
-
-    ``kind`` is 'softmax' or 'kmeans'. Returns (update, logits, assignment);
-    logits are summed over heads when heads > 1, assignment is None for the
-    softmax kind. ``prev_centers`` feeds the empty-cluster fallback in
-    normalized kmeans aggregation. ``logit_scale`` multiplies the affinity
-    logits before the attention map (argmax is invariant to it).
+    ``kind`` 'softmax' normalizes over the pixel axis; 'kmeans' assigns each
+    pixel to its argmax cluster (detached) and sums the assigned value rows,
+    or averages them when ``normalize`` is set. ``prev_centers`` feeds the
+    empty-cluster fallback of the normalized average.
     """
-    from .tensor import concat, scale as scale_op, slice_along
-
-    d = q.data.shape[1]
-    updates = []
-    logits_sum = None
-    assignment = None
-    for lo, hi in _head_slices(d, heads):
-        qh = slice_along(q, 1, lo, hi) if heads > 1 else q
-        kh = slice_along(k, 1, lo, hi) if heads > 1 else k
-        vh = slice_along(v, 1, lo, hi) if heads > 1 else v
-        logits = matmul(qh, kh.T)
-        if logit_scale != 1.0:
-            logits = scale_op(logits, logit_scale)
-        if kind == "softmax":
-            attn = softmax(logits, axis=1)
-            updates.append(matmul(attn, vh))
-        elif kind == "kmeans":
-            a = argmax_onehot(logits)
-            if normalize:
-                counts = a.data.sum(axis=1, keepdims=True)
-                weights = Tensor(a.data / np.maximum(counts, 1.0))
-                upd = matmul(weights, vh)
-                if prev_centers is not None:
-                    # empty clusters fall back to their previous center row
-                    empty = (counts[:, 0] == 0).astype(np.float64)[:, None]
-                    if empty.any():
-                        ph = (slice_along(prev_centers, 1, lo, hi)
-                              if heads > 1 else prev_centers)
-                        upd = upd + mul(ph, Tensor(empty))
-                updates.append(upd)
-            else:
-                updates.append(matmul(a, vh))
-            assignment = a
-        else:
-            raise ValueError(f"unknown interaction kind {kind!r}")
-        logits_sum = logits if logits_sum is None else logits_sum + logits
-    update = updates[0] if len(updates) == 1 else concat(updates, axis=1)
-    return update, logits_sum, assignment
+    if kind == "softmax":
+        return matmul(softmax(logits, axis=1), v)
+    if kind != "kmeans":
+        raise ValueError(f"unknown interaction kind {kind!r}")
+    a = argmax_onehot(logits)
+    if not normalize:
+        return matmul(a, v)
+    counts = a.data.sum(axis=1, keepdims=True)
+    update = matmul(Tensor(a.data / np.maximum(counts, 1.0)), v)
+    empty = (counts[:, 0] == 0).astype(np.float64)[:, None]
+    if prev_centers is not None and empty.any():
+        # empty clusters fall back to their previous center row
+        update = update + mul(prev_centers, Tensor(empty))
+    return update
 
 
 def cross_attention_softmax(centers, pixels, w, residual=True):
@@ -196,7 +164,7 @@ def cross_attention_softmax(centers, pixels, w, residual=True):
     of pixel values. Returns (updated centers, affinity logits).
     """
     pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    update, logits, _ = w.attend(centers, pixels)
+    update, logits = w.attend(centers, pixels)
     return (centers + update if residual else update), logits
 
 
@@ -211,8 +179,8 @@ def cross_attention_kmeans(centers, pixels, w, residual=True, normalize=False):
     query/key projections receive no gradient at all.
     """
     pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    update, logits, _ = w.attend(centers, pixels, "kmeans", normalize=normalize,
-                                 prev_centers=None if residual else centers)
+    update, logits = w.attend(centers, pixels, "kmeans", normalize=normalize,
+                              prev_centers=None if residual else centers)
     return (centers + update if residual else update), logits
 
 

@@ -14,8 +14,6 @@ affine head on the stride-4 features provides semantic-segmentation logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ModelConfig
@@ -23,30 +21,10 @@ from .decoder import KMaxDecoderBlock, _LayerNormParams, stack_forward
 from .errors import ConfigError, ContractError, ShapeError
 from .kernels import PixelFeatures, ProjectionWeights
 from .panoptic import PredictionSet
-from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, softmax,
-                     take, transpose, upsample2x_nearest)
+from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, take,
+                     transpose, upsample2x_nearest)
 
-__all__ = ["KMaxModel", "FeaturePyramid", "predict_masks"]
-
-
-@dataclass
-class FeaturePyramid:
-    """Pixel features at output strides 32, 16, 8 and the final stride 4."""
-
-    levels: dict  # stride -> PixelFeatures
-
-    def __getitem__(self, stride):
-        return self.levels[stride]
-
-
-def predict_masks(features, centers):
-    """Per-pixel mask distribution: softmax over centers of F @ C^T."""
-    if features.data.shape[1] != centers.data.shape[1]:
-        raise ShapeError(
-            f"channel mismatch: features {features.data.shape} vs centers "
-            f"{centers.data.shape}"
-        )
-    return softmax(matmul(features, transpose(centers)), axis=1)
+__all__ = ["KMaxModel"]
 
 
 class KMaxModel:
@@ -118,7 +96,7 @@ class KMaxModel:
         for i in range(n_blocks):
             block = KMaxDecoderBlock(
                 rng, d, cfg.num_classes, kernel=cfg.kernel,
-                ffn_hidden=cfg.ffn_hidden, heads=cfg.heads,
+                ffn_hidden=cfg.ffn_hidden,
                 kmeans_normalize=cfg.kmeans_normalize,
                 selfattn_first=cfg.selfattn_first,
             )
@@ -158,7 +136,11 @@ class KMaxModel:
     # -- pixel path --------------------------------------------------------------
 
     def pixel_path(self, image):
-        """Toy encoder plus pyramid decoder; returns features per stride."""
+        """Toy encoder plus pyramid decoder.
+
+        Returns ``{stride: PixelFeatures}`` for strides 32, 16, 8 and the
+        final stride 4.
+        """
         x = image if isinstance(image, Tensor) else Tensor(image)
         if x.data.ndim != 3 or x.data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) image, got {x.data.shape}")
@@ -190,7 +172,7 @@ class KMaxModel:
             t = t + self.pos[s]
             if s == 32:
                 a_in = self.attn_ln(t)
-                upd, _, _ = self.attn_proj.attend(a_in, a_in, logit_scale=self.cfg.d ** -0.5)
+                upd, _ = self.attn_proj.attend(a_in, a_in, logit_scale=self.cfg.d ** -0.5)
                 t = t + upd
                 hmid = gelu(matmul(self.mlp_ln(t), self.mlp_w1) + self.mlp_b1)
                 t = t + (matmul(hmid, self.mlp_w2) + self.mlp_b2)
@@ -200,7 +182,7 @@ class KMaxModel:
                 t = t + reshape(y, (hs * ws, self.cfg.d))
             levels[s] = PixelFeatures(t, hs, ws)
             prev = t
-        return FeaturePyramid(levels)
+        return levels
 
     # -- full forward --------------------------------------------------------------
 

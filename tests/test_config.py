@@ -35,22 +35,14 @@ def _section(cls, **constrained):
     return st.builds(cls, **kwargs)
 
 
-@st.composite
-def _model(draw):
-    heads = draw(st.integers(1, 8))
-    return draw(_section(
+CONFIGS = st.builds(
+    Config,
+    model=_section(
         ModelConfig,
-        heads=st.just(heads),
-        d=st.integers(1, 64).map(lambda k: k * heads),
         image_size=st.integers(1, 8).map(lambda k: 32 * k),
         schedule=st.tuples(POSITIVE, POSITIVE, POSITIVE),
         kernel=st.sampled_from(["kmeans", "softmax"]),
-    ))
-
-
-CONFIGS = st.builds(
-    Config,
-    model=_model(),
+    ),
     train=_section(TrainConfig, steps=POSITIVE, train_size=POSITIVE, val_size=POSITIVE,
                    pq_norm=st.sampled_from(["K", "N"])),
     data=_section(DataConfig),
@@ -64,7 +56,8 @@ def test_config_round_trips_through_text(cfg):
     assert parse_config(serialize_config(cfg.validate())) == cfg
 
 
-@pytest.mark.parametrize("section,key", [("data", "threads"), ("train", "w_inst")])
+@pytest.mark.parametrize("section,key", [("data", "threads"), ("train", "w_inst"),
+                                         ("model", "heads")])
 def test_removed_keys_are_unknown(section, key):
     with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
         parse_config(f"[{section}]\n{key} = 1\n")

@@ -32,6 +32,43 @@ def test_zero_block_passes_centers_through():
     assert np.allclose(z, 0.5)
 
 
+def _reference_forward(block, c, p, interaction):
+    """Numpy forward of one block; ``interaction(q, k, v)`` is the kernel's
+    update. Returns (centers, mask logits (HW, N), class logits)."""
+    from scipy.special import erf
+
+    def ln(x, norm, eps=1e-5):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + eps) * norm.gain.data + norm.bias.data
+
+    def proj(x, w, b):
+        return x @ w.data + b.data
+
+    scale = c.shape[1] ** -0.5  # standard transformer logit scaling
+    # self-attention, output-normalized residual
+    x = ln(c, block.sa_ln)
+    q = proj(x, block.sa_proj.wq, block.sa_proj.bq)
+    k = proj(x, block.sa_proj.wk, block.sa_proj.bk)
+    v = proj(x, block.sa_proj.wv, block.sa_proj.bv)
+    upd = _numpy_softmax(scale * (q @ k.T), axis=1) @ v
+    c1 = c + ln(upd, block.sa_ln_out)
+    # cross-attention
+    q2 = proj(ln(c1, block.ker_ln_c), block.ker_proj.wq, block.ker_proj.bq)
+    pin = ln(p.values.data, block.ker_ln_p)
+    k2 = proj(pin, block.ker_proj.wk, block.ker_proj.bk)
+    v2 = proj(pin, block.ker_proj.wv, block.ker_proj.bv)
+    c2 = c1 + ln(interaction(q2, k2, v2), block.ker_ln_out)
+    # ffn
+    h = proj(ln(c2, block.ffn_ln), block.ffn_w1, block.ffn_b1)
+    h = 0.5 * h * (1 + erf(h / np.sqrt(2)))
+    c3 = c2 + ln(proj(h, block.ffn_w2, block.ffn_b2), block.ffn_ln_out)
+
+    mask_ref = scale * ((q2 @ block.mask_w.data + block.mask_b.data) @ k2.T)
+    cls_ref = ln(c3, block.head_ln) @ block.class_w.data + block.class_b.data
+    return c3, mask_ref.T, cls_ref
+
+
 def test_softmax_block_matches_reimplementation():
     rng = np.random.default_rng(1)
     block = KMaxDecoderBlock(np.random.default_rng(2), 4, num_classes=3,
@@ -40,42 +77,36 @@ def test_softmax_block_matches_reimplementation():
     p = _pixels(rng, 2, 3, 4)
     out, aux = block.forward(Tensor(c), p)
 
-    def ln(x, gain, bias, eps=1e-5):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + eps) * gain.data + bias.data
+    def softmax_update(q, k, v):
+        return _numpy_softmax(4 ** -0.5 * (q @ k.T), axis=1) @ v
 
-    def proj(x, w, b):
-        return x @ w.data + b.data
-
-    scale = 4 ** -0.5  # standard transformer logit scaling at d=4
-    # self-attention, output-normalized residual
-    x = ln(c, block.sa_ln.gain, block.sa_ln.bias)
-    q = proj(x, block.sa_proj.wq, block.sa_proj.bq)
-    k = proj(x, block.sa_proj.wk, block.sa_proj.bk)
-    v = proj(x, block.sa_proj.wv, block.sa_proj.bv)
-    upd = _numpy_softmax(scale * (q @ k.T), axis=1) @ v
-    c1 = c + ln(upd, block.sa_ln_out.gain, block.sa_ln_out.bias)
-    # cross-attention
-    q2 = proj(ln(c1, block.ker_ln_c.gain, block.ker_ln_c.bias), block.ker_proj.wq, block.ker_proj.bq)
-    pin = ln(p.values.data, block.ker_ln_p.gain, block.ker_ln_p.bias)
-    k2 = proj(pin, block.ker_proj.wk, block.ker_proj.bk)
-    v2 = proj(pin, block.ker_proj.wv, block.ker_proj.bv)
-    upd2 = _numpy_softmax(scale * (q2 @ k2.T), axis=1) @ v2
-    c2 = c1 + ln(upd2, block.ker_ln_out.gain, block.ker_ln_out.bias)
-    # ffn
-    def gelu_np(x):
-        from scipy.special import erf
-        return 0.5 * x * (1 + erf(x / np.sqrt(2)))
-    h = gelu_np(proj(ln(c2, block.ffn_ln.gain, block.ffn_ln.bias), block.ffn_w1, block.ffn_b1))
-    c3 = c2 + ln(proj(h, block.ffn_w2, block.ffn_b2),
-                 block.ffn_ln_out.gain, block.ffn_ln_out.bias)
-
+    c3, mask_ref, cls_ref = _reference_forward(block, c, p, softmax_update)
     assert np.allclose(out.data, c3, atol=1e-12)
-    mask_ref = scale * ((q2 @ block.mask_w.data + block.mask_b.data) @ k2.T)
-    assert np.allclose(aux.mask_logits.data, mask_ref.T, atol=1e-12)
-    cls_ref = ln(c3, block.head_ln.gain, block.head_ln.bias) @ block.class_w.data + block.class_b.data
+    assert np.allclose(aux.mask_logits.data, mask_ref, atol=1e-12)
     assert np.allclose(aux.class_logits.data, cls_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_kmeans_block_matches_reimplementation(normalize):
+    rng = np.random.default_rng(3)
+    block = KMaxDecoderBlock(np.random.default_rng(4), 4, num_classes=3,
+                             kernel="kmeans", ffn_hidden=8, kmeans_normalize=normalize)
+    c = rng.normal(size=(3, 4))
+    p = _pixels(rng, 4, 4, 4)
+    out, aux = block.forward(Tensor(c), p)
+
+    # the hard assignment is the argmax over clusters of the supervised logits
+    onehot = np.eye(3)[aux.mask_logits.data.argmax(axis=1)].T  # (N, HW)
+    sizes = onehot.sum(axis=1, keepdims=True)
+    assert (sizes > 0).sum() >= 2 and sizes.max() > 1  # a non-trivial partition
+    weights = onehot / np.maximum(sizes, 1.0) if normalize else onehot
+
+    c3, mask_ref, cls_ref = _reference_forward(block, c, p, lambda q, k, v: weights @ v)
+    assert np.allclose(out.data, c3, atol=1e-12)
+    assert np.allclose(aux.mask_logits.data, mask_ref, atol=1e-12)
+    assert np.allclose(aux.class_logits.data, cls_ref, atol=1e-12)
+    assert np.array_equal(aux.affinity, aux.mask_logits.data.T)
+    assert not aux.affinity.flags.writeable
 
 
 def test_stacked_blocks_change_centers():

@@ -278,18 +278,6 @@ def test_kmeans_attention_gradcheck_through_loss_path():
     assert grad_check(f, x, eps=1e-5) < 1e-4
 
 
-def test_multi_head_softmax_attention_runs_and_differs_from_single():
-    rng = np.random.default_rng(17)
-    c = Tensor(rng.normal(size=(3, 8)))
-    p = Tensor(rng.normal(size=(6, 8)))
-    w1 = ProjectionWeights.init(np.random.default_rng(8), 8, heads=1)
-    w2 = ProjectionWeights(w1.wq, w1.wk, w1.wv, w1.bq, w1.bk, w1.bv, heads=2)
-    out1, _ = cross_attention_softmax(c, p, w1)
-    out2, _ = cross_attention_softmax(c, p, w2)
-    assert out1.data.shape == out2.data.shape == (3, 8)
-    assert not np.allclose(out1.data, out2.data)
-
-
 def test_pixel_features_shape_validation():
     with pytest.raises(ShapeError):
         PixelFeatures(Tensor(np.zeros((5, 3))), 2, 2)

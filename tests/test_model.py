@@ -6,8 +6,8 @@ import pytest
 from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
 from kmaxseg.config import ModelConfig
 from kmaxseg.errors import ConfigError, ContractError, ShapeError
-from kmaxseg.model import KMaxModel, predict_masks
-from kmaxseg.tensor import Tensor, no_grad
+from kmaxseg.model import KMaxModel
+from kmaxseg.tensor import no_grad
 
 
 def _small_cfg(**kw):
@@ -67,23 +67,6 @@ def test_forward_rejects_a_non_finite_pixel():
         KMaxModel(_small_cfg(), seed=0).forward(img)
 
 
-def test_predict_masks_rows_are_distributions():
-    rng = np.random.default_rng(3)
-    f = Tensor(rng.normal(size=(12, 5)))
-    c = Tensor(rng.normal(size=(4, 5)))
-    z = predict_masks(f, c).data
-    assert np.all(np.abs(z.sum(axis=1) - 1.0) <= 1e-12)
-    # all-zero features -> uniform rows
-    z0 = predict_masks(Tensor(np.zeros((12, 5))), c).data
-    assert np.allclose(z0, 0.25)
-    # a dominant center per pixel -> near-one-hot rows
-    basis = Tensor(np.eye(4, 5) * 50.0)
-    zhot = predict_masks(Tensor(np.eye(4, 5) * 50.0), basis).data
-    assert np.allclose(zhot.diagonal(), 1.0, atol=1e-6)
-    with pytest.raises(ShapeError):
-        predict_masks(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 5))))
-
-
 def test_forward_output_shapes_match_config():
     cfg = ModelConfig(d=32, num_queries=16, num_classes=4, image_size=64,
                       schedule=(2, 2, 2), encoder_channels=(8, 12, 16, 24, 32),
@@ -133,7 +116,7 @@ def test_query_permutation_equivariance_end_to_end():
 
 
 def _expected_param_count(cfg):
-    # mirrors the closed-form formula documented in docs/config.md
+    # closed-form parameter count, summed per component
     d, n, k, s = cfg.d, cfg.num_queries, cfg.num_classes, cfg.image_size
     h = cfg.ffn_hidden
     chans = (3,) + tuple(cfg.encoder_channels)
@@ -219,6 +202,55 @@ def test_checkpoint_manifest_line_without_name_is_rejected(tmp_path):
     path.write_bytes(blob.replace(f"name={first} ".encode(), b"", 1))
     with pytest.raises(ConfigError, match="malformed manifest line 'param shape="):
         load_checkpoint(path, model)
+
+
+def test_checkpoint_rejects_the_other_kernel(tmp_path):
+    # both kernels have the same parameter shapes; only the config line differs
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(kernel="kmeans"), seed=0))
+    model = KMaxModel(_small_cfg(kernel="softmax"), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    with pytest.raises(ConfigError, match="model.kernel = kmeans but the model has "
+                                          "model.kernel = softmax"):
+        load_checkpoint(path, model)
+    assert all(np.array_equal(b, t.data)
+               for b, (_, t, _) in zip(before, model.named_parameters()))
+
+
+def test_checkpoint_ignores_the_train_only_drop_query(tmp_path):
+    # drop_query acts only in train mode and changes no parameter
+    model = KMaxModel(_small_cfg(drop_query=True), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    other = KMaxModel(_small_cfg(), seed=1)
+    load_checkpoint(path, other)
+    assert all(np.array_equal(a.data, b.data) for (_, a, _), (_, b, _)
+               in zip(model.named_parameters(), other.named_parameters()))
+
+
+def test_checkpoint_rejects_one_flipped_payload_byte(tmp_path):
+    model = KMaxModel(_small_cfg(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    blob = bytearray(path.read_bytes())
+    blob[-100] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="fails its sha256 checksum"):
+        load_checkpoint(path, KMaxModel(_small_cfg(), seed=1))
+
+
+def test_checkpoint_without_config_or_checksum_lines_still_loads(tmp_path):
+    model = KMaxModel(_small_cfg(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1].startswith(b"config ") and lines[2].startswith(b"sha256 ")
+    path.write_bytes(b"\n".join(lines[:1] + lines[3:]))
+    other = KMaxModel(_small_cfg(kernel="softmax"), seed=1)
+    load_checkpoint(path, other)
+    assert all(np.array_equal(a.data, b.data) for (_, a, _), (_, b, _)
+               in zip(model.named_parameters(), other.named_parameters()))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_shared_heads_share_tensors():

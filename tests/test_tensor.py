@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kmaxseg import tensor as T
+from kmaxseg.acceptance import GRAD_EPS, GRAD_TOL, gradient_cases, scalarize
 from kmaxseg.errors import AxisError, ContractError, ShapeError
 from kmaxseg.gradcheck import grad_check
 from kmaxseg.tensor import Tensor
@@ -133,63 +134,31 @@ def test_grad_check_rejects_non_scalar():
         grad_check(lambda t: t, Tensor([1.0, 2.0]))
 
 
-def _rand(rng, *shape):
-    return Tensor(rng.normal(size=shape))
-
-
-def _scalarize(rng, out):
-    # fixed projection (same shape -> same weights) keeps f deterministic
-    # across the repeated evaluations grad_check performs
-    r = Tensor(np.random.default_rng(42).normal(size=out.data.shape))
-    return T.reduce_sum(T.mul(out, r))
-
-
-# one entry per differentiable op: name -> (builder of f, input shape)
-def _op_cases(rng):
-    g3 = Tensor(rng.normal(size=3))
+def _op_cases(seed):
+    """Criterion 1's cases plus the broadcasts and options it does not run."""
+    rng = np.random.default_rng(1000 + seed)
+    x, img = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 4, 2)))
     b3 = Tensor(rng.normal(size=3))
     w_conv = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.5)
     b_conv = Tensor(rng.normal(size=3))
-    other = Tensor(rng.normal(size=(4, 3)))
-    mat = Tensor(rng.normal(size=(3, 5)))
     ids = np.array([0, 2, 1, 2])
     return {
-        "add": (lambda t: _scalarize(rng, T.add(t, other)), (4, 3)),
-        "add_broadcast": (lambda t: _scalarize(rng, T.add(t, b3)), (4, 3)),
-        "mul": (lambda t: _scalarize(rng, T.mul(t, other)), (4, 3)),
-        "div": (lambda t: _scalarize(rng, T.div(t, T.add(T.mul(other, other), Tensor(1.0)))), (4, 3)),
-        "scale": (lambda t: _scalarize(rng, T.scale(t, -2.5)), (4, 3)),
-        "matmul": (lambda t: _scalarize(rng, T.matmul(t, mat)), (4, 3)),
-        "log": (lambda t: _scalarize(rng, T.log(T.add(T.mul(t, t), Tensor(0.5)))), (4, 3)),
-        "relu": (lambda t: _scalarize(rng, T.relu(T.add(t, Tensor(0.3)))), (4, 3)),
-        "gelu": (lambda t: _scalarize(rng, T.gelu(t)), (4, 3)),
-        "softmax": (lambda t: _scalarize(rng, T.softmax(t, axis=1)), (4, 3)),
-        "layer_norm": (lambda t: _scalarize(rng, T.layer_norm(t, g3, b3)), (4, 3)),
-        "transpose": (lambda t: _scalarize(rng, T.transpose(t)), (4, 3)),
-        "reshape": (lambda t: _scalarize(rng, T.reshape(t, (3, 4))), (4, 3)),
-        "slice": (lambda t: _scalarize(rng, T.slice_along(t, 1, 1, 3)), (4, 3)),
-        "take": (lambda t: _scalarize(rng, T.take(t, [2, 0, 2], axis=0)), (4, 3)),
-        "concat": (lambda t: _scalarize(rng, T.concat([t, other], axis=0)), (4, 3)),
-        "reduce_sum": (lambda t: _scalarize(rng, T.reduce_sum(t, axis=0)), (4, 3)),
-        "reduce_mean": (lambda t: _scalarize(rng, T.reduce_mean(t, axis=1)), (4, 3)),
-        "upsample": (lambda t: _scalarize(rng, T.upsample2x_nearest(t)), (3, 4, 2)),
-        "conv_s1": (lambda t: _scalarize(rng, T.conv3x3(t, w_conv, b_conv, stride=1)), (4, 4, 2)),
-        "conv_s2": (lambda t: _scalarize(rng, T.conv3x3(t, w_conv, b_conv, stride=2)), (4, 4, 2)),
-        "cross_entropy": (lambda t: T.cross_entropy_from_logits(t, ids, "mean"), (4, 3)),
+        **gradient_cases(seed),
+        "add_broadcast": (lambda t: scalarize(T.add(t, b3)), x),
+        "conv_s1": (lambda t: scalarize(T.conv3x3(t, w_conv, b_conv, stride=1)), img),
+        "conv_s2": (lambda t: scalarize(T.conv3x3(t, w_conv, b_conv, stride=2)), img),
         "cross_entropy_none": (
-            lambda t: _scalarize(rng, T.cross_entropy_from_logits(t, ids, "none")), (4, 3)),
+            lambda t: scalarize(T.cross_entropy_from_logits(t, ids, "none")), x),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_op_cases(np.random.default_rng(0))))
+@pytest.mark.parametrize("name", sorted(_op_cases(0)))
 def test_grad_check_every_op(name):
+    # one id per op, so a failure names the op criterion 1 folds into its max;
     # five random instances per op, spec tolerance
     for seed in range(5):
-        rng = np.random.default_rng(1000 + seed)
-        cases = _op_cases(rng)
-        f, shape = cases[name]
-        x = Tensor(rng.normal(size=shape))
-        assert grad_check(f, x, eps=1e-5) < 1e-4, f"{name} failed at seed {seed}"
+        f, x = _op_cases(seed)[name]
+        assert grad_check(f, x, eps=GRAD_EPS) < GRAD_TOL, f"{name} failed at seed {seed}"
 
 
 def test_conv3x3_matches_naive_loop():
