@@ -219,7 +219,35 @@ def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over the model's named parameters."""
+    """Decoupled-weight-decay Adam over the model's named parameters.
+
+    At construction the parameters are copied into blocks, decay parameters
+    first: a block holds consecutive tensors of at most ``CHUNK`` elements in
+    all, or one larger tensor on its own. Each block is one float64 buffer
+    with ``m`` and ``v`` buffers of the same layout, and each ``Tensor.data``
+    becomes a reshaped view of its block, so an in-place write such as
+    ``load_checkpoint``'s ``data[...] = ...`` still reaches the optimizer.
+    Constructing a second optimizer over the same tensors moves their data
+    into its blocks and detaches the first one.
+
+    ``step`` gathers a block's gradients into one scratch chunk and runs the
+    update in place through two more, so the ≈15 numpy calls of the update
+    act once per block rather than once per tensor; a large tensor is updated
+    in slices of ``CHUNK``. ``CHUNK`` is sized for L2: the six float64
+    operands of one call (p, m, v, g and two temporaries) take 6 × 128 KiB and
+    stay in a 2 MiB L2 cache between those calls. Each element gets the
+    arithmetic of a per-tensor loop in the same order, so the result is
+    bitwise the same. A tensor whose ``grad`` is None is skipped: its ``m``,
+    ``v`` and data are left untouched.
+
+    The blocks are separate buffers, not one flat one. A buffer of the whole
+    model (5 MiB at the default config) would be mapped fresh by the
+    allocator on every construction, where blocks of the parameters' own
+    sizes reuse memory the process has already freed; one flat buffer raised
+    the train benchmark's peak RSS by 8-13 MiB.
+    """
+
+    CHUNK = 16 * 1024
 
     def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999,
                  eps=1e-8, weight_decay=0.05):
@@ -227,27 +255,77 @@ class AdamW:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
-        self.m = [np.zeros_like(t.data) for t, _ in self.items]
-        self.v = [np.zeros_like(t.data) for t, _ in self.items]
         self.t = 0
+        # (decay, parts, p, m, v); a part is (tensor, lo, hi) within p
+        self._blocks = []
+        for decay in (True, False):
+            run, size = [], 0
+            for t in [t for t, d in self.items if d == decay]:
+                if run and size + t.data.size > self.CHUNK:
+                    self._add_block(run, decay)
+                    run, size = [], 0
+                run.append(t)
+                size += t.data.size
+            if run:
+                self._add_block(run, decay)
+        self.m = [m for _, _, _, m, _ in self._blocks]
+        self.v = [v for _, _, _, _, v in self._blocks]
+        self._g, self._t1, self._t2 = (np.empty(self.CHUNK) for _ in range(3))
+
+    def _add_block(self, tensors, decay):
+        p = np.empty(sum(t.data.size for t in tensors))
+        parts = []
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.size
+            p[lo:hi] = t.data.reshape(-1)
+            t.data = p[lo:hi].reshape(t.data.shape)
+            parts.append((t, lo, hi))
+            lo = hi
+        self._blocks.append((decay, parts, p, np.zeros_like(p), np.zeros_like(p)))
 
     def step(self, lr=None):
         lr = self.lr if lr is None else lr
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for (p, decay), m, v in zip(self.items, self.m, self.v):
-            if p.grad is None:
+        for decay, parts, p, m, v in self._blocks:
+            if len(parts) > 1 and all(t.grad is not None for t, _, _ in parts):
+                g = self._g[:p.size]
+                for t, lo, hi in parts:
+                    g[lo:hi] = t.grad.reshape(-1)
+                self._update(p, m, v, g, decay, lr, bc1, bc2)
                 continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if decay and self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
+            for t, lo, hi in parts:
+                if t.grad is None:
+                    continue
+                g = t.grad.reshape(-1)
+                for a in range(lo, hi, self.CHUNK):
+                    b = min(a + self.CHUNK, hi)
+                    self._update(p[a:b], m[a:b], v[a:b], g[a - lo:b - lo],
+                                 decay, lr, bc1, bc2)
+
+    def _update(self, p, m, v, g, decay, lr, bc1, bc2):
+        """One in-place AdamW update of the equal-length 1-D views p, m, v."""
+        t1, t2 = self._t1[:p.size], self._t2[:p.size]
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=t1)
+        m += t1
+        v *= self.beta2
+        np.multiply(g, g, out=t1)
+        t1 *= 1.0 - self.beta2
+        v += t1
+        # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += self.eps
+        np.divide(m, bc1, out=t2)
+        t2 /= t1
+        if decay and self.weight_decay:
+            np.multiply(p, self.weight_decay, out=t1)
+            t2 += t1
+        t2 *= lr
+        p -= t2
 
 
 def warmup_lr(step, total_steps, base_lr, warmup_frac):

@@ -219,6 +219,112 @@ def test_adamw_decay_flag_controls_decay():
     assert np.array_equal(p2.data, np.full((2, 2), 10.0))
 
 
+class _ReferenceAdamW:
+    """The per-tensor AdamW loop, on copies of the parameters."""
+
+    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999,
+                 eps=1e-8, weight_decay=0.05):
+        self.items = [(t.data.copy(), decay) for _, t, decay in named_params]
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.m = [np.zeros_like(p) for p, _ in self.items]
+        self.v = [np.zeros_like(p) for p, _ in self.items]
+        self.t = 0
+
+    def step(self, grads, lr=None):
+        lr = self.lr if lr is None else lr
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for (p, decay), m, v, g in zip(self.items, self.m, self.v, grads):
+            if g is None:
+                continue
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if decay and self.weight_decay:
+                update = update + self.weight_decay * p
+            p -= lr * update
+
+
+def _step_both(opt, ref, named, rng, step, skip=lambda step, i: False):
+    for i, (_, t, _) in enumerate(named):
+        scale = 10.0 ** rng.integers(-3, 2)
+        t.grad = None if skip(step, i) else rng.normal(size=t.data.shape) * scale
+    lr = 1e-3 * (1 + step % 5) / 5   # varies from step to step
+    opt.step(lr)
+    ref.step([t.grad for _, t, _ in named], lr)
+
+
+def _assert_equals_reference(named, steps=20, skip=lambda step, i: False):
+    rng = np.random.default_rng(11)
+    opt = AdamW(named, weight_decay=0.05)
+    ref = _ReferenceAdamW(named, weight_decay=0.05)
+    for step in range(steps):
+        _step_both(opt, ref, named, rng, step, skip)
+        for (name, t, _), (p, _) in zip(named, ref.items):
+            assert np.array_equal(t.data, p), f"{name} differs at step {step}"
+
+
+def _random_named(sizes_and_decay, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(f"p{i}", Tensor(rng.normal(size=shape), requires_grad=True), decay)
+            for i, (shape, decay) in enumerate(sizes_and_decay)]
+
+
+def test_adamw_matches_the_per_tensor_loop_with_mixed_decay_flags():
+    named = _random_named([((3,), False), ((4, 5), True), ((7,), False),
+                           ((2, 3, 4), True), ((64, 64), True), ((1,), False)])
+    _assert_equals_reference(named)
+
+
+def test_adamw_matches_the_per_tensor_loop_across_chunks():
+    # the second tensor spans three chunks, the fourth fills exactly one
+    big = 2 * AdamW.CHUNK + 123
+    _assert_equals_reference(_random_named([((5,), True), ((big,), True), ((9, 9), False),
+                                            ((AdamW.CHUNK,), False), ((3,), True)]))
+
+
+def test_adamw_skips_a_tensor_without_gradient_like_the_per_tensor_loop():
+    named = _random_named([((6,), True), ((3, 3), True), ((4,), False),
+                           ((2 * AdamW.CHUNK + 5,), True), ((2,), False)])
+    # tensor 1 shares a group with tensor 0; tensor 3 spans three chunks
+    _assert_equals_reference(named, skip=lambda step, i: i in (1, 3) and step % 3 == 1)
+
+
+def test_adamw_matches_the_per_tensor_loop_on_a_shared_head_model():
+    from kmaxseg.model import KMaxModel
+
+    cfg = _tiny_train_config(share_stage_heads=True)
+    named = KMaxModel(cfg.model, seed=0).named_parameters()
+    assert any(not decay for _, _, decay in named[:10])   # decay flags interleave
+    _assert_equals_reference(named, skip=lambda step, i: i % 7 == step % 7)
+
+
+def test_adamw_sees_a_checkpoint_loaded_after_it_was_built(tmp_path):
+    from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
+    from kmaxseg.model import KMaxModel
+
+    cfg = _tiny_train_config()
+    model = KMaxModel(cfg.model, seed=0)
+    named = model.named_parameters()
+    rng = np.random.default_rng(12)
+    opt, ref = AdamW(named), _ReferenceAdamW(named)
+    for step in range(3):
+        _step_both(opt, ref, named, rng, step)
+    path = tmp_path / "other.ckpt"
+    save_checkpoint(path, KMaxModel(cfg.model, seed=1))
+    load_checkpoint(path, model)
+    for (_, t, _), (p, _) in zip(named, ref.items):
+        p[...] = t.data
+    _step_both(opt, ref, named, rng, 3)
+    for (name, t, _), (p, _) in zip(named, ref.items):
+        assert np.array_equal(t.data, p), name
+
+
 def test_warmup_schedule_shape():
     lrs = [warmup_lr(s, 100, 1e-3, 0.05) for s in range(100)]
     assert lrs[0] == pytest.approx(1e-3 / 5)
