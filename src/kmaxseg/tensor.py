@@ -495,6 +495,16 @@ def conv3x3(x, weight, bias=None, stride=1):
     """3x3 convolution over an (H, W, Cin) tensor, padding 1, stride 1 or 2.
 
     ``weight`` has shape (3, 3, Cin, Cout); ``bias`` is (Cout,) or None.
+
+    Forward is im2col plus one GEMM. ``cols`` has shape (Ho·Wo, 9·Cin): row
+    ``y·Wo + x`` holds the 3x3 window of the zero-padded input whose top-left
+    corner is (stride·y, stride·x), flattened in (i, j, c) order, which is the
+    row order of ``weight.reshape(9·Cin, Cout)``. Nine strided slice copies
+    fill it, one per kernel tap (i, j). Backward keeps ``cols`` (only when the
+    weight needs a gradient) and the flattened weight: the weight grad is
+    ``cols.T @ g``, the input grad is ``g @ W.T`` back in the ``cols`` layout,
+    added into a zero-padded buffer by nine strided slices (col2im), and the
+    bias grad is ``g`` summed over pixels. Under ``no_grad`` nothing is kept.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if bias is not None:
@@ -509,29 +519,37 @@ def conv3x3(x, weight, bias=None, stride=1):
             f"conv3x3 channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}"
         )
     if stride not in (1, 2):
-        raise ValueError(f"conv3x3 stride must be 1 or 2, got {stride}")
+        raise ContractError(f"conv3x3 stride must be 1 or 2, got {stride}")
 
     h, w, cin = x.data.shape
     cout = weight.data.shape[3]
-    xp = np.pad(x.data, ((1, 1), (1, 1), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
-    win = win[::stride, ::stride]  # (Ho, Wo, Cin, 3, 3)
-    ho, wo = win.shape[:2]
-    data = np.einsum("hwcij,ijco->hwo", win, weight.data, optimize=True)
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    taps = [(i, j, (slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)))
+            for i in range(3) for j in range(3)]
+    xp = np.zeros((h + 2, w + 2, cin))
+    xp[1 : 1 + h, 1 : 1 + w] = x.data
+    cols = np.empty((ho, wo, 3, 3, cin))
+    for i, j, window in taps:
+        cols[:, :, i, j] = xp[window]
+    cols = cols.reshape(ho * wo, 9 * cin)
+    wmat = weight.data.reshape(9 * cin, cout)
+    data = (cols @ wmat).reshape(ho, wo, cout)
     if bias is not None:
-        data = data + bias.data
+        data += bias.data
+    if not weight.requires_grad:
+        cols = None
 
     def bwd(g):
+        g2 = g.reshape(ho * wo, cout)
         if weight.requires_grad:
-            _accum(weight, np.einsum("hwcij,hwo->ijco", win, g, optimize=True))
+            _accum(weight, (cols.T @ g2).reshape(3, 3, cin, cout))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 1)))
         if x.requires_grad:
-            gx = np.zeros_like(xp)
-            for i in range(3):
-                for j in range(3):
-                    contrib = g @ weight.data[i, j].T  # (Ho, Wo, Cin)
-                    gx[i : i + stride * ho : stride, j : j + stride * wo : stride] += contrib
+            gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
+            gx = np.zeros((h + 2, w + 2, cin))
+            for i, j, window in taps:
+                gx[window] += gcols[:, :, i, j]
             _accum(x, gx[1 : 1 + h, 1 : 1 + w])
 
     parents = (x, weight) if bias is None else (x, weight, bias)

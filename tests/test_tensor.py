@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,73 @@ def test_conv3x3_matches_naive_loop():
                 for o in range(4):
                     ref[i, j, o] = (patch * w[:, :, :, o]).sum() + b[o]
         assert np.allclose(out, ref, atol=1e-12)
+
+
+def _reference_conv3x3(x, w, b, stride, g):
+    """Forward and gradients of an einsum-over-windows, 9-matmul conv3x3."""
+    h, wd, _ = x.shape
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
+    win = win[::stride, ::stride]  # (Ho, Wo, Cin, 3, 3)
+    ho, wo = win.shape[:2]
+    out = np.einsum("hwcij,ijco->hwo", win, w, optimize=True)
+    if b is not None:
+        out = out + b
+    gw = np.einsum("hwcij,hwo->ijco", win, g, optimize=True)
+    gx = np.zeros_like(xp)
+    for i in range(3):
+        for j in range(3):
+            gx[i : i + stride * ho : stride, j : j + stride * wo : stride] += g @ w[i, j].T
+    return out, gx[1 : 1 + h, 1 : 1 + wd], gw, g.sum(axis=(0, 1))
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(5, 7, 3), (8, 8, 3), (9, 6, 64), (7, 7, 64)])
+def test_conv3x3_matches_the_einsum_reference(shape, stride):
+    rng = np.random.default_rng(sum(shape) + stride)
+    cout = 5
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(3, 3, shape[2], cout))
+    b = rng.normal(size=cout)
+    for use_bias, x_grad in itertools.product((True, False), (True, False)):
+        xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True) if use_bias else None
+        out = T.conv3x3(xt, wt, bt, stride=stride)
+        g = rng.normal(size=out.shape)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        ref_out, ref_gx, ref_gw, ref_gb = _reference_conv3x3(
+            x, w, b if use_bias else None, stride, g)
+        assert out.shape == ref_out.shape
+        assert _rel_err(out.data, ref_out) <= 1e-12
+        assert _rel_err(wt.grad, ref_gw) <= 1e-12
+        if use_bias:
+            assert _rel_err(bt.grad, ref_gb) <= 1e-12
+        if x_grad:
+            assert _rel_err(xt.grad, ref_gx) <= 1e-12
+        else:
+            assert xt.grad is None
+
+
+def test_conv3x3_keeps_nothing_under_no_grad():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(6, 6, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
+    with T.no_grad():
+        out = T.conv3x3(x, w, Tensor(np.zeros(4), requires_grad=True), stride=2)
+    assert out._backward is None and out._parents == () and not out.requires_grad
+
+
+def test_conv3x3_rejects_other_strides_with_a_contract_error():
+    x, w = Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 1)))
+    for stride in (0, 3):
+        with pytest.raises(ContractError, match="stride"):
+            T.conv3x3(x, w, stride=stride)
+    with pytest.raises(ValueError):   # existing callers catch ValueError
+        T.conv3x3(x, w, stride=3)
 
 
 def test_upsample2x_nearest_values():
