@@ -84,8 +84,14 @@ class Config:
             raise ConfigError(f"model.kernel must be kmeans or softmax, got {self.model.kernel!r}")
         if self.model.image_size % 32:
             raise ConfigError(f"model.image_size must be a multiple of 32, got {self.model.image_size}")
+        for key in ("d", "num_queries", "num_classes", "ffn_hidden"):
+            if getattr(self.model, key) < 1:
+                raise ConfigError(f"model.{key} must be positive, got {getattr(self.model, key)}")
         if len(self.model.encoder_channels) != 5:
             raise ConfigError("model.encoder_channels needs five entries (strides 2..32)")
+        if any(c < 1 for c in self.model.encoder_channels):
+            raise ConfigError(
+                f"model.encoder_channels must be positive, got {self.model.encoder_channels}")
         if len(self.model.schedule) != 3 or any(s < 1 for s in self.model.schedule):
             raise ConfigError(f"model.schedule needs three positive entries, got {self.model.schedule}")
         if self.train.pq_norm not in ("K", "N"):

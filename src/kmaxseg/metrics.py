@@ -62,12 +62,11 @@ def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset()
         raise ValueError("thresholds must lie in [0, 1]")
     h, w = pred.height, pred.width
     n = pred.num_queries
-    class_probs = pred.class_probs()
-    z = pred.mask_probs()
-
     if n == 0:
         return PanopticResult(np.full((h, w), VOID, dtype=np.int64),
                               np.zeros((h, w), dtype=np.int64), [])
+    class_probs = pred.class_probs()
+    z = pred.mask_probs()
 
     cls = class_probs[:, :-1].argmax(axis=1)
     conf = class_probs[np.arange(n), cls]

@@ -40,6 +40,8 @@ CONFIGS = st.builds(
     model=_section(
         ModelConfig,
         image_size=st.integers(1, 8).map(lambda k: 32 * k),
+        d=POSITIVE, num_queries=POSITIVE, num_classes=POSITIVE, ffn_hidden=POSITIVE,
+        encoder_channels=st.tuples(*[POSITIVE] * 5),
         schedule=st.tuples(POSITIVE, POSITIVE, POSITIVE),
         kernel=st.sampled_from(["kmeans", "softmax"]),
     ),
@@ -61,3 +63,10 @@ def test_config_round_trips_through_text(cfg):
 def test_removed_keys_are_unknown(section, key):
     with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
         parse_config(f"[{section}]\n{key} = 1\n")
+
+
+@pytest.mark.parametrize("key,value", [("d", -4), ("num_queries", 0), ("num_classes", 0),
+                                       ("ffn_hidden", -1), ("encoder_channels", "16,32,0,64,64")])
+def test_non_positive_model_sizes_raise_config_error(key, value):
+    with pytest.raises(ConfigError, match=f"model.{key} must be positive"):
+        parse_config(f"[model]\n{key} = {value}\n")

@@ -390,3 +390,58 @@ def test_evaluate_model_equals_per_image_reference_sums(seed):
     want = reference.summarize(table.thing_ids)
     want["miou"] = float(np.mean([inter[c] / union[c] for c in present])) if present else 0.0
     assert result == want
+
+
+@st.composite
+def _predictions(draw):
+    """Random mask and class logits, thresholds and thing ids."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n, num_classes = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    logits = st.floats(-8.0, 8.0)
+    mask_logits = draw(arrays(np.float64, (h * w, n), elements=logits))
+    class_logits = draw(arrays(np.float64, (n, num_classes + 1), elements=logits))
+    pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
+    thing_ids = draw(st.frozensets(st.integers(0, num_classes - 1)))
+    return pred, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), thing_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(_predictions())
+def test_merge_masks_output_is_a_partition(case):
+    pred, conf_thresh, overlap_thresh, thing_ids = case
+    result = merge_masks(pred, conf_thresh, overlap_thresh, thing_ids)
+    cm, im = result.class_map, result.instance_map
+    assert cm.shape == im.shape == (pred.height, pred.width)
+    keys = [(c, i) for c, i, _ in result.segments]
+    # segments are disjoint: no (class, instance) label is emitted twice, and
+    # a thing's fresh instance id is not reused by any other thing
+    assert len(set(keys)) == len(keys)
+    things = [i for c, i in keys if c in thing_ids]
+    assert len(set(things)) == len(things) and 0 not in things
+    assert all(i == 0 for c, i in keys if c not in thing_ids)
+    assert all(0 <= c < pred.num_classes for c, _ in keys)
+    # each pixel carries exactly one label: void, or one emitted segment,
+    # and every emitted segment owns at least one pixel
+    void = cm == VOID
+    assert np.all(im[void] == 0)
+    assert set(zip(cm[~void].tolist(), im[~void].tolist())) == set(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gt_and_pred(), st.frozensets(st.integers(0, 2)), st.data())
+def test_panoptic_quality_is_invariant_to_relabelling_instances(maps, thing_ids, data):
+    def relabel(pmap):
+        ids = np.unique(pmap.instance_map)
+        new = np.array(data.draw(st.permutations(ids.tolist())), dtype=np.int64)
+        return PanopticMap(pmap.class_map, new[np.searchsorted(ids, pmap.instance_map)])
+
+    pred, gt = maps
+    before = panoptic_quality(pred, gt, thing_ids)
+    after = panoptic_quality(relabel(pred), relabel(gt), thing_ids)
+    for key in ("pq", "pq_things", "pq_stuff"):
+        # IoUs of one class may be summed in another order
+        assert after[key] == pytest.approx(before[key], rel=1e-12, abs=1e-15)
+    assert before["per_class"].keys() == after["per_class"].keys()
+    for cls, stat in before["per_class"].items():
+        assert {k: stat[k] for k in ("tp", "fp", "fn")} == \
+            {k: after["per_class"][cls][k] for k in ("tp", "fp", "fn")}
