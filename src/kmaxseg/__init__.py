@@ -4,9 +4,8 @@ The package groups into:
 
 * ``tensor`` / ``gradcheck`` - float64 tensors with reverse-mode autodiff
   and finite-difference verification,
-* ``kernels`` - interchangeable pixel-cluster interaction mechanisms
-  (softmax cross-attention, hard-assignment cross-attention, classic
-  clustering as the reference),
+* ``kernels`` - the pixel-cluster attention path (softmax or hard-assignment
+  map) and classic clustering as the reference,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
   the full encoder/pyramid/cluster-path model,
 * ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
@@ -19,14 +18,13 @@ from .config import Config, ModelConfig, load_config, parse_config, serialize_co
 from .data import SceneSpec, SyntheticDataset, augment_flip, generate
 from .decoder import AuxiliaryPrediction, KMaxDecoderBlock, stack_forward
 from .gradcheck import grad_check
-from .kernels import (PixelFeatures, ProjectionWeights, cross_attention_kmeans,
-                      cross_attention_softmax, kmeans_step, lloyd_kmeans)
+from .kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
 from .metrics import (PanopticResult, evaluate_model, evaluation_report,
                       merge_masks, miou, panoptic_quality)
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet, Segment
 from .tensor import GradTape, Tensor, argmax_onehot, no_grad, softmax
-from .training import (AdamW, LossWeights, Matching, hungarian_match,
-                       matching_cost, total_loss, train_loop)
+from .training import (AdamW, Matching, hungarian_match, matching_cost, total_loss,
+                       train_loop)
 
 __version__ = "0.1.0"

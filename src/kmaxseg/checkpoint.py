@@ -10,11 +10,10 @@ Layout::
     data
     <raw little-endian float64 payload>
 
-The ``config`` line holds every ``ModelConfig`` field that shapes the
-inference model, in the config-file format; ``drop_query`` only acts in
-training, so it is left out. The line is tied to the ``ModelConfig`` fields:
-adding or removing one makes every checkpoint saved before fail its config
-check. Offsets index into the payload that follows the ``data`` line.
+The ``config`` line holds every ``ModelConfig`` field in the config-file
+format. The line is tied to the ``ModelConfig`` fields: adding or removing
+one makes every checkpoint saved before fail its config check. Offsets
+index into the payload that follows the ``data`` line.
 Loading is exact: the bytes written are the bytes restored. It fails with
 ``ConfigError`` when the model's config differs from the saved one (two
 kernels have equal parameter shapes, so shapes alone cannot tell them
@@ -35,12 +34,10 @@ from .config import _format_value
 from .errors import ConfigError
 
 MAGIC = "KMAXCKPT1"
-_TRAIN_ONLY = ("drop_query",)
 
 
 def _config_fields(cfg):
-    return {f.name: _format_value(getattr(cfg, f.name))
-            for f in dataclasses.fields(cfg) if f.name not in _TRAIN_ONLY}
+    return {f.name: _format_value(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
 
 
 def save_checkpoint(path, model):
@@ -109,10 +106,12 @@ def load_checkpoint(path, model):
     if config is not None:
         current = _config_fields(model.cfg)
         for key in dict.fromkeys([*current, *config]):
-            if config.get(key) != current.get(key):
+            if key not in current:
+                raise ConfigError(f"{path} was saved with unknown key model.{key}")
+            if config.get(key) != current[key]:
                 raise ConfigError(
                     f"{path} was saved with model.{key} = {config.get(key)} but "
-                    f"the model has model.{key} = {current.get(key)}"
+                    f"the model has model.{key} = {current[key]}"
                 )
 
     params = {name: tensor for name, tensor, _ in model.named_parameters()}

@@ -72,7 +72,7 @@ def _cmd_ablate(args):
     cfg = _load_config(args.config)
     seeds = [cfg.train.seed + i for i in range(args.seeds)]
     variants = [
-        ("softmax cross-attention", dict(kernel="softmax")),
+        ("softmax cross-attention", dict(kernel="softmax", kmeans_normalize=False)),
         ("kmeans cross-attention", dict(kernel="kmeans")),
         ("kmeans cross-attention (normalized)",
          dict(kernel="kmeans", kmeans_normalize=True)),

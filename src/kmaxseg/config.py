@@ -10,7 +10,6 @@ parse(text).
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -27,9 +26,6 @@ class ModelConfig:
     kmeans_normalize: bool = False
     ffn_hidden: int = 256
     encoder_channels: tuple = (16, 32, 48, 64, 64)
-    selfattn_first: bool = True
-    share_stage_heads: bool = False
-    drop_query: bool = False
 
 
 @dataclass
@@ -51,8 +47,6 @@ class TrainConfig:
     w_maskid: float = 0.3
     w_void: float = 0.1
     w_aux: float = 1.0
-    pq_norm: str = "K"    # K | N
-    aux_supervision: bool = True
 
 
 @dataclass
@@ -62,7 +56,6 @@ class DataConfig:
     max_shapes: int = 5
     color_jitter: float = 0.08
     min_segment_px: int = 8
-    separate_background_classes: bool = False
 
 
 @dataclass
@@ -94,12 +87,21 @@ class Config:
                 f"model.encoder_channels must be positive, got {self.model.encoder_channels}")
         if len(self.model.schedule) != 3 or any(s < 1 for s in self.model.schedule):
             raise ConfigError(f"model.schedule needs three positive entries, got {self.model.schedule}")
-        if self.train.pq_norm not in ("K", "N"):
-            raise ConfigError(f"train.pq_norm must be K or N, got {self.train.pq_norm!r}")
-        if not 0.0 <= self.infer.conf_thresh <= 1.0 or not 0.0 <= self.infer.overlap_thresh <= 1.0:
-            raise ConfigError("infer thresholds must lie in [0, 1]")
-        if self.train.steps < 1 or self.train.train_size < 1 or self.train.val_size < 1:
-            raise ConfigError("train.steps, train.train_size and train.val_size must be positive")
+        if self.model.kernel == "softmax" and self.model.kmeans_normalize:
+            raise ConfigError("model.kmeans_normalize only applies to the kmeans kernel")
+        fractions = {"train.warmup_frac": self.train.warmup_frac,
+                     "train.flip_prob": self.train.flip_prob,
+                     "infer.conf_thresh": self.infer.conf_thresh,
+                     "infer.overlap_thresh": self.infer.overlap_thresh,
+                     "infer.mask_binarize": self.infer.mask_binarize}
+        for key, value in fractions.items():
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1], got {value!r}")
+        for key in ("steps", "train_size", "val_size", "eval_interval"):
+            if getattr(self.train, key) < 1:
+                raise ConfigError(f"train.{key} must be positive, got {getattr(self.train, key)}")
+        if not self.train.lr > 0.0:
+            raise ConfigError(f"train.lr must be positive, got {self.train.lr!r}")
         return self
 
 

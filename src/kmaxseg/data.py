@@ -6,15 +6,13 @@ truth masks cover visible pixels only, so they never overlap. Generation is
 a pure function of (seed, index): the same pair always yields bitwise
 identical output.
 
-By default the two background styles are texture variants of a single
-background class, which keeps the toy label space at 4 classes plus void;
-``separate_background_classes`` turns the styles into two distinct stuff
-classes instead.
+The two background styles are texture variants of a single background
+class, which keeps the toy label space at 4 classes plus void.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +41,6 @@ class ClassTable:
     def stuff_ids(self):
         return frozenset(range(self.num_classes)) - self.thing_ids
 
-    def is_thing(self, class_id):
-        return class_id in self.thing_ids
-
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -60,7 +55,6 @@ class SceneSpec:
     min_radius: int = 6
     max_radius: int = 13
     min_segment_px: int = 8
-    separate_background_classes: bool = False
 
     def __post_init__(self):
         if 2 * self.max_radius + 2 > min(self.height, self.width):
@@ -77,17 +71,11 @@ class SceneSpec:
             raise ConfigError(f"unknown shape kinds {sorted(unknown)}")
 
     def class_table(self):
-        if self.separate_background_classes:
-            names = ("background_flat", "background_gradient") + self.shape_kinds
-            things = frozenset(range(2, len(names)))
-        else:
-            names = ("background",) + self.shape_kinds
-            things = frozenset(range(1, len(names)))
-        return ClassTable(names, things)
+        names = ("background",) + self.shape_kinds
+        return ClassTable(names, frozenset(range(1, len(names))))
 
     def shape_class_id(self, kind):
-        offset = 2 if self.separate_background_classes else 1
-        return offset + self.shape_kinds.index(kind)
+        return 1 + self.shape_kinds.index(kind)
 
 
 def _jitter(rng, base, amp):
@@ -119,21 +107,18 @@ def _shape_mask(kind, rng, spec, xx, yy):
 def _render(spec, rng):
     h, w = spec.height, spec.width
     yy, xx = np.mgrid[0:h, 0:w]
-    table = spec.class_table()
 
     kind = spec.background_kinds[int(rng.integers(len(spec.background_kinds)))]
     if kind == "flat":
         color = _jitter(rng, (0.72, 0.72, 0.70), spec.color_jitter)
         img = np.broadcast_to(color, (h, w, 3)).copy()
-        bg_class = 0
     else:
         top = _jitter(rng, (0.55, 0.60, 0.65), spec.color_jitter)
         bottom = _jitter(rng, (0.85, 0.87, 0.90), spec.color_jitter)
         t = (yy / max(h - 1, 1))[:, :, None]
         img = top * (1 - t) + bottom * t
-        bg_class = 1 if spec.separate_background_classes else 0
 
-    class_map = np.full((h, w), bg_class, dtype=np.int64)
+    class_map = np.zeros((h, w), dtype=np.int64)
     instance_map = np.zeros((h, w), dtype=np.int64)
 
     n_shapes = int(rng.integers(spec.min_shapes, spec.max_shapes + 1))

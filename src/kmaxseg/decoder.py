@@ -66,12 +66,11 @@ class KMaxDecoderBlock:
     """One decoder block: self-attention, interaction kernel, FFN, heads."""
 
     def __init__(self, rng, d, num_classes, kernel="kmeans", ffn_hidden=256,
-                 kmeans_normalize=False, selfattn_first=True):
+                 kmeans_normalize=False):
         if kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"unknown interaction kernel {kernel!r}")
         self.kernel = kernel
         self.kmeans_normalize = kmeans_normalize
-        self.selfattn_first = selfattn_first
         self.logit_scale = d ** -0.5  # transformer scaling; the argmax ignores it
         self.sa_ln = _LayerNormParams(d)
         self.sa_ln_out = _LayerNormParams(d)
@@ -132,12 +131,8 @@ class KMaxDecoderBlock:
         """Run the block; returns (updated centers, auxiliary prediction)."""
         if not isinstance(pixels, PixelFeatures):
             raise ConfigError("decoder blocks take PixelFeatures (need spatial dims)")
-        if self.selfattn_first:
-            c = self._self_attention(c)
-            c, sup_logits = self._interaction(c, pixels.values)
-        else:
-            c, sup_logits = self._interaction(c, pixels.values)
-            c = self._self_attention(c)
+        c = self._self_attention(c)
+        c, sup_logits = self._interaction(c, pixels.values)
         c = self._ffn(c)
 
         class_logits = matmul(self.head_ln(c), self.class_w) + self.class_b

@@ -1,25 +1,24 @@
 """Pixel-cluster interaction kernels.
 
-Three interchangeable mechanisms update a set of cluster centers (object
-queries) from pixel features:
+``ProjectionWeights.attend`` updates a set of cluster centers (object
+queries) from pixel features through one of two attention maps over the
+single-head (N, HW) logit matrix ``Q K^T``:
 
-* ``cross_attention_softmax`` - affinities are normalized with a softmax over
-  the pixel axis and used as soft aggregation weights.
-* ``cross_attention_kmeans``  - each pixel is hard-assigned to its best
-  cluster (argmax over the cluster axis) and assigned pixel values are
-  aggregated per cluster. The assignment is detached; gradients reach the
-  query/key projections only through losses attached to the returned
-  affinity logits.
-* ``kmeans_step`` / ``lloyd_kmeans`` - the classic parameter-free clustering
-  update, kept as a reference the hard-attention kernel can be checked
-  against.
+* 'softmax' - the logits are normalized with a softmax over the pixel axis
+  and used as soft aggregation weights.
+* 'kmeans'  - each pixel is hard-assigned to its best cluster (argmax over
+  the cluster axis) and assigned pixel values are aggregated per cluster.
+  The assignment is detached; gradients reach the query/key projections only
+  through losses attached to the returned logits.
 
-The kernels are single-head: ``ProjectionWeights.attend`` projects, takes
-one (N, HW) logit matrix ``Q K^T`` and returns it with the ``_aggregate``d
-update, so the hard assignment is the argmax of the returned logits by
-construction. The decoder's self-attention and the stride-32 pixel block use
-``attend`` too; the decoder's interaction kernel calls ``project`` and
-``_aggregate`` itself, as its logits use the mask embedding of Q.
+``attend`` returns the update with the very logits whose map weighted it, so
+the hard assignment is the argmax of the returned logits by construction;
+callers add the residual themselves. The decoder's self-attention and the
+stride-32 pixel block use ``attend``; the decoder's interaction kernel calls
+``project`` and ``_aggregate`` itself, as its logits use the mask embedding
+of Q. ``kmeans_step`` / ``lloyd_kmeans`` are the classic parameter-free
+clustering update, kept as references the hard-assignment map is checked
+against.
 
 Feed-forward layers and normalization are deliberately absent here; they
 belong to the decoder block that wraps these kernels.
@@ -37,8 +36,6 @@ from .tensor import Tensor, argmax_onehot, matmul, mul, scale, softmax
 __all__ = [
     "PixelFeatures",
     "ProjectionWeights",
-    "cross_attention_softmax",
-    "cross_attention_kmeans",
     "kmeans_step",
     "lloyd_kmeans",
 ]
@@ -154,34 +151,6 @@ def _aggregate(logits, v, kind, normalize=False, prev_centers=None):
         # empty clusters fall back to their previous center row
         update = update + mul(prev_centers, Tensor(empty))
     return update
-
-
-def cross_attention_softmax(centers, pixels, w, residual=True):
-    """Soft cross-attention update of cluster centers.
-
-    Affinities between projected centers and pixels are softmax-normalized
-    along the pixel axis, so each center row aggregates a convex combination
-    of pixel values. Returns (updated centers, affinity logits).
-    """
-    pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    update, logits = w.attend(centers, pixels)
-    return (centers + update if residual else update), logits
-
-
-def cross_attention_kmeans(centers, pixels, w, residual=True, normalize=False):
-    """Hard-assignment cross-attention update of cluster centers.
-
-    Each pixel is assigned to the cluster with the highest projected
-    affinity (ties to the lowest cluster index); assigned pixel values are
-    summed per cluster, or averaged when ``normalize`` is set. The returned
-    affinity logits are the only differentiable trace of the assignment and
-    must be routed into a supervision head by callers, otherwise the
-    query/key projections receive no gradient at all.
-    """
-    pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    update, logits = w.attend(centers, pixels, "kmeans", normalize=normalize,
-                              prev_centers=None if residual else centers)
-    return (centers + update if residual else update), logits
 
 
 def kmeans_step(centers, pixels, normalize=False):

@@ -24,7 +24,7 @@ row sum plus column sum minus the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,7 +243,7 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     thing_ids = class_table.thing_ids
     for img, gt in examples:
         with no_grad():
-            pred, _, _ = model.forward(img, train_mode=False)
+            pred, _, _ = model.forward(img)
         merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
                              overlap_thresh=infer_cfg.overlap_thresh,
                              thing_ids=thing_ids,

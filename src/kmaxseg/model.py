@@ -21,8 +21,8 @@ from .decoder import KMaxDecoderBlock, _LayerNormParams, stack_forward
 from .errors import ConfigError, ContractError, ShapeError
 from .kernels import PixelFeatures, ProjectionWeights
 from .panoptic import PredictionSet
-from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, take,
-                     transpose, upsample2x_nearest)
+from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, transpose,
+                     upsample2x_nearest)
 
 __all__ = ["KMaxModel"]
 
@@ -91,23 +91,15 @@ class KMaxModel:
 
         # cluster path
         self.queries = reg("queries", Tensor(rng.normal(0, d ** -0.5, (cfg.num_queries, d)), True), True)
-        n_blocks = sum(cfg.schedule)
         self.blocks = []
-        for i in range(n_blocks):
+        for i in range(sum(cfg.schedule)):
             block = KMaxDecoderBlock(
                 rng, d, cfg.num_classes, kernel=cfg.kernel,
                 ffn_hidden=cfg.ffn_hidden,
                 kmeans_normalize=cfg.kmeans_normalize,
-                selfattn_first=cfg.selfattn_first,
             )
-            if cfg.share_stage_heads and i > 0:
-                first = self.blocks[0]
-                block.mask_w, block.mask_b = first.mask_w, first.mask_b
-                block.class_w, block.class_b = first.class_w, first.class_b
             self.blocks.append(block)
             for n, t, dec in block.named_parameters():
-                if cfg.share_stage_heads and i > 0 and n.startswith(("mask.", "class.")):
-                    continue
                 reg(f"blocks.{i}.{n}", t, dec)
 
         # final prediction heads
@@ -186,23 +178,14 @@ class KMaxModel:
 
     # -- full forward --------------------------------------------------------------
 
-    def forward(self, image, train_mode=False, rng=None):
+    def forward(self, image):
         """Run the model; returns (prediction, aux predictions, semantic logits).
 
-        In train mode with drop_query enabled, a seeded random half of the
-        queries is removed for this pass. Inference ignores ``rng`` entirely.
+        Training and inference run the same pass over all queries.
         """
         pyramid = self.pixel_path(image)
-        centers = self.queries
-        if train_mode and self.cfg.drop_query:
-            if rng is None:
-                raise ConfigError("drop_query needs an rng in train mode")
-            n = self.cfg.num_queries
-            keep = np.sort(rng.choice(n, size=n - n // 2, replace=False))
-            centers = take(centers, keep, axis=0)
-
         pyr_levels = [pyramid[32], pyramid[16], pyramid[8]]
-        centers, aux = stack_forward(self.blocks, centers, pyr_levels, self.cfg.schedule)
+        centers, aux = stack_forward(self.blocks, self.queries, pyr_levels, self.cfg.schedule)
 
         normed = self.final_ln(centers)
         mask_emb = matmul(normed, self.final_mask_w) + self.final_mask_b

@@ -71,13 +71,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        """A new tensor sharing this data but cut off from the graph."""
-        return Tensor(self.data)
-
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -271,25 +264,6 @@ def matmul(a, b):
     return _make(data, (a, b), bwd)
 
 
-def log(x):
-    x = _as_tensor(x)
-
-    def bwd(g):
-        _accum(x, g / x.data)
-
-    return _make(np.log(x.data), (x,), bwd)
-
-
-def relu(x):
-    x = _as_tensor(x)
-    mask = x.data > 0
-
-    def bwd(g):
-        _accum(x, g * mask)
-
-    return _make(x.data * mask, (x,), bwd)
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -361,22 +335,6 @@ def take(x, indices, axis=0):
     return _make(np.take(x.data, idx, axis=axis), (x,), bwd)
 
 
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    axis = _check_axis(tensors[0], axis)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
-
-    return _make(data, tuple(tensors), bwd)
-
-
 # -- reductions ---------------------------------------------------------------
 
 
@@ -390,21 +348,6 @@ def reduce_sum(x, axis=None, keepdims=False):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.data.shape))
-
-    return _make(data, (x,), bwd)
-
-
-def reduce_mean(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
-    if axis is not None:
-        axis = _check_axis(x, axis)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.data.shape) / n)
 
     return _make(data, (x,), bwd)
 

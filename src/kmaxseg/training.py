@@ -18,7 +18,7 @@ upsampled by nearest neighbor first.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,7 +27,7 @@ from .config import Config
 from .data import SyntheticDataset, SceneSpec, augment_flip
 from .errors import ContractError, ShapeError
 from .model import KMaxModel
-from .panoptic import VOID, PanopticMap, PredictionSet
+from .panoptic import VOID
 from .tensor import (Tensor, cross_entropy_from_logits, div, mul, reduce_sum,
                      reshape, scale, softmax, take, upsample2x_nearest)
 
@@ -113,12 +113,11 @@ def _upsample_logits(aux, target_stride_hw):
     return logits
 
 
-def _output_terms(mask_logits, class_logits, masks, class_ids, matching, weights):
+def _output_terms(mask_logits, class_logits, masks, class_ids, matching, w_void):
     """Mask-quality and mask-id terms for one output (final or auxiliary)."""
     n = class_logits.data.shape[0]
     k = matching.num_matched
     void_id = class_logits.data.shape[1] - 1
-    norm = max(k, 1) if weights.pq_norm == "K" else n
 
     targets = np.full(n, void_id, dtype=np.int64)
     targets[matching.gt_to_query] = class_ids
@@ -133,11 +132,11 @@ def _output_terms(mask_logits, class_logits, masks, class_ids, matching, weights
         denom = reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
         dice = scale(div(inter, denom), 2.0)
         one_minus_dice = reduce_sum(Tensor(np.ones(k)) - dice)
-        pq = pq + scale(matched_ce + one_minus_dice, 1.0 / norm)
+        pq = pq + scale(matched_ce + one_minus_dice, 1.0 / k)
     unmatched = matching.unmatched_queries()
     if unmatched.size:
         void_ce = reduce_sum(take(ce_rows, unmatched, axis=0))
-        pq = pq + scale(void_ce, weights.w_void / unmatched.size)
+        pq = pq + scale(void_ce, w_void / unmatched.size)
 
     # mask-id cross-entropy over pixels covered by a ground-truth segment
     hw = mask_logits.data.shape[0]
@@ -156,24 +155,10 @@ def _output_terms(mask_logits, class_logits, masks, class_ids, matching, weights
     return pq, maskid
 
 
-@dataclass
-class LossWeights:
-    w_pq: float = 3.0
-    w_sem: float = 1.0
-    w_maskid: float = 0.3
-    w_void: float = 0.1
-    w_aux: float = 1.0
-    pq_norm: str = "K"
-
-    @staticmethod
-    def from_config(train_cfg):
-        return LossWeights(train_cfg.w_pq, train_cfg.w_sem, train_cfg.w_maskid,
-                           train_cfg.w_void, train_cfg.w_aux, train_cfg.pq_norm)
-
-
 def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False):
     """Weighted training loss for one image.
 
+    ``weights`` is the ``TrainConfig`` whose ``w_*`` fields weight the terms.
     ``matching`` must be the assignment computed on ``final``; it is reused
     for every auxiliary output. ``gt`` is the ground truth already at the
     supervision resolution of ``final``.
@@ -188,13 +173,13 @@ def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False
         )
 
     l_pq, l_maskid = _output_terms(final.mask_logits, final.class_logits,
-                                   masks, class_ids, matching, weights)
+                                   masks, class_ids, matching, weights.w_void)
     total = scale(l_pq, weights.w_pq) + scale(l_maskid, weights.w_maskid)
     pq_sum, maskid_sum = l_pq.item(), l_maskid.item()
     for a in aux:
         up = _upsample_logits(a, (final.height, final.width))
         a_pq, a_maskid = _output_terms(up, a.class_logits, masks, class_ids,
-                                       matching, weights)
+                                       matching, weights.w_void)
         total = total + scale(
             scale(a_pq, weights.w_pq) + scale(a_maskid, weights.w_maskid),
             weights.w_aux)
@@ -354,7 +339,6 @@ def scene_spec_from_config(cfg):
         max_shapes=cfg.data.max_shapes,
         color_jitter=cfg.data.color_jitter,
         min_segment_px=cfg.data.min_segment_px,
-        separate_background_classes=cfg.data.separate_background_classes,
     )
 
 
@@ -362,8 +346,8 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
                metrics_path=None):
     """Train a model per ``cfg``; returns the model and the metrics rows.
 
-    Fully deterministic for a fixed (config, seed): data order, flips and
-    query dropping all derive from one seed sequence.
+    Fully deterministic for a fixed (config, seed): initialization, data
+    order and flips all derive from one seed sequence.
     """
     from .checkpoint import save_checkpoint
     from .metrics import evaluate_model
@@ -379,25 +363,20 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
             f"dataset has {table.num_classes} classes but the model expects "
             f"{cfg.model.num_classes}"
         )
-    surviving = cfg.model.num_queries
-    if cfg.model.drop_query:
-        surviving -= cfg.model.num_queries // 2
     max_segments = cfg.data.max_shapes + len(table.stuff_ids)
-    if surviving < max_segments:
+    if cfg.model.num_queries < max_segments:
         raise ContractError(
-            f"{surviving} (surviving) queries cannot cover up to "
+            f"{cfg.model.num_queries} queries cannot cover up to "
             f"{max_segments} ground-truth segments"
         )
 
     ss = np.random.SeedSequence(seed)
-    s_model, s_order, s_aug, s_drop = ss.spawn(4)
+    s_model, s_order, s_aug = ss.spawn(3)
     model = KMaxModel(cfg.model, seed=s_model)
     opt = AdamW(model.named_parameters(), lr=tc.lr, beta1=tc.beta1,
                 beta2=tc.beta2, eps=tc.eps, weight_decay=tc.weight_decay)
     order_rng = np.random.default_rng(s_order)
     aug_rng = np.random.default_rng(s_aug)
-    drop_rng = np.random.default_rng(s_drop)
-    weights = LossWeights.from_config(tc)
 
     rows = [METRICS_HEADER]
     order = None
@@ -411,13 +390,10 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         img, gt = augment_flip(img, gt, aug_rng, prob=tc.flip_prob)
 
         model.zero_grad()
-        pred, aux, sem = model.forward(img, train_mode=True, rng=drop_rng)
-        if not tc.aux_supervision:
-            aux = []
+        pred, aux, sem = model.forward(img)
         gt4 = gt.downsample(cfg.model.image_size // pred.height)
         matching = hungarian_match(matching_cost(pred, gt4))
-        loss, parts = total_loss(pred, aux, sem, gt4, weights, matching,
-                                 return_parts=True)
+        loss, parts = total_loss(pred, aux, sem, gt4, tc, matching, return_parts=True)
         if not np.isfinite(loss.item()):
             # stop before backward and the update can corrupt the parameters
             raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")

@@ -58,7 +58,7 @@ def render_stages(model, image, infer_cfg, thing_ids, out_dir):
     """
     os.makedirs(out_dir, exist_ok=True)
     with no_grad():
-        pred, aux, _ = model.forward(image, train_mode=False)
+        pred, aux, _ = model.forward(image)
     side = image.shape[0]
     paths = []
     for a in aux:

@@ -1,0 +1,40 @@
+from kmaxseg.cli import main
+
+TINY = """\
+[model]
+d = 8
+num_queries = 6
+encoder_channels = 4,4,4,4,8
+ffn_hidden = 8
+schedule = 1,1,1
+
+[train]
+steps = 2
+train_size = 2
+val_size = 1
+eval_interval = {eval_interval}
+"""
+
+
+def _config(tmp_path, eval_interval=1):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY.format(eval_interval=eval_interval))
+    return str(path)
+
+
+def test_train_eval_and_ablate_exit_zero(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "model.ckpt").exists() and (out / "config.used.txt").exists()
+    assert main(["eval", "--config", str(out / "config.used.txt"),
+                 "--checkpoint", str(out / "model.ckpt")]) == 0
+    # six variants, among them the normalized kmeans kernel
+    assert main(["ablate", "--config", cfg, "--seeds", "1"]) == 0
+    assert "kmeans cross-attention (normalized)" in capsys.readouterr().out
+
+
+def test_train_with_zero_eval_interval_is_a_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path, eval_interval=0)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "error:" in capsys.readouterr().err

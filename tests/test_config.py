@@ -46,10 +46,11 @@ CONFIGS = st.builds(
         kernel=st.sampled_from(["kmeans", "softmax"]),
     ),
     train=_section(TrainConfig, steps=POSITIVE, train_size=POSITIVE, val_size=POSITIVE,
-                   pq_norm=st.sampled_from(["K", "N"])),
+                   eval_interval=POSITIVE, lr=st.floats(0.0, 1e6, exclude_min=True),
+                   warmup_frac=UNIT, flip_prob=UNIT),
     data=_section(DataConfig),
-    infer=_section(InferConfig, conf_thresh=UNIT, overlap_thresh=UNIT),
-)
+    infer=_section(InferConfig, conf_thresh=UNIT, overlap_thresh=UNIT, mask_binarize=UNIT),
+).filter(lambda cfg: cfg.model.kernel == "kmeans" or not cfg.model.kmeans_normalize)
 
 
 @settings(max_examples=200, deadline=None)
@@ -58,8 +59,12 @@ def test_config_round_trips_through_text(cfg):
     assert parse_config(serialize_config(cfg.validate())) == cfg
 
 
-@pytest.mark.parametrize("section,key", [("data", "threads"), ("train", "w_inst"),
-                                         ("model", "heads")])
+@pytest.mark.parametrize("section,key", [
+    ("data", "threads"), ("train", "w_inst"), ("model", "heads"),
+    ("model", "selfattn_first"), ("model", "share_stage_heads"), ("model", "drop_query"),
+    ("train", "aux_supervision"), ("train", "pq_norm"),
+    ("data", "separate_background_classes"),
+])
 def test_removed_keys_are_unknown(section, key):
     with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
         parse_config(f"[{section}]\n{key} = 1\n")
@@ -70,3 +75,20 @@ def test_removed_keys_are_unknown(section, key):
 def test_non_positive_model_sizes_raise_config_error(key, value):
     with pytest.raises(ConfigError, match=f"model.{key} must be positive"):
         parse_config(f"[model]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[train]\neval_interval = 0", "train.eval_interval must be positive"),
+    ("[train]\nlr = 0.0", "train.lr must be positive"),
+    ("[train]\nlr = -1e-3", "train.lr must be positive"),
+    ("[train]\nwarmup_frac = 1.5", r"train.warmup_frac must lie in \[0, 1\]"),
+    ("[train]\nflip_prob = 3", r"train.flip_prob must lie in \[0, 1\]"),
+    ("[train]\nflip_prob = -0.1", r"train.flip_prob must lie in \[0, 1\]"),
+    ("[infer]\nmask_binarize = 7", r"infer.mask_binarize must lie in \[0, 1\]"),
+    ("[infer]\nmask_binarize = nan", r"infer.mask_binarize must lie in \[0, 1\]"),
+    ("[model]\nkernel = softmax\nkmeans_normalize = true",
+     "kmeans_normalize only applies to the kmeans kernel"),
+])
+def test_out_of_range_values_raise_config_error(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text + "\n")

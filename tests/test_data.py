@@ -64,15 +64,6 @@ def test_thing_stuff_tags_cover_all_emitted_classes():
     assert table.thing_ids == frozenset({1, 2, 3})
 
 
-def test_separate_background_classes_schema():
-    spec = SceneSpec(seed=2, separate_background_classes=True)
-    table = spec.class_table()
-    assert table.num_classes == 5
-    assert table.stuff_ids == frozenset({0, 1})
-    img, gt = generate(spec, 0)
-    assert set(np.unique(gt.class_map)) <= set(range(5))
-
-
 def test_impossible_spec_raises():
     with pytest.raises(ConfigError):
         SceneSpec(seed=0, height=16, width=16, max_radius=13)

@@ -3,14 +3,7 @@ import pytest
 
 from kmaxseg import tensor as T
 from kmaxseg.errors import ShapeError
-from kmaxseg.kernels import (
-    PixelFeatures,
-    ProjectionWeights,
-    cross_attention_kmeans,
-    cross_attention_softmax,
-    kmeans_step,
-    lloyd_kmeans,
-)
+from kmaxseg.kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
 from kmaxseg.tensor import Tensor
 
 
@@ -28,7 +21,8 @@ def test_softmax_attention_zero_weights_is_identity():
     rng = np.random.default_rng(0)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(6, 4)))
-    out, logits = cross_attention_softmax(c, p, _zero_weights(4))
+    update, logits = _zero_weights(4).attend(c, p)
+    out = c + update
     assert np.array_equal(out.data, c.data)
     assert np.array_equal(logits.data, np.zeros((3, 6)))
 
@@ -38,7 +32,7 @@ def test_softmax_attention_single_query_stays_in_value_hull():
     c = Tensor(rng.normal(size=(1, 3)))
     p = Tensor(rng.normal(size=(5, 3)))
     w = ProjectionWeights.identity(3)
-    out, logits = cross_attention_softmax(c, p, w, residual=False)
+    out, logits = w.attend(c, p)
     attn = _numpy_softmax(logits.data, axis=1)
     assert np.all(attn > 0) and abs(attn.sum() - 1.0) < 1e-12
     lo, hi = p.data.min(axis=0), p.data.max(axis=0)
@@ -49,7 +43,8 @@ def test_softmax_attention_matches_reimplementation():
     rng = np.random.default_rng(2)
     c = rng.normal(size=(2, 3))
     p = rng.normal(size=(4, 3))
-    out, _ = cross_attention_softmax(Tensor(c), Tensor(p), ProjectionWeights.identity(3))
+    update, _ = ProjectionWeights.identity(3).attend(Tensor(c), Tensor(p))
+    out = update + c
     expected = _numpy_softmax(c @ p.T, axis=1) @ p + c
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -59,7 +54,7 @@ def test_softmax_attention_row_normalization():
     for _ in range(100):
         c = Tensor(rng.normal(size=(4, 5)))
         p = Tensor(rng.normal(size=(9, 5)))
-        _, logits = cross_attention_softmax(c, p, ProjectionWeights.identity(5))
+        _, logits = ProjectionWeights.identity(5).attend(c, p)
         attn = _numpy_softmax(logits.data, axis=1)
         assert np.all(np.abs(attn.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -68,9 +63,9 @@ def test_dimension_mismatch_raises():
     c = Tensor(np.zeros((2, 4)))
     p = Tensor(np.zeros((6, 3)))
     with pytest.raises(ShapeError):
-        cross_attention_softmax(c, p, ProjectionWeights.identity(4))
+        ProjectionWeights.identity(4).attend(c, p)
     with pytest.raises(ShapeError):
-        cross_attention_kmeans(c, p, ProjectionWeights.identity(4))
+        ProjectionWeights.identity(4).attend(c, p, "kmeans")
 
 
 def _embed_1d(points, centers):
@@ -160,9 +155,9 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(10, 4)))
     w = ProjectionWeights.identity(4)
-    out, logits = cross_attention_kmeans(c, p, w)
+    update, logits = w.attend(c, p, "kmeans")
     a = T.argmax_onehot(Tensor(logits.data)).data
-    update = out.data - c.data
+    update = update.data
     v = p.data  # identity value projection
     for i in range(3):
         assert np.allclose(update[i], v[a[i] == 1].sum(axis=0), atol=1e-12)
@@ -176,7 +171,7 @@ def test_kmeans_attention_argmax_scale_invariance():
         c = Tensor(rng.normal(size=(3, 4)))
         p = Tensor(rng.normal(size=(7, 4)))
         w = ProjectionWeights.identity(4)
-        _, logits = cross_attention_kmeans(c, p, w)
+        _, logits = w.attend(c, p, "kmeans")
         a = T.argmax_onehot(logits).data
         scaled = T.argmax_onehot(Tensor(logits.data * 12.5)).data
         assert np.array_equal(a, scaled)
@@ -187,7 +182,7 @@ def test_kmeans_attention_matches_kmeans_step():
     c = Tensor(rng.normal(size=(3, 5)))
     p = Tensor(rng.normal(size=(12, 5)))
     w = ProjectionWeights.identity(5)
-    out, _ = cross_attention_kmeans(c, p, w, residual=False, normalize=True)
+    out, _ = w.attend(c, p, "kmeans", normalize=True, prev_centers=c)
     ref, _ = kmeans_step(c, p, normalize=True)
     assert np.allclose(out.data, ref.data, atol=1e-15)
 
@@ -198,9 +193,11 @@ def test_permutation_equivariance_in_cluster_index():
     p = Tensor(rng.normal(size=(9, 6)))
     w = ProjectionWeights.init(np.random.default_rng(0), 6)
     perm = np.array([2, 0, 3, 1])
-    for kernel in (cross_attention_softmax, cross_attention_kmeans):
-        base, base_logits = kernel(Tensor(c), p, w)
-        permuted, perm_logits = kernel(Tensor(c[perm]), p, w)
+    for kind in ("softmax", "kmeans"):
+        base, base_logits = w.attend(Tensor(c), p, kind)
+        base = base + c
+        permuted, perm_logits = w.attend(Tensor(c[perm]), p, kind)
+        permuted = permuted + c[perm]
         assert np.allclose(permuted.data, base.data[perm], atol=1e-12)
         assert np.allclose(perm_logits.data, base_logits.data[perm], atol=1e-12)
 
@@ -209,7 +206,8 @@ def test_self_attention_single_query():
     rng = np.random.default_rng(12)
     c = Tensor(rng.normal(size=(1, 4)))
     w = ProjectionWeights.init(np.random.default_rng(1), 4)
-    out, _ = cross_attention_softmax(c, c, w)
+    update, _ = w.attend(c, c)
+    out = c + update
     v = c.data @ w.wv.data + w.bv.data
     assert np.allclose(out.data, c.data + v, atol=1e-12)
 
@@ -218,7 +216,8 @@ def test_self_attention_matches_reimplementation():
     rng = np.random.default_rng(13)
     c = rng.normal(size=(3, 4))
     w = ProjectionWeights.init(np.random.default_rng(2), 4)
-    out, _ = cross_attention_softmax(Tensor(c), Tensor(c), w)
+    update, _ = w.attend(Tensor(c), Tensor(c))
+    out = update + c
     q = c @ w.wq.data + w.bq.data
     k = c @ w.wk.data + w.bk.data
     v = c @ w.wv.data + w.bv.data
@@ -231,8 +230,8 @@ def test_self_attention_permutation_equivariance():
     c = rng.normal(size=(5, 4))
     w = ProjectionWeights.init(np.random.default_rng(3), 4)
     perm = np.array([4, 2, 0, 1, 3])
-    out = cross_attention_softmax(Tensor(c), Tensor(c), w)[0].data
-    out_perm = cross_attention_softmax(Tensor(c[perm]), Tensor(c[perm]), w)[0].data
+    out = (w.attend(Tensor(c), Tensor(c))[0] + c).data
+    out_perm = (w.attend(Tensor(c[perm]), Tensor(c[perm]))[0] + c[perm]).data
     assert np.allclose(out_perm, out[perm], atol=1e-12)
 
 
@@ -242,14 +241,16 @@ def test_gradient_routes_of_kmeans_attention():
     p = Tensor(rng.normal(size=(8, 4)))
     w = ProjectionWeights.init(np.random.default_rng(4), 4)
 
-    out, logits = cross_attention_kmeans(c, p, w)
+    update, logits = w.attend(c, p, "kmeans")
+    out = c + update
     T.reduce_sum(T.mul(out, out)).backward()
     assert np.linalg.norm(w.wv.grad) > 0
     assert np.linalg.norm(c.grad) > 0
     # the assignment is detached, so no output-loss gradient reaches wq/wk
     assert w.wq.grad is None and w.wk.grad is None
 
-    out2, logits2 = cross_attention_kmeans(c, p, w)
+    update2, logits2 = w.attend(c, p, "kmeans")
+    out2 = c + update2
     supervised = T.reduce_sum(T.mul(logits2, logits2))
     T.add(T.reduce_sum(T.mul(out2, out2)), supervised).backward()
     assert np.linalg.norm(w.wq.grad) > 0
@@ -266,7 +267,8 @@ def test_kmeans_attention_gradcheck_through_loss_path():
     r_log = np.random.default_rng(7).normal(size=(4, 4))
 
     def f(centers):
-        out, logits = cross_attention_kmeans(centers, p, w)
+        update, logits = w.attend(centers, p, "kmeans")
+        out = centers + update
         return T.add(T.reduce_sum(T.mul(out, Tensor(r_out))),
                      T.reduce_sum(T.mul(logits, Tensor(r_log))))
 
@@ -282,6 +284,7 @@ def test_pixel_features_shape_validation():
     with pytest.raises(ShapeError):
         PixelFeatures(Tensor(np.zeros((5, 3))), 2, 2)
     pf = PixelFeatures(Tensor(np.zeros((4, 3))), 2, 2)
-    out, _ = cross_attention_softmax(Tensor(np.zeros((2, 3))), pf,
-                                     ProjectionWeights.identity(3))
+    c = Tensor(np.zeros((2, 3)))
+    update, _ = ProjectionWeights.identity(3).attend(c, pf.values)
+    out = c + update
     assert out.data.shape == (2, 3)

@@ -346,7 +346,7 @@ class _ReplayModel:
     def __init__(self, preds):
         self._preds = iter(preds)
 
-    def forward(self, img, train_mode):
+    def forward(self, img):
         return next(self._preds), None, None
 
 

@@ -82,27 +82,6 @@ def test_forward_output_shapes_match_config():
     assert [a.source for a in aux] == list(range(6))
 
 
-def test_drop_query_halves_effective_queries_in_training():
-    cfg = _small_cfg(num_queries=8, drop_query=True)
-    model = KMaxModel(cfg, seed=0)
-    img = np.random.default_rng(2).uniform(size=(64, 64, 3))
-    with no_grad():
-        pred, _, _ = model.forward(img, train_mode=True, rng=np.random.default_rng(5))
-        full, _, _ = model.forward(img, train_mode=False)
-    assert pred.mask_logits.data.shape[1] == 4
-    assert full.mask_logits.data.shape[1] == 8
-
-
-def test_eval_forward_is_rng_independent():
-    model = KMaxModel(_small_cfg(drop_query=True), seed=0)
-    img = np.random.default_rng(3).uniform(size=(64, 64, 3))
-    with no_grad():
-        a, _, _ = model.forward(img, train_mode=False, rng=np.random.default_rng(1))
-        b, _, _ = model.forward(img, train_mode=False, rng=np.random.default_rng(99))
-    assert np.array_equal(a.mask_logits.data, b.mask_logits.data)
-    assert np.array_equal(a.class_logits.data, b.class_logits.data)
-
-
 def test_query_permutation_equivariance_end_to_end():
     model = KMaxModel(_small_cfg(), seed=4)
     img = np.random.default_rng(4).uniform(size=(64, 64, 3))
@@ -132,8 +111,6 @@ def _expected_param_count(cfg):
                  + (d * d + d)                  # mask head
                  + (d * (k + 1) + (k + 1)))     # class head
     blocks = sum(cfg.schedule) * per_block
-    if cfg.share_stage_heads:
-        blocks -= (sum(cfg.schedule) - 1) * ((d * d + d) + (d * (k + 1) + (k + 1)))
     final = 2 * d + (d * d + d) + 2 * (d * (k + 1) + (k + 1))
     return encoder + pyramid + s32_block + conv_blocks + queries + blocks + final
 
@@ -141,7 +118,7 @@ def _expected_param_count(cfg):
 @pytest.mark.parametrize("cfg", [
     _small_cfg(),
     ModelConfig(),
-    _small_cfg(schedule=(2, 2, 2), share_stage_heads=True),
+    _small_cfg(schedule=(2, 2, 2)),
 ])
 def test_parameter_count_matches_documented_formula(cfg):
     assert KMaxModel(cfg, seed=0).parameter_count() == _expected_param_count(cfg)
@@ -217,17 +194,6 @@ def test_checkpoint_rejects_the_other_kernel(tmp_path):
                for b, (_, t, _) in zip(before, model.named_parameters()))
 
 
-def test_checkpoint_ignores_the_train_only_drop_query(tmp_path):
-    # drop_query acts only in train mode and changes no parameter
-    model = KMaxModel(_small_cfg(drop_query=True), seed=0)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model)
-    other = KMaxModel(_small_cfg(), seed=1)
-    load_checkpoint(path, other)
-    assert all(np.array_equal(a.data, b.data) for (_, a, _), (_, b, _)
-               in zip(model.named_parameters(), other.named_parameters()))
-
-
 def test_checkpoint_rejects_one_flipped_payload_byte(tmp_path):
     model = KMaxModel(_small_cfg(), seed=0)
     path = tmp_path / "model.ckpt"
@@ -253,7 +219,17 @@ def test_checkpoint_without_config_or_checksum_lines_still_loads(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_shared_heads_share_tensors():
-    model = KMaxModel(_small_cfg(schedule=(1, 1, 1), share_stage_heads=True), seed=0)
-    assert model.blocks[1].mask_w is model.blocks[0].mask_w
-    assert model.blocks[2].class_b is model.blocks[0].class_b
+def test_checkpoint_with_a_removed_config_key_is_rejected(tmp_path):
+    # a checkpoint saved while model.selfattn_first existed names it in its
+    # config line; the key is gone, so the file no longer describes this model
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += b" selfattn_first=true"
+    path.write_bytes(b"\n".join(lines))
+    model = KMaxModel(_small_cfg(), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    with pytest.raises(ConfigError, match="unknown key model.selfattn_first"):
+        load_checkpoint(path, model)
+    assert all(np.array_equal(b, t.data)
+               for b, (_, t, _) in zip(before, model.named_parameters()))

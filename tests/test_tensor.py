@@ -293,6 +293,6 @@ def test_no_grad_suppresses_graph():
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(4, 4)) * 50)
-    for out in (T.softmax(x, axis=1), T.gelu(x), T.relu(x),
+    for out in (T.softmax(x, axis=1), T.gelu(x),
                 T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))):
         assert np.all(np.isfinite(out.data))
