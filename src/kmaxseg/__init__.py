@@ -4,6 +4,8 @@ The package groups into:
 
 * ``tensor`` / ``gradcheck`` - float64 tensors with reverse-mode autodiff
   and finite-difference verification,
+* ``layers`` - the parameter registry (naming, initialization, weight-decay
+  policy) and the affine and layer-norm layers built on it,
 * ``kernels`` - the pixel-cluster attention path (softmax or hard-assignment
   map) and classic clustering as the reference,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
@@ -16,9 +18,10 @@ The package groups into:
 
 from .config import Config, ModelConfig, load_config, parse_config, serialize_config
 from .data import SceneSpec, SyntheticDataset, augment_flip, generate
-from .decoder import AuxiliaryPrediction, KMaxDecoderBlock, stack_forward
+from .decoder import KMaxDecoderBlock, stack_forward
 from .gradcheck import grad_check
 from .kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
+from .layers import Affine, LayerNorm, Params
 from .metrics import (PanopticResult, evaluate_model, evaluation_report,
                       merge_masks, miou, panoptic_quality)
 from .model import KMaxModel

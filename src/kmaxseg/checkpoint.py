@@ -103,16 +103,17 @@ def load_checkpoint(path, model):
     with open(path, "rb") as fh:
         blob = fh.read()
     entries, config, checksum, payload = _parse_manifest(blob, path)
-    if config is not None:
-        current = _config_fields(model.cfg)
-        for key in dict.fromkeys([*current, *config]):
-            if key not in current:
-                raise ConfigError(f"{path} was saved with unknown key model.{key}")
-            if config.get(key) != current[key]:
-                raise ConfigError(
-                    f"{path} was saved with model.{key} = {config.get(key)} but "
-                    f"the model has model.{key} = {current[key]}"
-                )
+    if config is None or checksum is None:
+        raise ConfigError(f"{path} has no {'config' if config is None else 'sha256'} line")
+    current = _config_fields(model.cfg)
+    for key in dict.fromkeys([*current, *config]):
+        if key not in current:
+            raise ConfigError(f"{path} was saved with unknown key model.{key}")
+        if config.get(key) != current[key]:
+            raise ConfigError(
+                f"{path} was saved with model.{key} = {config.get(key)} but "
+                f"the model has model.{key} = {current[key]}"
+            )
 
     params = {name: tensor for name, tensor, _ in model.named_parameters()}
     arrays = {}
@@ -137,11 +138,10 @@ def load_checkpoint(path, model):
     missing = set(params) - set(arrays)
     if missing:
         raise ConfigError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
-    if checksum is not None:
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != checksum:
-            raise ConfigError(
-                f"{path} fails its sha256 checksum: manifest {checksum}, payload {actual}"
-            )
+    actual = hashlib.sha256(payload).hexdigest()
+    if actual != checksum:
+        raise ConfigError(
+            f"{path} fails its sha256 checksum: manifest {checksum}, payload {actual}"
+        )
     for name, arr in arrays.items():
         params[name].data[...] = arr

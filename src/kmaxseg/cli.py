@@ -126,20 +126,23 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, seed_and_out=True, checkpoint=True):
         p.add_argument("--config", metavar="PATH", help="config file (key = value text)")
-        p.add_argument("--seed", type=int, metavar="INT")
-        p.add_argument("--out", metavar="DIR")
+        if seed_and_out:
+            p.add_argument("--seed", type=int, metavar="INT")
+            p.add_argument("--out", metavar="DIR")
         if checkpoint:
             p.add_argument("--checkpoint", metavar="PATH")
 
-    common(sub.add_parser("train", help="train a model"), checkpoint=True)
-    common(sub.add_parser("eval", help="evaluate a checkpoint"), checkpoint=True)
-    ablate = sub.add_parser("ablate", help="kernel and decoder-count studies")
-    common(ablate)
+    common(sub.add_parser("train", help="train a model"))
+    common(sub.add_parser("eval", help="evaluate a checkpoint"), seed_and_out=False)
+    # no abbreviations: ``--seed`` would silently mean ``--seeds``
+    ablate = sub.add_parser("ablate", help="kernel and decoder-count studies",
+                            allow_abbrev=False)
+    common(ablate, seed_and_out=False, checkpoint=False)
     ablate.add_argument("--seeds", type=int, default=3, metavar="N",
                         help="number of seeds per variant (default 3)")
-    common(sub.add_parser("visualize", help="render assignment maps"), checkpoint=True)
+    common(sub.add_parser("visualize", help="render assignment maps"))
     selftest = sub.add_parser("selftest", help="run the acceptance suite")
     selftest.add_argument("--fast", action="store_true",
                           help="skip the training-based criteria")

@@ -7,59 +7,27 @@ its input and one on its update before the residual add. The output norm
 matters most for the hard-assignment kernel, whose per-cluster update is a
 sum over assigned pixels and would otherwise scale with cluster size.
 
-Every block also emits an auxiliary prediction. Its mask logits are the
-scaled affinity between the mask embedding of the projected centers and the
-projected pixels; for the hard-assignment kernel the argmax of that same
-affinity is the assignment, so the supervised logits define the clustering
-by construction and are the only gradient path into its query/key weights.
+Every block also emits an auxiliary prediction: a ``PredictionSet`` at the
+stride of the pixels it read, so it merges like the final one. Its mask
+logits are the scaled affinity between the mask embedding of the projected
+centers and the projected pixels; for the hard-assignment kernel the argmax
+of that same affinity is the assignment, so the supervised logits define
+the clustering by construction and are the only gradient path into its
+query/key weights.
+
+A block declares its parameters in its own ``Params`` registry; the model
+adopts them under ``blocks.<i>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .errors import ConfigError
 from .kernels import PixelFeatures, ProjectionWeights, _aggregate
-from .tensor import Tensor, gelu, layer_norm, matmul, scale, transpose
+from .layers import Params
+from .panoptic import PredictionSet
+from .tensor import gelu, matmul, scale, transpose
 
-__all__ = ["KMaxDecoderBlock", "AuxiliaryPrediction", "stack_forward"]
-
-
-@dataclass
-class AuxiliaryPrediction:
-    """Per-block mask/class logits for deep supervision."""
-
-    mask_logits: Tensor        # (HW, N) at the block's pixel stride
-    class_logits: Tensor       # (N, num_classes + 1)
-    source: int                # decoder stage index
-    height: int
-    width: int
-
-    @property
-    def affinity(self):  # read-only (N, HW) view of the mask logits, detached
-        view = self.mask_logits.data.T
-        view.flags.writeable = False
-        return view
-
-
-class _LayerNormParams:
-    def __init__(self, d):
-        self.gain = Tensor(np.ones(d), True)
-        self.bias = Tensor(np.zeros(d), True)
-
-    def __call__(self, x):
-        return layer_norm(x, self.gain, self.bias)
-
-    def named(self, prefix):
-        return [(f"{prefix}.gain", self.gain, False), (f"{prefix}.bias", self.bias, False)]
-
-
-def _affine(rng, din, dout):
-    w = Tensor(rng.normal(0.0, din ** -0.5, (din, dout)), True)
-    b = Tensor(np.zeros(dout), True)
-    return w, b
+__all__ = ["KMaxDecoderBlock", "stack_forward"]
 
 
 class KMaxDecoderBlock:
@@ -72,35 +40,24 @@ class KMaxDecoderBlock:
         self.kernel = kernel
         self.kmeans_normalize = kmeans_normalize
         self.logit_scale = d ** -0.5  # transformer scaling; the argmax ignores it
-        self.sa_ln = _LayerNormParams(d)
-        self.sa_ln_out = _LayerNormParams(d)
-        self.sa_proj = ProjectionWeights.init(rng, d)
-        self.ker_ln_c = _LayerNormParams(d)
-        self.ker_ln_p = _LayerNormParams(d)
-        self.ker_ln_out = _LayerNormParams(d)
-        self.ker_proj = ProjectionWeights.init(rng, d)
-        self.ffn_ln = _LayerNormParams(d)
-        self.ffn_ln_out = _LayerNormParams(d)
-        self.ffn_w1, self.ffn_b1 = _affine(rng, d, ffn_hidden)
-        self.ffn_w2, self.ffn_b2 = _affine(rng, ffn_hidden, d)
-        self.mask_w, self.mask_b = _affine(rng, d, d)
-        self.class_w, self.class_b = _affine(rng, d, num_classes + 1)
-        self.head_ln = _LayerNormParams(d)
+        self.params = p = Params(rng)
+        self.sa_ln = p.layer_norm("sa_ln", d)
+        self.sa_ln_out = p.layer_norm("sa_ln_out", d)
+        self.sa_proj = ProjectionWeights.init(p, "sa", d)
+        self.ker_ln_c = p.layer_norm("ker_ln_c", d)
+        self.ker_ln_p = p.layer_norm("ker_ln_p", d)
+        self.ker_ln_out = p.layer_norm("ker_ln_out", d)
+        self.ker_proj = ProjectionWeights.init(p, "ker", d)
+        self.ffn_ln = p.layer_norm("ffn_ln", d)
+        self.ffn_ln_out = p.layer_norm("ffn_ln_out", d)
+        self.ffn1 = p.affine("ffn1", d, ffn_hidden)
+        self.ffn2 = p.affine("ffn2", ffn_hidden, d)
+        self.mask = p.affine("mask", d, d)
+        self.cls = p.affine("class", d, num_classes + 1)
+        self.head_ln = p.layer_norm("head_ln", d)
 
     def named_parameters(self):
-        out = []
-        out += self.sa_ln.named("sa_ln") + self.sa_ln_out.named("sa_ln_out")
-        out += [(f"sa.{n}", t, t.data.ndim > 1) for n, t in self.sa_proj.tensors()]
-        out += (self.ker_ln_c.named("ker_ln_c") + self.ker_ln_p.named("ker_ln_p")
-                + self.ker_ln_out.named("ker_ln_out"))
-        out += [(f"ker.{n}", t, t.data.ndim > 1) for n, t in self.ker_proj.tensors()]
-        out += self.ffn_ln.named("ffn_ln") + self.ffn_ln_out.named("ffn_ln_out")
-        out += [("ffn.w1", self.ffn_w1, True), ("ffn.b1", self.ffn_b1, False),
-                ("ffn.w2", self.ffn_w2, True), ("ffn.b2", self.ffn_b2, False)]
-        out += self.head_ln.named("head_ln")
-        out += [("mask.w", self.mask_w, True), ("mask.b", self.mask_b, False),
-                ("class.w", self.class_w, True), ("class.b", self.class_b, False)]
-        return out
+        return self.params.named()
 
     # -- sublayers ------------------------------------------------------------
 
@@ -112,7 +69,7 @@ class KMaxDecoderBlock:
     def _interaction(self, c, pixels):
         # not ``attend``: the affinity is taken against the mask embedding
         q, k, v = self.ker_proj.project(self.ker_ln_c(c), self.ker_ln_p(pixels))
-        mask_emb = matmul(q, self.mask_w) + self.mask_b
+        mask_emb = self.mask(q)
         affinity = matmul(mask_emb, k.T)
         sup_logits = scale(affinity, self.logit_scale)
         if self.kernel == "kmeans":
@@ -124,10 +81,9 @@ class KMaxDecoderBlock:
         return c + self.ker_ln_out(update), sup_logits
 
     def _ffn(self, c):
-        h = gelu(matmul(self.ffn_ln(c), self.ffn_w1) + self.ffn_b1)
-        return c + self.ffn_ln_out(matmul(h, self.ffn_w2) + self.ffn_b2)
+        return c + self.ffn_ln_out(self.ffn2(gelu(self.ffn1(self.ffn_ln(c)))))
 
-    def forward(self, c, pixels, stage=0):
+    def forward(self, c, pixels):
         """Run the block; returns (updated centers, auxiliary prediction)."""
         if not isinstance(pixels, PixelFeatures):
             raise ConfigError("decoder blocks take PixelFeatures (need spatial dims)")
@@ -135,14 +91,8 @@ class KMaxDecoderBlock:
         c, sup_logits = self._interaction(c, pixels.values)
         c = self._ffn(c)
 
-        class_logits = matmul(self.head_ln(c), self.class_w) + self.class_b
-        aux = AuxiliaryPrediction(
-            mask_logits=transpose(sup_logits),
-            class_logits=class_logits,
-            source=stage,
-            height=pixels.height,
-            width=pixels.width,
-        )
+        class_logits = self.cls(self.head_ln(c))
+        aux = PredictionSet(transpose(sup_logits), class_logits, pixels.height, pixels.width)
         return c, aux
 
 
@@ -165,10 +115,8 @@ def stack_forward(blocks, centers, pixel_pyramid, schedule):
             f"schedule {schedule} sums to {sum(schedule)} but {len(blocks)} blocks given"
         )
     aux = []
-    stage = 0
     for level, count in zip(pixel_pyramid, schedule):
         for _ in range(count):
-            centers, a = blocks[stage].forward(centers, level, stage)
+            centers, a = blocks[len(aux)].forward(centers, level)
             aux.append(a)
-            stage += 1
     return centers, aux

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .layers import Affine
 from .tensor import Tensor, argmax_onehot, matmul, mul, scale, softmax
 
 __all__ = [
@@ -68,40 +69,29 @@ class ProjectionWeights:
     wq: Tensor
     wk: Tensor
     wv: Tensor
-    bq: Tensor | None = None
-    bk: Tensor | None = None
-    bv: Tensor | None = None
+    bq: Tensor
+    bk: Tensor
+    bv: Tensor
+
+    def __post_init__(self):
+        self._q = Affine(self.wq, self.bq)
+        self._k = Affine(self.wk, self.bk)
+        self._v = Affine(self.wv, self.bv)
 
     @staticmethod
     def identity(d):
-        eye = np.eye(d)
-        return ProjectionWeights(Tensor(eye), Tensor(eye), Tensor(eye))
+        eye, zero = Tensor(np.eye(d)), Tensor(np.zeros(d))
+        return ProjectionWeights(eye, eye, eye, zero, zero, zero)
 
     @staticmethod
-    def init(rng, d):
-        def w():
-            return Tensor(rng.normal(0.0, d ** -0.5, (d, d)), True)
-
-        def b():
-            return Tensor(np.zeros(d), True)
-
-        return ProjectionWeights(w(), w(), w(), b(), b(), b())
-
-    def tensors(self):
-        named = [(n, getattr(self, n)) for n in ("wq", "wk", "wv", "bq", "bk", "bv")]
-        return [(n, t) for n, t in named if t is not None]
+    def init(params, prefix, d):
+        """Declare ``prefix.wq``, ``.wk``, ``.wv`` and zero ``.bq``, ``.bk``, ``.bv``."""
+        w = [params.normal(f"{prefix}.w{n}", (d, d), d ** -0.5) for n in "qkv"]
+        b = [params.const(f"{prefix}.b{n}", (d,), 0.0) for n in "qkv"]
+        return ProjectionWeights(*w, *b)
 
     def project(self, centers, pixels):
-        q = matmul(centers, self.wq)
-        if self.bq is not None:
-            q = q + self.bq
-        k = matmul(pixels, self.wk)
-        if self.bk is not None:
-            k = k + self.bk
-        v = matmul(pixels, self.wv)
-        if self.bv is not None:
-            v = v + self.bv
-        return q, k, v
+        return self._q(centers), self._k(pixels), self._v(pixels)
 
     def attend(self, queries, keys, kind="softmax", logit_scale=1.0,
                normalize=False, prev_centers=None):

@@ -135,7 +135,7 @@ class PQStat:
     def _bump(self, store, cls, amount=1):
         store[cls] = store.get(cls, 0) + amount
 
-    def update(self, pred, gt, thing_ids=frozenset()):
+    def update(self, pred, gt):
         pred_map = pred.to_map() if isinstance(pred, PanopticResult) else pred
         if pred_map.class_map.shape != gt.class_map.shape:
             raise ShapeError(
@@ -212,7 +212,7 @@ class PQStat:
 
 def panoptic_quality(pred, gt, thing_ids=frozenset()):
     """Single-image PQ with PQ over thing and stuff classes split out."""
-    return PQStat().update(pred, gt, thing_ids).summarize(thing_ids)
+    return PQStat().update(pred, gt).summarize(thing_ids)
 
 
 def miou(pred, gt):
@@ -249,7 +249,7 @@ def evaluate_model(model, examples, infer_cfg, class_table):
                              thing_ids=thing_ids,
                              mask_binarize=infer_cfg.mask_binarize)
         full = merged.upscale(gt.height // pred.height)
-        stat.update(full, gt, thing_ids)
+        stat.update(full, gt)
         classes, img_inter, img_union, _ = _class_overlap(full, gt)
         keep = (classes >= 0) & (classes < num_classes)
         inter[classes[keep]] += img_inter[keep]

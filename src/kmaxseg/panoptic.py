@@ -128,6 +128,13 @@ class PredictionSet:
     def num_classes(self):
         return self.class_logits.data.shape[1] - 1
 
+    @property
+    def affinity(self):
+        """Read-only (N, HW) view of the mask logits, detached."""
+        view = self.mask_logits.data.T
+        view.flags.writeable = False
+        return view
+
     def mask_probs(self):
         """Per-pixel softmax over the N masks; rows sum to one."""
         return softmax(Tensor(self.mask_logits.data), axis=1).data

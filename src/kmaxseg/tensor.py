@@ -505,7 +505,7 @@ def conv3x3(x, weight, bias=None, stride=1):
 def cross_entropy_from_logits(logits, targets, reduction="mean"):
     """Row-wise negative log-likelihood of integer ``targets`` under ``logits``.
 
-    ``reduction`` is 'mean', 'sum', or 'none' (per-row vector).
+    ``reduction`` is 'mean' or 'none' (per-row vector).
     """
     logits = _as_tensor(logits)
     if logits.data.ndim != 2:
@@ -526,8 +526,6 @@ def cross_entropy_from_logits(logits, targets, reduction="mean"):
 
     if reduction == "none":
         data = nll
-    elif reduction == "sum":
-        data = nll.sum()
     elif reduction == "mean":
         data = nll.mean()
     else:
@@ -538,8 +536,6 @@ def cross_entropy_from_logits(logits, targets, reduction="mean"):
         d[rows, ids] -= 1.0
         if reduction == "none":
             d *= g[:, None]
-        elif reduction == "sum":
-            d *= g
         else:
             d *= g / r
         _accum(logits, d)

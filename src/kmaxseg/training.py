@@ -113,6 +113,17 @@ def _upsample_logits(aux, target_stride_hw):
     return logits
 
 
+def _masked_cross_entropy(logits, targets):
+    """Mean cross-entropy over the rows whose target is not negative; 0 if none."""
+    keep = targets >= 0
+    if keep.all():
+        return cross_entropy_from_logits(logits, targets)
+    if not keep.any():
+        return Tensor(0.0)
+    rows = np.nonzero(keep)[0]
+    return cross_entropy_from_logits(take(logits, rows, axis=0), targets[rows])
+
+
 def _output_terms(mask_logits, class_logits, masks, class_ids, matching, w_void):
     """Mask-quality and mask-id terms for one output (final or auxiliary)."""
     n = class_logits.data.shape[0]
@@ -143,16 +154,7 @@ def _output_terms(mask_logits, class_logits, masks, class_ids, matching, w_void)
     qid = np.full(hw, -1, dtype=np.int64)
     for i in range(k):
         qid[masks[:, i] > 0] = matching.gt_to_query[i]
-    supervised = qid >= 0
-    if supervised.all():
-        maskid = cross_entropy_from_logits(mask_logits, qid, reduction="mean")
-    elif supervised.any():
-        rows = np.nonzero(supervised)[0]
-        maskid = cross_entropy_from_logits(
-            take(mask_logits, rows, axis=0), qid[rows], reduction="mean")
-    else:
-        maskid = Tensor(0.0)
-    return pq, maskid
+    return pq, _masked_cross_entropy(mask_logits, qid)
 
 
 def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False):
@@ -186,16 +188,7 @@ def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False
         pq_sum += a_pq.item()
         maskid_sum += a_maskid.item()
 
-    flat_classes = gt.class_map.reshape(-1)
-    labeled = flat_classes >= 0
-    if labeled.all():
-        l_sem = cross_entropy_from_logits(sem_logits, flat_classes, reduction="mean")
-    elif labeled.any():
-        rows = np.nonzero(labeled)[0]
-        l_sem = cross_entropy_from_logits(take(sem_logits, rows, axis=0),
-                                          flat_classes[rows], reduction="mean")
-    else:
-        l_sem = Tensor(0.0)
+    l_sem = _masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
     total = total + scale(l_sem, weights.w_sem)
 
     if return_parts:

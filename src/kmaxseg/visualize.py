@@ -61,10 +61,10 @@ def render_stages(model, image, infer_cfg, thing_ids, out_dir):
         pred, aux, _ = model.forward(image)
     side = image.shape[0]
     paths = []
-    for a in aux:
+    for stage, a in enumerate(aux):
         img = assignment_image(a.affinity, a.height, a.width,
                                upscale=side // a.height)
-        path = os.path.join(out_dir, f"stage_{a.source:02d}.ppm")
+        path = os.path.join(out_dir, f"stage_{stage:02d}.ppm")
         write_ppm(path, img)
         paths.append(path)
     merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,

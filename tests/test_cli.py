@@ -1,3 +1,5 @@
+import pytest
+
 from kmaxseg.cli import main
 
 TINY = """\
@@ -38,3 +40,13 @@ def test_train_with_zero_eval_interval_is_a_config_error(tmp_path, capsys):
     cfg = _config(tmp_path, eval_interval=0)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["eval", "--seed", "5"], ["ablate", "--seed", "9"],
+                                  ["ablate", "--out", "abl"]])
+def test_flags_a_command_never_reads_are_not_offered(argv, capsys):
+    # eval and ablate never read --seed, and ablate never reads --out
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

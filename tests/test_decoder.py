@@ -60,12 +60,12 @@ def _reference_forward(block, c, p, interaction):
     v2 = proj(pin, block.ker_proj.wv, block.ker_proj.bv)
     c2 = c1 + ln(interaction(q2, k2, v2), block.ker_ln_out)
     # ffn
-    h = proj(ln(c2, block.ffn_ln), block.ffn_w1, block.ffn_b1)
+    h = proj(ln(c2, block.ffn_ln), block.ffn1.w, block.ffn1.b)
     h = 0.5 * h * (1 + erf(h / np.sqrt(2)))
-    c3 = c2 + ln(proj(h, block.ffn_w2, block.ffn_b2), block.ffn_ln_out)
+    c3 = c2 + ln(proj(h, block.ffn2.w, block.ffn2.b), block.ffn_ln_out)
 
-    mask_ref = scale * ((q2 @ block.mask_w.data + block.mask_b.data) @ k2.T)
-    cls_ref = ln(c3, block.head_ln) @ block.class_w.data + block.class_b.data
+    mask_ref = scale * ((q2 @ block.mask.w.data + block.mask.b.data) @ k2.T)
+    cls_ref = ln(c3, block.head_ln) @ block.cls.w.data + block.cls.b.data
     return c3, mask_ref.T, cls_ref
 
 
@@ -139,7 +139,6 @@ def test_schedule_shapes_and_errors():
     # (1,1,1) consumes the pyramid coarse-to-fine, one aux per block
     _, aux = stack_forward(mk(3), c, pyramid, (1, 1, 1))
     assert [a.height * a.width for a in aux] == [2, 4, 8]
-    assert [a.source for a in aux] == [0, 1, 2]
     # (2,2,2) -> six auxiliary predictions
     _, aux6 = stack_forward(mk(6), c, pyramid, (2, 2, 2))
     assert len(aux6) == 6

@@ -4,6 +4,7 @@ import pytest
 from kmaxseg import tensor as T
 from kmaxseg.errors import ShapeError
 from kmaxseg.kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
+from kmaxseg.layers import Params
 from kmaxseg.tensor import Tensor
 
 
@@ -13,8 +14,8 @@ def _numpy_softmax(x, axis):
 
 
 def _zero_weights(d):
-    z = Tensor(np.zeros((d, d)))
-    return ProjectionWeights(z, z, z)
+    z, zb = Tensor(np.zeros((d, d))), Tensor(np.zeros(d))
+    return ProjectionWeights(z, z, z, zb, zb, zb)
 
 
 def test_softmax_attention_zero_weights_is_identity():
@@ -191,7 +192,7 @@ def test_permutation_equivariance_in_cluster_index():
     rng = np.random.default_rng(11)
     c = rng.normal(size=(4, 6))
     p = Tensor(rng.normal(size=(9, 6)))
-    w = ProjectionWeights.init(np.random.default_rng(0), 6)
+    w = ProjectionWeights.init(Params(np.random.default_rng(0)), "p", 6)
     perm = np.array([2, 0, 3, 1])
     for kind in ("softmax", "kmeans"):
         base, base_logits = w.attend(Tensor(c), p, kind)
@@ -205,7 +206,7 @@ def test_permutation_equivariance_in_cluster_index():
 def test_self_attention_single_query():
     rng = np.random.default_rng(12)
     c = Tensor(rng.normal(size=(1, 4)))
-    w = ProjectionWeights.init(np.random.default_rng(1), 4)
+    w = ProjectionWeights.init(Params(np.random.default_rng(1)), "p", 4)
     update, _ = w.attend(c, c)
     out = c + update
     v = c.data @ w.wv.data + w.bv.data
@@ -215,7 +216,7 @@ def test_self_attention_single_query():
 def test_self_attention_matches_reimplementation():
     rng = np.random.default_rng(13)
     c = rng.normal(size=(3, 4))
-    w = ProjectionWeights.init(np.random.default_rng(2), 4)
+    w = ProjectionWeights.init(Params(np.random.default_rng(2)), "p", 4)
     update, _ = w.attend(Tensor(c), Tensor(c))
     out = update + c
     q = c @ w.wq.data + w.bq.data
@@ -228,7 +229,7 @@ def test_self_attention_matches_reimplementation():
 def test_self_attention_permutation_equivariance():
     rng = np.random.default_rng(14)
     c = rng.normal(size=(5, 4))
-    w = ProjectionWeights.init(np.random.default_rng(3), 4)
+    w = ProjectionWeights.init(Params(np.random.default_rng(3)), "p", 4)
     perm = np.array([4, 2, 0, 1, 3])
     out = (w.attend(Tensor(c), Tensor(c))[0] + c).data
     out_perm = (w.attend(Tensor(c[perm]), Tensor(c[perm]))[0] + c[perm]).data
@@ -239,7 +240,7 @@ def test_gradient_routes_of_kmeans_attention():
     rng = np.random.default_rng(15)
     c = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     p = Tensor(rng.normal(size=(8, 4)))
-    w = ProjectionWeights.init(np.random.default_rng(4), 4)
+    w = ProjectionWeights.init(Params(np.random.default_rng(4)), "p", 4)
 
     update, logits = w.attend(c, p, "kmeans")
     out = c + update
@@ -262,7 +263,7 @@ def test_kmeans_attention_gradcheck_through_loss_path():
 
     rng = np.random.default_rng(16)
     p = Tensor(rng.normal(size=(4, 3)))
-    w = ProjectionWeights.init(np.random.default_rng(5), 3)
+    w = ProjectionWeights.init(Params(np.random.default_rng(5)), "p", 3)
     r_out = np.random.default_rng(6).normal(size=(4, 3))
     r_log = np.random.default_rng(7).normal(size=(4, 4))
 

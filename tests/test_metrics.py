@@ -168,7 +168,7 @@ def test_pq_matching_is_injective():
         gt = PanopticMap(cls, inst)
         pred = PanopticResult(rng.integers(0, 2, size=(8, 8)).astype(np.int64),
                               rng.integers(0, 4, size=(8, 8)).astype(np.int64), [])
-        stat = PQStat().update(pred, gt, {1})
+        stat = PQStat().update(pred, gt)
         res = stat.summarize({1})
         for cls_id, row in res["per_class"].items():
             # TPs can never exceed the number of gt or pred segments

@@ -79,7 +79,6 @@ def test_forward_output_shapes_match_config():
     assert pred.class_logits.data.shape == (16, 5)
     assert sem.data.shape == (256, 5)
     assert len(aux) == 6
-    assert [a.source for a in aux] == list(range(6))
 
 
 def test_query_permutation_equivariance_end_to_end():
@@ -205,18 +204,21 @@ def test_checkpoint_rejects_one_flipped_payload_byte(tmp_path):
         load_checkpoint(path, KMaxModel(_small_cfg(), seed=1))
 
 
-def test_checkpoint_without_config_or_checksum_lines_still_loads(tmp_path):
-    model = KMaxModel(_small_cfg(), seed=0)
+def test_checkpoint_without_config_or_checksum_line_is_rejected(tmp_path):
+    # without either line nothing shows the file describes this model: a
+    # kmeans checkpoint would load into a softmax model with no error
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
     lines = path.read_bytes().split(b"\n")
     assert lines[1].startswith(b"config ") and lines[2].startswith(b"sha256 ")
-    path.write_bytes(b"\n".join(lines[:1] + lines[3:]))
-    other = KMaxModel(_small_cfg(kernel="softmax"), seed=1)
-    load_checkpoint(path, other)
-    assert all(np.array_equal(a.data, b.data) for (_, a, _), (_, b, _)
-               in zip(model.named_parameters(), other.named_parameters()))
-    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    model = KMaxModel(_small_cfg(), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    for drop, word in ((1, "config"), (2, "sha256")):
+        path.write_bytes(b"\n".join(lines[:drop] + lines[drop + 1:]))
+        with pytest.raises(ConfigError, match=f"has no {word} line"):
+            load_checkpoint(path, model)
+        assert all(np.array_equal(b, t.data)
+                   for b, (_, t, _) in zip(before, model.named_parameters()))
 
 
 def test_checkpoint_with_a_removed_config_key_is_rejected(tmp_path):

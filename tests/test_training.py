@@ -5,13 +5,14 @@ import pytest
 
 from kmaxseg import tensor as T
 from kmaxseg.config import Config, TrainConfig
-from kmaxseg.data import SceneSpec, SyntheticDataset
+from kmaxseg.data import generate
 from kmaxseg.errors import ContractError
 from kmaxseg.gradcheck import grad_check
+from kmaxseg.model import KMaxModel
 from kmaxseg.panoptic import PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
-from kmaxseg.training import (AdamW, Matching, hungarian_match, matching_cost, total_loss,
-                              train_loop, warmup_lr)
+from kmaxseg.training import (AdamW, Matching, hungarian_match, matching_cost,
+                              scene_spec_from_config, total_loss, train_loop, warmup_lr)
 
 
 def brute_force_match(cost):
@@ -440,3 +441,23 @@ def test_loss_decreases_over_200_toy_steps():
         losses = np.array([float(r.split(",")[1]) for r in rows])
         drops.append(losses[-20:].mean() - losses[:20].mean())
     assert np.median(drops) < 0
+
+
+@pytest.mark.parametrize("kernel", ["kmeans", "softmax"])
+def test_the_loss_reaches_exactly_the_registered_parameters(kernel):
+    cfg = Config()
+    cfg.model.kernel = kernel
+    model = KMaxModel(cfg.model, seed=0)
+    img, gt = generate(scene_spec_from_config(cfg), 0)
+    pred, aux, sem = model.forward(img)
+    gt4 = gt.downsample(cfg.model.image_size // pred.height)
+    loss = total_loss(pred, aux, sem, gt4, cfg.train, hungarian_match(matching_cost(pred, gt4)))
+    leaves = [t for t in T.GradTape.from_output(loss).nodes
+              if t.requires_grad and not t._parents]
+    named = model.named_parameters()
+    assert sorted(map(id, leaves)) == sorted(id(t) for _, t, _ in named)
+    loss.backward()
+    assert [n for n, t, _ in named if t.grad is None] == []
+    # weight decay falls on exactly the randomly drawn tensors
+    for name, _, decay in named:
+        assert decay == (name == "queries" or name.endswith((".w", ".wq", ".wk", ".wv"))), name
