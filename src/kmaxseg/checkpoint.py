@@ -17,9 +17,9 @@ index into the payload that follows the ``data`` line.
 Loading is exact: the bytes written are the bytes restored. It fails with
 ``ConfigError`` when the model's config differs from the saved one (two
 kernels have equal parameter shapes, so shapes alone cannot tell them
-apart) or when the payload does not match its checksum. Files written
-before the ``config`` and ``sha256`` lines existed load without those
-checks.
+apart), when the payload does not match its checksum, or when the file
+has no ``config`` or no ``sha256`` line, as files written before those
+lines existed do.
 """
 
 from __future__ import annotations

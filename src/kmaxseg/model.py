@@ -27,7 +27,7 @@ from .kernels import PixelFeatures, ProjectionWeights
 from .layers import Params
 from .panoptic import PredictionSet
 from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, transpose,
-                     upsample2x_nearest)
+                     upsample_nearest)
 
 __all__ = ["KMaxModel"]
 
@@ -136,7 +136,7 @@ class KMaxModel:
             flat = reshape(skip, (hs * ws, skip.data.shape[2]))
             t = self.proj[s](flat)
             if prev is not None:
-                up = upsample2x_nearest(reshape(prev, (hs // 2, ws // 2, self.cfg.d)))
+                up = upsample_nearest(reshape(prev, (hs // 2, ws // 2, self.cfg.d)), 2)
                 t = t + reshape(up, (hs * ws, self.cfg.d))
             t = t + self.pos[s]
             if s == 32:

@@ -306,20 +306,6 @@ def reshape(x, shape):
     return _make(x.data.reshape(shape), (x,), bwd)
 
 
-def slice_along(x, axis, start, stop):
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    index = (slice(None),) * axis + (slice(start, stop),)
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[index] = g
-            _accum(x, gx)
-
-    return _make(x.data[index], (x,), bwd)
-
-
 def take(x, indices, axis=0):
     """Select rows (or slices along ``axis``) by integer index."""
     x = _as_tensor(x)
@@ -420,16 +406,27 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # -- spatial ops ----------------------------------------------------------------
 
 
-def upsample2x_nearest(x):
-    """Nearest-neighbor 2x upsampling of an (H, W, C) tensor."""
+def upsample_nearest(x, factor):
+    """Nearest-neighbor upsampling of an (H, W, C) tensor by a power of two.
+
+    The backward sums the gradient over 2x2 blocks once per doubling, finest
+    first: one sum over factor x factor blocks rounds differently from that
+    chain for factors above 2.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 3:
-        raise ShapeError(f"upsample2x_nearest expects (H, W, C), got {x.data.shape}")
+        raise ShapeError(f"upsample_nearest expects (H, W, C), got {x.data.shape}")
+    if factor < 1 or factor & (factor - 1):
+        raise ContractError(f"upsample factor must be a power of two, got {factor}")
     h, w, c = x.data.shape
-    data = np.repeat(np.repeat(x.data, 2, axis=0), 2, axis=1)
+    data = np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1)
 
     def bwd(g):
-        _accum(x, g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)))
+        f = factor
+        while f > 1:
+            f //= 2
+            g = g.reshape(h * f, 2, w * f, 2, c).sum(axis=(1, 3))
+        _accum(x, g)
 
     return _make(data, (x,), bwd)
 

@@ -12,7 +12,12 @@ the final output and every auxiliary decoder output:
 * a semantic cross-entropy on the stride-4 semantic head (final output only).
 
 All mask losses are computed at stride 4; coarser auxiliary logits are
-upsampled by nearest neighbor first.
+upsampled by nearest neighbor first. The final and every auxiliary output
+weigh alike.
+
+The recipe is fixed, as in the paper's ablations, which vary only the
+kernel and the decoder count: the constants below hold the learning rate,
+its warm-up and the loss weights.
 """
 
 from __future__ import annotations
@@ -29,9 +34,15 @@ from .errors import ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
 from .tensor import (Tensor, cross_entropy_from_logits, div, mul, reduce_sum,
-                     reshape, scale, softmax, take, upsample2x_nearest)
+                     reshape, scale, softmax, take, upsample_nearest)
 
 DICE_EPS = 1e-6
+LR = 1e-3
+WARMUP_FRAC = 0.05
+W_PQ = 3.0
+W_SEM = 1.0
+W_MASKID = 0.3
+W_VOID = 0.1
 
 
 @dataclass
@@ -100,17 +111,15 @@ def matching_cost(pred, gt):
 
 def _upsample_logits(aux, target_stride_hw):
     """Nearest-upsample (HW, N) stage logits to the supervision resolution."""
-    logits, h, w = aux.mask_logits, aux.height, aux.width
-    n = logits.data.shape[1]
+    h, w = aux.height, aux.width
     target_h, target_w = target_stride_hw
-    while (h, w) != (target_h, target_w):
-        logits = reshape(upsample2x_nearest(reshape(logits, (h, w, n))),
-                         ((h * 2) * (w * 2), n))
-        h, w = h * 2, w * 2
-        if h > target_h:
-            raise ShapeError(f"stage logits {aux.height}x{aux.width} exceed "
-                             f"supervision grid {target_h}x{target_w}")
-    return logits
+    factor = target_h // h
+    if factor & (factor - 1) or (h * factor, w * factor) != (target_h, target_w):
+        raise ShapeError(f"stage logits {h}x{w} do not double up to the "
+                         f"supervision grid {target_h}x{target_w}")
+    n = aux.mask_logits.data.shape[1]
+    up = upsample_nearest(reshape(aux.mask_logits, (h, w, n)), factor)
+    return reshape(up, (target_h * target_w, n))
 
 
 def _masked_cross_entropy(logits, targets):
@@ -124,7 +133,7 @@ def _masked_cross_entropy(logits, targets):
     return cross_entropy_from_logits(take(logits, rows, axis=0), targets[rows])
 
 
-def _output_terms(mask_logits, class_logits, masks, class_ids, matching, w_void):
+def _output_terms(mask_logits, class_logits, masks, class_ids, matching):
     """Mask-quality and mask-id terms for one output (final or auxiliary)."""
     n = class_logits.data.shape[0]
     k = matching.num_matched
@@ -147,7 +156,7 @@ def _output_terms(mask_logits, class_logits, masks, class_ids, matching, w_void)
     unmatched = matching.unmatched_queries()
     if unmatched.size:
         void_ce = reduce_sum(take(ce_rows, unmatched, axis=0))
-        pq = pq + scale(void_ce, w_void / unmatched.size)
+        pq = pq + scale(void_ce, W_VOID / unmatched.size)
 
     # mask-id cross-entropy over pixels covered by a ground-truth segment
     hw = mask_logits.data.shape[0]
@@ -157,10 +166,11 @@ def _output_terms(mask_logits, class_logits, masks, class_ids, matching, w_void)
     return pq, _masked_cross_entropy(mask_logits, qid)
 
 
-def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False):
-    """Weighted training loss for one image.
+def total_loss(final, aux, sem_logits, gt, matching):
+    """Weighted training loss for one image and its unweighted parts.
 
-    ``weights`` is the ``TrainConfig`` whose ``w_*`` fields weight the terms.
+    Returns ``(loss, parts)``; ``parts`` holds the floats ``l_pq`` and
+    ``l_maskid`` summed over the final and auxiliary outputs, and ``l_sem``.
     ``matching`` must be the assignment computed on ``final``; it is reused
     for every auxiliary output. ``gt`` is the ground truth already at the
     supervision resolution of ``final``.
@@ -175,25 +185,20 @@ def total_loss(final, aux, sem_logits, gt, weights, matching, return_parts=False
         )
 
     l_pq, l_maskid = _output_terms(final.mask_logits, final.class_logits,
-                                   masks, class_ids, matching, weights.w_void)
-    total = scale(l_pq, weights.w_pq) + scale(l_maskid, weights.w_maskid)
+                                   masks, class_ids, matching)
+    total = scale(l_pq, W_PQ) + scale(l_maskid, W_MASKID)
     pq_sum, maskid_sum = l_pq.item(), l_maskid.item()
     for a in aux:
         up = _upsample_logits(a, (final.height, final.width))
-        a_pq, a_maskid = _output_terms(up, a.class_logits, masks, class_ids,
-                                       matching, weights.w_void)
-        total = total + scale(
-            scale(a_pq, weights.w_pq) + scale(a_maskid, weights.w_maskid),
-            weights.w_aux)
+        a_pq, a_maskid = _output_terms(up, a.class_logits, masks, class_ids, matching)
+        # bracketed so the float additions keep their order
+        total = total + (scale(a_pq, W_PQ) + scale(a_maskid, W_MASKID))
         pq_sum += a_pq.item()
         maskid_sum += a_maskid.item()
 
     l_sem = _masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
-    total = total + scale(l_sem, weights.w_sem)
-
-    if return_parts:
-        return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
-    return total
+    total = total + scale(l_sem, W_SEM)
+    return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
 
 
 class AdamW:
@@ -227,7 +232,7 @@ class AdamW:
 
     CHUNK = 16 * 1024
 
-    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999,
+    def __init__(self, named_params, lr=LR, beta1=0.9, beta2=0.999,
                  eps=1e-8, weight_decay=0.05):
         self.items = [(t, decay) for _, t, decay in named_params]
         self.lr = lr
@@ -324,15 +329,8 @@ class TrainResult:
 
 
 def scene_spec_from_config(cfg):
-    return SceneSpec(
-        seed=cfg.data.seed,
-        height=cfg.model.image_size,
-        width=cfg.model.image_size,
-        min_shapes=cfg.data.min_shapes,
-        max_shapes=cfg.data.max_shapes,
-        color_jitter=cfg.data.color_jitter,
-        min_segment_px=cfg.data.min_segment_px,
-    )
+    size = cfg.model.image_size
+    return SceneSpec(seed=cfg.data.seed, height=size, width=size)
 
 
 def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
@@ -348,15 +346,16 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     cfg.validate()
     tc = cfg.train
     seed = tc.seed if seed is None else seed
+    spec = scene_spec_from_config(cfg)
     if dataset is None:
-        dataset = SyntheticDataset(scene_spec_from_config(cfg), tc.train_size, tc.val_size)
+        dataset = SyntheticDataset(spec, tc.train_size, tc.val_size)
     table = dataset.class_table
     if table.num_classes != cfg.model.num_classes:
         raise ContractError(
             f"dataset has {table.num_classes} classes but the model expects "
             f"{cfg.model.num_classes}"
         )
-    max_segments = cfg.data.max_shapes + len(table.stuff_ids)
+    max_segments = spec.max_shapes + len(table.stuff_ids)
     if cfg.model.num_queries < max_segments:
         raise ContractError(
             f"{cfg.model.num_queries} queries cannot cover up to "
@@ -366,8 +365,7 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     ss = np.random.SeedSequence(seed)
     s_model, s_order, s_aug = ss.spawn(3)
     model = KMaxModel(cfg.model, seed=s_model)
-    opt = AdamW(model.named_parameters(), lr=tc.lr, beta1=tc.beta1,
-                beta2=tc.beta2, eps=tc.eps, weight_decay=tc.weight_decay)
+    opt = AdamW(model.named_parameters())
     order_rng = np.random.default_rng(s_order)
     aug_rng = np.random.default_rng(s_aug)
 
@@ -380,18 +378,18 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         if step % n_train == 0:
             order = order_rng.permutation(n_train)
         img, gt = dataset.train[order[step % n_train]]
-        img, gt = augment_flip(img, gt, aug_rng, prob=tc.flip_prob)
+        img, gt = augment_flip(img, gt, aug_rng)
 
         model.zero_grad()
         pred, aux, sem = model.forward(img)
         gt4 = gt.downsample(cfg.model.image_size // pred.height)
         matching = hungarian_match(matching_cost(pred, gt4))
-        loss, parts = total_loss(pred, aux, sem, gt4, tc, matching, return_parts=True)
+        loss, parts = total_loss(pred, aux, sem, gt4, matching)
         if not np.isfinite(loss.item()):
             # stop before backward and the update can corrupt the parameters
             raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")
         loss.backward()
-        opt.step(warmup_lr(step, tc.steps, tc.lr, tc.warmup_frac))
+        opt.step(warmup_lr(step, tc.steps, LR, WARMUP_FRAC))
 
         is_eval = (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps
         if is_eval:

@@ -42,6 +42,12 @@ def test_train_with_zero_eval_interval_is_a_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_with_a_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    assert main(["train", "--config", cfg, "--seed", "-5", "--out", str(tmp_path / "run")]) == 2
+    assert "error: train.seed must be non-negative, got -5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["eval", "--seed", "5"], ["ablate", "--seed", "9"],
                                   ["ablate", "--out", "abl"]])
 def test_flags_a_command_never_reads_are_not_offered(argv, capsys):

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 
 import pytest
@@ -12,6 +13,7 @@ INTS = st.integers(-2**40, 2**40)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 UNIT = st.floats(0.0, 1.0)
 POSITIVE = st.integers(1, 10**6)
+SEEDS = st.integers(0, 2**40)
 
 
 def _section(cls, **constrained):
@@ -46,9 +48,8 @@ CONFIGS = st.builds(
         kernel=st.sampled_from(["kmeans", "softmax"]),
     ),
     train=_section(TrainConfig, steps=POSITIVE, train_size=POSITIVE, val_size=POSITIVE,
-                   eval_interval=POSITIVE, lr=st.floats(0.0, 1e6, exclude_min=True),
-                   warmup_frac=UNIT, flip_prob=UNIT),
-    data=_section(DataConfig),
+                   eval_interval=POSITIVE, seed=SEEDS),
+    data=_section(DataConfig, seed=SEEDS),
     infer=_section(InferConfig, conf_thresh=UNIT, overlap_thresh=UNIT, mask_binarize=UNIT),
 ).filter(lambda cfg: cfg.model.kernel == "kmeans" or not cfg.model.kmeans_normalize)
 
@@ -64,10 +65,30 @@ def test_config_round_trips_through_text(cfg):
     ("model", "selfattn_first"), ("model", "share_stage_heads"), ("model", "drop_query"),
     ("train", "aux_supervision"), ("train", "pq_norm"),
     ("data", "separate_background_classes"),
+    # the fixed training recipe and scene ranges
+    *[("train", key) for key in ("lr", "warmup_frac", "weight_decay", "beta1", "beta2",
+                                 "eps", "flip_prob", "w_pq", "w_sem", "w_maskid", "w_void",
+                                 "w_aux")],
+    *[("data", key) for key in ("min_shapes", "max_shapes", "color_jitter",
+                                "min_segment_px")],
 ])
 def test_removed_keys_are_unknown(section, key):
     with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
         parse_config(f"[{section}]\n{key} = 1\n")
+
+
+def test_config_file_lists_exactly_the_settable_keys():
+    parser = configparser.ConfigParser()
+    parser.read_string(serialize_config(Config()))
+    assert [f"{s}.{k}" for s in parser.sections() for k in parser[s]] == [
+        "model.d", "model.num_queries", "model.num_classes", "model.image_size",
+        "model.schedule", "model.kernel", "model.kmeans_normalize", "model.ffn_hidden",
+        "model.encoder_channels",
+        "train.steps", "train.seed", "train.train_size", "train.val_size",
+        "train.eval_interval",
+        "data.seed",
+        "infer.conf_thresh", "infer.overlap_thresh", "infer.mask_binarize",
+    ]
 
 
 @pytest.mark.parametrize("key,value", [("d", -4), ("num_queries", 0), ("num_classes", 0),
@@ -79,11 +100,8 @@ def test_non_positive_model_sizes_raise_config_error(key, value):
 
 @pytest.mark.parametrize("text,match", [
     ("[train]\neval_interval = 0", "train.eval_interval must be positive"),
-    ("[train]\nlr = 0.0", "train.lr must be positive"),
-    ("[train]\nlr = -1e-3", "train.lr must be positive"),
-    ("[train]\nwarmup_frac = 1.5", r"train.warmup_frac must lie in \[0, 1\]"),
-    ("[train]\nflip_prob = 3", r"train.flip_prob must lie in \[0, 1\]"),
-    ("[train]\nflip_prob = -0.1", r"train.flip_prob must lie in \[0, 1\]"),
+    ("[train]\nseed = -1", "train.seed must be non-negative"),
+    ("[data]\nseed = -3", "data.seed must be non-negative"),
     ("[infer]\nmask_binarize = 7", r"infer.mask_binarize must lie in \[0, 1\]"),
     ("[infer]\nmask_binarize = nan", r"infer.mask_binarize must lie in \[0, 1\]"),
     ("[model]\nkernel = softmax\nkmeans_normalize = true",

@@ -251,8 +251,29 @@ def test_conv3x3_rejects_other_strides_with_a_contract_error():
 
 def test_upsample2x_nearest_values():
     x = Tensor(np.arange(4.0).reshape(2, 2, 1))
-    up = T.upsample2x_nearest(x).data[:, :, 0]
+    up = T.upsample_nearest(x, 2).data[:, :, 0]
     assert np.array_equal(up, [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
+    assert np.array_equal(T.upsample_nearest(x, 4).data[:, :, 0],
+                          np.kron(x.data[:, :, 0], np.ones((4, 4))))
+    with pytest.raises(ContractError, match="power of two"):
+        T.upsample_nearest(x, 3)
+
+
+def test_upsample_backward_equals_the_chain_of_doublings():
+    # bitwise: the one op must keep the summation order of repeated 2x upsampling
+    x = Tensor(np.random.default_rng(9).normal(size=(3, 2, 5)), requires_grad=True)
+    for factor in (4, 8):
+        g = np.random.default_rng(factor).normal(size=(3 * factor, 2 * factor, 5))
+        chain = x
+        for _ in range(factor.bit_length() - 1):
+            chain = T.upsample_nearest(chain, 2)
+        x.grad = None
+        T.reduce_sum(T.mul(chain, Tensor(g))).backward()
+        expected = x.grad
+        x.grad = None
+        T.reduce_sum(T.mul(T.upsample_nearest(x, factor), Tensor(g))).backward()
+        assert np.array_equal(T.upsample_nearest(x, factor).data, chain.data)
+        assert x.grad.tobytes() == expected.tobytes()
 
 
 def test_layer_norm_rows_standardized():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from kmaxseg import tensor as T
-from kmaxseg.config import Config, TrainConfig
+from kmaxseg.config import Config
 from kmaxseg.data import generate
-from kmaxseg.errors import ContractError
+from kmaxseg.errors import ContractError, ShapeError
 from kmaxseg.gradcheck import grad_check
 from kmaxseg.model import KMaxModel
 from kmaxseg.panoptic import PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
-from kmaxseg.training import (AdamW, Matching, hungarian_match, matching_cost,
-                              scene_spec_from_config, total_loss, train_loop, warmup_lr)
+from kmaxseg.training import (W_MASKID, W_PQ, W_SEM, AdamW, Matching, _upsample_logits,
+                              hungarian_match, matching_cost, scene_spec_from_config,
+                              total_loss, train_loop, warmup_lr)
 
 
 def brute_force_match(cost):
@@ -129,29 +130,28 @@ def test_matching_cost_bilinear_in_class_probability():
     assert abs(ratio - 1 / 3) < 1e-3
 
 
-def _loss_inputs(gt, num_classes, weights=None):
+def _loss_inputs(gt, num_classes):
     pred = _one_hot_prediction(gt, num_classes, sharpness=50.0)
     sem = Tensor(np.zeros((gt.height * gt.width, num_classes + 1)))
-    weights = weights or TrainConfig()
     matching = hungarian_match(matching_cost(pred, gt))
-    return pred, sem, weights, matching
+    return pred, sem, matching
 
 
 def test_total_loss_requires_matching():
     gt = _tiny_gt()
-    pred, sem, weights, _ = _loss_inputs(gt, 2)
+    pred, sem, _ = _loss_inputs(gt, 2)
     with pytest.raises(ContractError):
-        total_loss(pred, [], sem, gt, weights, None)
+        total_loss(pred, [], sem, gt, None)
 
 
 def test_total_loss_perfect_prediction_nears_lower_bound():
     gt = _tiny_gt()
     pred = _one_hot_prediction(gt, num_classes=2, sharpness=500.0)
     sem = Tensor(np.zeros((16, 3)))
-    weights = TrainConfig(w_sem=0.0, w_void=0.0)
     matching = hungarian_match(matching_cost(pred, gt))
-    loss, parts = total_loss(pred, [], sem, gt, weights, matching, return_parts=True)
-    # CE of matched classes ~ 0, dice term ~ 0, mask-id CE ~ 0
+    _, parts = total_loss(pred, [], sem, gt, matching)
+    # CE of matched classes ~ 0, dice term ~ 0, void CE of the unmatched
+    # query ~ 0, mask-id CE ~ 0
     assert parts["l_pq"] < 1e-4
     assert parts["l_maskid"] < 1e-4
 
@@ -162,19 +162,23 @@ def test_total_loss_uniform_masks_give_log_n_maskid():
     pred = PredictionSet(Tensor(np.zeros((16, n))), Tensor(np.zeros((n, 3))), 4, 4)
     sem = Tensor(np.zeros((16, 3)))
     matching = Matching(np.array([0, 1]), n)
-    _, parts = total_loss(pred, [], sem, gt, TrainConfig(), matching, return_parts=True)
+    _, parts = total_loss(pred, [], sem, gt, matching)
     assert abs(parts["l_maskid"] - np.log(n)) < 1e-12
 
 
 def test_total_loss_without_aux_equals_final_terms():
     gt = _tiny_gt()
-    pred, sem, weights, matching = _loss_inputs(gt, 2)
-    full = total_loss(pred, [], sem, gt, weights, matching)
-    manual, parts = total_loss(pred, [], sem, gt, weights, matching, return_parts=True)
-    expected = (weights.w_pq * parts["l_pq"] + weights.w_maskid * parts["l_maskid"]
-                + weights.w_sem * parts["l_sem"])
-    assert abs(full.item() - expected) < 1e-12
-    assert abs(full.item() - manual.item()) < 1e-15
+    pred, sem, matching = _loss_inputs(gt, 2)
+    loss, parts = total_loss(pred, [], sem, gt, matching)
+    expected = W_PQ * parts["l_pq"] + W_MASKID * parts["l_maskid"] + W_SEM * parts["l_sem"]
+    assert abs(loss.item() - expected) < 1e-12
+
+
+def test_stage_logits_that_do_not_double_up_to_the_grid_raise_shape_error():
+    for h, w in ((3, 3), (2, 4), (8, 8)):
+        stage = PredictionSet(Tensor(np.zeros((h * w, 2))), Tensor(np.zeros((2, 3))), h, w)
+        with pytest.raises(ShapeError, match="supervision grid 4x4"):
+            _upsample_logits(stage, (4, 4))
 
 
 def test_total_loss_gradient_passes_finite_differences():
@@ -184,17 +188,15 @@ def test_total_loss_gradient_passes_finite_differences():
     num_classes = 2
     n, hw, c = 2, 16, num_classes + 1
     matching = Matching(np.array([0, 1]), n)
-    weights = TrainConfig()
-    sizes = (hw * n, n * c, hw * c)
+    shapes = ((hw, n), (n, c), (hw, c))
+    starts = np.cumsum([0] + [a * b for a, b in shapes])
 
     def f(x):
-        m = T.reshape(T.slice_along(x, 0, 0, sizes[0]), (hw, n))
-        cl = T.reshape(T.slice_along(x, 0, sizes[0], sizes[0] + sizes[1]), (n, c))
-        sem = T.reshape(T.slice_along(x, 0, sizes[0] + sizes[1], sum(sizes)), (hw, c))
-        pred = PredictionSet(m, cl, 4, 4)
-        return total_loss(pred, [], sem, gt, weights, matching)
+        m, cl, sem = (T.reshape(T.take(x, np.arange(lo, hi)), shape)
+                      for lo, hi, shape in zip(starts, starts[1:], shapes))
+        return total_loss(PredictionSet(m, cl, 4, 4), [], sem, gt, matching)[0]
 
-    x = Tensor(rng.normal(size=(sum(sizes),)))
+    x = Tensor(rng.normal(size=(starts[-1],)))
     assert grad_check(f, x, eps=1e-5) < 1e-4
 
 
@@ -451,7 +453,7 @@ def test_the_loss_reaches_exactly_the_registered_parameters(kernel):
     img, gt = generate(scene_spec_from_config(cfg), 0)
     pred, aux, sem = model.forward(img)
     gt4 = gt.downsample(cfg.model.image_size // pred.height)
-    loss = total_loss(pred, aux, sem, gt4, cfg.train, hungarian_match(matching_cost(pred, gt4)))
+    loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
     leaves = [t for t in T.GradTape.from_output(loss).nodes
               if t.requires_grad and not t._parents]
     named = model.named_parameters()

@@ -1,0 +1,61 @@
+"""Fingerprint short fixed-seed training runs, to show a refactor is bitwise neutral.
+
+Usage: python tools/trace_digest.py
+
+Imports the package from the ``src/`` directory beside this one. For each
+variant it runs a 12-step seed-5 ``train_loop`` and prints one line: the
+SHA-256 of the metrics rows, the SHA-256 of every trained parameter's name
+and bytes in name order, and the validation PQ and mIoU of the trained model.
+Running the script on two checkouts and diffing the output compares them.
+It uses only ``Config``, ``SyntheticDataset``, ``scene_spec_from_config``,
+``train_loop`` and ``evaluate_model``, so older checkouts run it unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from kmaxseg import Config, SyntheticDataset, evaluate_model  # noqa: E402
+from kmaxseg.training import scene_spec_from_config, train_loop  # noqa: E402
+
+STEPS = 12
+SEED = 5
+VARIANTS = {
+    "kmeans": {},
+    "softmax": {"kernel": "softmax"},
+    "kmeans_normalize": {"kmeans_normalize": True},
+    "schedule_111": {"schedule": (1, 1, 1)},
+    "schedule_333": {"schedule": (3, 3, 3)},
+}
+
+
+def digest(overrides):
+    cfg = Config()
+    for key, value in overrides.items():
+        setattr(cfg.model, key, value)
+    cfg.train.steps = STEPS
+    cfg.train.train_size = STEPS
+    dataset = SyntheticDataset(scene_spec_from_config(cfg), cfg.train.train_size,
+                               cfg.train.val_size)
+    result = train_loop(cfg, dataset=dataset, seed=SEED)
+    rows = hashlib.sha256("\n".join(result.rows).encode()).hexdigest()
+    params = hashlib.sha256()
+    named = sorted((name, t) for name, t, _ in result.model.named_parameters())
+    for name, tensor in named:
+        params.update(name.encode() + b"\0" + tensor.data.tobytes())
+    scores = evaluate_model(result.model, dataset.val, cfg.infer, dataset.class_table)
+    return (f"rows {rows} params {params.hexdigest()} ({len(named)} tensors) "
+            f"pq {scores['pq']!r} miou {scores['miou']!r}")
+
+
+def main():
+    for name, overrides in VARIANTS.items():
+        print(f"{name:16s} {digest(overrides)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
