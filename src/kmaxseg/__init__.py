@@ -11,6 +11,7 @@ The package groups into:
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
   the full encoder/pyramid/cluster-path model,
 * ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
+* ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
 * ``metrics`` - mask-wise merging, panoptic quality, mIoU,
 * ``data`` - deterministic synthetic panoptic scenes,
 * ``config`` / ``cli`` - configuration files and the command-line tools.
@@ -22,10 +23,9 @@ from .decoder import KMaxDecoderBlock, stack_forward
 from .gradcheck import grad_check
 from .kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
 from .layers import Affine, LayerNorm, Params
-from .metrics import (PanopticResult, evaluate_model, evaluation_report,
-                      merge_masks, miou, panoptic_quality)
+from .metrics import evaluate_model, evaluation_report, merge_masks, panoptic_quality
 from .model import KMaxModel
-from .panoptic import VOID, PanopticMap, PredictionSet, Segment
+from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import GradTape, Tensor, argmax_onehot, no_grad, softmax
 from .training import (AdamW, Matching, hungarian_match, matching_cost, total_loss,
                        train_loop)

@@ -20,7 +20,7 @@ from .config import Config
 from .data import SceneSpec, generate
 from .gradcheck import grad_check
 from .kernels import ProjectionWeights, lloyd_kmeans
-from .metrics import PanopticResult, panoptic_quality
+from .metrics import panoptic_quality
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import Tensor
@@ -167,7 +167,7 @@ def criterion_5_pq_hand_cases():
     cls[2:6, 2:6] = 1
     inst[2:6, 2:6] = 1
     gt = PanopticMap(cls, inst)
-    perfect = PanopticResult(cls.copy(), inst.copy(), [])
+    perfect = PanopticMap(cls.copy(), inst.copy())
     if abs(panoptic_quality(perfect, gt, {1})["pq"] - 1.0) > 1e-12:
         return False, "perfect prediction did not score 1.0"
 
@@ -179,7 +179,7 @@ def criterion_5_pq_hand_cases():
     pc = np.full((10, 10), VOID, dtype=np.int64)
     pi = np.zeros((10, 10), dtype=np.int64)
     pc[0, :4] = 1; pi[0, :4] = 1
-    got = panoptic_quality(PanopticResult(pc, pi, []), g2, {1})["pq"]
+    got = panoptic_quality(PanopticMap(pc, pi), g2, {1})["pq"]
     if abs(got - 0.8 / 1.5) > 1e-6:
         return False, f"0.8-IoU TP + FN case scored {got:.6f}"
 
@@ -189,9 +189,9 @@ def criterion_5_pq_hand_cases():
         inst = rng.integers(0, 3, size=(6, 6)).astype(np.int64)
         pcls = rng.integers(0, 3, size=(6, 6)).astype(np.int64)
         pinst = rng.integers(0, 3, size=(6, 6)).astype(np.int64)
-        a = panoptic_quality(PanopticResult(pcls, pinst, []),
+        a = panoptic_quality(PanopticMap(pcls, pinst),
                              PanopticMap(cls, inst), {1})["pq"]
-        b = panoptic_quality(PanopticResult(pcls, pinst * 5 + 2, []),
+        b = panoptic_quality(PanopticMap(pcls, pinst * 5 + 2),
                              PanopticMap(cls, inst * 9 + 1), {1})["pq"]
         if abs(a - b) > 1e-12:
             return False, "PQ changed under instance relabeling"

@@ -70,6 +70,8 @@ def _cmd_eval(args):
 
 def _cmd_ablate(args):
     cfg = _load_config(args.config)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be positive, got {args.seeds}")
     seeds = [cfg.train.seed + i for i in range(args.seeds)]
     variants = [
         ("softmax cross-attention", dict(kernel="softmax", kmeans_normalize=False)),
@@ -82,13 +84,16 @@ def _cmd_ablate(args):
     ]
     print(f"steps per run: {cfg.train.steps}, seeds: {seeds}")
     print(f"{'variant':40s} {'params':>9s} {'median PQ':>10s}  per-seed PQ")
+    # training is deterministic, so variants with one model config share runs
+    trained = []
     for name, overrides in variants:
         run_cfg = _load_config(args.config)
         for key, value in overrides.items():
             setattr(run_cfg.model, key, value)
-        pqs = []
-        for seed in seeds:
-            pqs.append(train_loop(run_cfg, seed=seed).final_val_pq)
+        pqs = next((p for model_cfg, p in trained if model_cfg == run_cfg.model), None)
+        if pqs is None:
+            pqs = [train_loop(run_cfg, seed=seed).final_val_pq for seed in seeds]
+            trained.append((run_cfg.model, pqs))
         params = KMaxModel(run_cfg.model, seed=0).parameter_count()
         per_seed = " ".join(f"{v:.4f}" for v in pqs)
         print(f"{name:40s} {params:9d} {np.median(pqs):10.4f}  {per_seed}")

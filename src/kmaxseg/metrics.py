@@ -24,35 +24,14 @@ row sum plus column sum minus the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .panoptic import VOID, PanopticMap, label_index
 from .tensor import no_grad
 
-__all__ = ["PanopticResult", "merge_masks", "panoptic_quality", "miou",
-           "PQStat", "evaluate_model", "evaluation_report"]
-
-
-@dataclass
-class PanopticResult:
-    """Concrete per-pixel panoptic labeling with emitted segment metadata."""
-
-    class_map: np.ndarray     # (H, W), VOID where nothing was kept
-    instance_map: np.ndarray  # (H, W), 0 for stuff and void
-    segments: list            # (class_id, instance_id, confidence)
-
-    def upscale(self, factor):
-        return PanopticResult(
-            np.repeat(np.repeat(self.class_map, factor, 0), factor, 1),
-            np.repeat(np.repeat(self.instance_map, factor, 0), factor, 1),
-            list(self.segments),
-        )
-
-    def to_map(self):
-        return PanopticMap(self.class_map, self.instance_map)
+__all__ = ["merge_masks", "panoptic_quality", "PQStat", "evaluate_model",
+           "evaluation_report"]
 
 
 def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset(),
@@ -63,8 +42,8 @@ def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset()
     h, w = pred.height, pred.width
     n = pred.num_queries
     if n == 0:
-        return PanopticResult(np.full((h, w), VOID, dtype=np.int64),
-                              np.zeros((h, w), dtype=np.int64), [])
+        return PanopticMap(np.full((h, w), VOID, dtype=np.int64),
+                           np.zeros((h, w), dtype=np.int64))
     class_probs = pred.class_probs()
     z = pred.mask_probs()
 
@@ -98,29 +77,20 @@ def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset()
 
     class_map = np.full(h * w, VOID, dtype=np.int64)
     instance_map = np.zeros(h * w, dtype=np.int64)
-    segments = []
     if assigned is not None:
         next_instance = 1
-        stuff_seen = {}
         for q in np.nonzero(active)[0]:
             pixels = assigned == q
             if not pixels.any():
                 continue
             c = int(cls[q])
             class_map[pixels] = c
+            # stuff keeps instance 0, so duplicate stuff queries of one class
+            # merge into one segment
             if c in thing_ids:
                 instance_map[pixels] = next_instance
-                segments.append((c, next_instance, float(conf[q])))
                 next_instance += 1
-            elif c in stuff_seen:
-                # duplicate stuff queries of one class merge into one segment
-                idx = stuff_seen[c]
-                segments[idx] = (c, 0, max(segments[idx][2], float(conf[q])))
-            else:
-                stuff_seen[c] = len(segments)
-                segments.append((c, 0, float(conf[q])))
-    return PanopticResult(class_map.reshape(h, w), instance_map.reshape(h, w),
-                          segments)
+    return PanopticMap(class_map.reshape(h, w), instance_map.reshape(h, w))
 
 
 class PQStat:
@@ -136,14 +106,13 @@ class PQStat:
         store[cls] = store.get(cls, 0) + amount
 
     def update(self, pred, gt):
-        pred_map = pred.to_map() if isinstance(pred, PanopticResult) else pred
-        if pred_map.class_map.shape != gt.class_map.shape:
+        if pred.class_map.shape != gt.class_map.shape:
             raise ShapeError(
-                f"prediction grid {pred_map.class_map.shape} does not match "
+                f"prediction grid {pred.class_map.shape} does not match "
                 f"ground truth {gt.class_map.shape}"
             )
         g_index, g_keys = gt.segment_index()
-        p_index, p_keys = pred_map.segment_index()
+        p_index, p_keys = pred.segment_index()
         inter = _pair_histogram(g_index, p_index, len(g_keys), len(p_keys))
         g_area = inter.sum(axis=1).tolist()
         p_area = inter.sum(axis=0).tolist()
@@ -215,26 +184,11 @@ def panoptic_quality(pred, gt, thing_ids=frozenset()):
     return PQStat().update(pred, gt).summarize(thing_ids)
 
 
-def miou(pred, gt):
-    """Class-wise IoU of the semantic maps, averaged over classes in gt."""
-    pred_map = pred.to_map() if isinstance(pred, PanopticResult) else pred
-    if pred_map.class_map.shape != gt.class_map.shape:
-        raise ShapeError(
-            f"prediction grid {pred_map.class_map.shape} does not match "
-            f"ground truth {gt.class_map.shape}"
-        )
-    classes, inter, union, gt_area = _class_overlap(pred_map, gt)
-    scored = (classes != VOID) & (gt_area > 0)
-    if not scored.any():
-        return 0.0
-    return float(np.mean(inter[scored] / union[scored]))
-
-
 def evaluate_model(model, examples, infer_cfg, class_table):
     """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
 
-    Unlike ``miou``, the mIoU here is dataset-level: intersections and unions
-    are summed over all images before each class's IoU is taken.
+    The mIoU is dataset-level: intersections and unions are summed over all
+    images before each class's IoU is taken.
     """
     stat = PQStat()
     num_classes = class_table.num_classes
@@ -248,9 +202,9 @@ def evaluate_model(model, examples, infer_cfg, class_table):
                              overlap_thresh=infer_cfg.overlap_thresh,
                              thing_ids=thing_ids,
                              mask_binarize=infer_cfg.mask_binarize)
-        full = merged.upscale(gt.height // pred.height)
+        full = merged.upsample(gt.height // pred.height)
         stat.update(full, gt)
-        classes, img_inter, img_union, _ = _class_overlap(full, gt)
+        classes, img_inter, img_union = _class_overlap(full, gt)
         keep = (classes >= 0) & (classes < num_classes)
         inter[classes[keep]] += img_inter[keep]
         union[classes[keep]] += img_union[keep]
@@ -270,7 +224,7 @@ def _class_overlap(pred_map, gt):
     """Per-class pixel intersection and union of two semantic maps.
 
     Returns the sorted class ids found in either map, void included, with
-    int64 arrays of each class's intersection, union and ground-truth area.
+    int64 arrays of each class's intersection and union.
     """
     hw = gt.class_map.size
     index, classes = label_index(
@@ -278,8 +232,7 @@ def _class_overlap(pred_map, gt):
     classes = classes[:, 0]
     hist = _pair_histogram(index[:hw], index[hw:], classes.size, classes.size)
     inter = hist.diagonal()
-    gt_area = hist.sum(axis=1)
-    return classes, inter, gt_area + hist.sum(axis=0) - inter, gt_area
+    return classes, inter, hist.sum(axis=1) + hist.sum(axis=0) - inter
 
 
 def evaluation_report(result, class_table):

@@ -1,9 +1,8 @@
 """Shared panoptic domain types.
 
 Ground truth and predictions both describe an image as a set of
-non-overlapping class-labeled masks. Per-pixel maps are the storage format;
-segment lists are derived views. The class id ``-1`` marks void (unlabeled)
-pixels in per-pixel maps.
+non-overlapping class-labeled masks, stored as per-pixel (class id, instance
+id) maps. The class id ``-1`` marks void (unlabeled) pixels.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ from .errors import ShapeError
 from .tensor import Tensor, softmax
 
 VOID = -1
-
-
-@dataclass(frozen=True)
-class Segment:
-    class_id: int
-    instance_id: int
-    mask: np.ndarray  # (H, W) bool
 
 
 class PanopticMap:
@@ -55,19 +47,19 @@ class PanopticMap:
         """
         return label_index(self.class_map.reshape(-1), self.instance_map.reshape(-1))
 
-    def segments(self):
-        """Non-void segments in canonical (class id, instance id) order."""
-        index, keys = self.segment_index()
-        shape = self.class_map.shape
-        return [Segment(cls, inst, (index == k).reshape(shape))
-                for k, (cls, inst) in enumerate(keys.tolist()) if cls != VOID]
-
     def downsample(self, stride):
         """Nearest-sample every ``stride``-th pixel (window centers)."""
         off = stride // 2
         return PanopticMap(
             self.class_map[off::stride, off::stride],
             self.instance_map[off::stride, off::stride],
+        )
+
+    def upsample(self, factor):
+        """Repeat every pixel into a ``factor`` x ``factor`` block."""
+        return PanopticMap(
+            np.repeat(np.repeat(self.class_map, factor, 0), factor, 1),
+            np.repeat(np.repeat(self.instance_map, factor, 0), factor, 1),
         )
 
     def flip_horizontal(self):

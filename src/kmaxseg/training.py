@@ -30,7 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import Config
 from .data import SyntheticDataset, SceneSpec, augment_flip
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
 from .tensor import (Tensor, cross_entropy_from_logits, div, mul, reduce_sum,
@@ -346,6 +346,8 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     cfg.validate()
     tc = cfg.train
     seed = tc.seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     spec = scene_spec_from_config(cfg)
     if dataset is None:
         dataset = SyntheticDataset(spec, tc.train_size, tc.val_size)

@@ -40,15 +40,12 @@ def assignment_image(affinity, height, width, upscale=1):
     return img
 
 
-def panoptic_image(result):
+def panoptic_image(pmap):
     """Color a panoptic labeling; things vary by instance, stuff by class."""
-    h, w = result.class_map.shape
-    img = np.zeros((h, w, 3))
-    for cls, inst, _ in result.segments:
-        sel = (result.class_map == cls) & (result.instance_map == inst)
-        img[sel] = cluster_color(cls * 31 + inst)
-    img[result.class_map == VOID] = 0.0
-    return img
+    index, keys = pmap.segment_index()
+    colors = np.array([np.zeros(3) if cls == VOID else cluster_color(cls * 31 + inst)
+                       for cls, inst in keys.tolist()]).reshape(-1, 3)
+    return colors[index].reshape(pmap.height, pmap.width, 3)
 
 
 def render_stages(model, image, infer_cfg, thing_ids, out_dir):
@@ -71,7 +68,7 @@ def render_stages(model, image, infer_cfg, thing_ids, out_dir):
                          overlap_thresh=infer_cfg.overlap_thresh,
                          thing_ids=thing_ids,
                          mask_binarize=infer_cfg.mask_binarize)
-    final = panoptic_image(merged.upscale(side // pred.height))
+    final = panoptic_image(merged.upsample(side // pred.height))
     final_path = os.path.join(out_dir, "final_panoptic.ppm")
     write_ppm(final_path, final)
     paths.append(final_path)

@@ -1,5 +1,6 @@
 import pytest
 
+from kmaxseg import cli
 from kmaxseg.cli import main
 
 TINY = """\
@@ -8,7 +9,7 @@ d = 8
 num_queries = 6
 encoder_channels = 4,4,4,4,8
 ffn_hidden = 8
-schedule = 1,1,1
+schedule = {schedule}
 
 [train]
 steps = 2
@@ -18,22 +19,43 @@ eval_interval = {eval_interval}
 """
 
 
-def _config(tmp_path, eval_interval=1):
+def _config(tmp_path, eval_interval=1, schedule="1,1,1"):
     path = tmp_path / "tiny.cfg"
-    path.write_text(TINY.format(eval_interval=eval_interval))
+    path.write_text(TINY.format(eval_interval=eval_interval, schedule=schedule))
     return str(path)
 
 
-def test_train_eval_and_ablate_exit_zero(tmp_path, capsys):
+def test_train_eval_and_ablate_exit_zero(tmp_path, capsys, monkeypatch):
     cfg = _config(tmp_path)
     out = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "model.ckpt").exists() and (out / "config.used.txt").exists()
     assert main(["eval", "--config", str(out / "config.used.txt"),
                  "--checkpoint", str(out / "model.ckpt")]) == 0
-    # six variants, among them the normalized kmeans kernel
+    seeds = []
+    train_loop = cli.train_loop
+
+    def counting_train_loop(cfg, seed):
+        seeds.append(seed)
+        return train_loop(cfg, seed=seed)
+
+    monkeypatch.setattr(cli, "train_loop", counting_train_loop)
+    # six variants, among them the normalized kmeans kernel; at the default
+    # (2,2,2) schedule "kmeans cross-attention" and "kmeans, decoders (2,2,2)"
+    # are one model, trained once per seed
+    capsys.readouterr()
+    cfg = _config(tmp_path, schedule="2,2,2")
     assert main(["ablate", "--config", cfg, "--seeds", "1"]) == 0
-    assert "kmeans cross-attention (normalized)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "kmeans cross-attention (normalized)" in out
+    assert len(out.splitlines()) == 2 + 6
+    assert seeds == [0] * 5
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_ablate_without_seeds_is_a_config_error(tmp_path, capsys, seeds):
+    assert main(["ablate", "--config", _config(tmp_path), "--seeds", seeds]) == 2
+    assert f"error: --seeds must be positive, got {seeds}" in capsys.readouterr().err
 
 
 def test_train_with_zero_eval_interval_is_a_config_error(tmp_path, capsys):

@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 from kmaxseg.config import InferConfig
 from kmaxseg.data import SceneSpec
 from kmaxseg.errors import ShapeError
-from kmaxseg.metrics import (PanopticResult, PQStat, evaluate_model,
-                             evaluation_report, merge_masks, miou,
+from kmaxseg.metrics import (PQStat, evaluate_model, evaluation_report, merge_masks,
                              panoptic_quality)
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
+from kmaxseg.visualize import cluster_color, panoptic_image
 
 
 def _pred_from_masks(masks, classes, num_classes, h, w, sharp=60.0):
@@ -26,15 +26,19 @@ def _pred_from_masks(masks, classes, num_classes, h, w, sharp=60.0):
     return PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
 
 
+def _labels(pmap):
+    """Non-void (class id, instance id) pairs of a labeling, in canonical order."""
+    _, keys = pmap.segment_index()
+    return [(c, i) for c, i in keys.tolist() if c != VOID]
+
+
 def test_merge_two_disjoint_things_become_two_instances():
     h = w = 8
     m1 = np.zeros((h, w)); m1[:4, :4] = 1
     m2 = np.zeros((h, w)); m2[4:, 4:] = 1
     pred = _pred_from_masks([m1, m2], [1, 1], num_classes=3, h=h, w=w)
     result = merge_masks(pred, thing_ids={1, 2})
-    assert len(result.segments) == 2
-    ids = {seg[1] for seg in result.segments}
-    assert ids == {1, 2}
+    assert _labels(result) == [(1, 1), (1, 2)]
     assert result.instance_map[0, 0] != result.instance_map[7, 7]
     assert np.all(result.class_map[:4, :4] == 1)
 
@@ -46,7 +50,7 @@ def test_merge_all_below_confidence_gives_void():
     pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
     result = merge_masks(pred, conf_thresh=0.3, thing_ids={1})
     assert np.all(result.class_map == VOID)
-    assert result.segments == []
+    assert np.all(result.instance_map == 0)
 
 
 def test_merge_duplicate_stuff_queries_collapse():
@@ -55,9 +59,7 @@ def test_merge_duplicate_stuff_queries_collapse():
     m2 = np.zeros((h, w)); m2[:, 4:] = 1
     pred = _pred_from_masks([m1, m2], [0, 0], num_classes=3, h=h, w=w)
     result = merge_masks(pred, thing_ids={1, 2})
-    assert len(result.segments) == 1
-    cls, inst, conf = result.segments[0]
-    assert (cls, inst) == (0, 0)
+    assert _labels(result) == [(0, 0)]
     assert np.all(result.class_map == 0)
     assert np.all(result.instance_map == 0)
 
@@ -70,10 +72,7 @@ def test_merge_output_is_a_partition():
                              Tensor(rng.normal(size=(5, 4)) * 3), h, w)
         result = merge_masks(pred, thing_ids={1, 2})
         # exactly one label per pixel by construction; instances unique
-        for cls, inst, _ in result.segments:
-            sel = (result.class_map == cls) & (result.instance_map == inst)
-            assert sel.any()
-        thing_ids = [seg[1] for seg in result.segments if seg[1] > 0]
+        thing_ids = [inst for _, inst in _labels(result) if inst > 0]
         assert len(thing_ids) == len(set(thing_ids))
 
 
@@ -93,12 +92,12 @@ def test_merge_overlap_pruning_drops_buried_query():
     pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
 
     result = merge_masks(pred, overlap_thresh=0.8, thing_ids={0, 1})
-    kept = {seg[0] for seg in result.segments}
+    kept = {cls for cls, _ in _labels(result)}
     assert kept == {1}
     assert np.all(result.class_map == 1)
     # without pruning both queries keep their pixels
     loose = merge_masks(pred, overlap_thresh=0.0, thing_ids={0, 1})
-    assert {seg[0] for seg in loose.segments} == {0, 1}
+    assert {cls for cls, _ in _labels(loose)} == {0, 1}
 
 
 def _gt_square():
@@ -111,7 +110,7 @@ def _gt_square():
 
 def test_pq_perfect_prediction_is_one():
     gt = _gt_square()
-    pred = PanopticResult(gt.class_map.copy(), gt.instance_map.copy(), [])
+    pred = PanopticMap(gt.class_map.copy(), gt.instance_map.copy())
     result = panoptic_quality(pred, gt, thing_ids={1})
     assert result["pq"] == pytest.approx(1.0)
     assert result["pq_things"] == pytest.approx(1.0)
@@ -130,15 +129,15 @@ def test_pq_hand_case_point_eight_iou_plus_fn():
     pcls = np.full((10, 10), VOID, dtype=np.int64)
     pinst = np.zeros((10, 10), dtype=np.int64)
     pcls[0, :4] = 1; pinst[0, :4] = 7        # overlap 4, union 5 -> IoU 0.8
-    pred = PanopticResult(pcls, pinst, [])
+    pred = PanopticMap(pcls, pinst)
     result = panoptic_quality(pred, gt, thing_ids={1})
     assert result["pq"] == pytest.approx(0.8 / 1.5, abs=1e-6)
 
 
 def test_pq_empty_prediction_is_zero():
     gt = _gt_square()
-    pred = PanopticResult(np.full((8, 8), VOID, dtype=np.int64),
-                          np.zeros((8, 8), dtype=np.int64), [])
+    pred = PanopticMap(np.full((8, 8), VOID, dtype=np.int64),
+                       np.zeros((8, 8), dtype=np.int64))
     assert panoptic_quality(pred, gt, thing_ids={1})["pq"] == 0.0
 
 
@@ -150,10 +149,10 @@ def test_pq_invariant_to_instance_relabeling():
         pcls = rng.integers(0, 3, size=(6, 6)).astype(np.int64)
         pinst = rng.integers(0, 3, size=(6, 6)).astype(np.int64)
         gt = PanopticMap(cls, inst)
-        pred = PanopticResult(pcls, pinst, [])
+        pred = PanopticMap(pcls, pinst)
         base = panoptic_quality(pred, gt, thing_ids={1})["pq"]
         relabel = panoptic_quality(
-            PanopticResult(pcls, pinst * 13 + 5, []),
+            PanopticMap(pcls, pinst * 13 + 5),
             PanopticMap(cls, inst * 7 + 3),
             thing_ids={1})["pq"]
         assert base == pytest.approx(relabel, abs=1e-12)
@@ -166,8 +165,8 @@ def test_pq_matching_is_injective():
         cls = rng.integers(0, 2, size=(8, 8)).astype(np.int64)
         inst = rng.integers(0, 4, size=(8, 8)).astype(np.int64)
         gt = PanopticMap(cls, inst)
-        pred = PanopticResult(rng.integers(0, 2, size=(8, 8)).astype(np.int64),
-                              rng.integers(0, 4, size=(8, 8)).astype(np.int64), [])
+        pred = PanopticMap(rng.integers(0, 2, size=(8, 8)).astype(np.int64),
+                           rng.integers(0, 4, size=(8, 8)).astype(np.int64))
         stat = PQStat().update(pred, gt)
         res = stat.summarize({1})
         for cls_id, row in res["per_class"].items():
@@ -178,36 +177,17 @@ def test_pq_matching_is_injective():
 
 def test_pq_shape_mismatch_raises():
     gt = _gt_square()
-    pred = PanopticResult(np.zeros((4, 4), dtype=np.int64),
-                          np.zeros((4, 4), dtype=np.int64), [])
+    pred = PanopticMap(np.zeros((4, 4), dtype=np.int64),
+                       np.zeros((4, 4), dtype=np.int64))
     with pytest.raises(ShapeError):
         panoptic_quality(pred, gt)
 
 
-def test_miou_identical_and_complementary():
-    gt = _gt_square()
-    same = PanopticResult(gt.class_map.copy(), gt.instance_map.copy(), [])
-    assert miou(same, gt) == pytest.approx(1.0)
-    flipped = PanopticResult(1 - gt.class_map, gt.instance_map.copy(), [])
-    assert miou(flipped, gt) == pytest.approx(0.0)
-
-
-def test_miou_half_overlap_single_class():
-    # |intersection| = 1, |union| = 3 -> IoU = 1/3
-    cls = np.full((1, 4), VOID, dtype=np.int64)
-    cls[0, :2] = 1
-    gt = PanopticMap(cls, np.zeros((1, 4), dtype=np.int64))
-    pcls = np.full((1, 4), VOID, dtype=np.int64)
-    pcls[0, 1:3] = 1
-    pred = PanopticResult(pcls, np.zeros((1, 4), dtype=np.int64), [])
-    assert miou(pred, gt) == pytest.approx(1 / 3)
-
-
 def test_evaluation_report_is_stable():
     gt = _gt_square()
-    pred = PanopticResult(gt.class_map.copy(), gt.instance_map.copy(), [])
+    pred = PanopticMap(gt.class_map.copy(), gt.instance_map.copy())
     result = panoptic_quality(pred, gt, thing_ids={1})
-    result["miou"] = miou(pred, gt)
+    result["miou"] = 1.0
     table = SceneSpec(seed=0).class_table()
     a = evaluation_report(result, table)
     b = evaluation_report(result, table)
@@ -279,19 +259,6 @@ def _reference_pq_counts(pred_map, gt, counts=None):
     return counts
 
 
-def _reference_miou(pred_map, gt):
-    classes = sorted(int(c) for c in np.unique(gt.class_map) if c != VOID)
-    if not classes:
-        return 0.0
-    ious = []
-    for cls in classes:
-        p = pred_map.class_map == cls
-        g = gt.class_map == cls
-        union = (p | g).sum()
-        ious.append((p & g).sum() / union if union else 0.0)
-    return float(np.mean(ious))
-
-
 CLASS_POOLS = [(VOID,), (0,), (VOID, 1), (0, 1, 2), (VOID, 0, 1, 2)]
 INSTANCE_IDS = st.integers(-2**40, 2**40)
 
@@ -329,15 +296,15 @@ def _gt_and_pred(draw):
 def test_histogram_scoring_equals_per_segment_reference(maps):
     pred, gt = maps
     for pmap in (pred, gt):
-        got = pmap.segments()
+        index, keys = pmap.segment_index()
+        got = [(k, (c, i)) for k, (c, i) in enumerate(keys.tolist()) if c != VOID]
         want = _reference_segments(pmap)
-        assert [(s.class_id, s.instance_id) for s in got] == [w[:2] for w in want]
-        for seg, (_, _, mask) in zip(got, want):
-            assert np.array_equal(seg.mask, mask)
+        assert [key for _, key in got] == [w[:2] for w in want]
+        for (k, _), (_, _, mask) in zip(got, want):
+            assert np.array_equal((index == k).reshape(pmap.class_map.shape), mask)
     stat = PQStat().update(pred, gt)
     assert {"tp": stat.tp, "fp": stat.fp, "fn": stat.fn,
             "iou": stat.iou} == _reference_pq_counts(pred, gt)
-    assert miou(pred, gt) == _reference_miou(pred, gt)
 
 
 class _ReplayModel:
@@ -362,7 +329,7 @@ def test_evaluate_model_equals_per_image_reference_sums(seed):
         pred = PredictionSet(Tensor(rng.normal(size=(16, 6)) * 4),
                              Tensor(rng.normal(size=(6, num_classes + 1)) * 4), 4, 4)
         full = merge_masks(pred, infer.conf_thresh, infer.overlap_thresh,
-                           table.thing_ids, infer.mask_binarize).upscale(2)
+                           table.thing_ids, infer.mask_binarize).upsample(2)
         # ground truth: the merged prediction with a fifth of its pixels redrawn
         noise = rng.random(size=(8, 8)) < 0.2
         gt = PanopticMap(np.where(noise, rng.integers(VOID, num_classes, size=(8, 8)),
@@ -377,7 +344,7 @@ def test_evaluate_model_equals_per_image_reference_sums(seed):
     counts = None
     inter, union = {}, {}
     for full, (_, gt) in zip(fulls, examples):
-        counts = _reference_pq_counts(full.to_map(), gt, counts)
+        counts = _reference_pq_counts(full, gt, counts)
         for cls in range(num_classes):
             p = full.class_map == cls
             g = gt.class_map == cls
@@ -412,19 +379,35 @@ def test_merge_masks_output_is_a_partition(case):
     result = merge_masks(pred, conf_thresh, overlap_thresh, thing_ids)
     cm, im = result.class_map, result.instance_map
     assert cm.shape == im.shape == (pred.height, pred.width)
-    keys = [(c, i) for c, i, _ in result.segments]
-    # segments are disjoint: no (class, instance) label is emitted twice, and
-    # a thing's fresh instance id is not reused by any other thing
-    assert len(set(keys)) == len(keys)
+    keys = _labels(result)
+    # a thing's fresh instance id is not reused by any other thing, of its
+    # class or another; ids count up from 1 and are spent only on queries
+    # that own a pixel, so the ids in the map are exactly 1..K
     things = [i for c, i in keys if c in thing_ids]
-    assert len(set(things)) == len(things) and 0 not in things
-    assert all(i == 0 for c, i in keys if c not in thing_ids)
+    assert sorted(things) == list(range(1, len(things) + 1))
+    # stuff and void pixels carry instance 0
+    assert np.all(im[~np.isin(cm, list(thing_ids))] == 0)
     assert all(0 <= c < pred.num_classes for c, _ in keys)
-    # each pixel carries exactly one label: void, or one emitted segment,
-    # and every emitted segment owns at least one pixel
-    void = cm == VOID
-    assert np.all(im[void] == 0)
-    assert set(zip(cm[~void].tolist(), im[~void].tolist())) == set(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_predictions(), st.integers(1, 3))
+def test_panoptic_image_equals_a_per_segment_painter(case, factor):
+    pred, conf_thresh, overlap_thresh, thing_ids = case
+    pmap = merge_masks(pred, conf_thresh, overlap_thresh, thing_ids).upsample(factor)
+    want = np.zeros(pmap.class_map.shape + (3,))
+    for cls, inst, mask in _reference_segments(pmap):
+        want[mask] = cluster_color(cls * 31 + inst)
+    assert np.array_equal(panoptic_image(pmap), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gt_and_pred(), st.integers(1, 4))
+def test_upsample_then_downsample_is_identity(maps, factor):
+    for pmap in maps:
+        back = pmap.upsample(factor).downsample(factor)
+        assert np.array_equal(back.class_map, pmap.class_map)
+        assert np.array_equal(back.instance_map, pmap.instance_map)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,10 +6,10 @@ import pytest
 from kmaxseg import tensor as T
 from kmaxseg.config import Config
 from kmaxseg.data import generate
-from kmaxseg.errors import ContractError, ShapeError
+from kmaxseg.errors import ConfigError, ContractError, ShapeError
 from kmaxseg.gradcheck import grad_check
 from kmaxseg.model import KMaxModel
-from kmaxseg.panoptic import PanopticMap, PredictionSet
+from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
 from kmaxseg.training import (W_MASKID, W_PQ, W_SEM, AdamW, Matching, _upsample_logits,
                               hungarian_match, matching_cost, scene_spec_from_config,
@@ -72,14 +72,15 @@ def test_matching_injective_and_flags_unmatched():
 
 def _one_hot_prediction(gt, num_classes, sharpness=50.0):
     """Logits that reproduce gt segments one-to-one on the first K queries."""
-    segs = gt.segments()
+    index, keys = gt.segment_index()
+    segs = np.nonzero(keys[:, 0] != VOID)[0]
     hw = gt.height * gt.width
     n = max(len(segs) + 1, 2)
     mask_logits = np.zeros((hw, n))
     class_logits = np.zeros((n, num_classes + 1))
-    for i, seg in enumerate(segs):
-        mask_logits[seg.mask.reshape(-1), i] = sharpness
-        class_logits[i, seg.class_id] = sharpness
+    for i, k in enumerate(segs):
+        mask_logits[index == k, i] = sharpness
+        class_logits[i, keys[k, 0]] = sharpness
     class_logits[len(segs):, num_classes] = sharpness
     return PredictionSet(Tensor(mask_logits), Tensor(class_logits), gt.height, gt.width)
 
@@ -383,6 +384,15 @@ def test_train_loop_rejects_too_few_surviving_queries():
     cfg = _tiny_train_config(steps=2, num_queries=5)
     with pytest.raises(ContractError):
         train_loop(cfg, seed=1)
+
+
+def test_train_loop_rejects_a_negative_seed_before_any_work(monkeypatch):
+    from kmaxseg import training
+
+    # the seed argument overrides the validated train.seed
+    monkeypatch.setattr(training, "SyntheticDataset", None)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        train_loop(_tiny_train_config(steps=2), seed=-1)
 
 
 def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):

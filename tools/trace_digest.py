@@ -5,10 +5,13 @@ Usage: python tools/trace_digest.py
 Imports the package from the ``src/`` directory beside this one. For each
 variant it runs a 12-step seed-5 ``train_loop`` and prints one line: the
 SHA-256 of the metrics rows, the SHA-256 of every trained parameter's name
-and bytes in name order, and the validation PQ and mIoU of the trained model.
-Running the script on two checkouts and diffing the output compares them.
-It uses only ``Config``, ``SyntheticDataset``, ``scene_spec_from_config``,
-``train_loop`` and ``evaluate_model``, so older checkouts run it unchanged.
+and bytes in name order, the SHA-256 of the ``class_map`` and
+``instance_map`` bytes that ``merge_masks`` gives for every validation image
+of the trained model, and that model's validation PQ and mIoU. Running the
+script on two checkouts and diffing the output compares them. It uses only
+``Config``, ``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
+``merge_masks``, ``no_grad`` and ``evaluate_model``, and reads only the two
+maps of a merge result, so older checkouts run it unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kmaxseg import Config, SyntheticDataset, evaluate_model  # noqa: E402
+from kmaxseg import (Config, SyntheticDataset, evaluate_model, merge_masks,  # noqa: E402
+                     no_grad)
 from kmaxseg.training import scene_spec_from_config, train_loop  # noqa: E402
 
 STEPS = 12
@@ -47,9 +51,18 @@ def digest(overrides):
     named = sorted((name, t) for name, t, _ in result.model.named_parameters())
     for name, tensor in named:
         params.update(name.encode() + b"\0" + tensor.data.tobytes())
+    labels = hashlib.sha256()
+    for img, _ in dataset.val:
+        with no_grad():
+            pred, _, _ = result.model.forward(img)
+        merged = merge_masks(pred, conf_thresh=cfg.infer.conf_thresh,
+                             overlap_thresh=cfg.infer.overlap_thresh,
+                             thing_ids=dataset.class_table.thing_ids,
+                             mask_binarize=cfg.infer.mask_binarize)
+        labels.update(merged.class_map.tobytes() + merged.instance_map.tobytes())
     scores = evaluate_model(result.model, dataset.val, cfg.infer, dataset.class_table)
     return (f"rows {rows} params {params.hexdigest()} ({len(named)} tensors) "
-            f"pq {scores['pq']!r} miou {scores['miou']!r}")
+            f"labels {labels.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r}")
 
 
 def main():
