@@ -14,20 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, layer_norm, matmul
+from .tensor import Tensor, affine, layer_norm
 
 __all__ = ["Params", "Affine", "LayerNorm"]
 
 
 @dataclass
 class Affine:
-    """``x @ w + b``."""
+    """``x @ w + b``, one ``affine`` tape node."""
 
     w: Tensor
     b: Tensor
 
     def __call__(self, x):
-        return matmul(x, self.w) + self.b
+        return affine(x, self.w, self.b)
 
 
 @dataclass

@@ -162,11 +162,19 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t, g):
+def _accum(t, g, fresh=False):
+    """Add ``g`` into ``t.grad``.
+
+    ``fresh`` says the backward closure allocated ``g`` in this call and
+    hands it to no other ``_accum``, so a first accumulation keeps ``g`` as
+    ``t.grad`` itself (``asarray`` only turns a numpy scalar into a 0-d
+    array). Otherwise ``g`` may be, or be a view of, another node's gradient
+    and is copied before ``t.grad`` is accumulated into.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = np.asarray(g) if fresh else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad += g
 
@@ -216,8 +224,8 @@ def mul(a, b):
     data = a.data * b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+        _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _make(data, (a, b), bwd)
 
@@ -227,8 +235,8 @@ def div(a, b):
     data = a.data / b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        _accum(a, _unbroadcast(g / b.data, a.data.shape), fresh=True)
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), fresh=True)
 
     return _make(data, (a, b), bwd)
 
@@ -238,30 +246,58 @@ def scale(x, c):
     c = float(c)
 
     def bwd(g):
-        _accum(x, g * c)
+        _accum(x, g * c, fresh=True)
 
     return _make(x.data * c, (x,), bwd)
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+def _check_gemm(a, b, op):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
-            f"matmul needs 2-D operands, got {a.data.shape} and {b.data.shape}"
+            f"{op} needs 2-D operands, got {a.data.shape} and {b.data.shape}"
         )
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
-            f"matmul inner dimensions differ: {a.data.shape} x {b.data.shape}"
+            f"{op} inner dimensions differ: {a.data.shape} x {b.data.shape}"
         )
+
+
+def matmul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_gemm(a, b, "matmul")
     data = a.data @ b.data
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, fresh=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, fresh=True)
 
     return _make(data, (a, b), bwd)
+
+
+def affine(x, w, b):
+    """``x @ w + b`` as one node: (R, Din) rows, a (Din, Dout) weight, a (Dout,) bias.
+
+    Backward is ``g @ w.T``, ``x.T @ g`` and ``g`` summed over rows, the
+    arithmetic of a ``matmul`` node feeding an ``add`` node.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _check_gemm(x, w, "affine")
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"affine bias {b.data.shape} does not match weight {w.data.shape}")
+    data = x.data @ w.data
+    data += b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T, fresh=True)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g, fresh=True)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0), fresh=True)
+
+    return _make(data, (x, w, b), bwd)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -277,7 +313,7 @@ def gelu(x):
 
     def bwd(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        _accum(x, g * (phi + x.data * pdf))
+        _accum(x, g * (phi + x.data * pdf), fresh=True)
 
     return _make(x.data * phi, (x,), bwd)
 
@@ -316,7 +352,7 @@ def take(x, indices, axis=0):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             np.add.at(gx, (slice(None),) * axis + (idx,), g)
-            _accum(x, gx)
+            _accum(x, gx, fresh=True)
 
     return _make(np.take(x.data, idx, axis=axis), (x,), bwd)
 
@@ -351,7 +387,7 @@ def softmax(x, axis):
 
     def bwd(g):
         inner = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - inner))
+        _accum(x, s * (g - inner), fresh=True)
 
     return _make(s, (x,), bwd)
 
@@ -395,10 +431,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
+            _accum(x, inv * (dxhat - m1 - xhat * m2), fresh=True)
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
+        _accum(gain, (g * xhat).sum(axis=lead), fresh=True)
+        _accum(bias, g.sum(axis=lead), fresh=True)
 
     return _make(data, (x, gain, bias), bwd)
 
@@ -426,7 +462,7 @@ def upsample_nearest(x, factor):
         while f > 1:
             f //= 2
             g = g.reshape(h * f, 2, w * f, 2, c).sum(axis=(1, 3))
-        _accum(x, g)
+        _accum(x, g, fresh=factor > 1)
 
     return _make(data, (x,), bwd)
 
@@ -482,15 +518,15 @@ def conv3x3(x, weight, bias=None, stride=1):
     def bwd(g):
         g2 = g.reshape(ho * wo, cout)
         if weight.requires_grad:
-            _accum(weight, (cols.T @ g2).reshape(3, 3, cin, cout))
+            _accum(weight, (cols.T @ g2).reshape(3, 3, cin, cout), fresh=True)
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 1)))
+            _accum(bias, g.sum(axis=(0, 1)), fresh=True)
         if x.requires_grad:
             gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
             gx = np.zeros((h + 2, w + 2, cin))
             for i, j, window in taps:
                 gx[window] += gcols[:, :, i, j]
-            _accum(x, gx[1 : 1 + h, 1 : 1 + w])
+            _accum(x, gx[1 : 1 + h, 1 : 1 + w], fresh=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, parents, bwd)
@@ -535,6 +571,6 @@ def cross_entropy_from_logits(logits, targets, reduction="mean"):
             d *= g[:, None]
         else:
             d *= g / r
-        _accum(logits, d)
+        _accum(logits, d, fresh=True)
 
     return _make(data, (logits,), bwd)

@@ -317,3 +317,29 @@ def test_forward_values_stay_finite():
     for out in (T.softmax(x, axis=1), T.gelu(x),
                 T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))):
         assert np.all(np.isfinite(out.data))
+
+
+@pytest.mark.parametrize("kernel", ["kmeans", "softmax"])
+def test_backward_gives_every_node_its_own_writeable_gradient(kernel):
+    # a backward closure hands a gradient it allocated to ``_accum`` without
+    # a copy; a second owner of that memory would take in-place sums meant
+    # for the first
+    from kmaxseg.config import Config
+    from kmaxseg.data import generate
+    from kmaxseg.model import KMaxModel
+    from kmaxseg.training import (hungarian_match, matching_cost,
+                                  scene_spec_from_config, total_loss)
+
+    cfg = Config()
+    cfg.model.kernel = kernel
+    model = KMaxModel(cfg.model, seed=0)
+    img, gt = generate(scene_spec_from_config(cfg), 0)
+    pred, aux, sem = model.forward(img)
+    gt4 = gt.downsample(cfg.model.image_size // pred.height)
+    loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
+    loss.backward()
+    grads = [t.grad for t in T.GradTape.from_output(loss).nodes if t.grad is not None]
+    assert len(grads) > 300
+    assert all(g.flags.writeable for g in grads)
+    spans = sorted(np.lib.array_utils.byte_bounds(g) for g in grads)
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))

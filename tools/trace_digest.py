@@ -7,11 +7,13 @@ variant it runs a 12-step seed-5 ``train_loop`` and prints one line: the
 SHA-256 of the metrics rows, the SHA-256 of every trained parameter's name
 and bytes in name order, the SHA-256 of the ``class_map`` and
 ``instance_map`` bytes that ``merge_masks`` gives for every validation image
-of the trained model, and that model's validation PQ and mIoU. Running the
-script on two checkouts and diffing the output compares them. It uses only
-``Config``, ``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
-``merge_masks``, ``no_grad`` and ``evaluate_model``, and reads only the two
-maps of a merge result, so older checkouts run it unchanged.
+of the trained model, that model's validation PQ and mIoU, and the number of
+tape nodes in the first step's loss graph. Running the script on two
+checkouts and diffing the output compares them. It uses only ``Config``,
+``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
+``merge_masks``, ``no_grad``, ``evaluate_model`` and
+``tensor.GradTape.from_output``, and reads only the two maps of a merge
+result, so older checkouts run it unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kmaxseg import (Config, SyntheticDataset, evaluate_model, merge_masks,  # noqa: E402
                      no_grad)
+from kmaxseg.tensor import GradTape  # noqa: E402
 from kmaxseg.training import scene_spec_from_config, train_loop  # noqa: E402
 
 STEPS = 12
@@ -45,7 +48,19 @@ def digest(overrides):
     cfg.train.train_size = STEPS
     dataset = SyntheticDataset(scene_spec_from_config(cfg), cfg.train.train_size,
                                cfg.train.val_size)
-    result = train_loop(cfg, dataset=dataset, seed=SEED)
+    from_output = GradTape.__dict__["from_output"]
+    tape_sizes = []
+
+    def counting(out):
+        tape = from_output.__func__(out)
+        tape_sizes.append(len(tape.nodes))
+        return tape
+
+    GradTape.from_output = staticmethod(counting)
+    try:
+        result = train_loop(cfg, dataset=dataset, seed=SEED)
+    finally:
+        GradTape.from_output = from_output
     rows = hashlib.sha256("\n".join(result.rows).encode()).hexdigest()
     params = hashlib.sha256()
     named = sorted((name, t) for name, t, _ in result.model.named_parameters())
@@ -62,7 +77,8 @@ def digest(overrides):
         labels.update(merged.class_map.tobytes() + merged.instance_map.tobytes())
     scores = evaluate_model(result.model, dataset.val, cfg.infer, dataset.class_table)
     return (f"rows {rows} params {params.hexdigest()} ({len(named)} tensors) "
-            f"labels {labels.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r}")
+            f"labels {labels.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r} "
+            f"nodes {tape_sizes[0]}")
 
 
 def main():
