@@ -38,8 +38,19 @@ def scalarize(out):
     return T.reduce_sum(T.mul(out, r))
 
 
+def unpack(t, shapes):
+    """Split the flat tensor ``t`` into consecutive tensors of ``shapes`` on its tape."""
+    starts = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    return [T.reshape(T.take(t, np.arange(lo, hi)), shape)
+            for lo, hi, shape in zip(starts, starts[1:], shapes)]
+
+
 def gradient_cases(seed):
-    """name -> (f, input) for every differentiable op, as criterion 1 checks it."""
+    """name -> (f, input) for every differentiable op, as criterion 1 checks it.
+
+    An op of several differentiable inputs gets one flat input that
+    ``unpack`` splits, so one check covers the gradient of each.
+    """
     rng = np.random.default_rng(2000 + seed)
     x = Tensor(rng.normal(size=(4, 3)))
     img = Tensor(rng.normal(size=(4, 4, 2)))
@@ -49,6 +60,11 @@ def gradient_cases(seed):
     wc = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.5)
     tall = Tensor(rng.normal(size=(3, 4, 2)))  # H != W: a swapped backward fails
     ids = np.array([0, 2, 1, 2])
+    affine_shapes = ((4, 3), (3, 5), (5,))
+    attention_shapes = ((3, 4), (5, 4), (5, 2))
+    packed = {name: Tensor(rng.normal(size=sum(int(np.prod(s)) for s in shapes)))
+              for name, shapes in (("affine", affine_shapes),
+                                   ("attention", attention_shapes))}
     return {
         "add": (lambda t: scalarize(T.add(t, other)), x),
         "mul": (lambda t: scalarize(T.mul(t, other)), x),
@@ -67,6 +83,11 @@ def gradient_cases(seed):
         "conv_s1": (lambda t: scalarize(T.conv3x3(t, wc, stride=1)), img),
         "conv_s2": (lambda t: scalarize(T.conv3x3(t, wc, stride=2)), img),
         "cross_entropy": (lambda t: T.cross_entropy_from_logits(t, ids, "mean"), x),
+        "affine": (lambda t: scalarize(T.affine(*unpack(t, affine_shapes))),
+                   packed["affine"]),
+        "softmax_attention": (
+            lambda t: scalarize(T.softmax_attention(*unpack(t, attention_shapes), 0.7)[0]),
+            packed["attention"]),
     }
 
 

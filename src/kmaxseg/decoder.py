@@ -22,10 +22,10 @@ adopts them under ``blocks.<i>``.
 from __future__ import annotations
 
 from .errors import ConfigError
-from .kernels import PixelFeatures, ProjectionWeights, _aggregate
+from .kernels import PixelFeatures, ProjectionWeights, _hard_aggregate
 from .layers import Params
 from .panoptic import PredictionSet
-from .tensor import gelu, matmul, scale, transpose
+from .tensor import gelu, matmul, scale, softmax_attention, transpose
 
 __all__ = ["KMaxDecoderBlock", "stack_forward"]
 
@@ -75,9 +75,9 @@ class KMaxDecoderBlock:
         if self.kernel == "kmeans":
             # the supervised mask logits define the hard assignment, so the
             # deep-supervision losses directly shape the clustering
-            update = _aggregate(affinity, v, "kmeans", self.kmeans_normalize)
+            update = _hard_aggregate(affinity, v, self.kmeans_normalize)
         else:
-            update = _aggregate(scale(matmul(q, k.T), self.logit_scale), v, "softmax")
+            update, _ = softmax_attention(q, k, v, self.logit_scale)
         return c + self.ker_ln_out(update), sup_logits
 
     def _ffn(self, c):

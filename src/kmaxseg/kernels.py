@@ -5,20 +5,22 @@ queries) from pixel features through one of two attention maps over the
 single-head (N, HW) logit matrix ``Q K^T``:
 
 * 'softmax' - the logits are normalized with a softmax over the pixel axis
-  and used as soft aggregation weights.
+  and used as soft aggregation weights. Logits, softmax and aggregation are
+  one ``softmax_attention`` tape node, so the logits ``attend`` returns for
+  this kind are detached: no gradient flows back through them.
 * 'kmeans'  - each pixel is hard-assigned to its best cluster (argmax over
   the cluster axis) and assigned pixel values are aggregated per cluster.
   The assignment is detached; gradients reach the query/key projections only
-  through losses attached to the returned logits.
+  through losses attached to the returned logits, which stay on the tape.
 
 ``attend`` returns the update with the very logits whose map weighted it, so
 the hard assignment is the argmax of the returned logits by construction;
 callers add the residual themselves. The decoder's self-attention and the
 stride-32 pixel block use ``attend``; the decoder's interaction kernel calls
-``project`` and ``_aggregate`` itself, as its logits use the mask embedding
-of Q. ``kmeans_step`` / ``lloyd_kmeans`` are the classic parameter-free
-clustering update, kept as references the hard-assignment map is checked
-against.
+``project`` and then ``softmax_attention`` or ``_hard_aggregate`` itself, as
+its supervised logits use the mask embedding of Q. ``kmeans_step`` /
+``lloyd_kmeans`` are the classic parameter-free clustering update, kept as
+references the hard-assignment map is checked against.
 
 Feed-forward layers and normalization are deliberately absent here; they
 belong to the decoder block that wraps these kernels.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import Affine
-from .tensor import Tensor, argmax_onehot, matmul, mul, scale, softmax
+from .tensor import Tensor, argmax_onehot, matmul, mul, scale, softmax_attention
 
 __all__ = [
     "PixelFeatures",
@@ -98,14 +100,20 @@ class ProjectionWeights:
         """Project ``queries`` to Q and ``keys`` to K/V, then attend.
 
         Returns (update, logits), the logits ``logit_scale * Q K^T`` being
-        the very matrix whose attention map weighted the update.
+        the very matrix whose attention map weighted the update. For 'softmax'
+        the logits are detached; for 'kmeans' they carry the gradient path
+        into Q and K.
         """
+        if kind not in ("softmax", "kmeans"):
+            raise ValueError(f"unknown interaction kind {kind!r}")
         _check_dims(queries, keys, self)
         q, k, v = self.project(queries, keys)
+        if kind == "softmax":
+            return softmax_attention(q, k, v, logit_scale)
         logits = matmul(q, k.T)
         if logit_scale != 1.0:
             logits = scale(logits, logit_scale)
-        return _aggregate(logits, v, kind, normalize, prev_centers), logits
+        return _hard_aggregate(logits, v, normalize, prev_centers), logits
 
 
 def _check_dims(centers, pixels, w):
@@ -119,18 +127,14 @@ def _check_dims(centers, pixels, w):
         )
 
 
-def _aggregate(logits, v, kind, normalize=False, prev_centers=None):
-    """Attention map over (N, HW) ``logits``, then the per-cluster update of V.
+def _hard_aggregate(logits, v, normalize=False, prev_centers=None):
+    """Per-cluster update of V under the hard assignment of (N, HW) ``logits``.
 
-    ``kind`` 'softmax' normalizes over the pixel axis; 'kmeans' assigns each
-    pixel to its argmax cluster (detached) and sums the assigned value rows,
-    or averages them when ``normalize`` is set. ``prev_centers`` feeds the
-    empty-cluster fallback of the normalized average.
+    Each pixel goes to its argmax cluster (detached); a cluster sums its
+    assigned value rows, or averages them when ``normalize`` is set.
+    ``prev_centers`` feeds the empty-cluster fallback of the normalized
+    average.
     """
-    if kind == "softmax":
-        return matmul(softmax(logits, axis=1), v)
-    if kind != "kmeans":
-        raise ValueError(f"unknown interaction kind {kind!r}")
     a = argmax_onehot(logits)
     if not normalize:
         return matmul(a, v)

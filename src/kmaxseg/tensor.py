@@ -10,6 +10,13 @@ Only the operations this package needs are provided; there is no general
 broadcasting beyond what those operations use, no views of views bookkeeping,
 and no control-flow capture. Everything is float64 so finite-difference
 checks stay meaningful.
+
+The model's matrices are small (16 queries by 64 channels), so a node's
+Python overhead costs more than its arithmetic. Two patterns the model
+repeats are therefore one node each, with a hand-written backward:
+``affine`` (``x @ w + b``) and ``softmax_attention`` (``softmax(c·q kᵀ) @ v``,
+whose logits come back detached). A backward closure hands the gradients
+it allocates to ``_accum`` without a copy.
 """
 
 from __future__ import annotations
@@ -252,19 +259,16 @@ def scale(x, c):
 
 
 def _check_gemm(a, b, op):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"{op} needs 2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"{op} inner dimensions differ: {a.data.shape} x {b.data.shape}"
-        )
+    """Raise ``ShapeError`` unless the arrays ``a @ b`` is taken of are 2-D and conform."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"{op} needs 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op} inner dimensions differ: {a.shape} x {b.shape}")
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_gemm(a, b, "matmul")
+    _check_gemm(a.data, b.data, "matmul")
     data = a.data @ b.data
 
     def bwd(g):
@@ -283,7 +287,7 @@ def affine(x, w, b):
     arithmetic of a ``matmul`` node feeding an ``add`` node.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    _check_gemm(x, w, "affine")
+    _check_gemm(x.data, w.data, "affine")
     if b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"affine bias {b.data.shape} does not match weight {w.data.shape}")
     data = x.data @ w.data
@@ -390,6 +394,40 @@ def softmax(x, axis):
         _accum(x, s * (g - inner), fresh=True)
 
     return _make(s, (x,), bwd)
+
+
+def softmax_attention(q, k, v, logit_scale=1.0):
+    """``softmax(logit_scale · q kᵀ, axis=1) @ v`` as one node.
+
+    ``q`` is (N, D), ``k`` (M, D) and ``v`` (M, Dv). Returns ``(out, logits)``:
+    the (N, Dv) attention output and the (N, M) logits ``logit_scale · q kᵀ``
+    as a detached tensor. The backward repeats, in the same order, the numpy
+    calls of the composed ``matmul``, ``scale``, ``softmax`` and ``matmul``
+    nodes, so it rounds as they do; no gradient flows back through the
+    returned logits.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_gemm(q.data, k.data.T, "softmax_attention")
+    if v.data.ndim != 2 or v.data.shape[0] != k.data.shape[0]:
+        raise ShapeError(
+            f"softmax_attention values {v.data.shape} do not match keys {k.data.shape}"
+        )
+    logits = (q.data @ k.data.T) * logit_scale
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+
+    def bwd(g):
+        if q.requires_grad or k.requires_grad:
+            gs = g @ v.data.T
+            gl = s * (gs - (gs * s).sum(axis=1, keepdims=True)) * logit_scale
+            if q.requires_grad:
+                _accum(q, gl @ k.data, fresh=True)
+            if k.requires_grad:
+                _accum(k, (q.data.T @ gl).T, fresh=True)
+        if v.requires_grad:
+            _accum(v, s.T @ g, fresh=True)
+
+    return _make(s @ v.data, (q, k, v), bwd), Tensor(logits)
 
 
 def argmax_onehot(x):

@@ -289,3 +289,35 @@ def test_pixel_features_shape_validation():
     update, _ = ProjectionWeights.identity(3).attend(c, pf.values)
     out = c + update
     assert out.data.shape == (2, 3)
+
+
+def test_softmax_attention_rounds_as_the_composed_nodes():
+    # the fused node repeats the numpy calls of matmul, scale, softmax and
+    # matmul in their order, so output and every gradient are bitwise equal
+    rng = np.random.default_rng(17)
+    arrays = [rng.normal(size=shape) for shape in ((4, 6), (9, 6), (9, 5))]
+    r = rng.normal(size=(4, 5))
+
+    def grads(attend):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = attend(q, k, v)
+        T.reduce_sum(T.mul(out, Tensor(r))).backward()
+        return [out.data, q.grad, k.grad, v.grad]
+
+    fused = grads(lambda q, k, v: T.softmax_attention(q, k, v, 0.3)[0])
+    composed = grads(lambda q, k, v: T.matmul(
+        T.softmax(T.scale(T.matmul(q, T.transpose(k)), 0.3), axis=1), v))
+    for a, b in zip(fused, composed):
+        assert np.array_equal(a, b)
+
+
+def test_softmax_attend_returns_detached_logits():
+    rng = np.random.default_rng(18)
+    c = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    p = Tensor(rng.normal(size=(6, 4)))
+    w = ProjectionWeights.init(Params(np.random.default_rng(8)), "p", 4)
+    update, logits = w.attend(c, p, logit_scale=0.5)
+    q = c.data @ w.wq.data + w.bq.data
+    k = p.data @ w.wk.data + w.bk.data
+    assert np.array_equal(logits.data, (q @ k.T) * 0.5)
+    assert update.requires_grad and not logits.requires_grad
