@@ -62,9 +62,23 @@ def gradient_cases(seed):
     ids = np.array([0, 2, 1, 2])
     affine_shapes = ((4, 3), (3, 5), (5,))
     attention_shapes = ((3, 4), (5, 4), (5, 2))
+    # training loss: a 4x4 grid, 3 queries (one unmatched), aux outputs at
+    # 1/2 and 1/4 of the grid, matching frozen
+    loss_shapes = ((16, 3), (3, 3), (16, 3), (4, 3), (3, 3), (1, 3), (3, 3))
     packed = {name: Tensor(rng.normal(size=sum(int(np.prod(s)) for s in shapes)))
               for name, shapes in (("affine", affine_shapes),
-                                   ("attention", attention_shapes))}
+                                   ("attention", attention_shapes),
+                                   ("loss", loss_shapes))}
+    cls = np.zeros((4, 4), dtype=np.int64)
+    cls[1:3, 1:3] = 1
+    gt = PanopticMap(cls, cls.copy())
+    matching = Matching(np.array([0, 1]), 3)
+
+    def loss(t):
+        m, cl, sem, m2, cl2, m1, cl1 = unpack(t, loss_shapes)
+        aux = [PredictionSet(m2, cl2, 2, 2), PredictionSet(m1, cl1, 1, 1)]
+        return total_loss(PredictionSet(m, cl, 4, 4), aux, sem, gt, matching)[0]
+
     return {
         "add": (lambda t: scalarize(T.add(t, other)), x),
         "mul": (lambda t: scalarize(T.mul(t, other)), x),
@@ -88,6 +102,7 @@ def gradient_cases(seed):
         "softmax_attention": (
             lambda t: scalarize(T.softmax_attention(*unpack(t, attention_shapes), 0.7)[0]),
             packed["attention"]),
+        "total_loss": (loss, packed["loss"]),
     }
 
 
@@ -98,26 +113,6 @@ def criterion_1_gradients():
     for seed in range(5):
         for f, inp in gradient_cases(seed).values():
             worst = max(worst, grad_check(f, inp, eps=GRAD_EPS))
-
-    # training loss on a 2-query / 16-pixel instance, matching frozen
-    cls = np.zeros((4, 4), dtype=np.int64)
-    cls[1:3, 1:3] = 1
-    inst = np.zeros((4, 4), dtype=np.int64)
-    inst[1:3, 1:3] = 1
-    gt = PanopticMap(cls, inst)
-    matching = Matching(np.array([0, 1]), 2)
-    n, hw, c = 2, 16, 3
-    shapes = ((hw, n), (n, c), (hw, c))
-    starts = np.cumsum([0] + [a * b for a, b in shapes])
-
-    def loss_fn(t):
-        m, cl, sem = (T.reshape(T.take(t, np.arange(lo, hi)), shape)
-                      for lo, hi, shape in zip(starts, starts[1:], shapes))
-        return total_loss(PredictionSet(m, cl, 4, 4), [], sem, gt, matching)[0]
-
-    x0 = Tensor(np.random.default_rng(7).normal(size=(starts[-1],)))
-    worst = max(worst, grad_check(loss_fn, x0, eps=GRAD_EPS))
-
     elapsed = time.time() - started
     ok = worst < GRAD_TOL and elapsed < 60.0
     return ok, f"max relative error {worst:.2e}, {elapsed:.1f}s"

@@ -13,7 +13,10 @@ the final output and every auxiliary decoder output:
 
 All mask losses are computed at stride 4; coarser auxiliary logits are
 upsampled by nearest neighbor first. The final and every auxiliary output
-weigh alike.
+weigh alike. The mask-quality and mask-id terms of all outputs are one tape
+node, ``_set_prediction_loss``: it stacks the outputs and computes each
+cross-entropy, the Dice and the mask-id targets once, with a hand-written
+backward. The semantic cross-entropy stays a composed node.
 
 The recipe is fixed, as in the paper's ablations, which vary only the
 kernel and the decoder count: the constants below hold the learning rate,
@@ -33,8 +36,7 @@ from .data import SyntheticDataset, SceneSpec, augment_flip
 from .errors import ConfigError, ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
-from .tensor import (Tensor, cross_entropy_from_logits, div, mul, reduce_sum,
-                     reshape, scale, softmax, take, upsample_nearest)
+from .tensor import Tensor, _accum, _make, cross_entropy_from_logits, scale, take
 
 DICE_EPS = 1e-6
 LR = 1e-3
@@ -109,19 +111,6 @@ def matching_cost(pred, gt):
     return Tensor(-confidence * dice)
 
 
-def _upsample_logits(aux, target_stride_hw):
-    """Nearest-upsample (HW, N) stage logits to the supervision resolution."""
-    h, w = aux.height, aux.width
-    target_h, target_w = target_stride_hw
-    factor = target_h // h
-    if factor & (factor - 1) or (h * factor, w * factor) != (target_h, target_w):
-        raise ShapeError(f"stage logits {h}x{w} do not double up to the "
-                         f"supervision grid {target_h}x{target_w}")
-    n = aux.mask_logits.data.shape[1]
-    up = upsample_nearest(reshape(aux.mask_logits, (h, w, n)), factor)
-    return reshape(up, (target_h * target_w, n))
-
-
 def _masked_cross_entropy(logits, targets):
     """Mean cross-entropy over the rows whose target is not negative; 0 if none."""
     keep = targets >= 0
@@ -133,37 +122,98 @@ def _masked_cross_entropy(logits, targets):
     return cross_entropy_from_logits(take(logits, rows, axis=0), targets[rows])
 
 
-def _output_terms(mask_logits, class_logits, masks, class_ids, matching):
-    """Mask-quality and mask-id terms for one output (final or auxiliary)."""
-    n = class_logits.data.shape[0]
+def _softmax_lse(logits):
+    """Softmax over the last axis of (O, R, C) ``logits`` and its (O, R) log-sum-exp."""
+    m = logits.max(axis=2, keepdims=True)
+    e = np.exp(logits - m)
+    z = e.sum(axis=2, keepdims=True)
+    return e / z, m[:, :, 0] + np.log(z[:, :, 0])
+
+
+def _set_prediction_loss(final, aux, masks, class_ids, matching):
+    """Mask-quality and mask-id losses of the final and auxiliary outputs, one node.
+
+    The final (HW, N) mask logits and each auxiliary output's, nearest-
+    upsampled to the final grid, are stacked into one (O, HW, N) array, and
+    the class logits into (O, N, C+1); class cross-entropy, Dice, void
+    cross-entropy and mask-id cross-entropy are then computed once over the
+    output axis. Returns ``(loss, l_pq, l_maskid)``: the scalar tensor
+    ``sum_o W_PQ * l_pq[o] + W_MASKID * l_maskid[o]`` and the two (O,)
+    per-output arrays. The backward sums each auxiliary gradient over its
+    f x f upsampling blocks.
+    """
+    hw, n = final.mask_logits.data.shape
+    factors = []
+    for a in aux:
+        factor = final.height // a.height
+        if factor & (factor - 1) or (a.height * factor, a.width * factor) != (
+                final.height, final.width):
+            raise ShapeError(f"stage logits {a.height}x{a.width} do not double up to the "
+                             f"supervision grid {final.height}x{final.width}")
+        factors.append(factor)
+    outputs = [final, *aux]
+    logits = np.empty((len(outputs), hw, n))
+    logits[0] = final.mask_logits.data
+    for i, (a, f) in enumerate(zip(aux, factors), 1):
+        logits[i].reshape(a.height, f, a.width, f, n)[...] = (
+            a.mask_logits.data.reshape(a.height, 1, a.width, 1, n))
+    class_logits = np.stack([out.class_logits.data for out in outputs])
+
     k = matching.num_matched
-    void_id = class_logits.data.shape[1] - 1
-
-    targets = np.full(n, void_id, dtype=np.int64)
-    targets[matching.gt_to_query] = class_ids
-    ce_rows = cross_entropy_from_logits(class_logits, targets, reduction="none")
-
-    pq = Tensor(0.0)
-    if k:
-        matched_ce = reduce_sum(take(ce_rows, matching.gt_to_query, axis=0))
-        z = softmax(mask_logits, axis=1)
-        zm = take(z, matching.gt_to_query, axis=1)       # (HW, K)
-        inter = reduce_sum(mul(zm, Tensor(masks)), axis=0)
-        denom = reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
-        dice = scale(div(inter, denom), 2.0)
-        one_minus_dice = reduce_sum(Tensor(np.ones(k)) - dice)
-        pq = pq + scale(matched_ce + one_minus_dice, 1.0 / k)
+    matched = matching.gt_to_query
     unmatched = matching.unmatched_queries()
-    if unmatched.size:
-        void_ce = reduce_sum(take(ce_rows, unmatched, axis=0))
-        pq = pq + scale(void_ce, W_VOID / unmatched.size)
+    targets = np.full(n, class_logits.shape[2] - 1, dtype=np.int64)
+    targets[matched] = class_ids
+    p_class, lse_class = _softmax_lse(class_logits)
+    ce = lse_class - class_logits[:, np.arange(n), targets]          # (O, N)
+    z, lse = _softmax_lse(logits)
+    # supervised pixels and the query matched to each one's segment
+    pix, seg = np.nonzero(masks)
+    qid = matched[seg]
 
-    # mask-id cross-entropy over pixels covered by a ground-truth segment
-    hw = mask_logits.data.shape[0]
-    qid = np.full(hw, -1, dtype=np.int64)
-    for i in range(k):
-        qid[masks[:, i] > 0] = matching.gt_to_query[i]
-    return pq, _masked_cross_entropy(mask_logits, qid)
+    l_pq = np.zeros(len(outputs))
+    row_weight = np.zeros(n)   # d l_pq / d ce of each class row
+    if k:
+        zm = z[:, :, matched]                                          # (O, HW, K)
+        inter = (zm * masks).sum(axis=1)
+        denom = zm.sum(axis=1) + (masks.sum(axis=0) + DICE_EPS)
+        dice = inter / denom * 2.0
+        l_pq += (ce[:, matched].sum(axis=1) + (1.0 - dice).sum(axis=1)) * (1.0 / k)
+        row_weight[matched] = 1.0 / k
+    if unmatched.size:
+        l_pq += ce[:, unmatched].sum(axis=1) * (W_VOID / unmatched.size)
+        row_weight[unmatched] = W_VOID / unmatched.size
+    l_maskid = np.zeros(len(outputs))
+    if pix.size:
+        l_maskid += (lse[:, pix] - logits[:, pix, qid]).mean(axis=1)
+    terms = W_PQ * l_pq + W_MASKID * l_maskid
+
+    def bwd(g):
+        g_class = p_class.copy()
+        g_class[:, np.arange(n), targets] -= 1.0
+        g_class *= (W_PQ * g) * row_weight[:, None]
+        g_logits = np.zeros_like(logits)
+        if k:
+            # d dice / d zm = 2 (mask * denom - inter) / denom^2, then
+            # through the softmax over queries
+            g_z = np.zeros_like(logits)
+            g_z[:, :, matched] = (masks * denom[:, None, :] - inter[:, None, :]) * (
+                -2.0 * W_PQ / k / (denom * denom))[:, None, :]
+            g_logits += z * (g_z - (g_z * z).sum(axis=2, keepdims=True))
+        if pix.size:
+            g_id = z[:, pix]
+            g_id[:, np.arange(pix.size), qid] -= 1.0
+            g_logits[:, pix] += (W_MASKID / pix.size) * g_id
+        g_logits *= g
+        _accum(final.mask_logits, g_logits[0], fresh=True)
+        _accum(final.class_logits, g_class[0], fresh=True)
+        for i, (a, f) in enumerate(zip(aux, factors), 1):
+            g_a = g_logits[i].reshape(a.height, f, a.width, f, n).sum(axis=(1, 3))
+            _accum(a.mask_logits, g_a.reshape(a.height * a.width, n), fresh=True)
+            _accum(a.class_logits, g_class[i], fresh=True)
+
+    parents = [t for out in outputs for t in (out.mask_logits, out.class_logits)]
+    return _make(sum(terms.tolist()), parents, bwd), l_pq, l_maskid
 
 
 def total_loss(final, aux, sem_logits, gt, matching):
@@ -173,7 +223,9 @@ def total_loss(final, aux, sem_logits, gt, matching):
     ``l_maskid`` summed over the final and auxiliary outputs, and ``l_sem``.
     ``matching`` must be the assignment computed on ``final``; it is reused
     for every auxiliary output. ``gt`` is the ground truth already at the
-    supervision resolution of ``final``.
+    supervision resolution of ``final``. The mask losses of all outputs are
+    one tape node (``_set_prediction_loss``); the semantic cross-entropy is
+    added to it.
     """
     if matching is None:
         raise ContractError("total_loss requires the matching computed on the final prediction")
@@ -183,22 +235,11 @@ def total_loss(final, aux, sem_logits, gt, matching):
             f"ground truth grid {gt.height}x{gt.width} does not match the "
             f"{final.height}x{final.width} prediction"
         )
-
-    l_pq, l_maskid = _output_terms(final.mask_logits, final.class_logits,
-                                   masks, class_ids, matching)
-    total = scale(l_pq, W_PQ) + scale(l_maskid, W_MASKID)
-    pq_sum, maskid_sum = l_pq.item(), l_maskid.item()
-    for a in aux:
-        up = _upsample_logits(a, (final.height, final.width))
-        a_pq, a_maskid = _output_terms(up, a.class_logits, masks, class_ids, matching)
-        # bracketed so the float additions keep their order
-        total = total + (scale(a_pq, W_PQ) + scale(a_maskid, W_MASKID))
-        pq_sum += a_pq.item()
-        maskid_sum += a_maskid.item()
-
+    loss, l_pq, l_maskid = _set_prediction_loss(final, aux, masks, class_ids, matching)
     l_sem = _masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
-    total = total + scale(l_sem, W_SEM)
-    return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
+    total = loss + scale(l_sem, W_SEM)
+    return total, {"l_pq": sum(l_pq.tolist()), "l_sem": l_sem.item(),
+                   "l_maskid": sum(l_maskid.tolist())}
 
 
 class AdamW:

@@ -11,9 +11,10 @@ from kmaxseg.gradcheck import grad_check
 from kmaxseg.model import KMaxModel
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
-from kmaxseg.training import (W_MASKID, W_PQ, W_SEM, AdamW, Matching, _upsample_logits,
-                              hungarian_match, matching_cost, scene_spec_from_config,
-                              total_loss, train_loop, warmup_lr)
+from kmaxseg.training import (DICE_EPS, W_MASKID, W_PQ, W_SEM, W_VOID, AdamW, Matching,
+                              _gt_arrays, _masked_cross_entropy, hungarian_match,
+                              matching_cost, scene_spec_from_config, total_loss, train_loop,
+                              warmup_lr)
 
 
 def brute_force_match(cost):
@@ -176,29 +177,173 @@ def test_total_loss_without_aux_equals_final_terms():
 
 
 def test_stage_logits_that_do_not_double_up_to_the_grid_raise_shape_error():
+    gt = _tiny_gt()
+    pred, sem, matching = _loss_inputs(gt, 2)
+    n = pred.num_queries
     for h, w in ((3, 3), (2, 4), (8, 8)):
-        stage = PredictionSet(Tensor(np.zeros((h * w, 2))), Tensor(np.zeros((2, 3))), h, w)
+        stage = PredictionSet(Tensor(np.zeros((h * w, n))), Tensor(np.zeros((n, 3))), h, w)
         with pytest.raises(ShapeError, match="supervision grid 4x4"):
-            _upsample_logits(stage, (4, 4))
+            total_loss(pred, [stage], sem, gt, matching)
 
 
 def test_total_loss_gradient_passes_finite_differences():
-    # 2 queries, 16 pixels; matching frozen, all logits packed into one leaf
+    # 4 queries, 16 pixels with two void ones, aux outputs at 1/2 and 1/4 of
+    # the grid; matching frozen, all logits packed into one leaf
+    from kmaxseg.acceptance import unpack
+
     rng = np.random.default_rng(5)
     gt = _tiny_gt()
-    num_classes = 2
-    n, hw, c = 2, 16, num_classes + 1
-    matching = Matching(np.array([0, 1]), n)
-    shapes = ((hw, n), (n, c), (hw, c))
-    starts = np.cumsum([0] + [a * b for a, b in shapes])
+    gt.class_map[0, :2] = VOID
+    n, c = 4, 3
+    matching = Matching(np.array([2, 0]), n)
+    shapes = ((16, n), (n, c), (16, c), (4, n), (n, c), (1, n), (n, c))
 
     def f(x):
-        m, cl, sem = (T.reshape(T.take(x, np.arange(lo, hi)), shape)
-                      for lo, hi, shape in zip(starts, starts[1:], shapes))
-        return total_loss(PredictionSet(m, cl, 4, 4), [], sem, gt, matching)[0]
+        m, cl, sem, m2, cl2, m1, cl1 = unpack(x, shapes)
+        aux = [PredictionSet(m2, cl2, 2, 2), PredictionSet(m1, cl1, 1, 1)]
+        return total_loss(PredictionSet(m, cl, 4, 4), aux, sem, gt, matching)[0]
 
-    x = Tensor(rng.normal(size=(starts[-1],)))
+    x = Tensor(rng.normal(size=sum(a * b for a, b in shapes)))
     assert grad_check(f, x, eps=1e-5) < 1e-4
+
+
+# -- the composed loss: one tape node per numpy step, the reference the fused
+# -- ``_set_prediction_loss`` node is checked against
+
+
+def _reference_upsample_logits(aux, target_stride_hw):
+    h, w = aux.height, aux.width
+    target_h, target_w = target_stride_hw
+    factor = target_h // h
+    n = aux.mask_logits.data.shape[1]
+    up = T.upsample_nearest(T.reshape(aux.mask_logits, (h, w, n)), factor)
+    return T.reshape(up, (target_h * target_w, n))
+
+
+def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matching):
+    n = class_logits.data.shape[0]
+    k = matching.num_matched
+    void_id = class_logits.data.shape[1] - 1
+
+    targets = np.full(n, void_id, dtype=np.int64)
+    targets[matching.gt_to_query] = class_ids
+    ce_rows = T.cross_entropy_from_logits(class_logits, targets, reduction="none")
+
+    pq = Tensor(0.0)
+    if k:
+        matched_ce = T.reduce_sum(T.take(ce_rows, matching.gt_to_query, axis=0))
+        z = T.softmax(mask_logits, axis=1)
+        zm = T.take(z, matching.gt_to_query, axis=1)
+        inter = T.reduce_sum(T.mul(zm, Tensor(masks)), axis=0)
+        denom = T.reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
+        dice = T.scale(T.div(inter, denom), 2.0)
+        one_minus_dice = T.reduce_sum(Tensor(np.ones(k)) - dice)
+        pq = pq + T.scale(matched_ce + one_minus_dice, 1.0 / k)
+    unmatched = matching.unmatched_queries()
+    if unmatched.size:
+        void_ce = T.reduce_sum(T.take(ce_rows, unmatched, axis=0))
+        pq = pq + T.scale(void_ce, W_VOID / unmatched.size)
+
+    hw = mask_logits.data.shape[0]
+    qid = np.full(hw, -1, dtype=np.int64)
+    for i in range(k):
+        qid[masks[:, i] > 0] = matching.gt_to_query[i]
+    return pq, _masked_cross_entropy(mask_logits, qid)
+
+
+def _reference_total_loss(final, aux, sem_logits, gt, matching):
+    masks, class_ids = _gt_arrays(gt, final.num_classes)
+    l_pq, l_maskid = _reference_output_terms(final.mask_logits, final.class_logits,
+                                             masks, class_ids, matching)
+    total = T.scale(l_pq, W_PQ) + T.scale(l_maskid, W_MASKID)
+    pq_sum, maskid_sum = l_pq.item(), l_maskid.item()
+    for a in aux:
+        up = _reference_upsample_logits(a, (final.height, final.width))
+        a_pq, a_maskid = _reference_output_terms(up, a.class_logits, masks, class_ids,
+                                                 matching)
+        total = total + (T.scale(a_pq, W_PQ) + T.scale(a_maskid, W_MASKID))
+        pq_sum += a_pq.item()
+        maskid_sum += a_maskid.item()
+    l_sem = _masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
+    total = total + T.scale(l_sem, W_SEM)
+    return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
+
+
+def _assert_fused_matches_composed(leaves, build):
+    """Loss, parts and every leaf gradient of both losses agree to 1e-12.
+
+    Gradients are compared relative to their global norm, not element-wise:
+    some are zero analytically and carry rounding of about 1e-17.
+    """
+    results = []
+    for loss_fn in (total_loss, _reference_total_loss):
+        for t in leaves:
+            t.grad = None
+        loss, parts = loss_fn(*build())
+        loss.backward()
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in leaves]
+        results.append((loss.item(), parts, grads))
+    (loss, parts, grads), (ref_loss, ref_parts, ref_grads) = results
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for key, value in ref_parts.items():
+        assert abs(parts[key] - value) <= 1e-12 * abs(value), key
+    norm = np.sqrt(sum(np.sum(g * g) for g in ref_grads))
+    assert norm > 0
+    for g, ref in zip(grads, ref_grads):
+        assert np.max(np.abs(g - ref), initial=0.0) <= 1e-12 * norm
+
+
+def _random_gt(rng, segments, void_frac):
+    """8x8 ground truth with ``segments`` segments, each present, over classes 0-2."""
+    labels = rng.integers(0, max(segments, 1), size=64)
+    labels[:segments] = np.arange(segments)
+    labels[rng.random(64) < void_frac] = -1
+    if segments == 0:
+        labels[:] = -1
+    cls = np.where(labels >= 0, labels % 3, VOID).reshape(8, 8)
+    inst = np.where(labels >= 0, labels, 0).reshape(8, 8)
+    return PanopticMap(cls, inst)
+
+
+@pytest.mark.parametrize("segments, void_frac", [(0, 0.0), (5, 0.0), (3, 0.2), (4, 0.0),
+                                                 (2, 0.5)])
+def test_fused_loss_matches_the_composed_nodes(segments, void_frac):
+    # 5 queries: 0 segments is k=0 with no supervised pixel, 5 leaves no
+    # query unmatched; aux outputs at factors 2, 4 and 8
+    rng = np.random.default_rng(40 + segments)
+    n, c = 5, 4
+    for trial in range(4):
+        gt = _random_gt(rng, segments, void_frac)
+        k = _gt_arrays(gt, 3)[1].size
+        matching = Matching(rng.permutation(n)[:k], n)
+        sides = (8, 4, 2, 1)
+        leaves = [Tensor(rng.normal(size=shape) * 3.0, requires_grad=True)
+                  for side in sides for shape in ((side * side, n), (n, c))]
+        sem = Tensor(rng.normal(size=(64, c)), requires_grad=True)
+        leaves.append(sem)
+
+        def build():
+            preds = [PredictionSet(leaves[2 * i], leaves[2 * i + 1], side, side)
+                     for i, side in enumerate(sides)]
+            return preds[0], preds[1:], sem, gt, matching
+
+        _assert_fused_matches_composed(leaves, build)
+
+
+@pytest.mark.parametrize("kernel", ["kmeans", "softmax"])
+def test_fused_loss_matches_the_composed_nodes_on_the_model(kernel):
+    cfg = Config()
+    cfg.model.kernel = kernel
+    model = KMaxModel(cfg.model, seed=0)
+    img, gt = generate(scene_spec_from_config(cfg), 0)
+    params = [t for _, t, _ in model.named_parameters()]
+
+    def build():
+        pred, aux, sem = model.forward(img)
+        gt4 = gt.downsample(cfg.model.image_size // pred.height)
+        return pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4))
+
+    _assert_fused_matches_composed(params, build)
 
 
 def test_adamw_zero_lr_keeps_parameters():
