@@ -17,7 +17,9 @@ index into the payload that follows the ``data`` line.
 Loading is exact: the bytes written are the bytes restored. It fails with
 ``ConfigError`` when the model's config differs from the saved one (two
 kernels have equal parameter shapes, so shapes alone cannot tell them
-apart), when the payload does not match its checksum, or when the file
+apart), when the payload does not match its checksum, when a parameter
+holds a NaN or an infinity (the checksum covers such a value, and the model
+would then merge every image to void without an error), or when the file
 has no ``config`` or no ``sha256`` line, as files written before those
 lines existed do.
 """
@@ -143,5 +145,8 @@ def load_checkpoint(path, model):
         raise ConfigError(
             f"{path} fails its sha256 checksum: manifest {checksum}, payload {actual}"
         )
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{path} holds a non-finite value in parameter {name}")
     for name, arr in arrays.items():
         params[name].data[...] = arr

@@ -235,3 +235,20 @@ def test_checkpoint_with_a_removed_config_key_is_rejected(tmp_path):
         load_checkpoint(path, model)
     assert all(np.array_equal(b, t.data)
                for b, (_, t, _) in zip(before, model.named_parameters()))
+
+
+def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path):
+    # the checksum covers the NaN, so only a value check stops it; loaded, the
+    # model would merge every image to void and score PQ 0 without an error
+    bad = KMaxModel(_small_cfg(), seed=0)
+    params = {name: t for name, t, _ in bad.named_parameters()}
+    path = tmp_path / "model.ckpt"
+    model = KMaxModel(_small_cfg(), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    for value in (np.nan, np.inf):
+        params["final.mask.w"].data[2, 1] = value
+        save_checkpoint(path, bad)
+        with pytest.raises(ConfigError, match="non-finite value in parameter final.mask.w$"):
+            load_checkpoint(path, model)
+        assert all(np.array_equal(b, t.data)
+                   for b, (_, t, _) in zip(before, model.named_parameters()))
