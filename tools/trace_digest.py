@@ -7,13 +7,17 @@ variant it runs a 12-step seed-5 ``train_loop`` and prints one line: the
 SHA-256 of the metrics rows, the SHA-256 of every trained parameter's name
 and bytes in name order, the SHA-256 of the ``class_map`` and
 ``instance_map`` bytes that ``merge_masks`` gives for every validation image
-of the trained model, that model's validation PQ and mIoU, and the number of
-tape nodes in the first step's loss graph. Running the script on two
-checkouts and diffing the output compares them. It uses only ``Config``,
-``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
-``merge_masks``, ``no_grad``, ``evaluate_model`` and
-``tensor.GradTape.from_output``, and reads only the two maps of a merge
-result, so older checkouts run it unchanged.
+of the trained model, the SHA-256 of the mask and class logits of the final
+and every auxiliary prediction of each validation image before merging, that
+model's validation PQ and mIoU, and the number of tape nodes in the first
+step's loss graph. After 12 steps the merged maps, PQ and mIoU rarely tell
+two variants apart, so the logits field is the one that shows a change to
+the eval forward pass. Running the script on two checkouts and diffing the
+output compares them. It uses only ``Config``, ``SyntheticDataset``,
+``scene_spec_from_config``, ``train_loop``, ``merge_masks``, ``no_grad``,
+``evaluate_model`` and ``tensor.GradTape.from_output``, and reads only the
+two maps of a merge result and the ``mask_logits`` and ``class_logits`` of a
+prediction, so older checkouts run it unchanged.
 """
 
 from __future__ import annotations
@@ -67,9 +71,12 @@ def digest(overrides):
     for name, tensor in named:
         params.update(name.encode() + b"\0" + tensor.data.tobytes())
     labels = hashlib.sha256()
+    logits = hashlib.sha256()
     for img, _ in dataset.val:
         with no_grad():
-            pred, _, _ = result.model.forward(img)
+            pred, aux, _ = result.model.forward(img)
+        for p in [pred, *aux]:
+            logits.update(p.mask_logits.data.tobytes() + p.class_logits.data.tobytes())
         merged = merge_masks(pred, conf_thresh=cfg.infer.conf_thresh,
                              overlap_thresh=cfg.infer.overlap_thresh,
                              thing_ids=dataset.class_table.thing_ids,
@@ -77,7 +84,7 @@ def digest(overrides):
         labels.update(merged.class_map.tobytes() + merged.instance_map.tobytes())
     scores = evaluate_model(result.model, dataset.val, cfg.infer, dataset.class_table)
     return (f"rows {rows} params {params.hexdigest()} ({len(named)} tensors) "
-            f"labels {labels.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r} "
+            f"labels {labels.hexdigest()} logits {logits.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r} "
             f"nodes {tape_sizes[0]}")
 
 
