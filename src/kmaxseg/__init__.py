@@ -6,8 +6,8 @@ The package groups into:
   and finite-difference verification,
 * ``layers`` - the parameter registry (naming, initialization, weight-decay
   policy) and the affine and layer-norm layers built on it,
-* ``kernels`` - the pixel-cluster attention path (softmax or hard-assignment
-  map) and classic clustering as the reference,
+* ``kernels`` - the softmax attention path, the hard-assignment (k-means)
+  map the decoder runs, and Lloyd k-means as its oracle,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
   the full encoder/pyramid/cluster-path model,
 * ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
@@ -21,7 +21,7 @@ from .config import Config, ModelConfig, load_config, parse_config, serialize_co
 from .data import SceneSpec, SyntheticDataset, augment_flip, generate
 from .decoder import KMaxDecoderBlock, stack_forward
 from .gradcheck import grad_check
-from .kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
+from .kernels import PixelFeatures, ProjectionWeights, lloyd_kmeans
 from .layers import Affine, LayerNorm, Params
 from .metrics import evaluate_model, evaluation_report, merge_masks, panoptic_quality
 from .model import KMaxModel

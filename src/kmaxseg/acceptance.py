@@ -19,7 +19,7 @@ from . import tensor as T
 from .config import Config
 from .data import SceneSpec, generate
 from .gradcheck import grad_check
-from .kernels import ProjectionWeights, lloyd_kmeans
+from .kernels import _hard_aggregate, lloyd_kmeans
 from .metrics import panoptic_quality
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
@@ -100,7 +100,7 @@ def gradient_cases(seed):
         "affine": (lambda t: scalarize(T.affine(*unpack(t, affine_shapes))),
                    packed["affine"]),
         "softmax_attention": (
-            lambda t: scalarize(T.softmax_attention(*unpack(t, attention_shapes), 0.7)[0]),
+            lambda t: scalarize(T.softmax_attention(*unpack(t, attention_shapes), 0.7)),
             packed["attention"]),
         "total_loss": (loss, packed["loss"]),
     }
@@ -119,7 +119,15 @@ def criterion_1_gradients():
 
 
 def criterion_2_kmeans_equivalence():
-    """Hard-attention step equals one Lloyd step on 20 norm-equalized sets."""
+    """The decoder's hard-assignment update equals one Lloyd step on 20 sets.
+
+    It runs ``_hard_aggregate`` with ``normalize`` set on the raw affinity
+    ``centers @ points.T``, the op ``KMaxDecoderBlock._interaction`` runs. The
+    points are unit-norm and the initial centers are points, so the affinity
+    argmax is the nearest center. An empty cluster is the one case where the
+    two rules differ (Lloyd keeps its previous center, the model gives a zero
+    row), so an instance with one fails the check.
+    """
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
         m = int(rng.integers(8, 65))
@@ -131,13 +139,17 @@ def criterion_2_kmeans_equivalence():
         distinct = np.unique(pts, axis=0)
         init = Tensor(distinct[np.random.default_rng(seed).choice(distinct.shape[0], n,
                                                                   replace=False)])
-        out, logits = ProjectionWeights.identity(d).attend(
-            init, Tensor(pts), "kmeans", normalize=True, prev_centers=init)
-        if not np.array_equal(logits.data.argmax(axis=0), labels):
+        affinity = T.matmul(init, Tensor(pts).T)
+        out = _hard_aggregate(affinity, Tensor(pts), normalize=True)
+        assignment = affinity.data.argmax(axis=0)
+        if np.bincount(assignment, minlength=n).min() == 0:
+            return False, f"empty cluster at seed {seed}"
+        if not np.array_equal(assignment, labels):
             return False, f"assignment mismatch at seed {seed}"
         if np.max(np.abs(out.data - centers)) >= 1e-12:
             return False, f"center mismatch at seed {seed}"
-    return True, "20/20 instances identical (centers within 1e-12)"
+    return True, ("20/20 instances: _hard_aggregate on raw affinities equals one "
+                  "Lloyd step (centers within 1e-12)")
 
 
 def criterion_3_attention_invariants():

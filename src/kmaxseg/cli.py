@@ -104,6 +104,9 @@ def _cmd_visualize(args):
     from .visualize import render_stages
 
     cfg = _load_config(args.config)
+    # the image is val scene ``--seed``; a negative one would index another split
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     model = KMaxModel(cfg.model, seed=cfg.train.seed)
     if args.checkpoint is not None:
         load_checkpoint(args.checkpoint, model)

@@ -64,6 +64,8 @@ class Config:
     def validate(self):
         if self.model.kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"model.kernel must be kmeans or softmax, got {self.model.kernel!r}")
+        if self.model.image_size < 32:
+            raise ConfigError(f"model.image_size must be at least 32, got {self.model.image_size}")
         if self.model.image_size % 32:
             raise ConfigError(f"model.image_size must be a multiple of 32, got {self.model.image_size}")
         for key in ("d", "num_queries", "num_classes", "ffn_hidden"):

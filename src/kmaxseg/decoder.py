@@ -63,7 +63,7 @@ class KMaxDecoderBlock:
 
     def _self_attention(self, c):
         x = self.sa_ln(c)
-        update, _ = self.sa_proj.attend(x, x, logit_scale=self.logit_scale)
+        update = self.sa_proj.attend(x, x, logit_scale=self.logit_scale)
         return c + self.sa_ln_out(update)
 
     def _interaction(self, c, pixels):
@@ -77,7 +77,7 @@ class KMaxDecoderBlock:
             # deep-supervision losses directly shape the clustering
             update = _hard_aggregate(affinity, v, self.kmeans_normalize)
         else:
-            update, _ = softmax_attention(q, k, v, self.logit_scale)
+            update = softmax_attention(q, k, v, self.logit_scale)
         return c + self.ker_ln_out(update), sup_logits
 
     def _ffn(self, c):

@@ -1,26 +1,20 @@
 """Pixel-cluster interaction kernels.
 
-``ProjectionWeights.attend`` updates a set of cluster centers (object
-queries) from pixel features through one of two attention maps over the
-single-head (N, HW) logit matrix ``Q K^T``:
+``ProjectionWeights.attend`` projects centers to Q and pixels (or centers)
+to K/V and returns the single-head softmax attention update
+``softmax(c · Q K^T) V``, computed by one ``softmax_attention`` tape node. The decoder's self-attention and the stride-32 pixel block use it;
+callers add the residual themselves.
 
-* 'softmax' - the logits are normalized with a softmax over the pixel axis
-  and used as soft aggregation weights. Logits, softmax and aggregation are
-  one ``softmax_attention`` tape node, so the logits ``attend`` returns for
-  this kind are detached: no gradient flows back through them.
-* 'kmeans'  - each pixel is hard-assigned to its best cluster (argmax over
-  the cluster axis) and assigned pixel values are aggregated per cluster.
-  The assignment is detached; gradients reach the query/key projections only
-  through losses attached to the returned logits, which stay on the tape.
+``_hard_aggregate`` is the k-means map the decoder's interaction kernel
+runs: each pixel is hard-assigned to its argmax cluster of an (N, HW)
+affinity, and a cluster sums (or averages) the value rows assigned to it.
+The assignment is detached, so gradients reach the query/key projections
+only through losses on the affinity itself. The decoder takes that affinity
+against the mask embedding of Q, so it calls ``project`` and then
+``softmax_attention`` or ``_hard_aggregate`` itself.
 
-``attend`` returns the update with the very logits whose map weighted it, so
-the hard assignment is the argmax of the returned logits by construction;
-callers add the residual themselves. The decoder's self-attention and the
-stride-32 pixel block use ``attend``; the decoder's interaction kernel calls
-``project`` and then ``softmax_attention`` or ``_hard_aggregate`` itself, as
-its supervised logits use the mask embedding of Q. ``kmeans_step`` /
-``lloyd_kmeans`` are the classic parameter-free clustering update, kept as
-references the hard-assignment map is checked against.
+``lloyd_kmeans`` is classic Lloyd clustering, the oracle acceptance
+criterion 2 checks ``_hard_aggregate`` against.
 
 Feed-forward layers and normalization are deliberately absent here; they
 belong to the decoder block that wraps these kernels.
@@ -34,12 +28,11 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import Affine
-from .tensor import Tensor, argmax_onehot, matmul, mul, scale, softmax_attention
+from .tensor import Tensor, argmax_onehot, matmul, softmax_attention
 
 __all__ = [
     "PixelFeatures",
     "ProjectionWeights",
-    "kmeans_step",
     "lloyd_kmeans",
 ]
 
@@ -65,7 +58,7 @@ class ProjectionWeights:
     """Query/key/value projections and the one attention path through them.
 
     ``project`` is the only place the projections are applied; ``attend``
-    projects and then runs one single-head attention map.
+    projects and then runs single-head softmax attention.
     """
 
     wq: Tensor
@@ -95,25 +88,11 @@ class ProjectionWeights:
     def project(self, centers, pixels):
         return self._q(centers), self._k(pixels), self._v(pixels)
 
-    def attend(self, queries, keys, kind="softmax", logit_scale=1.0,
-               normalize=False, prev_centers=None):
-        """Project ``queries`` to Q and ``keys`` to K/V, then attend.
-
-        Returns (update, logits), the logits ``logit_scale * Q K^T`` being
-        the very matrix whose attention map weighted the update. For 'softmax'
-        the logits are detached; for 'kmeans' they carry the gradient path
-        into Q and K.
-        """
-        if kind not in ("softmax", "kmeans"):
-            raise ValueError(f"unknown interaction kind {kind!r}")
+    def attend(self, queries, keys, logit_scale=1.0):
+        """Project ``queries`` to Q and ``keys`` to K/V; return the softmax attention update."""
         _check_dims(queries, keys, self)
         q, k, v = self.project(queries, keys)
-        if kind == "softmax":
-            return softmax_attention(q, k, v, logit_scale)
-        logits = matmul(q, k.T)
-        if logit_scale != 1.0:
-            logits = scale(logits, logit_scale)
-        return _hard_aggregate(logits, v, normalize, prev_centers), logits
+        return softmax_attention(q, k, v, logit_scale)
 
 
 def _check_dims(centers, pixels, w):
@@ -127,52 +106,18 @@ def _check_dims(centers, pixels, w):
         )
 
 
-def _hard_aggregate(logits, v, normalize=False, prev_centers=None):
+def _hard_aggregate(logits, v, normalize=False):
     """Per-cluster update of V under the hard assignment of (N, HW) ``logits``.
 
     Each pixel goes to its argmax cluster (detached); a cluster sums its
-    assigned value rows, or averages them when ``normalize`` is set.
-    ``prev_centers`` feeds the empty-cluster fallback of the normalized
-    average.
+    assigned value rows, or averages them when ``normalize`` is set. An
+    empty cluster gets a zero row either way.
     """
     a = argmax_onehot(logits)
     if not normalize:
         return matmul(a, v)
     counts = a.data.sum(axis=1, keepdims=True)
-    update = matmul(Tensor(a.data / np.maximum(counts, 1.0)), v)
-    empty = (counts[:, 0] == 0).astype(np.float64)[:, None]
-    if prev_centers is not None and empty.any():
-        # empty clusters fall back to their previous center row
-        update = update + mul(prev_centers, Tensor(empty))
-    return update
-
-
-def kmeans_step(centers, pixels, normalize=False):
-    """One parameter-free clustering update (assign, then aggregate).
-
-    Assignments use raw affinities (centers @ pixels.T). With
-    ``normalize=False`` the new center is the plain sum of its assigned
-    pixel rows (empty clusters become zero rows); with ``normalize=True`` it
-    is their mean (empty clusters keep their previous center). Non-residual
-    by construction. Returns (new_centers, assignment).
-    """
-    pixels = pixels.values if isinstance(pixels, PixelFeatures) else pixels
-    if centers.data.shape[-1] != pixels.data.shape[-1]:
-        raise ShapeError(
-            f"channel mismatch: centers {centers.data.shape} vs pixels "
-            f"{pixels.data.shape}"
-        )
-    logits = matmul(centers, pixels.T)
-    assignment = argmax_onehot(logits)
-    if not normalize:
-        return matmul(assignment, pixels), assignment
-    counts = assignment.data.sum(axis=1, keepdims=True)
-    weights = Tensor(assignment.data / np.maximum(counts, 1.0))
-    new = matmul(weights, pixels)
-    empty = (counts[:, 0] == 0).astype(np.float64)[:, None]
-    if empty.any():
-        new = new + mul(centers, Tensor(empty))
-    return new, assignment
+    return matmul(Tensor(a.data / np.maximum(counts, 1.0)), v)
 
 
 def lloyd_kmeans(points, k, max_iters=100, seed=0):

@@ -141,7 +141,7 @@ class KMaxModel:
             t = t + self.pos[s]
             if s == 32:
                 a_in = self.attn_ln(t)
-                upd, _ = self.attn_proj.attend(a_in, a_in, logit_scale=self.cfg.d ** -0.5)
+                upd = self.attn_proj.attend(a_in, a_in, logit_scale=self.cfg.d ** -0.5)
                 t = t + upd
                 t = t + self.mlp2(gelu(self.mlp1(self.mlp_ln(t))))
             else:

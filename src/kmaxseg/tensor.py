@@ -14,9 +14,9 @@ checks stay meaningful.
 The model's matrices are small (16 queries by 64 channels), so a node's
 Python overhead costs more than its arithmetic. Two patterns the model
 repeats are therefore one node each, with a hand-written backward:
-``affine`` (``x @ w + b``) and ``softmax_attention`` (``softmax(c·q kᵀ) @ v``,
-whose logits come back detached). A backward closure hands the gradients
-it allocates to ``_accum`` without a copy.
+``affine`` (``x @ w + b``) and ``softmax_attention`` (``softmax(c·q kᵀ) @ v``).
+A backward closure hands the gradients it allocates to ``_accum`` without a
+copy.
 """
 
 from __future__ import annotations
@@ -60,18 +60,6 @@ class Tensor:
     # -- basic introspection -------------------------------------------------
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
     def T(self):
         return transpose(self)
 
@@ -87,34 +75,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     # -- backward ------------------------------------------------------------
 
@@ -399,12 +361,10 @@ def softmax(x, axis):
 def softmax_attention(q, k, v, logit_scale=1.0):
     """``softmax(logit_scale · q kᵀ, axis=1) @ v`` as one node.
 
-    ``q`` is (N, D), ``k`` (M, D) and ``v`` (M, Dv). Returns ``(out, logits)``:
-    the (N, Dv) attention output and the (N, M) logits ``logit_scale · q kᵀ``
-    as a detached tensor. The backward repeats, in the same order, the numpy
+    ``q`` is (N, D), ``k`` (M, D) and ``v`` (M, Dv); the result is the (N, Dv)
+    attention output. The backward repeats, in the same order, the numpy
     calls of the composed ``matmul``, ``scale``, ``softmax`` and ``matmul``
-    nodes, so it rounds as they do; no gradient flows back through the
-    returned logits.
+    nodes, so it rounds as they do.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_gemm(q.data, k.data.T, "softmax_attention")
@@ -427,7 +387,7 @@ def softmax_attention(q, k, v, logit_scale=1.0):
         if v.requires_grad:
             _accum(v, s.T @ g, fresh=True)
 
-    return _make(s @ v.data, (q, k, v), bwd), Tensor(logits)
+    return _make(s @ v.data, (q, k, v), bwd)
 
 
 def argmax_onehot(x):

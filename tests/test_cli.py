@@ -70,6 +70,15 @@ def test_train_with_a_negative_seed_is_a_config_error(tmp_path, capsys):
     assert "error: train.seed must be non-negative, got -5" in capsys.readouterr().err
 
 
+def test_visualize_with_a_negative_seed_is_a_config_error(tmp_path, capsys):
+    # the rendered image is val scene --seed; -5 would be scene 999995, in no split
+    out = tmp_path / "vis"
+    assert main(["visualize", "--config", _config(tmp_path), "--seed", "-5",
+                 "--out", str(out)]) == 2
+    assert "error: --seed must be non-negative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["eval", "--seed", "5"], ["ablate", "--seed", "9"],
                                   ["ablate", "--out", "abl"]])
 def test_flags_a_command_never_reads_are_not_offered(argv, capsys):

@@ -106,6 +106,8 @@ def test_non_positive_model_sizes_raise_config_error(key, value):
     ("[infer]\nmask_binarize = nan", r"infer.mask_binarize must lie in \[0, 1\]"),
     ("[model]\nkernel = softmax\nkmeans_normalize = true",
      "kmeans_normalize only applies to the kmeans kernel"),
+    ("[model]\nimage_size = 0", "model.image_size must be at least 32, got 0"),
+    ("[model]\nimage_size = -64", "model.image_size must be at least 32, got -64"),
 ])
 def test_out_of_range_values_raise_config_error(text, match):
     with pytest.raises(ConfigError, match=match):

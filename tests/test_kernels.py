@@ -3,7 +3,7 @@ import pytest
 
 from kmaxseg import tensor as T
 from kmaxseg.errors import ShapeError
-from kmaxseg.kernels import PixelFeatures, ProjectionWeights, kmeans_step, lloyd_kmeans
+from kmaxseg.kernels import PixelFeatures, ProjectionWeights, _hard_aggregate, lloyd_kmeans
 from kmaxseg.layers import Params
 from kmaxseg.tensor import Tensor
 
@@ -18,14 +18,20 @@ def _zero_weights(d):
     return ProjectionWeights(z, z, z, zb, zb, zb)
 
 
+def _affinity(w, centers, pixels):
+    """The (N, HW) logits ``Q K^T`` and the values V of ``w`` on centers and pixels."""
+    q, k, v = w.project(centers, pixels)
+    return T.matmul(q, k.T), v
+
+
 def test_softmax_attention_zero_weights_is_identity():
     rng = np.random.default_rng(0)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(6, 4)))
-    update, logits = _zero_weights(4).attend(c, p)
-    out = c + update
+    w = _zero_weights(4)
+    out = c + w.attend(c, p)
     assert np.array_equal(out.data, c.data)
-    assert np.array_equal(logits.data, np.zeros((3, 6)))
+    assert np.array_equal(_affinity(w, c, p)[0].data, np.zeros((3, 6)))
 
 
 def test_softmax_attention_single_query_stays_in_value_hull():
@@ -33,8 +39,8 @@ def test_softmax_attention_single_query_stays_in_value_hull():
     c = Tensor(rng.normal(size=(1, 3)))
     p = Tensor(rng.normal(size=(5, 3)))
     w = ProjectionWeights.identity(3)
-    out, logits = w.attend(c, p)
-    attn = _numpy_softmax(logits.data, axis=1)
+    out = w.attend(c, p)
+    attn = _numpy_softmax(_affinity(w, c, p)[0].data, axis=1)
     assert np.all(attn > 0) and abs(attn.sum() - 1.0) < 1e-12
     lo, hi = p.data.min(axis=0), p.data.max(axis=0)
     assert np.all(out.data[0] >= lo - 1e-12) and np.all(out.data[0] <= hi + 1e-12)
@@ -44,8 +50,7 @@ def test_softmax_attention_matches_reimplementation():
     rng = np.random.default_rng(2)
     c = rng.normal(size=(2, 3))
     p = rng.normal(size=(4, 3))
-    update, _ = ProjectionWeights.identity(3).attend(Tensor(c), Tensor(p))
-    out = update + c
+    out = ProjectionWeights.identity(3).attend(Tensor(c), Tensor(p)) + c
     expected = _numpy_softmax(c @ p.T, axis=1) @ p + c
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -55,8 +60,7 @@ def test_softmax_attention_row_normalization():
     for _ in range(100):
         c = Tensor(rng.normal(size=(4, 5)))
         p = Tensor(rng.normal(size=(9, 5)))
-        _, logits = ProjectionWeights.identity(5).attend(c, p)
-        attn = _numpy_softmax(logits.data, axis=1)
+        attn = _numpy_softmax(_affinity(ProjectionWeights.identity(5), c, p)[0].data, axis=1)
         assert np.all(np.abs(attn.sum(axis=1) - 1.0) <= 1e-12)
 
 
@@ -65,8 +69,6 @@ def test_dimension_mismatch_raises():
     p = Tensor(np.zeros((6, 3)))
     with pytest.raises(ShapeError):
         ProjectionWeights.identity(4).attend(c, p)
-    with pytest.raises(ShapeError):
-        ProjectionWeights.identity(4).attend(c, p, "kmeans")
 
 
 def _embed_1d(points, centers):
@@ -78,35 +80,43 @@ def _embed_1d(points, centers):
     return Tensor(c), Tensor(p)
 
 
-def test_kmeans_step_normalized_hand_case():
+def _hard_update(c, p, normalize):
+    """``_hard_aggregate`` on the raw affinity ``c p^T`` with values ``p``."""
+    affinity = T.matmul(c, p.T)
+    return _hard_aggregate(affinity, p, normalize), T.argmax_onehot(affinity)
+
+
+def test_hard_aggregate_normalized_hand_case():
     c, p = _embed_1d(np.array([0.0, 0.1, 10.0, 10.1]), np.array([0.0, 10.0]))
-    new, assignment = kmeans_step(c, p, normalize=True)
+    new, assignment = _hard_update(c, p, normalize=True)
     assert np.array_equal(assignment.data, [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert np.allclose(new.data[:, 0], [0.05, 10.05], atol=1e-12)
 
 
-def test_kmeans_step_literal_hand_case():
+def test_hard_aggregate_literal_hand_case():
     c, p = _embed_1d(np.array([0.0, 0.1, 10.0, 10.1]), np.array([0.0, 10.0]))
-    new, _ = kmeans_step(c, p, normalize=False)
+    new, _ = _hard_update(c, p, normalize=False)
     assert np.allclose(new.data[:, 0], [0.1, 20.1], atol=1e-12)
 
 
-def test_kmeans_step_identical_pixels_collapse_to_one_cluster():
+def test_hard_aggregate_identical_pixels_collapse_to_one_cluster():
     p = Tensor(np.ones((5, 3)))
     c = Tensor(np.zeros((2, 3)))
-    new, assignment = kmeans_step(c, p, normalize=True)
+    new, assignment = _hard_update(c, p, normalize=True)
     # zero affinities tie, so every pixel lands in cluster 0
     assert np.array_equal(assignment.data[0], np.ones(5))
     assert np.allclose(new.data[0], np.ones(3))
-    # empty cluster 1 keeps its previous center
-    assert np.array_equal(new.data[1], c.data[1])
 
 
-def test_kmeans_step_literal_empty_cluster_is_zero_row():
+def test_hard_aggregate_empty_cluster_is_zero_row():
+    # every pixel prefers cluster 0, so cluster 1 is empty: its update is a
+    # zero row under both normalize values, never its previous center
     p = Tensor(np.ones((5, 3)))
-    c = Tensor(np.zeros((2, 3)))
-    new, _ = kmeans_step(c, p, normalize=False)
-    assert np.array_equal(new.data[1], np.zeros(3))
+    c = Tensor(np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
+    for normalize, row0 in ((False, 5.0), (True, 1.0)):
+        new, assignment = _hard_update(c, p, normalize)
+        assert np.array_equal(assignment.data[1], np.zeros(5))
+        assert np.array_equal(new.data, [[row0] * 3, [0.0] * 3])
 
 
 def test_lloyd_separates_two_blobs():
@@ -155,37 +165,25 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
     rng = np.random.default_rng(8)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(10, 4)))
-    w = ProjectionWeights.identity(4)
-    update, logits = w.attend(c, p, "kmeans")
-    a = T.argmax_onehot(Tensor(logits.data)).data
-    update = update.data
-    v = p.data  # identity value projection
+    affinity, v = _affinity(ProjectionWeights.identity(4), c, p)
+    update = _hard_aggregate(affinity, v).data
+    a = T.argmax_onehot(affinity).data
     for i in range(3):
-        assert np.allclose(update[i], v[a[i] == 1].sum(axis=0), atol=1e-12)
+        assert np.allclose(update[i], p.data[a[i] == 1].sum(axis=0), atol=1e-12)
     # partition: per-cluster pixel counts sum to HW
     assert a.sum() == 10
 
 
 def test_kmeans_attention_argmax_scale_invariance():
     rng = np.random.default_rng(9)
+    w = ProjectionWeights.identity(4)
     for _ in range(100):
         c = Tensor(rng.normal(size=(3, 4)))
         p = Tensor(rng.normal(size=(7, 4)))
-        w = ProjectionWeights.identity(4)
-        _, logits = w.attend(c, p, "kmeans")
-        a = T.argmax_onehot(logits).data
-        scaled = T.argmax_onehot(Tensor(logits.data * 12.5)).data
-        assert np.array_equal(a, scaled)
-
-
-def test_kmeans_attention_matches_kmeans_step():
-    rng = np.random.default_rng(10)
-    c = Tensor(rng.normal(size=(3, 5)))
-    p = Tensor(rng.normal(size=(12, 5)))
-    w = ProjectionWeights.identity(5)
-    out, _ = w.attend(c, p, "kmeans", normalize=True, prev_centers=c)
-    ref, _ = kmeans_step(c, p, normalize=True)
-    assert np.allclose(out.data, ref.data, atol=1e-15)
+        affinity, v = _affinity(w, c, p)
+        for normalize in (False, True):
+            assert np.array_equal(_hard_aggregate(affinity, v, normalize).data,
+                                  _hard_aggregate(T.scale(affinity, 12.5), v, normalize).data)
 
 
 def test_permutation_equivariance_in_cluster_index():
@@ -194,21 +192,22 @@ def test_permutation_equivariance_in_cluster_index():
     p = Tensor(rng.normal(size=(9, 6)))
     w = ProjectionWeights.init(Params(np.random.default_rng(0)), "p", 6)
     perm = np.array([2, 0, 3, 1])
-    for kind in ("softmax", "kmeans"):
-        base, base_logits = w.attend(Tensor(c), p, kind)
-        base = base + c
-        permuted, perm_logits = w.attend(Tensor(c[perm]), p, kind)
-        permuted = permuted + c[perm]
+    base, permuted = w.attend(Tensor(c), p) + c, w.attend(Tensor(c[perm]), p) + c[perm]
+    assert np.allclose(permuted.data, base.data[perm], atol=1e-12)
+    base_affinity, v = _affinity(w, Tensor(c), p)
+    perm_affinity, _ = _affinity(w, Tensor(c[perm]), p)
+    assert np.allclose(perm_affinity.data, base_affinity.data[perm], atol=1e-12)
+    for normalize in (False, True):
+        base = _hard_aggregate(base_affinity, v, normalize) + c
+        permuted = _hard_aggregate(perm_affinity, v, normalize) + c[perm]
         assert np.allclose(permuted.data, base.data[perm], atol=1e-12)
-        assert np.allclose(perm_logits.data, base_logits.data[perm], atol=1e-12)
 
 
 def test_self_attention_single_query():
     rng = np.random.default_rng(12)
     c = Tensor(rng.normal(size=(1, 4)))
     w = ProjectionWeights.init(Params(np.random.default_rng(1)), "p", 4)
-    update, _ = w.attend(c, c)
-    out = c + update
+    out = c + w.attend(c, c)
     v = c.data @ w.wv.data + w.bv.data
     assert np.allclose(out.data, c.data + v, atol=1e-12)
 
@@ -217,8 +216,7 @@ def test_self_attention_matches_reimplementation():
     rng = np.random.default_rng(13)
     c = rng.normal(size=(3, 4))
     w = ProjectionWeights.init(Params(np.random.default_rng(2)), "p", 4)
-    update, _ = w.attend(Tensor(c), Tensor(c))
-    out = update + c
+    out = w.attend(Tensor(c), Tensor(c)) + c
     q = c @ w.wq.data + w.bq.data
     k = c @ w.wk.data + w.bk.data
     v = c @ w.wv.data + w.bv.data
@@ -231,8 +229,8 @@ def test_self_attention_permutation_equivariance():
     c = rng.normal(size=(5, 4))
     w = ProjectionWeights.init(Params(np.random.default_rng(3)), "p", 4)
     perm = np.array([4, 2, 0, 1, 3])
-    out = (w.attend(Tensor(c), Tensor(c))[0] + c).data
-    out_perm = (w.attend(Tensor(c[perm]), Tensor(c[perm]))[0] + c[perm]).data
+    out = (w.attend(Tensor(c), Tensor(c)) + c).data
+    out_perm = (w.attend(Tensor(c[perm]), Tensor(c[perm])) + c[perm]).data
     assert np.allclose(out_perm, out[perm], atol=1e-12)
 
 
@@ -242,17 +240,17 @@ def test_gradient_routes_of_kmeans_attention():
     p = Tensor(rng.normal(size=(8, 4)))
     w = ProjectionWeights.init(Params(np.random.default_rng(4)), "p", 4)
 
-    update, logits = w.attend(c, p, "kmeans")
-    out = c + update
+    affinity, v = _affinity(w, c, p)
+    out = c + _hard_aggregate(affinity, v)
     T.reduce_sum(T.mul(out, out)).backward()
     assert np.linalg.norm(w.wv.grad) > 0
     assert np.linalg.norm(c.grad) > 0
     # the assignment is detached, so no output-loss gradient reaches wq/wk
     assert w.wq.grad is None and w.wk.grad is None
 
-    update2, logits2 = w.attend(c, p, "kmeans")
-    out2 = c + update2
-    supervised = T.reduce_sum(T.mul(logits2, logits2))
+    affinity2, v2 = _affinity(w, c, p)
+    out2 = c + _hard_aggregate(affinity2, v2)
+    supervised = T.reduce_sum(T.mul(affinity2, affinity2))
     T.add(T.reduce_sum(T.mul(out2, out2)), supervised).backward()
     assert np.linalg.norm(w.wq.grad) > 0
     assert np.linalg.norm(w.wk.grad) > 0
@@ -268,10 +266,10 @@ def test_kmeans_attention_gradcheck_through_loss_path():
     r_log = np.random.default_rng(7).normal(size=(4, 4))
 
     def f(centers):
-        update, logits = w.attend(centers, p, "kmeans")
-        out = centers + update
+        affinity, v = _affinity(w, centers, p)
+        out = centers + _hard_aggregate(affinity, v)
         return T.add(T.reduce_sum(T.mul(out, Tensor(r_out))),
-                     T.reduce_sum(T.mul(logits, Tensor(r_log))))
+                     T.reduce_sum(T.mul(affinity, Tensor(r_log))))
 
     x = Tensor(rng.normal(size=(4, 3)))
     # reseed if the instance sits near an assignment boundary
@@ -286,8 +284,7 @@ def test_pixel_features_shape_validation():
         PixelFeatures(Tensor(np.zeros((5, 3))), 2, 2)
     pf = PixelFeatures(Tensor(np.zeros((4, 3))), 2, 2)
     c = Tensor(np.zeros((2, 3)))
-    update, _ = ProjectionWeights.identity(3).attend(c, pf.values)
-    out = c + update
+    out = c + ProjectionWeights.identity(3).attend(c, pf.values)
     assert out.data.shape == (2, 3)
 
 
@@ -304,20 +301,9 @@ def test_softmax_attention_rounds_as_the_composed_nodes():
         T.reduce_sum(T.mul(out, Tensor(r))).backward()
         return [out.data, q.grad, k.grad, v.grad]
 
-    fused = grads(lambda q, k, v: T.softmax_attention(q, k, v, 0.3)[0])
+    fused = grads(lambda q, k, v: T.softmax_attention(q, k, v, 0.3))
     composed = grads(lambda q, k, v: T.matmul(
         T.softmax(T.scale(T.matmul(q, T.transpose(k)), 0.3), axis=1), v))
     for a, b in zip(fused, composed):
         assert np.array_equal(a, b)
 
-
-def test_softmax_attend_returns_detached_logits():
-    rng = np.random.default_rng(18)
-    c = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    p = Tensor(rng.normal(size=(6, 4)))
-    w = ProjectionWeights.init(Params(np.random.default_rng(8)), "p", 4)
-    update, logits = w.attend(c, p, logit_scale=0.5)
-    q = c.data @ w.wq.data + w.bq.data
-    k = p.data @ w.wk.data + w.bk.data
-    assert np.array_equal(logits.data, (q @ k.T) * 0.5)
-    assert update.requires_grad and not logits.requires_grad

@@ -216,11 +216,11 @@ def test_conv3x3_matches_the_einsum_reference(shape, stride):
         xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
         bt = Tensor(b, requires_grad=True) if use_bias else None
         out = T.conv3x3(xt, wt, bt, stride=stride)
-        g = rng.normal(size=out.shape)
+        g = rng.normal(size=out.data.shape)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
         ref_out, ref_gx, ref_gw, ref_gb = _reference_conv3x3(
             x, w, b if use_bias else None, stride, g)
-        assert out.shape == ref_out.shape
+        assert out.data.shape == ref_out.shape
         assert _rel_err(out.data, ref_out) <= 1e-12
         assert _rel_err(wt.grad, ref_gw) <= 1e-12
         if use_bias:
