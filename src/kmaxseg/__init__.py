@@ -2,17 +2,20 @@
 
 The package groups into:
 
-* ``tensor`` / ``gradcheck`` - float64 tensors with reverse-mode autodiff
-  and finite-difference verification,
+* ``tensor`` / ``gradcheck`` - dtype-preserving tensors with reverse-mode
+  autodiff (float64 for training, float32 for evaluation) and float64
+  finite-difference verification,
 * ``layers`` - the parameter registry (naming, initialization, weight-decay
   policy) and the affine and layer-norm layers built on it,
 * ``kernels`` - the softmax attention path, the hard-assignment (k-means)
   map the decoder runs, and Lloyd k-means as its oracle,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
-  the full encoder/pyramid/cluster-path model,
+  the full encoder/pyramid/cluster-path model, with ``astype`` for the
+  float32 copy evaluation runs,
 * ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
-* ``metrics`` - mask-wise merging, panoptic quality, mIoU,
+* ``metrics`` - mask-wise merging, panoptic quality, mIoU, and
+  ``evaluate_model``, which scores a float32 copy of the model,
 * ``data`` - deterministic synthetic panoptic scenes,
 * ``config`` / ``cli`` - configuration files and the command-line tools.
 """

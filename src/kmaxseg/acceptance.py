@@ -19,7 +19,7 @@ from . import tensor as T
 from .config import Config
 from .data import SceneSpec, generate
 from .gradcheck import grad_check
-from .kernels import _hard_aggregate, lloyd_kmeans
+from .kernels import _hard_aggregate, lloyd_init, lloyd_kmeans
 from .metrics import panoptic_quality
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
@@ -136,9 +136,7 @@ def criterion_2_kmeans_equivalence():
         pts = rng.normal(size=(m, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         centers, labels = lloyd_kmeans(pts, n, max_iters=1, seed=seed)
-        distinct = np.unique(pts, axis=0)
-        init = Tensor(distinct[np.random.default_rng(seed).choice(distinct.shape[0], n,
-                                                                  replace=False)])
+        init = Tensor(lloyd_init(pts, n, seed))
         affinity = T.matmul(init, Tensor(pts).T)
         out = _hard_aggregate(affinity, Tensor(pts), normalize=True)
         assignment = affinity.data.argmax(axis=0)

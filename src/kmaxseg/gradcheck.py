@@ -14,9 +14,11 @@ def grad_check(f, x, eps=1e-5):
     ``f`` maps a Tensor to a scalar Tensor and must be deterministic; any
     hard assignments inside it are assumed stable under +-eps perturbation.
     The relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
+    ``x`` is copied to float64 whatever its dtype, so the differences are
+    taken in float64.
     """
-    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, copy=True),
-                  requires_grad=True)
+    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64,
+                           copy=True), requires_grad=True)
     out = f(leaf)
     if not isinstance(out, Tensor) or out.data.size != 1:
         raise ContractError("grad_check requires a scalar-valued function")

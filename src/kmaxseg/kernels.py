@@ -14,7 +14,8 @@ against the mask embedding of Q, so it calls ``project`` and then
 ``softmax_attention`` or ``_hard_aggregate`` itself.
 
 ``lloyd_kmeans`` is classic Lloyd clustering, the oracle acceptance
-criterion 2 checks ``_hard_aggregate`` against.
+criterion 2 checks ``_hard_aggregate`` against; ``lloyd_init`` draws its
+initial centers, which the criterion hands to ``_hard_aggregate`` too.
 
 Feed-forward layers and normalization are deliberately absent here; they
 belong to the decoder block that wraps these kernels.
@@ -33,6 +34,7 @@ from .tensor import Tensor, argmax_onehot, matmul, softmax_attention
 __all__ = [
     "PixelFeatures",
     "ProjectionWeights",
+    "lloyd_init",
     "lloyd_kmeans",
 ]
 
@@ -72,11 +74,6 @@ class ProjectionWeights:
         self._q = Affine(self.wq, self.bq)
         self._k = Affine(self.wk, self.bk)
         self._v = Affine(self.wv, self.bv)
-
-    @staticmethod
-    def identity(d):
-        eye, zero = Tensor(np.eye(d)), Tensor(np.zeros(d))
-        return ProjectionWeights(eye, eye, eye, zero, zero, zero)
 
     @staticmethod
     def init(params, prefix, d):
@@ -120,10 +117,23 @@ def _hard_aggregate(logits, v, normalize=False):
     return matmul(Tensor(a.data / np.maximum(counts, 1.0)), v)
 
 
+def lloyd_init(pts, k, seed):
+    """``k`` distinct rows of the (M, D) array ``pts``, drawn by seeded sampling.
+
+    These are ``lloyd_kmeans``'s initial centers; a new array each call.
+    """
+    distinct = np.unique(pts, axis=0)
+    if k > distinct.shape[0]:
+        raise ValueError(f"k={k} exceeds the number of distinct points")
+    rng = np.random.default_rng(seed)
+    return distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
+
+
 def lloyd_kmeans(points, k, max_iters=100, seed=0):
     """Classic Lloyd iteration with Euclidean assignment and mean updates.
 
-    Initial centers are ``k`` distinct points drawn by seeded sampling.
+    Initial centers are ``k`` distinct points drawn by seeded sampling
+    (``lloyd_init``).
     Stops when labels stop changing or after ``max_iters`` full steps.
     Returns (centers, labels) as plain numpy arrays.
     """
@@ -134,11 +144,7 @@ def lloyd_kmeans(points, k, max_iters=100, seed=0):
     m = pts.shape[0]
     if k > m:
         raise ValueError(f"k={k} exceeds the number of points ({m})")
-    distinct = np.unique(pts, axis=0)
-    if k > distinct.shape[0]:
-        raise ValueError(f"k={k} exceeds the number of distinct points")
-    rng = np.random.default_rng(seed)
-    centers = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
+    centers = lloyd_init(pts, k, seed)
 
     labels = None
     for _ in range(max_iters):

@@ -187,9 +187,13 @@ def panoptic_quality(pred, gt, thing_ids=frozenset()):
 def evaluate_model(model, examples, infer_cfg, class_table):
     """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
 
-    The mIoU is dataset-level: intersections and unions are summed over all
-    images before each class's IoU is taken.
+    Every forward pass runs on a float32 copy of ``model``
+    (``model.astype(np.float32)``), built once per call and dropped on
+    return; ``model`` itself is not touched. The mIoU is dataset-level:
+    intersections and unions are summed over all images before each class's
+    IoU is taken.
     """
+    twin = model.astype(np.float32)
     stat = PQStat()
     num_classes = class_table.num_classes
     inter = np.zeros(num_classes, dtype=np.int64)
@@ -197,7 +201,7 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     thing_ids = class_table.thing_ids
     for img, gt in examples:
         with no_grad():
-            pred, _, _ = model.forward(img)
+            pred, _, _ = twin.forward(img)
         merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
                              overlap_thresh=infer_cfg.overlap_thresh,
                              thing_ids=thing_ids,

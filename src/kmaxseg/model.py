@@ -14,9 +14,15 @@ affine head on the stride-4 features provides semantic-segmentation logits.
 Every tensor is declared once through one ``Params`` registry, which names
 it, draws it from the model seed in declaration order and sets its weight
 decay; ``named_parameters`` returns that registry in declaration order.
+
+The parameters are float64. ``astype`` makes a copy of the model in another
+dtype; evaluation runs a float32 copy, and ``pixel_path`` casts the image to
+the parameters' dtype, so a forward pass computes in that one dtype.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -103,15 +109,29 @@ class KMaxModel:
         for _, t, _ in self.named_parameters():
             t.grad = None
 
+    def astype(self, dtype):
+        """A copy of the model whose parameters hold ``dtype`` data.
+
+        Each parameter of the copy is a new tensor holding this one's data
+        cast to ``dtype``, with no gradient. The rest of the model is deep
+        copied around those tensors, so this model's parameter data and
+        gradients are never copied a second time, and this model is left as
+        it was.
+        """
+        memo = {id(t): Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
+                for _, t, _ in self.named_parameters()}
+        return copy.deepcopy(self, memo)
+
     # -- pixel path --------------------------------------------------------------
 
     def pixel_path(self, image):
         """Toy encoder plus pyramid decoder.
 
         Returns ``{stride: PixelFeatures}`` for strides 32, 16, 8 and the
-        final stride 4.
+        final stride 4. An array image is cast to the parameters' dtype.
         """
-        x = image if isinstance(image, Tensor) else Tensor(image)
+        dtype = self.queries.data.dtype
+        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=dtype))
         if x.data.ndim != 3 or x.data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) image, got {x.data.shape}")
         h, w = x.data.shape[:2]

@@ -1,15 +1,20 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
-Every array in this package is a ``Tensor``: a numpy float64 buffer plus an
-optional gradient buffer and a link to the operation that produced it.
-Calling ``backward()`` on a scalar output replays the recorded operations in
-reverse topological order (each node exactly once), accumulating gradients
-into every reachable tensor that requires them.
+Every array in this package is a ``Tensor``: a numpy buffer plus an optional
+gradient buffer and a link to the operation that produced it. Calling
+``backward()`` on a scalar output replays the recorded operations in reverse
+topological order (each node exactly once), accumulating gradients into
+every reachable tensor that requires them.
 
 Only the operations this package needs are provided; there is no general
 broadcasting beyond what those operations use, no views of views bookkeeping,
-and no control-flow capture. Everything is float64 so finite-difference
-checks stay meaningful.
+and no control-flow capture.
+
+A tensor holds float32 data as float32 and turns anything else into
+float64. Every op allocates its result, its saved buffers and its gradients
+in its input's dtype, so a graph built on float32 data stays float32.
+Training, checkpoints and finite-difference checks run in float64;
+evaluation runs a float32 copy of the model (``KMaxModel.astype``).
 
 The model's matrices are small (16 queries by 64 channels), so a node's
 Python overhead costs more than its arithmetic. Two patterns the model
@@ -24,10 +29,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from .errors import AxisError, ContractError, ShapeError
 
 _GRAD_ENABLED = True
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
 
 
 class no_grad:
@@ -51,7 +59,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        # an ``is`` check: the native-order dtypes are singletons
+        self.data = (np.asarray(data) if getattr(data, "dtype", None) is _F32
+                     else np.asarray(data, dtype=_F64))
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -143,7 +153,7 @@ def _accum(t, g, fresh=False):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.asarray(g) if fresh else np.array(g, dtype=np.float64, copy=True)
+        t.grad = np.asarray(g) if fresh else np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -272,8 +282,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x):
     """Exact (erf-based) gaussian error linear unit."""
-    from scipy.special import erf
-
     x = _as_tensor(x)
     phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
 
@@ -405,7 +413,7 @@ def argmax_onehot(x):
         )
     n, hw = x.data.shape
     best = x.data.argmax(axis=0)
-    out = np.zeros((n, hw))
+    out = np.zeros((n, hw), dtype=x.data.dtype)
     out[best, np.arange(hw)] = 1.0
     return Tensor(out)
 
@@ -417,9 +425,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError(
             f"layer_norm gain {gain.data.shape} does not match rows of {x.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # ``np.add.reduce`` then ``/= n`` rounds as ``np.mean`` does, without
+    # its Python overhead
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
@@ -427,8 +440,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
     def bwd(g):
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            m1 /= n
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+            m2 /= n
             _accum(x, inv * (dxhat - m1 - xhat * m2), fresh=True)
         lead = tuple(range(g.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=lead), fresh=True)
@@ -500,9 +515,10 @@ def conv3x3(x, weight, bias=None, stride=1):
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
     taps = [(i, j, (slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)))
             for i in range(3) for j in range(3)]
-    xp = np.zeros((h + 2, w + 2, cin))
+    dtype = x.data.dtype
+    xp = np.zeros((h + 2, w + 2, cin), dtype=dtype)
     xp[1 : 1 + h, 1 : 1 + w] = x.data
-    cols = np.empty((ho, wo, 3, 3, cin))
+    cols = np.empty((ho, wo, 3, 3, cin), dtype=dtype)
     for i, j, window in taps:
         cols[:, :, i, j] = xp[window]
     cols = cols.reshape(ho * wo, 9 * cin)
@@ -521,7 +537,7 @@ def conv3x3(x, weight, bias=None, stride=1):
             _accum(bias, g.sum(axis=(0, 1)), fresh=True)
         if x.requires_grad:
             gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
-            gx = np.zeros((h + 2, w + 2, cin))
+            gx = np.zeros((h + 2, w + 2, cin), dtype=dtype)
             for i, j, window in taps:
                 gx[window] += gcols[:, :, i, j]
             _accum(x, gx[1 : 1 + h, 1 : 1 + w], fresh=True)

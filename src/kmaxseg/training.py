@@ -152,7 +152,7 @@ def _set_prediction_loss(final, aux, masks, class_ids, matching):
                              f"supervision grid {final.height}x{final.width}")
         factors.append(factor)
     outputs = [final, *aux]
-    logits = np.empty((len(outputs), hw, n))
+    logits = np.empty((len(outputs), hw, n), dtype=final.mask_logits.data.dtype)
     logits[0] = final.mask_logits.data
     for i, (a, f) in enumerate(zip(aux, factors), 1):
         logits[i].reshape(a.height, f, a.width, f, n)[...] = (
@@ -374,6 +374,24 @@ def scene_spec_from_config(cfg):
     return SceneSpec(seed=cfg.data.seed, height=size, width=size)
 
 
+def _train_step(model, opt, img, gt, step, lr):
+    """One update on one image; returns the loss as a float and its parts.
+
+    The step's graph dies on return, before a periodic eval runs.
+    """
+    model.zero_grad()
+    pred, aux, sem = model.forward(img)
+    gt4 = gt.downsample(gt.height // pred.height)
+    matching = hungarian_match(matching_cost(pred, gt4))
+    loss, parts = total_loss(pred, aux, sem, gt4, matching)
+    if not np.isfinite(loss.item()):
+        # stop before backward and the update can corrupt the parameters
+        raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")
+    loss.backward()
+    opt.step(lr)
+    return loss.item(), parts
+
+
 def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
                metrics_path=None):
     """Train a model per ``cfg``; returns the model and the metrics rows.
@@ -423,24 +441,16 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         img, gt = dataset.train[order[step % n_train]]
         img, gt = augment_flip(img, gt, aug_rng)
 
-        model.zero_grad()
-        pred, aux, sem = model.forward(img)
-        gt4 = gt.downsample(cfg.model.image_size // pred.height)
-        matching = hungarian_match(matching_cost(pred, gt4))
-        loss, parts = total_loss(pred, aux, sem, gt4, matching)
-        if not np.isfinite(loss.item()):
-            # stop before backward and the update can corrupt the parameters
-            raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")
-        loss.backward()
-        opt.step(warmup_lr(step, tc.steps, LR, WARMUP_FRAC))
+        loss, parts = _train_step(model, opt, img, gt, step,
+                                  warmup_lr(step, tc.steps, LR, WARMUP_FRAC))
 
         is_eval = (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps
         if is_eval:
             val_pq = evaluate_model(model, dataset.val, cfg.infer, table)["pq"]
         rows.append(
-            f"{step},{loss.item()!r},{parts['l_pq']!r},{parts['l_sem']!r},"
+            f"{step},{loss!r},{parts['l_pq']!r},{parts['l_sem']!r},"
             f"{parts['l_maskid']!r},{val_pq!r}" if is_eval else
-            f"{step},{loss.item()!r},{parts['l_pq']!r},{parts['l_sem']!r},"
+            f"{step},{loss!r},{parts['l_pq']!r},{parts['l_sem']!r},"
             f"{parts['l_maskid']!r},"
         )
 

@@ -3,7 +3,8 @@ import pytest
 
 from kmaxseg import tensor as T
 from kmaxseg.errors import ShapeError
-from kmaxseg.kernels import PixelFeatures, ProjectionWeights, _hard_aggregate, lloyd_kmeans
+from kmaxseg.kernels import (PixelFeatures, ProjectionWeights, _hard_aggregate, lloyd_init,
+                             lloyd_kmeans)
 from kmaxseg.layers import Params
 from kmaxseg.tensor import Tensor
 
@@ -16,6 +17,11 @@ def _numpy_softmax(x, axis):
 def _zero_weights(d):
     z, zb = Tensor(np.zeros((d, d))), Tensor(np.zeros(d))
     return ProjectionWeights(z, z, z, zb, zb, zb)
+
+
+def _identity_weights(d):
+    eye, zb = Tensor(np.eye(d)), Tensor(np.zeros(d))
+    return ProjectionWeights(eye, eye, eye, zb, zb, zb)
 
 
 def _affinity(w, centers, pixels):
@@ -38,7 +44,7 @@ def test_softmax_attention_single_query_stays_in_value_hull():
     rng = np.random.default_rng(1)
     c = Tensor(rng.normal(size=(1, 3)))
     p = Tensor(rng.normal(size=(5, 3)))
-    w = ProjectionWeights.identity(3)
+    w = _identity_weights(3)
     out = w.attend(c, p)
     attn = _numpy_softmax(_affinity(w, c, p)[0].data, axis=1)
     assert np.all(attn > 0) and abs(attn.sum() - 1.0) < 1e-12
@@ -50,7 +56,7 @@ def test_softmax_attention_matches_reimplementation():
     rng = np.random.default_rng(2)
     c = rng.normal(size=(2, 3))
     p = rng.normal(size=(4, 3))
-    out = ProjectionWeights.identity(3).attend(Tensor(c), Tensor(p)) + c
+    out = _identity_weights(3).attend(Tensor(c), Tensor(p)) + c
     expected = _numpy_softmax(c @ p.T, axis=1) @ p + c
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -60,7 +66,7 @@ def test_softmax_attention_row_normalization():
     for _ in range(100):
         c = Tensor(rng.normal(size=(4, 5)))
         p = Tensor(rng.normal(size=(9, 5)))
-        attn = _numpy_softmax(_affinity(ProjectionWeights.identity(5), c, p)[0].data, axis=1)
+        attn = _numpy_softmax(_affinity(_identity_weights(5), c, p)[0].data, axis=1)
         assert np.all(np.abs(attn.sum(axis=1) - 1.0) <= 1e-12)
 
 
@@ -68,7 +74,7 @@ def test_dimension_mismatch_raises():
     c = Tensor(np.zeros((2, 4)))
     p = Tensor(np.zeros((6, 3)))
     with pytest.raises(ShapeError):
-        ProjectionWeights.identity(4).attend(c, p)
+        _identity_weights(4).attend(c, p)
 
 
 def _embed_1d(points, centers):
@@ -165,7 +171,7 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
     rng = np.random.default_rng(8)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(10, 4)))
-    affinity, v = _affinity(ProjectionWeights.identity(4), c, p)
+    affinity, v = _affinity(_identity_weights(4), c, p)
     update = _hard_aggregate(affinity, v).data
     a = T.argmax_onehot(affinity).data
     for i in range(3):
@@ -176,7 +182,7 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
 
 def test_kmeans_attention_argmax_scale_invariance():
     rng = np.random.default_rng(9)
-    w = ProjectionWeights.identity(4)
+    w = _identity_weights(4)
     for _ in range(100):
         c = Tensor(rng.normal(size=(3, 4)))
         p = Tensor(rng.normal(size=(7, 4)))
@@ -284,7 +290,7 @@ def test_pixel_features_shape_validation():
         PixelFeatures(Tensor(np.zeros((5, 3))), 2, 2)
     pf = PixelFeatures(Tensor(np.zeros((4, 3))), 2, 2)
     c = Tensor(np.zeros((2, 3)))
-    out = c + ProjectionWeights.identity(3).attend(c, pf.values)
+    out = c + _identity_weights(3).attend(c, pf.values)
     assert out.data.shape == (2, 3)
 
 
@@ -307,3 +313,14 @@ def test_softmax_attention_rounds_as_the_composed_nodes():
     for a, b in zip(fused, composed):
         assert np.array_equal(a, b)
 
+
+
+def test_lloyd_kmeans_starts_from_lloyd_init():
+    rng = np.random.default_rng(18)
+    pts = np.repeat(rng.normal(size=(10, 3)), 2, axis=0)  # duplicates are drawn once
+    init = lloyd_init(pts, 4, seed=6)
+    assert len(np.unique(init, axis=0)) == 4
+    centers, _ = lloyd_kmeans(pts, 4, max_iters=0, seed=6)
+    assert np.array_equal(centers, init) and centers is not init
+    _, labels = lloyd_kmeans(pts, 4, max_iters=1, seed=6)
+    assert np.array_equal(labels, ((pts[:, None] - init[None]) ** 2).sum(axis=2).argmin(axis=1))

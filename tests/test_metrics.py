@@ -313,6 +313,10 @@ class _ReplayModel:
     def __init__(self, preds):
         self._preds = iter(preds)
 
+    def astype(self, dtype):
+        # ``evaluate_model`` runs its forwards on ``model.astype(np.float32)``
+        return self
+
     def forward(self, img):
         return next(self._preds), None, None
 
@@ -428,3 +432,65 @@ def test_panoptic_quality_is_invariant_to_relabelling_instances(maps, thing_ids,
     for cls, stat in before["per_class"].items():
         assert {k: stat[k] for k in ("tp", "fp", "fn")} == \
             {k: after["per_class"][cls][k] for k in ("tp", "fp", "fn")}
+
+
+def test_float32_and_float64_inference_merge_identical_labels():
+    # the 12-step seed-5 model of tools/trace_digest.py, on its 16 val images
+    from kmaxseg.config import Config
+    from kmaxseg.data import SyntheticDataset
+    from kmaxseg.tensor import no_grad
+    from kmaxseg.training import scene_spec_from_config, train_loop
+
+    cfg = Config()
+    cfg.train.steps = cfg.train.train_size = 12
+    dataset = SyntheticDataset(scene_spec_from_config(cfg), 12, cfg.train.val_size)
+    model = train_loop(cfg, dataset=dataset, seed=5).model
+    twin = model.astype(np.float32)
+    infer, thing_ids = cfg.infer, dataset.class_table.thing_ids
+    assert len(dataset.val) == 16
+    for img, _ in dataset.val:
+        maps = []
+        for m in (model, twin):
+            with no_grad():
+                pred, _, _ = m.forward(img)
+            maps.append(merge_masks(pred, infer.conf_thresh, infer.overlap_thresh,
+                                    thing_ids, infer.mask_binarize))
+        assert maps[1].class_map.tobytes() == maps[0].class_map.tobytes()
+        assert maps[1].instance_map.tobytes() == maps[0].instance_map.tobytes()
+
+
+def _spied_small_model(monkeypatch):
+    """A small model, and the parameter dtype of every forward pass run from now on."""
+    from kmaxseg.config import ModelConfig
+    from kmaxseg.model import KMaxModel
+
+    model = KMaxModel(ModelConfig(d=16, num_queries=4, num_classes=3, schedule=(1, 1, 1),
+                                  encoder_channels=(4, 6, 8, 10, 12), ffn_hidden=16), seed=0)
+    dtypes = []
+    forward = KMaxModel.forward
+
+    def spy(self, image):
+        dtypes.append(self.queries.data.dtype)
+        return forward(self, image)
+
+    monkeypatch.setattr(KMaxModel, "forward", spy)
+    return model, dtypes
+
+
+def test_evaluate_model_runs_every_forward_in_float32(monkeypatch):
+    from kmaxseg.data import SyntheticDataset
+
+    model, dtypes = _spied_small_model(monkeypatch)
+    dataset = SyntheticDataset(SceneSpec(seed=2), 0, 3)
+    evaluate_model(model, dataset.val, InferConfig(), dataset.class_table)
+    assert dtypes == [np.dtype(np.float32)] * 3
+    assert {t.data.dtype for _, t, _ in model.named_parameters()} == {np.dtype(np.float64)}
+
+
+def test_render_stages_merges_through_the_float32_twin(tmp_path, monkeypatch):
+    from kmaxseg.visualize import render_stages
+
+    model, dtypes = _spied_small_model(monkeypatch)
+    img = np.random.default_rng(0).uniform(size=(64, 64, 3))
+    paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path)
+    assert len(paths) == 4 and dtypes == [np.dtype(np.float32)]

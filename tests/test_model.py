@@ -252,3 +252,65 @@ def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path):
             load_checkpoint(path, model)
         assert all(np.array_equal(b, t.data)
                    for b, (_, t, _) in zip(before, model.named_parameters()))
+
+
+def test_astype_twin_holds_float32_copies_of_every_parameter():
+    model = KMaxModel(_small_cfg(), seed=3)
+    twin = model.astype(np.float32)
+    for (name, t, decay), (tname, tw, tdecay) in zip(model.named_parameters(),
+                                                      twin.named_parameters()):
+        assert (tname, tdecay) == (name, decay)
+        assert tw is not t and tw.requires_grad and tw.grad is None
+        assert tw.data.dtype == np.float32
+        assert np.array_equal(tw.data, t.data.astype(np.float32))
+    # the twin's layers hold the twin's registry tensors
+    named = {name: t for name, t, _ in twin.named_parameters()}
+    assert twin.enc[0][0] is named["enc.0.w"] and twin.queries is named["queries"]
+    assert twin.blocks[0].ker_proj.wq is named["blocks.0.ker.wq"]
+    assert twin.blocks[0].ker_proj._q.w is named["blocks.0.ker.wq"]
+    assert twin.final_ln.gain is named["final.ln.gain"]
+
+
+def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
+    from kmaxseg.training import AdamW
+
+    model = KMaxModel(_small_cfg(), seed=3)
+    opt = AdamW(model.named_parameters())
+    for _, t, _ in model.named_parameters():
+        t.grad = np.ones_like(t.data)
+    before = [(t, t.data, t.data.tobytes(), t.grad) for _, t, _ in model.named_parameters()]
+    twin = model.astype(np.float32)
+    for (_, t, _), (t0, data, raw, grad) in zip(model.named_parameters(), before):
+        assert t is t0 and t.data is data and t.grad is grad
+        assert data.dtype == np.float64 and data.tobytes() == raw
+    for _, parts, p, _, _ in opt._blocks:
+        assert all(np.shares_memory(t.data, p) for t, _, _ in parts)
+    assert all(t.grad is None for _, t, _ in twin.named_parameters())
+    twin_bytes = [t.data.tobytes() for _, t, _ in twin.named_parameters()]
+    opt.step()
+    assert all(t.data.tobytes() != raw for (_, t, _), (_, _, raw, _) in
+               zip(model.named_parameters(), before))
+    assert [t.data.tobytes() for _, t, _ in twin.named_parameters()] == twin_bytes
+
+
+def test_loss_graph_on_the_float32_twin_is_float32():
+    from kmaxseg.config import Config
+    from kmaxseg.data import generate
+    from kmaxseg.tensor import GradTape
+    from kmaxseg.training import (hungarian_match, matching_cost, scene_spec_from_config,
+                                  total_loss)
+
+    cfg = Config()
+    twin = KMaxModel(cfg.model, seed=0).astype(np.float32)
+    img, gt = generate(scene_spec_from_config(cfg), 0)
+    pred, aux, sem = twin.forward(img)
+    gt4 = gt.downsample(cfg.model.image_size // pred.height)
+    loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
+    nodes = GradTape.from_output(loss).nodes
+    # only the scalar loss (the set-prediction term, summed in Python, and
+    # the total) is float64
+    wide = [t for t in nodes if t.data.dtype != np.float32]
+    assert len(nodes) > 500 and len(wide) == 2
+    assert loss in wide and all(t.data.shape == () for t in wide)
+    loss.backward()
+    assert {t.grad.dtype for _, t, _ in twin.named_parameters()} == {np.dtype(np.float32)}

@@ -343,3 +343,102 @@ def test_backward_gives_every_node_its_own_writeable_gradient(kernel):
     assert all(g.flags.writeable for g in grads)
     spans = sorted(np.lib.array_utils.byte_bounds(g) for g in grads)
     assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+def test_tensor_keeps_float32_and_makes_everything_else_float64():
+    a = np.zeros(3, dtype=np.float32)
+    assert Tensor(a).data is a
+    assert Tensor(np.float32(2.0)).data.dtype == np.float32
+    for data in ([1, 2], np.arange(3), np.zeros(2, dtype=np.float16), 1.5, np.float64(2.0)):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def _float32_cases(rng):
+    """name -> (op, float32 inputs that require grad) for every differentiable op."""
+    def t(*shape, positive=False):
+        x = rng.normal(size=shape)
+        return Tensor((np.abs(x) + 1.0 if positive else x).astype(np.float32),
+                      requires_grad=True)
+
+    ids = np.array([0, 2, 1, 2])
+    return {
+        "add": (T.add, (t(4, 3), t(3))),
+        "mul": (T.mul, (t(4, 3), t(4, 3))),
+        "div": (T.div, (t(4, 3), t(4, 3, positive=True))),
+        "scale": (lambda x: T.scale(x, -1.7), (t(4, 3),)),
+        "matmul": (T.matmul, (t(4, 3), t(3, 5))),
+        "affine": (T.affine, (t(4, 3), t(3, 5), t(5))),
+        "gelu": (T.gelu, (t(4, 3),)),
+        "transpose": (T.transpose, (t(4, 3),)),
+        "reshape": (lambda x: T.reshape(x, (3, 4)), (t(4, 3),)),
+        "take": (lambda x: T.take(x, [1, 3, 1]), (t(4, 3),)),
+        "reduce_sum": (lambda x: T.reduce_sum(x, axis=0), (t(4, 3),)),
+        "softmax": (lambda x: T.softmax(x, axis=1), (t(4, 3),)),
+        "softmax_attention": (lambda q, k, v: T.softmax_attention(q, k, v, 0.7),
+                              (t(3, 4), t(5, 4), t(5, 2))),
+        "layer_norm": (T.layer_norm, (t(4, 3), t(3), t(3))),
+        "upsample": (lambda x: T.upsample_nearest(x, 4), (t(3, 4, 2),)),
+        "conv_s1": (lambda x, w, b: T.conv3x3(x, w, b, stride=1),
+                    (t(4, 4, 2), t(3, 3, 2, 3), t(3))),
+        "conv_s2": (lambda x, w, b: T.conv3x3(x, w, b, stride=2),
+                    (t(5, 4, 2), t(3, 3, 2, 3), t(3))),
+        "cross_entropy": (lambda x: T.cross_entropy_from_logits(x, ids), (t(4, 3),)),
+        "cross_entropy_rows": (lambda x: T.cross_entropy_from_logits(x, ids, "none"),
+                               (t(4, 3),)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float32_cases(np.random.default_rng(0))))
+def test_every_op_keeps_float32_forward_and_backward(name):
+    op, inputs = _float32_cases(np.random.default_rng(15))[name]
+    out = op(*inputs)
+    assert out.data.dtype == np.float32
+    (T.reduce_sum(out) if out.data.ndim else out).backward()
+    assert [x.grad.dtype for x in inputs] == [np.float32] * len(inputs)
+
+
+def test_argmax_onehot_keeps_float32():
+    x = Tensor(np.random.default_rng(16).normal(size=(3, 5)).astype(np.float32))
+    assert T.argmax_onehot(x).data.dtype == np.float32
+
+
+def _layer_norm_with_np_mean(x, gain, bias, g, eps=1e-5):
+    """Forward output and input gradient of layer norm written with ``np.mean``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return xhat * gain + bias, inv * (dxhat - m1 - xhat * m2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layer_norm_rounds_as_the_np_mean_formulation(dtype):
+    rng = np.random.default_rng(12)
+    for rows, d in ((16, 64), (256, 64), (5, 7)):
+        x, g = (rng.normal(1.0, 3.0, size=(rows, d)).astype(dtype) for _ in range(2))
+        gain, bias = (rng.normal(size=d).astype(dtype) for _ in range(2))
+        leaf = Tensor(x, requires_grad=True)
+        out = T.layer_norm(leaf, Tensor(gain), Tensor(bias))
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        want_out, want_grad = _layer_norm_with_np_mean(x, gain, bias, g)
+        assert out.data.dtype == dtype and leaf.grad.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        assert leaf.grad.tobytes() == want_grad.tobytes()
+
+
+def test_grad_check_differences_a_float32_input_in_float64():
+    x = np.random.default_rng(14).normal(size=(3, 4)).astype(np.float32)
+    seen = set()
+
+    def f(t):
+        seen.add(t.data.dtype)
+        return T.reduce_sum(T.mul(t, t))
+
+    # float32 central differences at eps 1e-5 are off by far more than 1e-6
+    assert grad_check(f, x) < 1e-6
+    assert grad_check(f, Tensor(x)) < 1e-6
+    assert seen == {np.dtype(np.float64)}

@@ -12,7 +12,9 @@ and every auxiliary prediction of each validation image before merging, that
 model's validation PQ and mIoU, and the number of tape nodes in the first
 step's loss graph. After 12 steps the merged maps, PQ and mIoU rarely tell
 two variants apart, so the logits field is the one that shows a change to
-the eval forward pass. Running the script on two checkouts and diffing the
+the forward pass. The labels and logits fields come from the trained
+float64 model; the PQ, mIoU and the rows' val PQ come from
+``evaluate_model``, which runs a float32 copy of it. Running the script on two checkouts and diffing the
 output compares them. It uses only ``Config``, ``SyntheticDataset``,
 ``scene_spec_from_config``, ``train_loop``, ``merge_masks``, ``no_grad``,
 ``evaluate_model`` and ``tensor.GradTape.from_output``, and reads only the
