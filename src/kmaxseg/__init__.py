@@ -10,19 +10,22 @@ The package groups into:
 * ``kernels`` - the softmax attention path, the hard-assignment (k-means)
   map the decoder runs, and Lloyd k-means as its oracle,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
-  the full encoder/pyramid/cluster-path model, with ``astype`` for the
-  float32 copy evaluation runs,
+  the full encoder/pyramid/cluster-path model, which validates its config,
+  runs its blocks over the pyramid strides its schedule names, and has
+  ``astype`` for the float32 copy evaluation runs,
 * ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
 * ``metrics`` - mask-wise merging, panoptic quality, mIoU, and
   ``evaluate_model``, which scores a float32 copy of the model,
-* ``data`` - deterministic synthetic panoptic scenes,
-* ``config`` / ``cli`` - configuration files and the command-line tools.
+* ``data`` - deterministic synthetic panoptic scenes and their fixed class
+  table, ``CLASS_TABLE``,
+* ``config`` / ``cli`` - configuration files, with the one model-section
+  check in ``ModelConfig.validate``, and the command-line tools.
 """
 
 from .config import Config, ModelConfig, load_config, parse_config, serialize_config
-from .data import SceneSpec, SyntheticDataset, augment_flip, generate
-from .decoder import KMaxDecoderBlock, stack_forward
+from .data import CLASS_TABLE, SceneSpec, SyntheticDataset, augment_flip, generate
+from .decoder import KMaxDecoderBlock
 from .gradcheck import grad_check
 from .kernels import PixelFeatures, ProjectionWeights, lloyd_kmeans
 from .layers import Affine, LayerNorm, Params

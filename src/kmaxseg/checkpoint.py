@@ -4,7 +4,7 @@ Layout::
 
     KMAXCKPT1
     config <field>=<value> ...
-    sha256 <hex digest of the payload>
+    sha256 <hex digest of the param lines and the payload>
     param name=<dotted.name> shape=<d0,d1,...> offset=<byte offset>
     ...
     data
@@ -13,15 +13,17 @@ Layout::
 The ``config`` line holds every ``ModelConfig`` field in the config-file
 format. The line is tied to the ``ModelConfig`` fields: adding or removing
 one makes every checkpoint saved before fail its config check. Offsets
-index into the payload that follows the ``data`` line.
+index into the payload that follows the ``data`` line. The checksum covers
+the ``param`` lines as well as the payload, so swapping the names or offsets
+of two same-shape parameters fails it.
 Loading is exact: the bytes written are the bytes restored. It fails with
 ``ConfigError`` when the model's config differs from the saved one (two
 kernels have equal parameter shapes, so shapes alone cannot tell them
-apart), when the payload does not match its checksum, when a parameter
-holds a NaN or an infinity (the checksum covers such a value, and the model
-would then merge every image to void without an error), or when the file
-has no ``config`` or no ``sha256`` line, as files written before those
-lines existed do.
+apart), when the param lines and payload do not match their checksum, when
+a parameter holds a NaN or an infinity (the checksum covers such a value,
+and the model would then merge every image to void without an error), or
+when the file has no ``config`` or no ``sha256`` line, as files written
+before those lines existed do.
 """
 
 from __future__ import annotations
@@ -47,22 +49,30 @@ def save_checkpoint(path, model):
     config = " ".join(f"{k}={v}" for k, v in _config_fields(model.cfg).items())
     params = []
     payload = []
-    digest = hashlib.sha256()
     offset = 0
     for name, tensor, _ in model.named_parameters():
         shape = ",".join(str(s) for s in tensor.data.shape)
         params.append(f"param name={name} shape={shape} offset={offset}")
         raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
         payload.append(raw)
-        digest.update(raw)
         offset += len(raw)
-    manifest = [MAGIC, f"config {config}", f"sha256 {digest.hexdigest()}", *params, "data"]
+    digest = _digest(params, payload)
+    manifest = [MAGIC, f"config {config}", f"sha256 {digest}", *params, "data"]
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(manifest) + "\n").encode("utf-8"))
         for raw in payload:
             fh.write(raw)
     os.replace(tmp, path)
+
+
+def _digest(param_lines, payload):
+    digest = hashlib.sha256()
+    for line in param_lines:
+        digest.update(f"{line}\n".encode("utf-8"))
+    for raw in payload:
+        digest.update(raw)
+    return digest.hexdigest()
 
 
 def _parse_manifest(blob, path):
@@ -73,7 +83,7 @@ def _parse_manifest(blob, path):
     header = blob[:cut].decode("utf-8").splitlines()
     if not header or header[0] != MAGIC:
         raise ConfigError(f"{path} is not a {MAGIC} checkpoint")
-    entries = []
+    entries, lines = [], []
     config = checksum = None
     for line in header[1:]:
         try:
@@ -93,7 +103,8 @@ def _parse_manifest(blob, path):
         if kind != "param" or offset < 0:
             raise ConfigError(f"{path} has a malformed manifest line {line!r}")
         entries.append((name, shape, offset))
-    return entries, config, checksum, blob[cut + len(marker):]
+        lines.append(line)
+    return entries, lines, config, checksum, blob[cut + len(marker):]
 
 
 def load_checkpoint(path, model):
@@ -104,7 +115,7 @@ def load_checkpoint(path, model):
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    entries, config, checksum, payload = _parse_manifest(blob, path)
+    entries, lines, config, checksum, payload = _parse_manifest(blob, path)
     if config is None or checksum is None:
         raise ConfigError(f"{path} has no {'config' if config is None else 'sha256'} line")
     current = _config_fields(model.cfg)
@@ -140,10 +151,11 @@ def load_checkpoint(path, model):
     missing = set(params) - set(arrays)
     if missing:
         raise ConfigError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
-    actual = hashlib.sha256(payload).hexdigest()
+    actual = _digest(lines, [payload])
     if actual != checksum:
         raise ConfigError(
-            f"{path} fails its sha256 checksum: manifest {checksum}, payload {actual}"
+            f"{path} fails its sha256 checksum: manifest {checksum}, param lines "
+            f"and payload {actual}"
         )
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():

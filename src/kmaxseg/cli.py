@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Config, load_config, save_config
 from .checkpoint import load_checkpoint
-from .data import SyntheticDataset, generate
+from .data import CLASS_TABLE, SyntheticDataset, generate
 from .errors import ConfigError
 from .metrics import evaluate_model, evaluation_report
 from .model import KMaxModel
@@ -115,7 +115,7 @@ def _cmd_visualize(args):
     img, _ = generate(spec, index)
     out_dir = args.out or "visualizations"
     paths = render_stages(model, img, cfg.infer,
-                          spec.class_table().thing_ids, out_dir)
+                          CLASS_TABLE.thing_ids, out_dir)
     for path in paths:
         print(path)
     return 0

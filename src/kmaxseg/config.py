@@ -4,12 +4,17 @@ Four sections (model, train, data, infer) hold what a run varies: model
 sizes and the ablated kernel and decoder schedule, run length, dataset sizes
 and seeds, and inference thresholds; the dataclasses below (``ModelConfig``,
 ``TrainConfig``, ``DataConfig``, ``InferConfig``) list them with their
-defaults. The training recipe is fixed and written once beside its use: the
-learning rate, warm-up and loss weights are constants in ``training``, the
-AdamW betas, epsilon and weight decay are ``AdamW``'s defaults, the flip
-probability is ``augment_flip``'s, and the scene ranges are ``SceneSpec``'s.
-Parsing and serialization round-trip exactly: parse(serialize(parse(text)))
-equals parse(text).
+defaults. Their slots make setting a misspelled or removed field an
+``AttributeError``. The training recipe is fixed and written once beside its
+use: the learning rate, warm-up and loss weights are constants in
+``training``, the AdamW betas, epsilon and weight decay are ``AdamW``'s
+defaults, the flip probability is ``augment_flip``'s, and the class table and
+scene ranges are constants in ``data``.
+
+``ModelConfig.validate`` is the one check of the model section; both
+``Config.validate`` and the model's constructor call it. Parsing and
+serialization round-trip exactly: parse(serialize(parse(text))) equals
+parse(text). A tuple value is comma-separated integers with no empty item.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelConfig:
     d: int = 64
     num_queries: int = 16
-    num_classes: int = 4
     image_size: int = 64
     schedule: tuple = (2, 2, 2)
     kernel: str = "kmeans"            # kmeans | softmax
@@ -32,8 +36,29 @@ class ModelConfig:
     ffn_hidden: int = 256
     encoder_channels: tuple = (16, 32, 48, 64, 64)
 
+    def validate(self):
+        if self.kernel not in ("kmeans", "softmax"):
+            raise ConfigError(f"model.kernel must be kmeans or softmax, got {self.kernel!r}")
+        if self.image_size < 32:
+            raise ConfigError(f"model.image_size must be at least 32, got {self.image_size}")
+        if self.image_size % 32:
+            raise ConfigError(f"model.image_size must be a multiple of 32, got {self.image_size}")
+        for key in ("d", "num_queries", "ffn_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be positive, got {getattr(self, key)}")
+        if len(self.encoder_channels) != 5:
+            raise ConfigError("model.encoder_channels needs five entries (strides 2..32)")
+        if any(c < 1 for c in self.encoder_channels):
+            raise ConfigError(
+                f"model.encoder_channels must be positive, got {self.encoder_channels}")
+        if len(self.schedule) != 3 or any(s < 1 for s in self.schedule):
+            raise ConfigError(f"model.schedule needs three positive entries, got {self.schedule}")
+        if self.kernel == "softmax" and self.kmeans_normalize:
+            raise ConfigError("model.kmeans_normalize only applies to the kmeans kernel")
+        return self
 
-@dataclass
+
+@dataclass(slots=True)
 class TrainConfig:
     steps: int = 2000
     seed: int = 0
@@ -42,19 +67,19 @@ class TrainConfig:
     eval_interval: int = 250
 
 
-@dataclass
+@dataclass(slots=True)
 class DataConfig:
     seed: int = 7
 
 
-@dataclass
+@dataclass(slots=True)
 class InferConfig:
     conf_thresh: float = 0.3
     overlap_thresh: float = 0.8
     mask_binarize: float = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class Config:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -62,24 +87,7 @@ class Config:
     infer: InferConfig = field(default_factory=InferConfig)
 
     def validate(self):
-        if self.model.kernel not in ("kmeans", "softmax"):
-            raise ConfigError(f"model.kernel must be kmeans or softmax, got {self.model.kernel!r}")
-        if self.model.image_size < 32:
-            raise ConfigError(f"model.image_size must be at least 32, got {self.model.image_size}")
-        if self.model.image_size % 32:
-            raise ConfigError(f"model.image_size must be a multiple of 32, got {self.model.image_size}")
-        for key in ("d", "num_queries", "num_classes", "ffn_hidden"):
-            if getattr(self.model, key) < 1:
-                raise ConfigError(f"model.{key} must be positive, got {getattr(self.model, key)}")
-        if len(self.model.encoder_channels) != 5:
-            raise ConfigError("model.encoder_channels needs five entries (strides 2..32)")
-        if any(c < 1 for c in self.model.encoder_channels):
-            raise ConfigError(
-                f"model.encoder_channels must be positive, got {self.model.encoder_channels}")
-        if len(self.model.schedule) != 3 or any(s < 1 for s in self.model.schedule):
-            raise ConfigError(f"model.schedule needs three positive entries, got {self.model.schedule}")
-        if self.model.kernel == "softmax" and self.model.kmeans_normalize:
-            raise ConfigError("model.kmeans_normalize only applies to the kmeans kernel")
+        self.model.validate()
         fractions = {"infer.conf_thresh": self.infer.conf_thresh,
                      "infer.overlap_thresh": self.infer.overlap_thresh,
                      "infer.mask_binarize": self.infer.mask_binarize}
@@ -113,7 +121,7 @@ def _parse_value(raw, kind, key):
                 return False
             raise ValueError(raw)
         if kind is tuple:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+            return tuple(int(v) for v in raw.split(","))
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

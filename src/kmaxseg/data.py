@@ -7,7 +7,9 @@ a pure function of (seed, index): the same pair always yields bitwise
 identical output.
 
 The two background styles are texture variants of a single background
-class, which keeps the toy label space at 4 classes plus void.
+class, which keeps the toy label space at 4 classes plus void. The class
+table (``CLASS_TABLE``) and the scene ranges are module constants; a
+``SceneSpec`` sets only the seed and the image size.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ _SHAPE_COLORS = {
     "rectangle": (0.10, 0.70, 0.20),
     "triangle": (0.15, 0.25, 0.85),
 }
+SHAPE_KINDS = tuple(_SHAPE_COLORS)    # thing class ids 1, 2, 3 in this order
+BACKGROUND_KINDS = ("flat", "gradient")
+MIN_SHAPES, MAX_SHAPES = 1, 5
+MIN_RADIUS, MAX_RADIUS = 6, 13
+COLOR_JITTER = 0.08
+MIN_SEGMENT_PX = 8
 
 
 @dataclass(frozen=True)
@@ -42,40 +50,22 @@ class ClassTable:
         return frozenset(range(self.num_classes)) - self.thing_ids
 
 
+CLASS_TABLE = ClassTable(("background",) + SHAPE_KINDS,
+                         frozenset(range(1, 1 + len(SHAPE_KINDS))))
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     seed: int = 7
     height: int = 64
     width: int = 64
-    min_shapes: int = 1
-    max_shapes: int = 5
-    shape_kinds: tuple = ("circle", "rectangle", "triangle")
-    background_kinds: tuple = ("flat", "gradient")
-    color_jitter: float = 0.08
-    min_radius: int = 6
-    max_radius: int = 13
-    min_segment_px: int = 8
 
     def __post_init__(self):
-        if 2 * self.max_radius + 2 > min(self.height, self.width):
+        if 2 * MAX_RADIUS + 2 > min(self.height, self.width):
             raise ConfigError(
-                f"shapes of radius {self.max_radius} cannot fit a "
+                f"shapes of radius {MAX_RADIUS} cannot fit a "
                 f"{self.height}x{self.width} image"
             )
-        if not (1 <= self.min_shapes <= self.max_shapes):
-            raise ConfigError(
-                f"invalid shape count range [{self.min_shapes}, {self.max_shapes}]"
-            )
-        unknown = set(self.shape_kinds) - set(_SHAPE_COLORS)
-        if unknown:
-            raise ConfigError(f"unknown shape kinds {sorted(unknown)}")
-
-    def class_table(self):
-        names = ("background",) + self.shape_kinds
-        return ClassTable(names, frozenset(range(1, len(names))))
-
-    def shape_class_id(self, kind):
-        return 1 + self.shape_kinds.index(kind)
 
 
 def _jitter(rng, base, amp):
@@ -84,7 +74,7 @@ def _jitter(rng, base, amp):
 
 def _shape_mask(kind, rng, spec, xx, yy):
     h, w = spec.height, spec.width
-    r = int(rng.integers(spec.min_radius, spec.max_radius + 1))
+    r = int(rng.integers(MIN_RADIUS, MAX_RADIUS + 1))
     cx = int(rng.integers(r + 1, w - r - 1))
     cy = int(rng.integers(r + 1, h - r - 1))
     if kind == "circle":
@@ -108,26 +98,27 @@ def _render(spec, rng):
     h, w = spec.height, spec.width
     yy, xx = np.mgrid[0:h, 0:w]
 
-    kind = spec.background_kinds[int(rng.integers(len(spec.background_kinds)))]
+    kind = BACKGROUND_KINDS[int(rng.integers(len(BACKGROUND_KINDS)))]
     if kind == "flat":
-        color = _jitter(rng, (0.72, 0.72, 0.70), spec.color_jitter)
+        color = _jitter(rng, (0.72, 0.72, 0.70), COLOR_JITTER)
         img = np.broadcast_to(color, (h, w, 3)).copy()
     else:
-        top = _jitter(rng, (0.55, 0.60, 0.65), spec.color_jitter)
-        bottom = _jitter(rng, (0.85, 0.87, 0.90), spec.color_jitter)
+        top = _jitter(rng, (0.55, 0.60, 0.65), COLOR_JITTER)
+        bottom = _jitter(rng, (0.85, 0.87, 0.90), COLOR_JITTER)
         t = (yy / max(h - 1, 1))[:, :, None]
         img = top * (1 - t) + bottom * t
 
     class_map = np.zeros((h, w), dtype=np.int64)
     instance_map = np.zeros((h, w), dtype=np.int64)
 
-    n_shapes = int(rng.integers(spec.min_shapes, spec.max_shapes + 1))
+    n_shapes = int(rng.integers(MIN_SHAPES, MAX_SHAPES + 1))
     for i in range(n_shapes):
-        shape = spec.shape_kinds[int(rng.integers(len(spec.shape_kinds)))]
+        k = int(rng.integers(len(SHAPE_KINDS)))
+        shape = SHAPE_KINDS[k]
         mask = _shape_mask(shape, rng, spec, xx, yy)
-        color = _jitter(rng, _SHAPE_COLORS[shape], spec.color_jitter)
+        color = _jitter(rng, _SHAPE_COLORS[shape], COLOR_JITTER)
         img[mask] = color
-        class_map[mask] = spec.shape_class_id(shape)
+        class_map[mask] = 1 + k
         instance_map[mask] = i + 1
     return img, PanopticMap(class_map, instance_map), n_shapes
 
@@ -135,14 +126,14 @@ def _render(spec, rng):
 def generate(spec, index):
     """Render scene ``index``; pure function of (spec.seed, index).
 
-    Scenes where occlusion leaves any segment below ``min_segment_px``
+    Scenes where occlusion leaves any segment below ``MIN_SEGMENT_PX``
     visible pixels are resampled with a derived sub-seed.
     """
     for attempt in range(100):
         rng = np.random.default_rng([spec.seed, index, attempt])
         img, gt, n_shapes = _render(spec, rng)
         areas = np.bincount(gt.instance_map.reshape(-1), minlength=n_shapes + 1)
-        if (areas[: n_shapes + 1] >= spec.min_segment_px).all():
+        if (areas[: n_shapes + 1] >= MIN_SEGMENT_PX).all():
             return img, gt
     raise RuntimeError(f"could not render a valid scene for index {index}")
 
@@ -165,7 +156,7 @@ class SyntheticDataset:
 
     def __init__(self, spec, train_size, val_size):
         self.spec = spec
-        self.class_table = spec.class_table()
+        self.class_table = CLASS_TABLE
         self.train = [generate(spec, i) for i in range(train_size)]
         self.val = [generate(spec, i)
                     for i in range(self.VAL_OFFSET, self.VAL_OFFSET + val_size)]

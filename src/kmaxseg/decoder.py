@@ -27,7 +27,7 @@ from .layers import Params
 from .panoptic import PredictionSet
 from .tensor import gelu, matmul, scale, softmax_attention, transpose
 
-__all__ = ["KMaxDecoderBlock", "stack_forward"]
+__all__ = ["KMaxDecoderBlock"]
 
 
 class KMaxDecoderBlock:
@@ -95,28 +95,3 @@ class KMaxDecoderBlock:
         aux = PredictionSet(transpose(sup_logits), class_logits, pixels.height, pixels.width)
         return c, aux
 
-
-def stack_forward(blocks, centers, pixel_pyramid, schedule):
-    """Thread centers through all blocks over a coarse-to-fine pixel pyramid.
-
-    ``schedule[i]`` blocks consume ``pixel_pyramid[i]`` in order; the total
-    must equal the number of blocks. Returns the final centers and one
-    auxiliary prediction per block.
-    """
-    schedule = tuple(int(s) for s in schedule)
-    if not schedule or any(s < 1 for s in schedule):
-        raise ConfigError(f"invalid decoder schedule {schedule}")
-    if len(schedule) != len(pixel_pyramid):
-        raise ConfigError(
-            f"schedule has {len(schedule)} entries for {len(pixel_pyramid)} pyramid levels"
-        )
-    if sum(schedule) != len(blocks):
-        raise ConfigError(
-            f"schedule {schedule} sums to {sum(schedule)} but {len(blocks)} blocks given"
-        )
-    aux = []
-    for level, count in zip(pixel_pyramid, schedule):
-        for _ in range(count):
-            centers, a = blocks[len(aux)].forward(centers, level)
-            aux.append(a)
-    return centers, aux

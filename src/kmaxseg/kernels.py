@@ -87,20 +87,8 @@ class ProjectionWeights:
 
     def attend(self, queries, keys, logit_scale=1.0):
         """Project ``queries`` to Q and ``keys`` to K/V; return the softmax attention update."""
-        _check_dims(queries, keys, self)
         q, k, v = self.project(queries, keys)
         return softmax_attention(q, k, v, logit_scale)
-
-
-def _check_dims(centers, pixels, w):
-    cd = centers.data.shape[-1]
-    pd = pixels.data.shape[-1]
-    wd = w.wq.data.shape[0]
-    if cd != pd or cd != wd:
-        raise ShapeError(
-            f"channel mismatch: centers {centers.data.shape}, pixels "
-            f"{pixels.data.shape}, projections {w.wq.data.shape}"
-        )
 
 
 def _hard_aggregate(logits, v, normalize=False):

@@ -7,9 +7,12 @@ embeddings, one self-attention block at stride 32 and one residual conv
 block per finer stride. All pyramid levels share the channel width ``d``.
 
 The cluster path threads learnable queries through the configured decoder
-blocks (two per pyramid level by default). Final masks are the softmax over
-queries of stride-4 pixel features times mask-embedded centers; a separate
-affine head on the stride-4 features provides semantic-segmentation logits.
+blocks: ``schedule[i]`` blocks read the pyramid level at stride 32, 16 and 8
+in turn (two per level by default). Final masks are the softmax over queries
+of stride-4 pixel features times mask-embedded centers; a separate affine
+head on the stride-4 features provides semantic-segmentation logits. The
+constructor checks its config with ``ModelConfig.validate``; the class count
+is ``data.CLASS_TABLE``'s.
 
 Every tensor is declared once through one ``Params`` registry, which names
 it, draws it from the model seed in declaration order and sets its weight
@@ -27,7 +30,8 @@ import copy
 import numpy as np
 
 from .config import ModelConfig
-from .decoder import KMaxDecoderBlock, stack_forward
+from .data import CLASS_TABLE
+from .decoder import KMaxDecoderBlock
 from .errors import ContractError, ShapeError
 from .kernels import PixelFeatures, ProjectionWeights
 from .layers import Params
@@ -40,7 +44,7 @@ __all__ = ["KMaxModel"]
 
 class KMaxModel:
     def __init__(self, cfg: ModelConfig, seed=0):
-        self.cfg = cfg
+        self.cfg = cfg.validate()
         self.params = p = Params(np.random.default_rng(seed))
         d = cfg.d
 
@@ -54,8 +58,6 @@ class KMaxModel:
 
         # pyramid: skip projection + positional embedding per stride
         s = cfg.image_size
-        if s % 32:
-            raise ShapeError(f"image size {s} is not a multiple of 32")
         self.strides = (32, 16, 8, 4)
         skip_channels = {32: chans[5], 16: chans[4], 8: chans[3], 4: chans[2]}
         self.proj = {}
@@ -80,11 +82,14 @@ class KMaxModel:
             self.block_conv[stride] = (w, p.const(f"pyr.{stride}.conv.b", (d,), 0.0))
 
         # cluster path
+        num_classes = CLASS_TABLE.num_classes
         self.queries = p.normal("queries", (cfg.num_queries, d), d ** -0.5)
+        self.block_strides = tuple(stride for stride, count in zip((32, 16, 8), cfg.schedule)
+                                   for _ in range(count))
         self.blocks = []
-        for i in range(sum(cfg.schedule)):
+        for i in range(len(self.block_strides)):
             block = KMaxDecoderBlock(
-                p.rng, d, cfg.num_classes, kernel=cfg.kernel,
+                p.rng, d, num_classes, kernel=cfg.kernel,
                 ffn_hidden=cfg.ffn_hidden,
                 kmeans_normalize=cfg.kmeans_normalize,
             )
@@ -94,8 +99,8 @@ class KMaxModel:
         # final prediction heads
         self.final_ln = p.layer_norm("final.ln", d)
         self.final_mask = p.affine("final.mask", d, d)
-        self.final_class = p.affine("final.class", d, cfg.num_classes + 1)
-        self.sem = p.affine("final.sem", d, cfg.num_classes + 1)
+        self.final_class = p.affine("final.class", d, num_classes + 1)
+        self.sem = p.affine("final.sem", d, num_classes + 1)
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -180,8 +185,10 @@ class KMaxModel:
         Training and inference run the same pass over all queries.
         """
         pyramid = self.pixel_path(image)
-        pyr_levels = [pyramid[32], pyramid[16], pyramid[8]]
-        centers, aux = stack_forward(self.blocks, self.queries, pyr_levels, self.cfg.schedule)
+        centers, aux = self.queries, []
+        for block, stride in zip(self.blocks, self.block_strides):
+            centers, a = block.forward(centers, pyramid[stride])
+            aux.append(a)
 
         normed = self.final_ln(centers)
         mask_emb = self.final_mask(normed)

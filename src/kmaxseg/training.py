@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import Config
-from .data import SyntheticDataset, SceneSpec, augment_flip
+from .data import CLASS_TABLE, MAX_SHAPES, SyntheticDataset, SceneSpec, augment_flip
 from .errors import ConfigError, ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
@@ -411,12 +411,12 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     if dataset is None:
         dataset = SyntheticDataset(spec, tc.train_size, tc.val_size)
     table = dataset.class_table
-    if table.num_classes != cfg.model.num_classes:
+    if table.num_classes != CLASS_TABLE.num_classes:
         raise ContractError(
             f"dataset has {table.num_classes} classes but the model expects "
-            f"{cfg.model.num_classes}"
+            f"{CLASS_TABLE.num_classes}"
         )
-    max_segments = spec.max_shapes + len(table.stuff_ids)
+    max_segments = MAX_SHAPES + len(table.stuff_ids)
     if cfg.model.num_queries < max_segments:
         raise ContractError(
             f"{cfg.model.num_queries} queries cannot cover up to "

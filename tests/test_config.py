@@ -42,7 +42,7 @@ CONFIGS = st.builds(
     model=_section(
         ModelConfig,
         image_size=st.integers(1, 8).map(lambda k: 32 * k),
-        d=POSITIVE, num_queries=POSITIVE, num_classes=POSITIVE, ffn_hidden=POSITIVE,
+        d=POSITIVE, num_queries=POSITIVE, ffn_hidden=POSITIVE,
         encoder_channels=st.tuples(*[POSITIVE] * 5),
         schedule=st.tuples(POSITIVE, POSITIVE, POSITIVE),
         kernel=st.sampled_from(["kmeans", "softmax"]),
@@ -65,6 +65,8 @@ def test_config_round_trips_through_text(cfg):
     ("model", "selfattn_first"), ("model", "share_stage_heads"), ("model", "drop_query"),
     ("train", "aux_supervision"), ("train", "pq_norm"),
     ("data", "separate_background_classes"),
+    # the class count is the scene schema's
+    ("model", "num_classes"),
     # the fixed training recipe and scene ranges
     *[("train", key) for key in ("lr", "warmup_frac", "weight_decay", "beta1", "beta2",
                                  "eps", "flip_prob", "w_pq", "w_sem", "w_maskid", "w_void",
@@ -81,7 +83,7 @@ def test_config_file_lists_exactly_the_settable_keys():
     parser = configparser.ConfigParser()
     parser.read_string(serialize_config(Config()))
     assert [f"{s}.{k}" for s in parser.sections() for k in parser[s]] == [
-        "model.d", "model.num_queries", "model.num_classes", "model.image_size",
+        "model.d", "model.num_queries", "model.image_size",
         "model.schedule", "model.kernel", "model.kmeans_normalize", "model.ffn_hidden",
         "model.encoder_channels",
         "train.steps", "train.seed", "train.train_size", "train.val_size",
@@ -91,8 +93,8 @@ def test_config_file_lists_exactly_the_settable_keys():
     ]
 
 
-@pytest.mark.parametrize("key,value", [("d", -4), ("num_queries", 0), ("num_classes", 0),
-                                       ("ffn_hidden", -1), ("encoder_channels", "16,32,0,64,64")])
+@pytest.mark.parametrize("key,value", [("d", -4), ("num_queries", 0), ("ffn_hidden", -1),
+                                       ("encoder_channels", "16,32,0,64,64")])
 def test_non_positive_model_sizes_raise_config_error(key, value):
     with pytest.raises(ConfigError, match=f"model.{key} must be positive"):
         parse_config(f"[model]\n{key} = {value}\n")
@@ -112,3 +114,20 @@ def test_non_positive_model_sizes_raise_config_error(key, value):
 def test_out_of_range_values_raise_config_error(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text + "\n")
+
+
+@pytest.mark.parametrize("key,value", [("schedule", "2,,2,2"), ("schedule", ",2,2,2"),
+                                       ("encoder_channels", "16,32,48,64,64,"),
+                                       ("schedule", "")])
+def test_empty_tuple_items_raise_config_error(key, value):
+    with pytest.raises(ConfigError, match=f"bad value for model.{key}: "):
+        parse_config(f"[model]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section,name", [("model", "num_classes"), ("model", "heads"),
+                                          ("train", "lr"), ("data", "max_shapes"),
+                                          ("infer", "conf_tresh")])
+def test_setting_an_unknown_field_raises_attribute_error(section, name):
+    target = getattr(Config(), section)
+    with pytest.raises(AttributeError):
+        setattr(target, name, 3)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from kmaxseg.data import SceneSpec, SyntheticDataset, augment_flip, generate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmaxseg.data import (CLASS_TABLE, MIN_SEGMENT_PX, SceneSpec, SyntheticDataset,
+                          augment_flip, generate)
 from kmaxseg.errors import ConfigError
 from kmaxseg.panoptic import VOID
 from kmaxseg.ppm import read_ppm, write_ppm
@@ -28,13 +32,13 @@ def test_generation_is_deterministic():
     assert not np.array_equal(img1, img3)
 
 
-def test_single_circle_on_flat_background_has_two_segments():
-    spec = SceneSpec(seed=1, min_shapes=1, max_shapes=1,
-                     shape_kinds=("circle",), background_kinds=("flat",))
-    _, gt = generate(spec, 0)
-    segs = _segment_areas(gt)
-    assert len(segs) == 2
-    assert sorted(c for c, _ in segs) == [0, 1]
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**20))
+def test_every_scene_has_one_stuff_segment_and_one_to_five_shapes(seed, index):
+    _, gt = generate(SceneSpec(seed=seed), index)
+    classes = [c for c, _ in _segment_areas(gt)]
+    assert classes.count(0) == 1
+    assert 1 <= sum(c in CLASS_TABLE.thing_ids for c in classes) <= 5
 
 
 def test_segment_areas_partition_the_image():
@@ -60,11 +64,11 @@ def test_every_segment_meets_minimum_size():
     for index in range(20):
         _, gt = generate(SPEC, index)
         for area in _segment_areas(gt).values():
-            assert area >= SPEC.min_segment_px
+            assert area >= MIN_SEGMENT_PX
 
 
 def test_thing_stuff_tags_cover_all_emitted_classes():
-    table = SPEC.class_table()
+    table = CLASS_TABLE
     seen = set()
     for index in range(20):
         _, gt = generate(SPEC, index)
@@ -75,10 +79,8 @@ def test_thing_stuff_tags_cover_all_emitted_classes():
 
 
 def test_impossible_spec_raises():
-    with pytest.raises(ConfigError):
-        SceneSpec(seed=0, height=16, width=16, max_radius=13)
-    with pytest.raises(ConfigError):
-        SceneSpec(seed=0, min_shapes=3, max_shapes=2)
+    with pytest.raises(ConfigError, match="radius 13 cannot fit a 16x16 image"):
+        SceneSpec(seed=0, height=16, width=16)
 
 
 def test_forced_flip_twice_is_identity():

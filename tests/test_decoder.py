@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from kmaxseg import tensor as T
-from kmaxseg.decoder import KMaxDecoderBlock, stack_forward
+from kmaxseg.config import ModelConfig
+from kmaxseg.decoder import KMaxDecoderBlock
 from kmaxseg.errors import ConfigError
 from kmaxseg.kernels import PixelFeatures
+from kmaxseg.model import KMaxModel
 from kmaxseg.tensor import Tensor
 
 
@@ -114,9 +116,9 @@ def test_stacked_blocks_change_centers():
     blocks = [KMaxDecoderBlock(np.random.default_rng(10 + i), 4, 3) for i in range(2)]
     c = Tensor(rng.normal(size=(3, 4)))
     p = _pixels(rng, 2, 2, 4)
-    out, aux = stack_forward(blocks, c, [p, p], (1, 1))
+    out, _ = blocks[0].forward(c, p)
+    out, _ = blocks[1].forward(out, p)
     assert np.max(np.abs(out.data - c.data)) > 0
-    assert len(aux) == 2
 
 
 def test_forward_is_deterministic():
@@ -130,33 +132,31 @@ def test_forward_is_deterministic():
     assert np.array_equal(aux1.class_logits.data, aux2.class_logits.data)
 
 
+def _model(schedule):
+    return KMaxModel(ModelConfig(d=8, num_queries=3, image_size=64, schedule=schedule,
+                                 encoder_channels=(4, 4, 4, 4, 4), ffn_hidden=8), seed=0)
+
+
+def _aux_strides(schedule):
+    img = np.random.default_rng(6).uniform(size=(64, 64, 3))
+    with T.no_grad():
+        _, aux, _ = _model(schedule).forward(img)
+    return [64 // a.height for a in aux]
+
+
 def test_schedule_shapes_and_errors():
-    rng = np.random.default_rng(6)
-    d = 4
-    mk = lambda n: [KMaxDecoderBlock(np.random.default_rng(20 + i), d, 3) for i in range(n)]
-    pyramid = [_pixels(rng, 1, 2, d), _pixels(rng, 2, 2, d), _pixels(rng, 2, 4, d)]
-    c = Tensor(rng.normal(size=(3, d)))
     # (1,1,1) consumes the pyramid coarse-to-fine, one aux per block
-    _, aux = stack_forward(mk(3), c, pyramid, (1, 1, 1))
-    assert [a.height * a.width for a in aux] == [2, 4, 8]
+    assert _aux_strides((1, 1, 1)) == [32, 16, 8]
     # (2,2,2) -> six auxiliary predictions
-    _, aux6 = stack_forward(mk(6), c, pyramid, (2, 2, 2))
-    assert len(aux6) == 6
-    with pytest.raises(ConfigError):
-        stack_forward(mk(3), c, pyramid, ())
-    with pytest.raises(ConfigError):
-        stack_forward(mk(3), c, pyramid, (1, 1))
-    with pytest.raises(ConfigError):
-        stack_forward(mk(4), c, pyramid, (1, 1, 1))
+    assert _aux_strides((2, 2, 2)) == [32, 32, 16, 16, 8, 8]
+    for schedule in ((), (1, 1), (0, 1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ConfigError, match="model.schedule needs three positive entries"):
+            _model(schedule)
 
 
 def test_aux_count_equals_schedule_sum():
-    rng = np.random.default_rng(7)
-    d = 4
-    pyramid = [_pixels(rng, 2, 2, d)] * 3
-    blocks = [KMaxDecoderBlock(np.random.default_rng(30 + i), d, 3) for i in range(9)]
-    _, aux = stack_forward(blocks, Tensor(rng.normal(size=(2, d))), pyramid, (3, 3, 3))
-    assert len(aux) == 9
+    assert len(_aux_strides((3, 3, 3))) == 9
+    assert _aux_strides((1, 2, 3)) == [32, 16, 16, 8, 8, 8]
 
 
 def test_kmeans_block_grad_reaches_wq_only_via_aux_logits():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kmaxseg.config import InferConfig
-from kmaxseg.data import SceneSpec
+from kmaxseg.data import CLASS_TABLE, SceneSpec
 from kmaxseg.errors import ShapeError
 from kmaxseg.metrics import (PQStat, evaluate_model, evaluation_report, merge_masks,
                              panoptic_quality)
@@ -188,7 +188,7 @@ def test_evaluation_report_is_stable():
     pred = PanopticMap(gt.class_map.copy(), gt.instance_map.copy())
     result = panoptic_quality(pred, gt, thing_ids={1})
     result["miou"] = 1.0
-    table = SceneSpec(seed=0).class_table()
+    table = CLASS_TABLE
     a = evaluation_report(result, table)
     b = evaluation_report(result, table)
     assert a == b
@@ -325,7 +325,7 @@ class _ReplayModel:
 @given(st.integers(0, 2**32 - 1))
 def test_evaluate_model_equals_per_image_reference_sums(seed):
     rng = np.random.default_rng(seed)
-    table = SceneSpec(seed=0).class_table()
+    table = CLASS_TABLE
     num_classes = table.num_classes
     infer = InferConfig()
     preds, fulls, examples = [], [], []
@@ -464,7 +464,7 @@ def _spied_small_model(monkeypatch):
     from kmaxseg.config import ModelConfig
     from kmaxseg.model import KMaxModel
 
-    model = KMaxModel(ModelConfig(d=16, num_queries=4, num_classes=3, schedule=(1, 1, 1),
+    model = KMaxModel(ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1),
                                   encoder_channels=(4, 6, 8, 10, 12), ffn_hidden=16), seed=0)
     dtypes = []
     forward = KMaxModel.forward

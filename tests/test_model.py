@@ -5,13 +5,14 @@ import pytest
 
 from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
 from kmaxseg.config import ModelConfig
+from kmaxseg.data import CLASS_TABLE
 from kmaxseg.errors import ConfigError, ContractError, ShapeError
 from kmaxseg.model import KMaxModel
 from kmaxseg.tensor import no_grad
 
 
 def _small_cfg(**kw):
-    base = dict(d=16, num_queries=4, num_classes=3, image_size=64,
+    base = dict(d=16, num_queries=4, image_size=64,
                 schedule=(1, 1, 1), encoder_channels=(4, 6, 8, 10, 12),
                 ffn_hidden=16)
     base.update(kw)
@@ -54,6 +55,16 @@ def test_pixel_path_rejects_bad_sizes():
         model.pixel_path(np.zeros((64, 64, 4)))
 
 
+@pytest.mark.parametrize("kw,match", [
+    (dict(schedule=(0, 1, 1)), "model.schedule needs three positive entries"),
+    (dict(image_size=48), "model.image_size must be a multiple of 32"),
+    (dict(kernel="softmax", kmeans_normalize=True), "only applies to the kmeans kernel"),
+], ids=["schedule", "image_size", "kernel"])
+def test_invalid_config_raises_at_construction(kw, match):
+    with pytest.raises(ConfigError, match=match):
+        KMaxModel(_small_cfg(**kw), seed=0)
+
+
 def test_pixel_path_rejects_a_one_dimensional_image():
     with pytest.raises(ShapeError):
         KMaxModel(_small_cfg(), seed=0).pixel_path(np.zeros(64))
@@ -68,7 +79,7 @@ def test_forward_rejects_a_non_finite_pixel():
 
 
 def test_forward_output_shapes_match_config():
-    cfg = ModelConfig(d=32, num_queries=16, num_classes=4, image_size=64,
+    cfg = ModelConfig(d=32, num_queries=16, image_size=64,
                       schedule=(2, 2, 2), encoder_channels=(8, 12, 16, 24, 32),
                       ffn_hidden=32)
     model = KMaxModel(cfg, seed=0)
@@ -95,7 +106,7 @@ def test_query_permutation_equivariance_end_to_end():
 
 def _expected_param_count(cfg):
     # closed-form parameter count, summed per component
-    d, n, k, s = cfg.d, cfg.num_queries, cfg.num_classes, cfg.image_size
+    d, n, k, s = cfg.d, cfg.num_queries, CLASS_TABLE.num_classes, cfg.image_size
     h = cfg.ffn_hidden
     chans = (3,) + tuple(cfg.encoder_channels)
     encoder = sum(9 * chans[i] * chans[i + 1] + chans[i + 1] for i in range(5))
@@ -178,6 +189,34 @@ def test_checkpoint_manifest_line_without_name_is_rejected(tmp_path):
     path.write_bytes(blob.replace(f"name={first} ".encode(), b"", 1))
     with pytest.raises(ConfigError, match="malformed manifest line 'param shape="):
         load_checkpoint(path, model)
+
+
+def _swap_manifest_values(path, key, a, b):
+    """Exchange the ``key=`` values of the manifest lines of parameters ``a`` and ``b``."""
+    header, payload = path.read_bytes().split(b"\ndata\n", 1)
+    lines = header.decode().split("\n")
+    value = re.compile(rf"(?<= {key}=)\S+")
+    row = {re.search(r"name=(\S+)", line).group(1): i
+           for i, line in enumerate(lines) if line.startswith("param ")}
+    ia, ib = row[a], row[b]
+    va, vb = value.search(lines[ia]).group(), value.search(lines[ib]).group()
+    lines[ia], lines[ib] = value.sub(vb, lines[ia]), value.sub(va, lines[ib])
+    path.write_bytes("\n".join(lines).encode() + b"\ndata\n" + payload)
+
+
+@pytest.mark.parametrize("key", ["offset", "name"])
+def test_checkpoint_with_two_swapped_parameters_is_rejected(tmp_path, key):
+    # both matrices are (d, d): without the checksum over the param lines the
+    # file loads with the two exchanged
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
+    _swap_manifest_values(path, key, "blocks.0.sa.wq", "blocks.0.sa.wk")
+    model = KMaxModel(_small_cfg(), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    with pytest.raises(ConfigError, match="fails its sha256 checksum"):
+        load_checkpoint(path, model)
+    assert all(np.array_equal(b, t.data)
+               for b, (_, t, _) in zip(before, model.named_parameters()))
 
 
 def test_checkpoint_rejects_the_other_kernel(tmp_path):

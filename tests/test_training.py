@@ -486,7 +486,6 @@ def _tiny_train_config(steps=10, **model_kw):
     cfg = Config()
     cfg.model.d = 16
     cfg.model.num_queries = 6
-    cfg.model.num_classes = 4
     cfg.model.schedule = (1, 1, 1)
     cfg.model.encoder_channels = (4, 6, 8, 10, 12)
     cfg.model.ffn_hidden = 16
