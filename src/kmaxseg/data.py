@@ -4,7 +4,8 @@ Images contain 1-5 colored geometric shapes (countable 'thing' classes)
 drawn back to front over a flat or gradient background ('stuff'). Ground
 truth masks cover visible pixels only, so they never overlap. Generation is
 a pure function of (seed, index): the same pair always yields bitwise
-identical output.
+identical output. ``SyntheticDataset`` renders each scene the first time it
+is read and keeps it, so a run holds only the scenes it has read.
 
 The two background styles are texture variants of a single background
 class, which keeps the toy label space at 4 classes plus void. The class
@@ -14,6 +15,7 @@ table (``CLASS_TABLE``) and the scene ranges are module constants; a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +147,36 @@ def augment_flip(img, gt, rng, prob=0.5):
     return img, gt
 
 
+class _Split(Sequence):
+    """Read-only sequence of the scenes ``start`` .. ``start + size - 1``.
+
+    Scene ``i`` is rendered by ``generate`` the first time it is read and
+    kept, with its image and both maps made read-only, so a caller's
+    in-place write raises instead of changing every later read. Indexing,
+    slicing (which returns a list) and iteration behave like a list's.
+    """
+
+    def __init__(self, spec, start, size):
+        self._spec, self._start = spec, start
+        self._scenes = [None] * size
+
+    def __len__(self):
+        return len(self._scenes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if self._scenes[i] is None:
+            img, gt = generate(self._spec, self._start + i)
+            for array in (img, gt.class_map, gt.instance_map):
+                array.flags.writeable = False
+            self._scenes[i] = img, gt
+        return self._scenes[i]
+
+
 class SyntheticDataset:
-    """Pre-rendered train/validation splits of synthetic scenes.
+    """Train/validation splits of synthetic scenes, each rendered on first read.
 
     Train examples use indices 0..train_size-1, validation examples a
     disjoint index range, so the splits never share a scene.
@@ -155,9 +185,11 @@ class SyntheticDataset:
     VAL_OFFSET = 1_000_000
 
     def __init__(self, spec, train_size, val_size):
+        if train_size < 0 or val_size < 0:
+            raise ConfigError(
+                f"split sizes must be non-negative, got {train_size} and {val_size}"
+            )
         self.spec = spec
         self.class_table = CLASS_TABLE
-        self.train = [generate(spec, i) for i in range(train_size)]
-        self.val = [generate(spec, i)
-                    for i in range(self.VAL_OFFSET, self.VAL_OFFSET + val_size)]
-
+        self.train = _Split(spec, 0, train_size)
+        self.val = _Split(spec, self.VAL_OFFSET, val_size)

@@ -366,7 +366,7 @@ class TrainResult:
     model: KMaxModel
     rows: list
     final_val_pq: float
-    seconds: float = 0.0
+    seconds: float = 0.0   # the steps and evals, first reads of each scene included
 
 
 def scene_spec_from_config(cfg):
@@ -410,6 +410,8 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     spec = scene_spec_from_config(cfg)
     if dataset is None:
         dataset = SyntheticDataset(spec, tc.train_size, tc.val_size)
+    if len(dataset.train) == 0:
+        raise ContractError("dataset has no training scenes")
     table = dataset.class_table
     if table.num_classes != CLASS_TABLE.num_classes:
         raise ContractError(

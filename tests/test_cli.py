@@ -52,6 +52,20 @@ def test_train_eval_and_ablate_exit_zero(tmp_path, capsys, monkeypatch):
     assert seeds == [0] * 5
 
 
+def test_eval_renders_only_the_val_split(tmp_path, generate_calls):
+    from kmaxseg.checkpoint import save_checkpoint
+    from kmaxseg.config import Config
+    from kmaxseg.data import SyntheticDataset
+    from kmaxseg.model import KMaxModel
+
+    cfg = Config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), KMaxModel(cfg.model, seed=0))
+    assert main(["eval", "--checkpoint", str(path)]) == 0
+    assert cfg.train.val_size == 16
+    assert sorted(generate_calls) == [SyntheticDataset.VAL_OFFSET + i for i in range(16)]
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_ablate_without_seeds_is_a_config_error(tmp_path, capsys, seeds):
     assert main(["ablate", "--config", _config(tmp_path), "--seeds", seeds]) == 2

@@ -117,6 +117,65 @@ def test_dataset_splits_are_disjoint_and_sized():
             assert not np.array_equal(t_img, v_img)
 
 
+def _same_scene(a, b):
+    return (np.array_equal(a[0], b[0]) and np.array_equal(a[1].class_map, b[1].class_map)
+            and np.array_equal(a[1].instance_map, b[1].instance_map))
+
+
+def test_split_scenes_equal_generate_bitwise():
+    ds = SyntheticDataset(SPEC, train_size=3, val_size=2)
+    for i in range(3):
+        assert _same_scene(ds.train[i], generate(SPEC, i))
+    for i in range(2):
+        assert _same_scene(ds.val[i], generate(SPEC, SyntheticDataset.VAL_OFFSET + i))
+
+
+def test_splits_index_slice_and_iterate_like_lists():
+    ds = SyntheticDataset(SPEC, train_size=4, val_size=2)
+    scenes = [generate(SPEC, i) for i in range(4)]
+    assert len(ds.train) == 4 and len(ds.val) == 2
+    assert ds.train[-1] is ds.train[3] and ds.train[-4] is ds.train[0]
+    assert ds.train[np.int64(2)] is ds.train[2]
+    assert ds.train[np.int64(-1)] is ds.train[3]
+    for index in (slice(1, 3), slice(None, None, -1), slice(-3, None, 2), slice(5, 9)):
+        got = ds.train[index]
+        assert isinstance(got, list) and len(got) == len(scenes[index])
+        assert all(_same_scene(a, b) for a, b in zip(got, scenes[index]))
+    assert [id(s) for s in ds.train] == [id(ds.train[i]) for i in range(4)]
+    assert all(_same_scene(a, b) for a, b in zip(list(ds.train), scenes))
+    for index in (4, -5, np.int64(4)):
+        with pytest.raises(IndexError):
+            ds.train[index]
+    assert list(SyntheticDataset(SPEC, 0, 0).train) == []
+
+
+def test_building_a_dataset_renders_nothing_and_each_scene_once(generate_calls):
+    ds = SyntheticDataset(SPEC, train_size=256, val_size=16)
+    assert generate_calls == []
+    for split, index in ((ds.train, 5), (ds.train, 5), (ds.train, -251), (ds.val, 0)):
+        split[index]
+    assert generate_calls == [5, SyntheticDataset.VAL_OFFSET]
+
+
+def test_split_arrays_are_read_only():
+    ds = SyntheticDataset(SPEC, train_size=1, val_size=1)
+    for img, gt in (ds.train[0], ds.val[0]):
+        for array in (img, gt.class_map, gt.instance_map):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+    # a flip copies, so augmentation never needs to write the stored scene
+    img, gt = ds.train[0]
+    flipped, _ = augment_flip(img, gt, np.random.default_rng(0), prob=1.0)
+    flipped[0, 0] = 0.0
+    assert _same_scene(ds.train[0], generate(SPEC, 0))
+
+
+@pytest.mark.parametrize("sizes", [(-3, 2), (2, -1)])
+def test_negative_split_size_raises_config_error(sizes):
+    with pytest.raises(ConfigError, match="split sizes must be non-negative"):
+        SyntheticDataset(SPEC, *sizes)
+
+
 def test_ppm_round_trip(tmp_path):
     img = np.random.default_rng(1).uniform(size=(8, 6, 3))
     path = tmp_path / "img.ppm"

@@ -539,6 +539,28 @@ def test_train_loop_rejects_a_negative_seed_before_any_work(monkeypatch):
         train_loop(_tiny_train_config(steps=2), seed=-1)
 
 
+def test_train_loop_rejects_an_empty_train_split_before_any_work(monkeypatch):
+    from kmaxseg import training
+    from kmaxseg.data import SceneSpec, SyntheticDataset
+
+    monkeypatch.setattr(training, "KMaxModel", None)
+    dataset = SyntheticDataset(SceneSpec(seed=0), 0, 2)
+    with pytest.raises(ContractError, match="dataset has no training scenes"):
+        train_loop(_tiny_train_config(steps=2), dataset=dataset, seed=0)
+
+
+def test_a_short_train_loop_renders_only_the_scenes_it_reads(generate_calls):
+    from kmaxseg.data import SyntheticDataset
+
+    cfg = _tiny_train_config(steps=4)
+    cfg.train.train_size = 256
+    train_loop(cfg, seed=0)
+    val = [i for i in generate_calls if i >= SyntheticDataset.VAL_OFFSET]
+    assert len(generate_calls) == len(set(generate_calls))
+    assert len(generate_calls) - len(val) <= 4
+    assert sorted(val) == [SyntheticDataset.VAL_OFFSET + i for i in range(2)]
+
+
 def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):
     from kmaxseg import training
 
