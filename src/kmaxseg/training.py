@@ -2,8 +2,13 @@
 
 Ground-truth segments are matched one-to-one to predicted masks by
 minimum-cost bipartite assignment on a similarity of class confidence times
-mask Dice. A single matching, computed on the final prediction, supervises
-the final output and every auxiliary decoder output:
+mask Dice. The assignment is solved here by ``_solve_assignment``, a port of
+scipy's ``linear_sum_assignment`` (D. F. Crouse, "On implementing 2D
+rectangular assignment algorithms", IEEE TAES 52(4), 2016) with the same
+tie-breaking and float arithmetic, so ``scipy.optimize`` and its start-up
+cost stay out of the process; scipy is imported only for ``erf``. A single
+matching, computed on the final prediction, supervises the final output and
+every auxiliary decoder output:
 
 * mask-quality term per matched pair: class cross-entropy plus (1 - Dice);
   unmatched queries are pushed to the void class at a reduced weight,
@@ -25,11 +30,11 @@ its warm-up and the loss weights.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import Config
 from .data import CLASS_TABLE, MAX_SHAPES, SyntheticDataset, SceneSpec, augment_flip
@@ -58,6 +63,10 @@ class Matching:
         self.gt_to_query = np.asarray(self.gt_to_query, dtype=np.int64)
         if len(set(self.gt_to_query.tolist())) != self.gt_to_query.size:
             raise ContractError("matching must be injective")
+        if self.gt_to_query.size and not (
+                0 <= self.gt_to_query.min() and self.gt_to_query.max() < self.num_queries):
+            raise ContractError(f"matched queries must lie in [0, {self.num_queries}), "
+                                f"got {self.gt_to_query.tolist()}")
 
     @property
     def num_matched(self):
@@ -69,8 +78,76 @@ class Matching:
         return np.nonzero(mask)[0]
 
 
+def _solve_assignment(cost):
+    """Column of each row in a minimum-cost assignment of K rows to K of N columns.
+
+    ``cost`` is K lists of N finite floats, K <= N. This is scipy's
+    rectangular shortest-augmenting-path solver (``rectangular_lsap.cpp``,
+    after Crouse 2016) for the untransposed case, line for line: each row in
+    turn grows a shortest path over the columns not yet reached, whose list
+    is filled in reverse and shrinks by swapping in its last entry; the
+    reduced cost is summed left to right as there; on equal path cost a
+    column with no row yet wins; then the duals are updated and the path is
+    flipped. Every float operation is the same IEEE double operation in the
+    same order, so the assignment is scipy's, ties included. A path cost that
+    overflows to infinity raises ValueError, where scipy calls the cost
+    matrix infeasible.
+    """
+    nr, nc = len(cost), len(cost[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    path, row4col, col4row = [-1] * nc, [-1] * nc, [-1] * nr
+    for cur in range(nr):
+        shortest = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            rows_seen.append(i)
+            row, ui = cost[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            if lowest == math.inf:
+                raise ValueError("matching costs overflow")
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def hungarian_match(cost):
-    """Minimum-total-cost assignment of K rows to K of N columns (K <= N)."""
+    """Minimum-total-cost assignment of K rows to K of N columns (K <= N).
+
+    Solved by ``_solve_assignment``, a port of scipy's
+    ``linear_sum_assignment`` (Crouse 2016) with identical tie-breaking, so
+    every matching equals scipy's bit for bit without importing
+    ``scipy.optimize``. The size and finiteness checks below make every
+    input feasible.
+    """
     c = np.asarray(cost.data if isinstance(cost, Tensor) else cost, dtype=np.float64)
     if c.ndim != 2:
         raise ShapeError(f"cost must be 2-D, got shape {c.shape}")
@@ -81,9 +158,7 @@ def hungarian_match(cost):
         raise ValueError("matching costs must be finite")
     if k == 0:
         return Matching(np.zeros(0, dtype=np.int64), n)
-    rows, cols = linear_sum_assignment(c)
-    order = np.argsort(rows)
-    return Matching(cols[order], n)
+    return Matching(np.array(_solve_assignment(c.tolist()), dtype=np.int64), n)
 
 
 def _gt_arrays(gt, num_classes):

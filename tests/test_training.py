@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,11 +67,53 @@ def test_hungarian_rejects_more_segments_than_queries():
         hungarian_match(np.zeros((3, 2)))
 
 
+def test_hungarian_equals_scipy_bitwise():
+    """The in-package solver returns scipy's assignment, ties included."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(15)
+
+    def costs(k, n):
+        yield rng.normal(size=(k, n))
+        yield rng.integers(0, 3, size=(k, n)).astype(np.float64)   # many ties
+        dice = rng.random((k, n)) * (rng.random((k, n)) < 0.3)     # mostly exact zeros
+        yield -rng.random((k, n)) * dice
+
+    cases = [(k, n) for n in range(1, 17) for k in range(1, n + 1)] + [(100, 128)]
+    for k, n in cases:
+        for cost in costs(k, n):
+            rows, cols = linear_sum_assignment(cost)
+            got = hungarian_match(cost).gt_to_query
+            assert got.tolist() == cols[np.argsort(rows)].tolist(), (k, n)
+
+
+def test_hungarian_with_no_segments_is_empty():
+    m = hungarian_match(np.zeros((0, 5)))
+    assert m.num_matched == 0 and m.num_queries == 5
+    assert m.unmatched_queries().tolist() == [0, 1, 2, 3, 4]
+
+
+def test_importing_the_package_leaves_scipy_optimize_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import kmaxseg, kmaxseg.cli, kmaxseg.checkpoint, kmaxseg.training; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_matching_injective_and_flags_unmatched():
     m = Matching(np.array([3, 0]), num_queries=5)
     assert m.unmatched_queries().tolist() == [1, 2, 4]
     with pytest.raises(ContractError):
         Matching(np.array([1, 1]), num_queries=4)
+
+
+@pytest.mark.parametrize("queries", [[-1], [0, 4], [2, 7]])
+def test_matching_rejects_queries_out_of_range(queries):
+    with pytest.raises(ContractError):
+        Matching(np.array(queries), num_queries=4)
 
 
 def _one_hot_prediction(gt, num_classes, sharpness=50.0):
