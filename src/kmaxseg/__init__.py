@@ -12,11 +12,17 @@ The package groups into:
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
   the full encoder/pyramid/cluster-path model, which validates its config,
   runs its blocks over the pyramid strides its schedule names, and has
-  ``astype`` for the float32 copy evaluation runs,
+  ``astype`` for a float32 copy and ``twin`` for the kept float32 copy
+  evaluation refills and runs,
 * ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
 * ``metrics`` - mask-wise merging, panoptic quality, mIoU, and
-  ``evaluate_model``, which scores a float32 copy of the model,
+  ``evaluate_model``, which scores the model's float32 twin. It runs the
+  forward passes and merges in contiguous shares, one per usable CPU and
+  none under ``MIN_SHARE`` images (a forked child costs about two images of
+  work), with forked children on Linux and in one share where ``os.fork``
+  is missing or the images are too few. It then scores every image in its
+  original order in one process, so results are bitwise those of one share,
 * ``data`` - deterministic synthetic panoptic scenes and their fixed class
   table, ``CLASS_TABLE``,
 * ``config`` / ``cli`` - configuration files, with the one model-section

@@ -1,4 +1,4 @@
-"""Minimal binary PPM (P6) image writing and reading."""
+"""Minimal binary PPM (P6) image writing."""
 
 from __future__ import annotations
 
@@ -14,16 +14,3 @@ def write_ppm(path, image):
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
-
-
-def read_ppm(path):
-    """Read a binary PPM written by write_ppm; returns (H, W, 3) uint8."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"not a binary PPM file: {path}")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        fh.readline()  # maxval
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3)

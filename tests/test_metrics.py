@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,8 +315,8 @@ class _ReplayModel:
     def __init__(self, preds):
         self._preds = iter(preds)
 
-    def astype(self, dtype):
-        # ``evaluate_model`` runs its forwards on ``model.astype(np.float32)``
+    def twin(self, dtype):
+        # ``evaluate_model`` runs its forwards on ``model.twin(np.float32)``
         return self
 
     def forward(self, img):
@@ -494,3 +496,101 @@ def test_render_stages_merges_through_the_float32_twin(tmp_path, monkeypatch):
     img = np.random.default_rng(0).uniform(size=(64, 64, 3))
     paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path)
     assert len(paths) == 4 and dtypes == [np.dtype(np.float32)]
+
+
+@pytest.fixture(scope="module")
+def trained_eval():
+    """A 12-step trained default model, its config and 20 val scenes."""
+    from kmaxseg.config import Config
+    from kmaxseg.data import SyntheticDataset
+    from kmaxseg.training import scene_spec_from_config, train_loop
+
+    cfg = Config()
+    cfg.train.steps = cfg.train.train_size = 12
+    dataset = SyntheticDataset(scene_spec_from_config(cfg), 12, 20)
+    model = train_loop(cfg, dataset=dataset, seed=5).model
+    return model, cfg, list(dataset.val)
+
+
+def _counting_fork(monkeypatch, cpus):
+    """Report ``cpus`` usable CPUs; returns the list of pids ``os.fork`` gave."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_evaluate_model_over_forked_shares_equals_one_share(trained_eval, monkeypatch, cpus):
+    model, cfg, val = trained_eval
+    pids = _counting_fork(monkeypatch, cpus)
+    split = evaluate_model(model, val, cfg.infer, CLASS_TABLE)
+    assert len(pids) == cpus - 1
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")   # where fork is missing, one share runs here
+    assert evaluate_model(model, val, cfg.infer, CLASS_TABLE) == split
+
+
+@pytest.mark.parametrize("bad", [0, 19])   # in this process's share, in the child's
+def test_a_nan_image_in_any_share_raises_contract_error_and_leaves_no_child(
+        trained_eval, monkeypatch, bad):
+    from kmaxseg.errors import ContractError
+
+    model, cfg, val = trained_eval
+    examples = list(val)
+    img, gt = examples[bad]
+    img = img.copy()
+    img[3, 4, 1] = np.nan
+    examples[bad] = (img, gt)
+    pids = _counting_fork(monkeypatch, 2)
+    with pytest.raises(ContractError, match="non-finite pixel"):
+        evaluate_model(model, examples, cfg.infer, CLASS_TABLE)
+    assert len(pids) == 1
+    _assert_no_child_left()
+
+
+def test_evaluate_model_iterates_its_examples_once_and_never_indexes(trained_eval,
+                                                                     monkeypatch):
+    model, cfg, val = trained_eval
+
+    class Counted:
+        iterations = steps = 0
+
+        def __iter__(self):
+            Counted.iterations += 1
+            for item in val:
+                Counted.steps += 1
+                yield item
+
+        def __getitem__(self, index):
+            raise AssertionError("evaluate_model indexed its examples")
+
+    pids = _counting_fork(monkeypatch, 2)
+    evaluate_model(model, Counted(), cfg.infer, CLASS_TABLE)
+    assert (Counted.iterations, Counted.steps, len(pids)) == (1, len(val), 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7, 8, 9, 20, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_shares_are_contiguous_and_no_smaller_than_the_minimum(monkeypatch, n, cpus):
+    from kmaxseg.metrics import MIN_SHARE, _shares
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    shares = _shares(n)
+    assert shares[0][0] == 0 and shares[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
+    assert len(shares) == max(1, min(cpus, n // MIN_SHARE))
+    assert len(shares) == 1 or min(hi - lo for lo, hi in shares) >= MIN_SHARE

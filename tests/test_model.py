@@ -332,6 +332,31 @@ def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
     assert [t.data.tobytes() for _, t, _ in twin.named_parameters()] == twin_bytes
 
 
+def test_kept_twin_is_refilled_in_place_to_a_fresh_astype_copy():
+    from kmaxseg.training import AdamW
+
+    model = KMaxModel(_small_cfg(), seed=3)
+    opt = AdamW(model.named_parameters())
+    twin = model.twin(np.float32)
+    tensors = [t for _, t, _ in twin.named_parameters()]
+    for step in range(2):
+        for _, t, _ in model.named_parameters():
+            t.grad = np.full_like(t.data, 0.5)
+        opt.step()
+        raw = [t.data.tobytes() for _, t, _ in model.named_parameters()]
+        assert model.twin(np.float32) is twin
+        fresh = model.astype(np.float32)
+        for (_, t, _), (_, f, _), kept in zip(twin.named_parameters(),
+                                               fresh.named_parameters(), tensors):
+            assert t is kept and t.grad is None
+            assert t.data.dtype == np.float32 and t.data.tobytes() == f.data.tobytes()
+        # refilling reads the model's parameters and writes none of them
+        assert [t.data.tobytes() for _, t, _ in model.named_parameters()] == raw
+        assert {t.data.dtype for _, t, _ in model.named_parameters()} == {np.dtype(np.float64)}
+    # an astype copy starts with no kept twin of its own
+    assert model.astype(np.float32)._twins == {}
+
+
 def test_loss_graph_on_the_float32_twin_is_float32():
     from kmaxseg.config import Config
     from kmaxseg.data import generate
