@@ -24,6 +24,11 @@ a parameter holds a NaN or an infinity (the checksum covers such a value,
 and the model would then merge every image to void without an error), or
 when the file has no ``config`` or no ``sha256`` line, as files written
 before those lines existed do.
+
+Loading reads the file into one buffer and parses the payload in place: the
+checksum runs over a ``memoryview`` of it and every parameter is a
+read-only view into it, copied into the model only after every check has
+passed, so a load holds one copy of the payload, not two.
 """
 
 from __future__ import annotations
@@ -45,25 +50,34 @@ def _config_fields(cfg):
 
 
 def save_checkpoint(path, model):
-    """Write ``model`` to ``path`` through a temp file renamed over it."""
+    """Write ``model`` to ``path`` through a temp file renamed over it.
+
+    The checksum precedes the payload in the file, so the parameters are
+    read twice, once to hash and once to write, each one's bytes at a time
+    and with no copy of a float64 parameter.
+    """
     config = " ".join(f"{k}={v}" for k, v in _config_fields(model.cfg).items())
+    tensors = []
     params = []
-    payload = []
     offset = 0
     for name, tensor, _ in model.named_parameters():
+        tensors.append(tensor)
         shape = ",".join(str(s) for s in tensor.data.shape)
         params.append(f"param name={name} shape={shape} offset={offset}")
-        raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-        payload.append(raw)
-        offset += len(raw)
-    digest = _digest(params, payload)
+        offset += 8 * tensor.data.size
+    digest = _digest(params, map(_raw, tensors))
     manifest = [MAGIC, f"config {config}", f"sha256 {digest}", *params, "data"]
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(manifest) + "\n").encode("utf-8"))
-        for raw in payload:
-            fh.write(raw)
+        for tensor in tensors:
+            fh.write(_raw(tensor))
     os.replace(tmp, path)
+
+
+def _raw(tensor):
+    """The bytes of ``tensor`` as little-endian float64, a view where they already are."""
+    return np.ascontiguousarray(tensor.data, dtype="<f8").reshape(-1).view(np.uint8)
 
 
 def _digest(param_lines, payload):
@@ -104,7 +118,7 @@ def _parse_manifest(blob, path):
             raise ConfigError(f"{path} has a malformed manifest line {line!r}")
         entries.append((name, shape, offset))
         lines.append(line)
-    return entries, lines, config, checksum, blob[cut + len(marker):]
+    return entries, lines, config, checksum, memoryview(blob)[cut + len(marker):]
 
 
 def load_checkpoint(path, model):

@@ -11,6 +11,12 @@ The two background styles are texture variants of a single background
 class, which keeps the toy label space at 4 classes plus void. The class
 table (``CLASS_TABLE``) and the scene ranges are module constants; a
 ``SceneSpec`` sets only the seed and the image size.
+
+The class and instance maps are drawn as int8, since their ids stay in 0..5
+(4 classes, at most ``MAX_SHAPES`` instances): a kept 64x64 scene holds
+8 KiB of labels where int64 maps took 64 KiB. ``PanopticMap`` keeps int8
+maps as they are, and every consumer widens the ids before computing with
+them.
 """
 
 from __future__ import annotations
@@ -110,8 +116,8 @@ def _render(spec, rng):
         t = (yy / max(h - 1, 1))[:, :, None]
         img = top * (1 - t) + bottom * t
 
-    class_map = np.zeros((h, w), dtype=np.int64)
-    instance_map = np.zeros((h, w), dtype=np.int64)
+    class_map = np.zeros((h, w), dtype=np.int8)
+    instance_map = np.zeros((h, w), dtype=np.int8)
 
     n_shapes = int(rng.integers(MIN_SHAPES, MAX_SHAPES + 1))
     for i in range(n_shapes):

@@ -3,6 +3,14 @@
 Ground truth and predictions both describe an image as a set of
 non-overlapping class-labeled masks, stored as per-pixel (class id, instance
 id) maps. The class id ``-1`` marks void (unlabeled) pixels.
+
+A map's dtype is int8 or int64. An int8 map stays int8, so a dataset that
+keeps many small-id scenes (``data.generate`` draws int8 maps) holds an
+eighth of the bytes; any other integer map becomes int64, and a float or
+bool map raises ``ContractError`` rather than being truncated to ids. Every
+consumer widens the ids before it computes with them: ``label_index`` only
+sorts and compares them and returns int64 rows and indices, a merged
+prediction is int64, and the loss casts class ids to ``intp``.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import Tensor, softmax
 
 VOID = -1
@@ -21,8 +29,8 @@ class PanopticMap:
     """Per-pixel (class id, instance id) labeling of one image."""
 
     def __init__(self, class_map, instance_map):
-        self.class_map = np.asarray(class_map, dtype=np.int64)
-        self.instance_map = np.asarray(instance_map, dtype=np.int64)
+        self.class_map = _id_map(class_map, "class map")
+        self.instance_map = _id_map(instance_map, "instance map")
         if self.class_map.shape != self.instance_map.shape or self.class_map.ndim != 2:
             raise ShapeError(
                 f"class map {self.class_map.shape} and instance map "
@@ -67,14 +75,24 @@ class PanopticMap:
                            self.instance_map[:, ::-1].copy())
 
 
+def _id_map(ids, what):
+    """``ids`` as an int8 array if it is int8, else as int64; integers only."""
+    ids = np.asarray(ids)
+    if ids.dtype == np.int8:
+        return ids
+    if ids.dtype.kind not in "iu":
+        raise ContractError(f"{what} must hold integer ids, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 def label_index(*keys):
     """Rank the distinct tuples of equal-length int arrays.
 
-    Returns ``(index, rows)``: ``rows`` is an (n, len(keys)) array holding
-    each distinct tuple once, in lexicographic order with the first key most
-    significant, and ``index`` maps every element to its row. The keys are
-    sorted together, never packed into one integer, so any int64 values rank
-    exactly.
+    Returns ``(index, rows)``: ``rows`` is an (n, len(keys)) int64 array
+    holding each distinct tuple once, in lexicographic order with the first
+    key most significant, and ``index`` maps every element to its row. The
+    keys are sorted together, never packed into one integer, so any int64
+    values rank exactly.
     """
     order = np.lexsort(keys[::-1])
     ordered = [key[order] for key in keys]
@@ -84,7 +102,7 @@ def label_index(*keys):
         starts[1:] |= key[1:] != key[:-1]
     index = np.empty(order.size, dtype=np.int64)
     index[order] = np.cumsum(starts) - 1
-    return index, np.stack([key[starts] for key in ordered], axis=1)
+    return index, np.stack([key[starts] for key in ordered], axis=1, dtype=np.int64)
 
 
 @dataclass

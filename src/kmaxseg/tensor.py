@@ -6,6 +6,14 @@ gradient buffer and a link to the operation that produced it. Calling
 topological order (each node exactly once), accumulating gradients into
 every reachable tensor that requires them.
 
+The pass frees the tape as it runs: once a node's backward closure has
+fired, the node drops its gradient, its closure (and with it the buffers the
+closure saved) and its links to its parents. Only the leaves, the tensors no
+operation produced, keep their gradients, so the peak memory of a training
+step no longer holds every intermediate gradient at once. A graph can
+therefore be differentiated once; a second ``backward()`` that reaches a
+released node raises ``ContractError`` before it writes any gradient.
+
 Only the operations this package needs are provided; there is no general
 broadcasting beyond what those operations use, no views of views bookkeeping,
 and no control-flow capture.
@@ -91,14 +99,18 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode pass from this scalar through the recorded graph."""
+        """Reverse-mode pass from this scalar through the recorded graph.
+
+        Leaves accumulate their gradients in ``grad``. Every node the pass
+        goes through is released (see ``GradTape.backprop``): its ``grad``
+        reads ``None`` afterwards, and calling ``backward()`` again through
+        it raises ``ContractError``.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar output, got shape {self.data.shape}"
             )
-        tape = GradTape.from_output(self)
-        self.grad = np.ones_like(self.data)
-        tape.backprop()
+        GradTape.from_output(self).backprop(np.ones_like(self.data))
 
 
 class GradTape:
@@ -131,10 +143,36 @@ class GradTape:
                     stack.append((p, False))
         return GradTape(nodes)
 
-    def backprop(self):
+    def backprop(self, grad):
+        """Seed the output with ``grad``, then run every node's backward
+        closure, children first, releasing as it goes.
+
+        Once a non-leaf node's closure has run, its gradient, closure and
+        parent links are dropped, so the buffers they hold are freed while
+        the pass still runs; leaves keep their gradients. A released node
+        gets ``_released`` as its closure, and a tape that reaches one raises
+        ``ContractError`` before any gradient is written, the seed included.
+        """
+        if any(t._backward is _released for t in self.nodes):
+            _released(None)   # raises before any gradient is written
+        self.nodes[-1].grad = grad   # the output comes last in ``nodes``
         for t in reversed(self.nodes):
-            if t._backward is not None and t.grad is not None:
-                t._backward(t.grad)
+            backward = t._backward
+            if backward is None:
+                continue
+            if t.grad is not None:
+                backward(t.grad)
+            t.grad = None
+            t._backward = _released
+            t._parents = ()
+
+
+def _released(g):
+    """Backward closure of a node an earlier ``backward()`` has released."""
+    raise ContractError(
+        "backward() reached a node that an earlier backward() already released; "
+        "rebuild the graph to differentiate it again"
+    )
 
 
 def _as_tensor(x):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmaxseg import data
 from kmaxseg.data import (CLASS_TABLE, MIN_SEGMENT_PX, SceneSpec, SyntheticDataset,
                           augment_flip, generate)
 from kmaxseg.errors import ConfigError
@@ -168,6 +169,27 @@ def test_split_arrays_are_read_only():
     flipped, _ = augment_flip(img, gt, np.random.default_rng(0), prob=1.0)
     flipped[0, 0] = 0.0
     assert _same_scene(ds.train[0], generate(SPEC, 0))
+
+
+class _WideLabels:
+    """The ``np`` of ``kmaxseg.data`` with ``int8`` read as ``int64``."""
+
+    def __getattr__(self, name):
+        return np.int64 if name == "int8" else getattr(np, name)
+
+
+def test_generated_label_maps_are_int8_and_equal_an_int64_render(monkeypatch):
+    ds = SyntheticDataset(SPEC, train_size=12, val_size=0)
+    scenes = list(ds.train)
+    monkeypatch.setattr(data, "np", _WideLabels())
+    for i, (img, gt) in enumerate(scenes):
+        assert gt.class_map.dtype == gt.instance_map.dtype == np.int8
+        assert not gt.class_map.flags.writeable and not gt.instance_map.flags.writeable
+        wide_img, wide = generate(SPEC, i)
+        assert wide.class_map.dtype == wide.instance_map.dtype == np.int64
+        assert img.tobytes() == wide_img.tobytes()
+        assert np.array_equal(gt.class_map, wide.class_map)
+        assert np.array_equal(gt.instance_map, wide.instance_map)
 
 
 @pytest.mark.parametrize("sizes", [(-3, 2), (2, -1)])

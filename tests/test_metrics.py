@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from kmaxseg.config import InferConfig
 from kmaxseg.data import CLASS_TABLE, SceneSpec
-from kmaxseg.errors import ShapeError
+from kmaxseg.errors import ContractError, ShapeError
 from kmaxseg.metrics import (PQStat, evaluate_model, evaluation_report, merge_masks,
                              panoptic_quality)
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
@@ -183,6 +183,29 @@ def test_pq_shape_mismatch_raises():
                        np.zeros((4, 4), dtype=np.int64))
     with pytest.raises(ShapeError):
         panoptic_quality(pred, gt)
+
+
+def test_panoptic_map_keeps_int8_and_widens_other_integer_maps():
+    ids = np.array([[VOID, 0], [1, 2]])
+    small = ids.astype(np.int8)
+    pmap = PanopticMap(small, small)
+    assert pmap.class_map is small and pmap.instance_map is small
+    for dtype in (np.int16, np.int32, np.int64, np.uint8, np.uint32):
+        pmap = PanopticMap(np.abs(ids).astype(dtype), np.abs(ids).astype(dtype))
+        assert pmap.class_map.dtype == pmap.instance_map.dtype == np.int64
+        assert np.array_equal(pmap.class_map, np.abs(ids))
+    assert PanopticMap(ids.tolist(), ids.tolist()).class_map.dtype == np.int64
+
+
+@pytest.mark.parametrize("bad", [np.full((2, 2), 1.7), np.ones((2, 2), dtype=np.float32),
+                                 np.ones((2, 2), dtype=bool)])
+def test_panoptic_map_rejects_non_integer_maps(bad):
+    ids = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(ContractError,
+                       match=f"class map must hold integer ids, got dtype {bad.dtype}"):
+        PanopticMap(bad, ids)
+    with pytest.raises(ContractError, match="instance map must hold integer ids"):
+        PanopticMap(ids, bad)
 
 
 def test_evaluation_report_is_stable():

@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
+from kmaxseg import checkpoint
 from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
-from kmaxseg.config import ModelConfig
+from kmaxseg.config import ModelConfig, _format_value
 from kmaxseg.data import CLASS_TABLE
 from kmaxseg.errors import ConfigError, ContractError, ShapeError
 from kmaxseg.model import KMaxModel
@@ -152,6 +155,75 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     with no_grad():
         after, _, _ = other.forward(img)
     assert np.array_equal(after.mask_logits.data, before.mask_logits.data)
+
+
+def _reference_checkpoint(model):
+    """The checkpoint format written with every parameter's bytes held at once."""
+    config = " ".join(f"{f.name}={_format_value(getattr(model.cfg, f.name))}"
+                      for f in dataclasses.fields(model.cfg))
+    lines, payload = [], b""
+    for name, t, _ in model.named_parameters():
+        shape = ",".join(str(n) for n in t.data.shape)
+        lines.append(f"param name={name} shape={shape} offset={len(payload)}")
+        payload += t.data.astype("<f8").tobytes()
+    digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode() + payload)
+    head = ["KMAXCKPT1", f"config {config}", f"sha256 {digest.hexdigest()}", *lines, "data"]
+    return ("\n".join(head) + "\n").encode() + payload
+
+
+def test_checkpoint_file_equals_the_reference_writer_byte_for_byte(tmp_path):
+    model = KMaxModel(_small_cfg(), seed=3)
+    path = tmp_path / "model.ckpt"
+    for m in (model, model.astype(np.float32)):
+        save_checkpoint(path, m)
+        assert path.read_bytes() == _reference_checkpoint(m)
+
+
+def test_load_checkpoint_parses_in_place_and_copies_out_of_the_read_buffer(tmp_path,
+                                                                          monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
+    parse = checkpoint._parse_manifest
+    seen = []
+
+    def recording(blob, where):
+        out = parse(blob, where)
+        seen.append((blob, out[-1]))
+        return out
+
+    monkeypatch.setattr(checkpoint, "_parse_manifest", recording)
+    model = KMaxModel(_small_cfg(), seed=1)
+    arrays = [t.data for _, t, _ in model.named_parameters()]
+    load_checkpoint(path, model)
+    (blob, payload), = seen
+    read = np.frombuffer(blob, dtype=np.uint8)
+    assert isinstance(payload, memoryview)
+    assert np.shares_memory(np.frombuffer(payload, dtype=np.uint8), read)
+    for (name, t, _), data in zip(model.named_parameters(), arrays):
+        assert t.data is data and t.data.flags.writeable, name
+        assert not np.shares_memory(t.data, read), name
+    assert path.read_bytes() == _reference_checkpoint(model)
+
+    # the checks read the view as they read a bytes slice
+    path.write_bytes(blob[:-8])
+    last = model.named_parameters()[-1]
+    end = len(payload)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} is truncated: parameter {last[0]} needs payload bytes "
+            f"{end - 8 * last[1].data.size}..{end} but the payload holds {end - 8}")):
+        load_checkpoint(path, model)
+    flipped = bytearray(blob)
+    flipped[-1] ^= 0x01
+    path.write_bytes(bytes(flipped))
+    head = blob[:len(blob) - end].decode()
+    checksum = re.search(r"^sha256 (\S+)$", head, re.M).group(1)
+    actual = hashlib.sha256("".join(f"{line}\n" for line in head.splitlines()
+                                    if line.startswith("param ")).encode()
+                            + bytes(flipped[-end:])).hexdigest()
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} fails its sha256 checksum: manifest {checksum}, param lines "
+            f"and payload {actual}")):
+        load_checkpoint(path, model)
 
 
 def test_checkpoint_rejects_mismatched_model(tmp_path):

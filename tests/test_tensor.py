@@ -304,6 +304,34 @@ def test_backward_visits_shared_nodes_once():
     assert np.array_equal(x.grad, [2.0])
 
 
+def test_backward_releases_inner_nodes_and_leaves_keep_their_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, -1.0], requires_grad=True)
+    y = T.mul(x, w)
+    loss = T.reduce_sum(y)
+    loss.backward()
+    assert np.array_equal(x.grad, [3.0, -1.0]) and np.array_equal(w.grad, [1.0, 2.0])
+    for node in (y, loss):
+        assert node.grad is None and node._parents == () and node._backward is T._released
+
+
+def test_second_backward_through_a_released_graph_raises_and_writes_nothing():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, -1.0], requires_grad=True)
+    y = T.mul(x, w)
+    loss = T.reduce_sum(y)
+    loss.backward()
+    before = x.grad.copy(), w.grad.copy()
+    # the same output again, and a new output over a released inner node
+    # and a leaf, whose closure would write the leaf before reaching ``y``
+    for out in (loss, T.reduce_sum(T.add(x, y))):
+        with pytest.raises(ContractError, match="already released"):
+            out.backward()
+        assert out.grad is None
+        assert x.grad.tobytes() == before[0].tobytes()
+        assert w.grad.tobytes() == before[1].tobytes()
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
@@ -323,7 +351,9 @@ def test_forward_values_stay_finite():
 def test_backward_gives_every_node_its_own_writeable_gradient(kernel):
     # a backward closure hands a gradient it allocated to ``_accum`` without
     # a copy; a second owner of that memory would take in-place sums meant
-    # for the first
+    # for the first. Backprop releases each inner node's gradient once its
+    # closure has run, so every closure is wrapped to keep the gradient it
+    # receives; the leaves keep theirs.
     from kmaxseg.config import Config
     from kmaxseg.data import generate
     from kmaxseg.model import KMaxModel
@@ -337,8 +367,20 @@ def test_backward_gives_every_node_its_own_writeable_gradient(kernel):
     pred, aux, sem = model.forward(img)
     gt4 = gt.downsample(cfg.model.image_size // pred.height)
     loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
+    nodes = T.GradTape.from_output(loss).nodes
+    grads = []
+
+    def keep(backward):
+        def wrapped(g):
+            grads.append(g)
+            backward(g)
+        return wrapped
+
+    for t in nodes:
+        if t._backward is not None:
+            t._backward = keep(t._backward)
     loss.backward()
-    grads = [t.grad for t in T.GradTape.from_output(loss).nodes if t.grad is not None]
+    grads += [t.grad for t in nodes if t.grad is not None]
     assert len(grads) > 300
     assert all(g.flags.writeable for g in grads)
     spans = sorted(np.lib.array_utils.byte_bounds(g) for g in grads)
