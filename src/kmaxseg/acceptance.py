@@ -126,7 +126,12 @@ def criterion_2_kmeans_equivalence():
     points are unit-norm and the initial centers are points, so the affinity
     argmax is the nearest center. An empty cluster is the one case where the
     two rules differ (Lloyd keeps its previous center, the model gives a zero
-    row), so an instance with one fails the check.
+    row), so an instance with one fails the check. The model itself always
+    has empty clusters (16 queries over the 4-64 pixels of a stride-32/16/8
+    grid), so the zero-row rule is the one in force there; this criterion
+    proves the equivalence where no cluster is empty, and
+    ``test_hard_aggregate_empty_cluster_is_zero_row`` covers the rule the
+    model runs.
     """
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)

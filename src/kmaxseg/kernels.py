@@ -96,7 +96,12 @@ def _hard_aggregate(logits, v, normalize=False):
 
     Each pixel goes to its argmax cluster (detached); a cluster sums its
     assigned value rows, or averages them when ``normalize`` is set. An
-    empty cluster gets a zero row either way.
+    empty cluster gets a zero row either way, where Lloyd would keep its
+    previous center. Every call the model makes has empty clusters: 16
+    queries compete for the 4-64 pixels of a stride-32/16/8 grid, so most
+    win none. The zero-row rule is therefore the one in force in training
+    and evaluation; ``test_hard_aggregate_empty_cluster_is_zero_row`` covers
+    it, and acceptance criterion 2 covers the nonempty case.
     """
     a = argmax_onehot(logits)
     if not normalize:

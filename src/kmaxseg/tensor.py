@@ -14,6 +14,11 @@ step no longer holds every intermediate gradient at once. A graph can
 therefore be differentiated once; a second ``backward()`` that reaches a
 released node raises ``ContractError`` before it writes any gradient.
 
+``backward(on_final)`` also reports each leaf the moment its gradient is
+final: right after the closure of its last consumer has fired, the pass calls
+``on_final(leaf)`` once. The optimizer uses this to update a parameter block
+and drop its gradients while the rest of the pass still runs.
+
 Only the operations this package needs are provided; there is no general
 broadcasting beyond what those operations use, no views of views bookkeeping,
 and no control-flow capture.
@@ -22,7 +27,7 @@ A tensor holds float32 data as float32 and turns anything else into
 float64. Every op allocates its result, its saved buffers and its gradients
 in its input's dtype, so a graph built on float32 data stays float32.
 Training, checkpoints and finite-difference checks run in float64;
-evaluation runs a float32 copy of the model (``KMaxModel.astype``).
+evaluation runs the model's kept float32 copy (``KMaxModel.twin``).
 
 The model's matrices are small (16 queries by 64 channels), so a node's
 Python overhead costs more than its arithmetic. Two patterns the model
@@ -98,19 +103,21 @@ class Tensor:
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self):
+    def backward(self, on_final=None):
         """Reverse-mode pass from this scalar through the recorded graph.
 
         Leaves accumulate their gradients in ``grad``. Every node the pass
         goes through is released (see ``GradTape.backprop``): its ``grad``
         reads ``None`` afterwards, and calling ``backward()`` again through
-        it raises ``ContractError``.
+        it raises ``ContractError``. ``on_final(leaf)``, if given, is called
+        once per leaf the pass reaches, as soon as that leaf's gradient is
+        final.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar output, got shape {self.data.shape}"
             )
-        GradTape.from_output(self).backprop(np.ones_like(self.data))
+        GradTape.from_output(self).backprop(np.ones_like(self.data), on_final)
 
 
 class GradTape:
@@ -143,7 +150,7 @@ class GradTape:
                     stack.append((p, False))
         return GradTape(nodes)
 
-    def backprop(self, grad):
+    def backprop(self, grad, on_final=None):
         """Seed the output with ``grad``, then run every node's backward
         closure, children first, releasing as it goes.
 
@@ -152,10 +159,30 @@ class GradTape:
         the pass still runs; leaves keep their gradients. A released node
         gets ``_released`` as its closure, and a tape that reaches one raises
         ``ContractError`` before any gradient is written, the seed included.
+
+        With ``on_final``, the pass first finds each leaf's last consumer in
+        the walk (a leaf is a tensor that requires grad and that no op
+        produced). Right after that consumer's closure has run, it calls
+        ``on_final(leaf)``; an output that is itself a leaf is final once
+        seeded. Each reached leaf is reported exactly once, and nothing else
+        is.
         """
         if any(t._backward is _released for t in self.nodes):
             _released(None)   # raises before any gradient is written
-        self.nodes[-1].grad = grad   # the output comes last in ``nodes``
+        out = self.nodes[-1]   # the output comes last in ``nodes``
+        out.grad = grad
+        finals = {}   # node -> the leaves whose last consumer in the walk it is
+        if on_final is not None:
+            seen = set()
+            # parents come first in ``nodes``, so a leaf's first consumer
+            # here is the last one the reversed walk reaches
+            for t in self.nodes:
+                for p in t._parents:
+                    if p._backward is None and p.requires_grad and p not in seen:
+                        seen.add(p)
+                        finals.setdefault(t, []).append(p)
+            if out._backward is None and out.requires_grad:
+                on_final(out)
         for t in reversed(self.nodes):
             backward = t._backward
             if backward is None:
@@ -165,6 +192,9 @@ class GradTape:
             t.grad = None
             t._backward = _released
             t._parents = ()
+            if finals:
+                for p in finals.pop(t, ()):
+                    on_final(p)
 
 
 def _released(g):

@@ -23,6 +23,12 @@ node, ``_set_prediction_loss``: it stacks the outputs and computes each
 cross-entropy, the Dice and the mask-id targets once, with a hand-written
 backward. The semantic cross-entropy stays a composed node.
 
+The optimizer is AdamW, and a train step fuses it into the backward pass:
+each parameter block is updated as soon as its gradients are final, and
+those gradients are dropped at once, so a step never holds every parameter
+gradient at the same time. The update is elementwise, so this gives the
+same bytes as a backward pass followed by a whole ``AdamW.step``.
+
 The recipe is fixed, as in the paper's ablations, which vary only the
 kernel and the decoder count: the constants below hold the learning rate,
 its warm-up and the loss weights.
@@ -329,15 +335,39 @@ class AdamW:
     Constructing a second optimizer over the same tensors moves their data
     into its blocks and detaches the first one.
 
-    ``step`` gathers a block's gradients into one scratch chunk and runs the
-    update in place through two more, so the ≈15 numpy calls of the update
-    act once per block rather than once per tensor; a large tensor is updated
-    in slices of ``CHUNK``. ``CHUNK`` is sized for L2: the six float64
-    operands of one call (p, m, v, g and two temporaries) take 6 × 128 KiB and
-    stay in a 2 MiB L2 cache between those calls. Each element gets the
+    A block's update gathers its gradients into one scratch chunk and runs
+    in place through two more, so the ≈15 numpy calls of the update act once
+    per block rather than once per tensor; a large tensor is updated in
+    slices of ``CHUNK``. ``CHUNK`` is sized for L2: the six float64 operands
+    of one call (p, m, v, g and two temporaries) take 6 × 128 KiB and stay
+    in a 2 MiB L2 cache between those calls. Each element gets the
     arithmetic of a per-tensor loop in the same order, so the result is
     bitwise the same. A tensor whose ``grad`` is None is skipped: its ``m``,
     ``v`` and data are left untouched.
+
+    ``step(lr)`` alone updates every block and leaves the gradients in
+    place. A fused step runs the update inside the backward pass instead:
+    ``loss.backward(opt.begin_step(lr))``, then ``opt.step()``.
+    ``begin_step`` advances ``t`` and fixes the lr and both bias
+    corrections; the callback it returns updates a block as soon as the
+    last of its tensors has a final gradient, then sets those tensors'
+    ``grad`` to None, so at most a few blocks' gradients are alive at once.
+    ``step()`` then updates the blocks the pass did not complete (tensors it
+    never reached keep the skip rule) and drops their gradients too. The
+    update is elementwise and the pass writes no gradient after calling
+    back, so a fused step gives the same bytes as backward-then-``step``.
+    If the pass raises, the blocks already updated stay updated and the
+    step is left open: the model and the optimizer must not be used again.
+
+    ``m`` and ``v`` are allocated by the first step, not at construction.
+    In a train step that is after the forward pass has allocated its
+    working set, so these long-lived buffers (10 MiB at the default config)
+    come after it in glibc's heap, and the memory a fused step frees at its
+    end is kept for the next step instead of being trimmed from the top of
+    the heap and faulted back in. With ``m`` and ``v`` allocated at
+    construction, runs shaped like the train benchmark's (250-step
+    ``train_loop`` calls) took ≈1,500 minor page faults per step; allocated
+    here, ≈0.
 
     The blocks are separate buffers, not one flat one. A buffer of the whole
     model (5 MiB at the default config) would be mapped fresh by the
@@ -355,7 +385,7 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        # (decay, parts, p, m, v); a part is (tensor, lo, hi) within p
+        # (decay, parts, p); a part is (tensor, lo, hi) within p
         self._blocks = []
         for decay in (True, False):
             run, size = [], 0
@@ -367,9 +397,11 @@ class AdamW:
                 size += t.data.size
             if run:
                 self._add_block(run, decay)
-        self.m = [m for _, _, _, m, _ in self._blocks]
-        self.v = [v for _, _, _, _, v in self._blocks]
+        self.m, self.v = [], []   # per block, allocated by the first step
         self._g, self._t1, self._t2 = (np.empty(self.CHUNK) for _ in range(3))
+        self._block_of = {t: i for i, (_, parts, _) in enumerate(self._blocks)
+                          for t, _, _ in parts}
+        self._open = None   # (lr, bc1, bc2, tensors left per block) of a fused step
 
     def _add_block(self, tensors, decay):
         p = np.empty(sum(t.data.size for t in tensors))
@@ -381,28 +413,84 @@ class AdamW:
             t.data = p[lo:hi].reshape(t.data.shape)
             parts.append((t, lo, hi))
             lo = hi
-        self._blocks.append((decay, parts, p, np.zeros_like(p), np.zeros_like(p)))
+        self._blocks.append((decay, parts, p))
+
+    def _start(self, lr):
+        """Advance ``t``; returns the step's lr and both bias corrections.
+
+        The first call allocates ``m`` and ``v``: see the class docstring.
+        """
+        if not self.m:
+            self.m = [np.zeros_like(p) for _, _, p in self._blocks]
+            self.v = [np.zeros_like(p) for _, _, p in self._blocks]
+        self.t += 1
+        return (self.lr if lr is None else lr, 1.0 - self.beta1 ** self.t,
+                1.0 - self.beta2 ** self.t)
+
+    def begin_step(self, lr=None):
+        """Start a fused step; returns the ``on_final`` callback for
+        ``Tensor.backward``. Finish the step with ``step()``."""
+        if self._open is not None:
+            raise ContractError("begin_step() called again before step() finished the last one")
+        lr, bc1, bc2 = self._start(lr)
+        left = [len(parts) for _, parts, _ in self._blocks]   # 0 once updated
+        pending = dict(self._block_of)   # tensors whose gradient is not final yet
+        self._open = lr, bc1, bc2, left
+
+        def on_final(t):
+            i = pending.pop(t, None)
+            if i is None:
+                if t in self._block_of:
+                    raise ContractError("a parameter's gradient turned final twice in one step")
+                return   # a leaf this optimizer does not own
+            left[i] -= 1
+            if not left[i]:
+                self._finish_block(i, lr, bc1, bc2)
+
+        return on_final
 
     def step(self, lr=None):
-        lr = self.lr if lr is None else lr
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for decay, parts, p, m, v in self._blocks:
-            if len(parts) > 1 and all(t.grad is not None for t, _, _ in parts):
-                g = self._g[:p.size]
-                for t, lo, hi in parts:
-                    g[lo:hi] = t.grad.reshape(-1)
-                self._update(p, m, v, g, decay, lr, bc1, bc2)
-                continue
+        """Update every block, or finish the fused step ``begin_step`` opened.
+
+        A whole step keeps the gradients. Finishing a fused step updates the
+        blocks the backward pass left, with the lr it began with, and drops
+        their gradients.
+        """
+        if self._open is None:
+            lr, bc1, bc2 = self._start(lr)
+            for i in range(len(self._blocks)):
+                self._step_block(i, lr, bc1, bc2)
+            return
+        if lr is not None:
+            raise ContractError("a fused step uses the lr given to begin_step()")
+        lr, bc1, bc2, left = self._open
+        self._open = None
+        for i, n in enumerate(left):
+            if n:
+                self._finish_block(i, lr, bc1, bc2)
+
+    def _finish_block(self, i, lr, bc1, bc2):
+        self._step_block(i, lr, bc1, bc2)
+        for t, _, _ in self._blocks[i][1]:
+            t.grad = None
+
+    def _step_block(self, i, lr, bc1, bc2):
+        decay, parts, p = self._blocks[i]
+        m, v = self.m[i], self.v[i]
+        if len(parts) > 1 and all(t.grad is not None for t, _, _ in parts):
+            g = self._g[:p.size]
             for t, lo, hi in parts:
-                if t.grad is None:
-                    continue
-                g = t.grad.reshape(-1)
-                for a in range(lo, hi, self.CHUNK):
-                    b = min(a + self.CHUNK, hi)
-                    self._update(p[a:b], m[a:b], v[a:b], g[a - lo:b - lo],
-                                 decay, lr, bc1, bc2)
+                g[lo:hi] = t.grad.reshape(-1)
+            self._update(p, m, v, g, decay, lr, bc1, bc2)
+            return
+        for t, lo, hi in parts:
+            if t.grad is None:
+                continue
+            g = t.grad.reshape(-1)
+            for a in range(lo, hi, self.CHUNK):
+                b = min(a + self.CHUNK, hi)
+                self._update(p[a:b], m[a:b], v[a:b], g[a - lo:b - lo],
+                             decay, lr, bc1, bc2)
 
     def _update(self, p, m, v, g, decay, lr, bc1, bc2):
         """One in-place AdamW update of the equal-length 1-D views p, m, v."""
@@ -452,9 +540,13 @@ def scene_spec_from_config(cfg):
 def _train_step(model, opt, img, gt, step, lr):
     """One update on one image; returns the loss as a float and its parts.
 
-    The step's graph dies on return, before a periodic eval runs.
+    The AdamW step is fused into the backward pass: each parameter block is
+    updated, and its gradients dropped, as soon as the pass has finished
+    them, so the step ends with every ``grad`` None and needs no
+    ``zero_grad``. The step's graph dies on return, before a periodic eval
+    runs. An exception raised inside the backward pass propagates with some
+    blocks already updated; the model must not be used after it.
     """
-    model.zero_grad()
     pred, aux, sem = model.forward(img)
     gt4 = gt.downsample(gt.height // pred.height)
     matching = hungarian_match(matching_cost(pred, gt4))
@@ -462,8 +554,8 @@ def _train_step(model, opt, img, gt, step, lr):
     if not np.isfinite(loss.item()):
         # stop before backward and the update can corrupt the parameters
         raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")
-    loss.backward()
-    opt.step(lr)
+    loss.backward(opt.begin_step(lr))
+    opt.step()
     return loss.item(), parts
 
 
@@ -472,7 +564,9 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
     """Train a model per ``cfg``; returns the model and the metrics rows.
 
     Fully deterministic for a fixed (config, seed): initialization, data
-    order and flips all derive from one seed sequence.
+    order and flips all derive from one seed sequence. The returned model
+    holds no gradients. An exception from inside a train step's backward
+    pass propagates with that step half applied (see ``_train_step``).
     """
     from .checkpoint import save_checkpoint
     from .metrics import evaluate_model

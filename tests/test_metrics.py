@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,6 +520,29 @@ def test_render_stages_merges_through_the_float32_twin(tmp_path, monkeypatch):
     img = np.random.default_rng(0).uniform(size=(64, 64, 3))
     paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path)
     assert len(paths) == 4 and dtypes == [np.dtype(np.float32)]
+
+
+def test_render_stages_writes_the_bytes_of_a_fresh_float32_copy(tmp_path, monkeypatch):
+    from kmaxseg.config import ModelConfig
+    from kmaxseg.model import KMaxModel
+    from kmaxseg.visualize import render_stages
+
+    cfg = ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1),
+                      encoder_channels=(4, 6, 8, 10, 12), ffn_hidden=16)
+    model = KMaxModel(cfg, seed=0)
+    img = np.random.default_rng(0).uniform(size=(64, 64, 3))
+
+    def render(name):
+        paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path / name)
+        return [Path(p).read_bytes() for p in paths]
+
+    first = render("first")   # builds the kept twin
+    for (_, dst, _), (_, src, _) in zip(model.named_parameters(),
+                                        KMaxModel(cfg, seed=1).named_parameters()):
+        dst.data[...] = src.data
+    refilled = render("refilled")
+    monkeypatch.setattr(model, "twin", model.astype)   # a new deep copy per call
+    assert render("astype") == refilled != first
 
 
 @pytest.fixture(scope="module")

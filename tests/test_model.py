@@ -394,7 +394,7 @@ def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
     for (_, t, _), (t0, data, raw, grad) in zip(model.named_parameters(), before):
         assert t is t0 and t.data is data and t.grad is grad
         assert data.dtype == np.float64 and data.tobytes() == raw
-    for _, parts, p, _, _ in opt._blocks:
+    for _, parts, p in opt._blocks:
         assert all(np.shares_memory(t.data, p) for t, _, _ in parts)
     assert all(t.grad is None for _, t, _ in twin.named_parameters())
     twin_bytes = [t.data.tobytes() for _, t, _ in twin.named_parameters()]

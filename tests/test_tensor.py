@@ -332,6 +332,74 @@ def test_second_backward_through_a_released_graph_raises_and_writes_nothing():
         assert w.grad.tobytes() == before[1].tobytes()
 
 
+def _final_order_graph():
+    """x feeds two nodes (one of them ``mul(x, x)``), w one, c needs no grad."""
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    w = Tensor([3.0, 0.5], requires_grad=True)
+    c = Tensor([2.0, 4.0])
+    y = T.mul(x, x)
+    k = T.add(T.mul(y, w), x)
+    return x, w, c, T.reduce_sum(T.mul(k, c))
+
+
+def test_on_final_fires_once_per_reached_leaf_after_its_last_consumer():
+    x, w, c, loss = _final_order_graph()
+    unreached = Tensor([5.0], requires_grad=True)
+    nodes = T.GradTape.from_output(loss).nodes
+    consumers = {}
+    log = []
+
+    def logged(node, backward):
+        def wrapped(g):
+            log.append(("closure", node))
+            backward(g)
+        return wrapped
+
+    for t in nodes:
+        for p in t._parents:
+            consumers.setdefault(p, []).append(t)
+        if t._backward is not None:
+            t._backward = logged(t, t._backward)
+    finals = []
+
+    def on_final(leaf):
+        log.append(("final", leaf))
+        finals.append((leaf, leaf.grad.copy()))
+
+    loss.backward(on_final)
+    assert [leaf for leaf, _ in finals] == [w, x]   # mul(y, w) fires before mul(x, x)
+    for leaf, grad in finals:
+        at = log.index(("final", leaf))
+        assert all(log.index(("closure", node)) < at for node in consumers[leaf])
+        assert grad.tobytes() == leaf.grad.tobytes()   # nothing is written after
+    assert not any(t is c or t is unreached for _, t in log)
+    assert unreached.grad is None and c.grad is None
+    # an output that is itself a leaf is final once seeded
+    fired = []
+    unreached.backward(fired.append)
+    assert fired == [unreached] and np.array_equal(unreached.grad, [1.0])
+
+
+def test_on_final_changes_no_gradient():
+    plain, called = _final_order_graph(), _final_order_graph()
+    plain[-1].backward()
+    called[-1].backward(lambda leaf: None)
+    for a, b in zip(plain[:2], called[:2]):
+        assert a.grad.tobytes() == b.grad.tobytes()
+    assert np.array_equal(plain[0].grad, [14.0, -4.0])   # c * (2 x w + 1)
+
+
+def test_a_released_graph_raises_before_on_final_fires():
+    x, w, c, loss = _final_order_graph()
+    loss.backward()
+    fired = []
+    # the same output again, and a new one over the released output and a leaf
+    for out in (loss, T.add(T.reduce_sum(x), loss)):
+        with pytest.raises(ContractError, match="already released"):
+            out.backward(fired.append)
+    assert fired == []
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():

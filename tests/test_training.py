@@ -519,6 +519,122 @@ def test_adamw_sees_a_checkpoint_loaded_after_it_was_built(tmp_path):
         assert np.array_equal(t.data, p), name
 
 
+def _scene_loss(model, cfg, index, sem_only=False):
+    img, gt = generate(scene_spec_from_config(cfg), index)
+    pred, aux, sem = model.forward(img)
+    if sem_only:   # reaches no decoder parameter
+        return T.reduce_sum(sem)
+    gt4 = gt.downsample(cfg.model.image_size // pred.height)
+    return total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))[0]
+
+
+def test_a_fused_step_gives_the_bytes_of_backward_then_step(tmp_path, monkeypatch):
+    from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
+
+    # small blocks, so the tiny model has 23 and its larger tensors span several
+    monkeypatch.setattr(AdamW, "CHUNK", 1024)
+    cfg = _tiny_train_config()
+    composed, fused = KMaxModel(cfg.model, seed=0), KMaxModel(cfg.model, seed=0)
+    opt_c, opt_f = AdamW(composed.named_parameters()), AdamW(fused.named_parameters())
+    path = tmp_path / "other.ckpt"
+    save_checkpoint(path, KMaxModel(cfg.model, seed=1))
+    params = [t for _, t, _ in fused.named_parameters()]
+    for step in range(6):
+        if step == 3:
+            load_checkpoint(path, composed)
+            load_checkpoint(path, fused)
+        lr = 1e-3 * (1 + step % 3)
+        # every fifth tensor needs no grad this step, and step 2 reaches no
+        # decoder tensor: both leave ``grad`` None, which the update skips
+        for model in (composed, fused):
+            for i, (_, t, _) in enumerate(model.named_parameters()):
+                t.requires_grad = i % 5 != step % 5
+        composed.zero_grad()
+        _scene_loss(composed, cfg, step, sem_only=step == 2).backward()
+        held = sum(t.grad is not None for _, t, _ in composed.named_parameters())
+        opt_c.step(lr)
+        alive = []
+        on_final = opt_f.begin_step(lr)
+
+        def counting(t):
+            on_final(t)
+            alive.append(sum(p.grad is not None for p in params))
+
+        _scene_loss(fused, cfg, step, sem_only=step == 2).backward(counting)
+        opt_f.step()
+        assert [n for n, t, _ in fused.named_parameters() if t.grad is not None] == []
+        # gradients die as their blocks are updated: the fused pass never
+        # holds all the gradients that backward-then-step holds
+        assert max(alive) < held
+        for (name, a, _), (_, b, _) in zip(composed.named_parameters(),
+                                           fused.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), f"{name} differs at step {step}"
+        for a, b in zip(opt_c.m + opt_c.v, opt_f.m + opt_f.v):
+            assert a.tobytes() == b.tobytes(), f"m or v differs at step {step}"
+    assert opt_c.t == opt_f.t == 6
+
+
+def test_train_loop_returns_a_model_without_gradients():
+    model = train_loop(_tiny_train_config(steps=3), seed=0).model
+    assert [n for n, t, _ in model.named_parameters() if t.grad is not None] == []
+
+
+def test_a_fused_step_rejects_misuse():
+    p = Tensor(np.ones(3), requires_grad=True)
+    opt = AdamW([("p", p, True)])
+    on_final = opt.begin_step(1e-3)
+    with pytest.raises(ContractError, match="begin_step"):
+        opt.begin_step(1e-3)
+    with pytest.raises(ContractError, match="lr"):
+        opt.step(1e-3)
+    T.reduce_sum(T.mul(p, p)).backward(on_final)
+    with pytest.raises(ContractError, match="twice"):
+        T.reduce_sum(p).backward(on_final)
+    opt.step()
+    assert opt.t == 1 and p.grad is not None   # the second pass's gradient
+
+
+def test_an_error_inside_backward_propagates_and_updated_blocks_stay(monkeypatch):
+    # after this the model is half stepped and must not be used; the test
+    # only checks which half
+    from kmaxseg import model as model_module
+    from kmaxseg import training
+
+    opts, names, before = [], {}, {}
+
+    class RecordingAdamW(training.AdamW):
+        def __init__(self, named_params):
+            super().__init__(named_params)
+            opts.append(self)
+            for name, t, _ in named_params:
+                names[id(t)], before[id(t)] = name, t.data.copy()
+
+    real_conv3x3 = model_module.conv3x3
+
+    def failing_first_conv(x, weight, bias=None, stride=1):
+        out = real_conv3x3(x, weight, bias, stride)
+        if out._backward is not None and x.data.shape[2] == 3:
+            def fail(g):   # the image's conv: its closure is among the last
+                raise RuntimeError("closure failed")
+            out._backward = fail
+        return out
+
+    monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+    monkeypatch.setattr(model_module, "conv3x3", failing_first_conv)
+    with pytest.raises(RuntimeError, match="closure failed"):
+        train_loop(_tiny_train_config(steps=3), seed=0)
+    # the blocks holding the first conv's weight or bias were never
+    # completed; every other block was updated before the closure failed
+    updated = 0
+    for _, parts, _ in opts[0]._blocks:
+        block = {names[id(t)] for t, _, _ in parts}
+        changed = {names[id(t)] for t, _, _ in parts
+                   if not np.array_equal(t.data, before[id(t)])}
+        assert changed == (set() if block & {"enc.0.w", "enc.0.b"} else block)
+        updated += bool(changed)
+    assert updated > 0
+
+
 def test_warmup_schedule_shape():
     lrs = [warmup_lr(s, 100, 1e-3, 0.05) for s in range(100)]
     assert lrs[0] == pytest.approx(1e-3 / 5)
