@@ -14,10 +14,10 @@ The package groups into:
   runs its blocks over the pyramid strides its schedule names, and has
   ``astype`` for a float32 copy and ``twin`` for the kept float32 copy
   that evaluation and rendering refill and run,
-* ``training`` - bipartite matching, the loss suite, AdamW, the train loop,
-  whose steps update each AdamW parameter block from inside the backward
-  pass (``Tensor.backward(on_final)``) as soon as its gradients are final,
-  and free them,
+* ``training`` - bipartite matching, the loss suite, AdamW and the train
+  loop. ``AdamW.step(loss, lr)`` runs the backward pass and updates each
+  parameter block from inside it (``Tensor.backward(on_final)``) as soon as
+  its gradients are final, and frees them,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
 * ``metrics`` - mask-wise merging, panoptic quality, mIoU, and
   ``evaluate_model``, which scores the model's float32 twin. It runs the

@@ -8,7 +8,7 @@ defaults. Their slots make setting a misspelled or removed field an
 ``AttributeError``. The training recipe is fixed and written once beside its
 use: the learning rate, warm-up and loss weights are constants in
 ``training``, the AdamW betas, epsilon and weight decay are ``AdamW``'s
-defaults, the flip probability is ``augment_flip``'s, and the class table and
+class constants, the flip probability is ``augment_flip``'s, and the class table and
 scene ranges are constants in ``data``.
 
 ``ModelConfig.validate`` is the one check of the model section; both

@@ -192,7 +192,7 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
 
     ``examples`` is iterated once, into a list. Every forward pass runs on
-    the model's kept float32 twin (``model.twin(np.float32)``), refilled
+    the model's kept float32 twin (``model.twin()``), refilled
     once per call from ``model``'s current parameters; ``model``'s own
     parameters are not touched. The mIoU is dataset-level: intersections
     and unions are summed over all images before each class's IoU is taken.
@@ -212,7 +212,7 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     ``os.fork`` while any OS thread exists.
     """
     examples = list(examples)
-    twin = model.twin(np.float32)
+    twin = model.twin()
     thing_ids = class_table.thing_ids
     labels = _merged_labels(twin, [img for img, _ in examples], infer_cfg, thing_ids)
     stat = PQStat()

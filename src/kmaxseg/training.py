@@ -23,15 +23,16 @@ node, ``_set_prediction_loss``: it stacks the outputs and computes each
 cross-entropy, the Dice and the mask-id targets once, with a hand-written
 backward. The semantic cross-entropy stays a composed node.
 
-The optimizer is AdamW, and a train step fuses it into the backward pass:
+The optimizer is AdamW, and its ``step(loss, lr)`` runs the backward pass:
 each parameter block is updated as soon as its gradients are final, and
 those gradients are dropped at once, so a step never holds every parameter
 gradient at the same time. The update is elementwise, so this gives the
-same bytes as a backward pass followed by a whole ``AdamW.step``.
+same bytes as a backward pass followed by a per-tensor update.
 
 The recipe is fixed, as in the paper's ablations, which vary only the
 kernel and the decoder count: the constants below hold the learning rate,
-its warm-up and the loss weights.
+its warm-up and the loss weights, and ``AdamW``'s class constants hold its
+betas, epsilon and weight decay.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def hungarian_match(cost):
     ``scipy.optimize``. The size and finiteness checks below make every
     input feasible.
     """
-    c = np.asarray(cost.data if isinstance(cost, Tensor) else cost, dtype=np.float64)
+    c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ShapeError(f"cost must be 2-D, got shape {c.shape}")
     k, n = c.shape
@@ -181,7 +182,7 @@ def _gt_arrays(gt, num_classes):
 
 
 def matching_cost(pred, gt):
-    """(K, N) matching cost: negative class confidence times mask Dice."""
+    """(K, N) matching-cost array: negative class confidence times mask Dice."""
     masks, class_ids = _gt_arrays(gt, pred.num_classes)
     z = pred.mask_probs()
     class_probs = pred.class_probs()
@@ -189,7 +190,7 @@ def matching_cost(pred, gt):
     denom = masks.sum(axis=0)[:, None] + z.sum(axis=0)[None, :]
     dice = 2.0 * inter / (denom + DICE_EPS)
     confidence = class_probs[:, class_ids].T             # (K, N)
-    return Tensor(-confidence * dice)
+    return -confidence * dice
 
 
 def _masked_cross_entropy(logits, targets):
@@ -345,26 +346,23 @@ class AdamW:
     bitwise the same. A tensor whose ``grad`` is None is skipped: its ``m``,
     ``v`` and data are left untouched.
 
-    ``step(lr)`` alone updates every block and leaves the gradients in
-    place. A fused step runs the update inside the backward pass instead:
-    ``loss.backward(opt.begin_step(lr))``, then ``opt.step()``.
-    ``begin_step`` advances ``t`` and fixes the lr and both bias
-    corrections; the callback it returns updates a block as soon as the
-    last of its tensors has a final gradient, then sets those tensors'
-    ``grad`` to None, so at most a few blocks' gradients are alive at once.
-    ``step()`` then updates the blocks the pass did not complete (tensors it
-    never reached keep the skip rule) and drops their gradients too. The
-    update is elementwise and the pass writes no gradient after calling
-    back, so a fused step gives the same bytes as backward-then-``step``.
-    If the pass raises, the blocks already updated stay updated and the
-    step is left open: the model and the optimizer must not be used again.
+    ``step(loss, lr)`` runs the backward pass of ``loss`` and the update
+    together: a block is updated as soon as the last of its tensors has a
+    final gradient, and those tensors' ``grad`` is then set to None, so at
+    most a few blocks' gradients are alive at once. The blocks the pass did
+    not complete are updated after it, so every ``grad`` is None when
+    ``step`` returns. The update is elementwise and the pass writes no
+    gradient after reporting it final, so this gives the same bytes as a
+    backward pass followed by a per-tensor update. If the pass raises, the
+    blocks already updated stay updated: the model and the optimizer must
+    not be used again.
 
     ``m`` and ``v`` are allocated by the first step, not at construction.
     In a train step that is after the forward pass has allocated its
     working set, so these long-lived buffers (10 MiB at the default config)
-    come after it in glibc's heap, and the memory a fused step frees at its
-    end is kept for the next step instead of being trimmed from the top of
-    the heap and faulted back in. With ``m`` and ``v`` allocated at
+    come after it in glibc's heap, and the memory a step frees at its end
+    is kept for the next step instead of being trimmed from the top of the
+    heap and faulted back in. With ``m`` and ``v`` allocated at
     construction, runs shaped like the train benchmark's (250-step
     ``train_loop`` calls) took ≈1,500 minor page faults per step; allocated
     here, ≈0.
@@ -377,13 +375,10 @@ class AdamW:
     """
 
     CHUNK = 16 * 1024
+    BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.05
 
-    def __init__(self, named_params, lr=LR, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.05):
+    def __init__(self, named_params):
         self.items = [(t, decay) for _, t, decay in named_params]
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         # (decay, parts, p); a part is (tensor, lo, hi) within p
         self._blocks = []
@@ -401,7 +396,6 @@ class AdamW:
         self._g, self._t1, self._t2 = (np.empty(self.CHUNK) for _ in range(3))
         self._block_of = {t: i for i, (_, parts, _) in enumerate(self._blocks)
                           for t, _, _ in parts}
-        self._open = None   # (lr, bc1, bc2, tensors left per block) of a fused step
 
     def _add_block(self, tensors, decay):
         p = np.empty(sum(t.data.size for t in tensors))
@@ -415,78 +409,43 @@ class AdamW:
             lo = hi
         self._blocks.append((decay, parts, p))
 
-    def _start(self, lr):
-        """Advance ``t``; returns the step's lr and both bias corrections.
-
-        The first call allocates ``m`` and ``v``: see the class docstring.
-        """
+    def step(self, loss, lr):
+        """Backpropagate the scalar ``loss`` and update every block with ``lr``."""
         if not self.m:
             self.m = [np.zeros_like(p) for _, _, p in self._blocks]
             self.v = [np.zeros_like(p) for _, _, p in self._blocks]
         self.t += 1
-        return (self.lr if lr is None else lr, 1.0 - self.beta1 ** self.t,
-                1.0 - self.beta2 ** self.t)
-
-    def begin_step(self, lr=None):
-        """Start a fused step; returns the ``on_final`` callback for
-        ``Tensor.backward``. Finish the step with ``step()``."""
-        if self._open is not None:
-            raise ContractError("begin_step() called again before step() finished the last one")
-        lr, bc1, bc2 = self._start(lr)
+        bc1, bc2 = 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
         left = [len(parts) for _, parts, _ in self._blocks]   # 0 once updated
-        pending = dict(self._block_of)   # tensors whose gradient is not final yet
-        self._open = lr, bc1, bc2, left
 
         def on_final(t):
-            i = pending.pop(t, None)
-            if i is None:
-                if t in self._block_of:
-                    raise ContractError("a parameter's gradient turned final twice in one step")
-                return   # a leaf this optimizer does not own
-            left[i] -= 1
-            if not left[i]:
-                self._finish_block(i, lr, bc1, bc2)
+            i = self._block_of.get(t)   # None for a leaf this optimizer does not own
+            if i is not None:
+                left[i] -= 1
+                if not left[i]:
+                    self._step_block(i, lr, bc1, bc2)
 
-        return on_final
-
-    def step(self, lr=None):
-        """Update every block, or finish the fused step ``begin_step`` opened.
-
-        A whole step keeps the gradients. Finishing a fused step updates the
-        blocks the backward pass left, with the lr it began with, and drops
-        their gradients.
-        """
-        if self._open is None:
-            lr, bc1, bc2 = self._start(lr)
-            for i in range(len(self._blocks)):
-                self._step_block(i, lr, bc1, bc2)
-            return
-        if lr is not None:
-            raise ContractError("a fused step uses the lr given to begin_step()")
-        lr, bc1, bc2, left = self._open
-        self._open = None
+        loss.backward(on_final)
         for i, n in enumerate(left):
             if n:
-                self._finish_block(i, lr, bc1, bc2)
-
-    def _finish_block(self, i, lr, bc1, bc2):
-        self._step_block(i, lr, bc1, bc2)
-        for t, _, _ in self._blocks[i][1]:
-            t.grad = None
+                self._step_block(i, lr, bc1, bc2)
 
     def _step_block(self, i, lr, bc1, bc2):
+        """Update block ``i`` from its tensors' gradients and drop them."""
         decay, parts, p = self._blocks[i]
         m, v = self.m[i], self.v[i]
         if len(parts) > 1 and all(t.grad is not None for t, _, _ in parts):
             g = self._g[:p.size]
             for t, lo, hi in parts:
                 g[lo:hi] = t.grad.reshape(-1)
+                t.grad = None
             self._update(p, m, v, g, decay, lr, bc1, bc2)
             return
         for t, lo, hi in parts:
             if t.grad is None:
                 continue
             g = t.grad.reshape(-1)
+            t.grad = None
             for a in range(lo, hi, self.CHUNK):
                 b = min(a + self.CHUNK, hi)
                 self._update(p[a:b], m[a:b], v[a:b], g[a - lo:b - lo],
@@ -495,30 +454,30 @@ class AdamW:
     def _update(self, p, m, v, g, decay, lr, bc1, bc2):
         """One in-place AdamW update of the equal-length 1-D views p, m, v."""
         t1, t2 = self._t1[:p.size], self._t2[:p.size]
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=t1)
+        m *= self.BETA1
+        np.multiply(g, 1.0 - self.BETA1, out=t1)
         m += t1
-        v *= self.beta2
+        v *= self.BETA2
         np.multiply(g, g, out=t1)
-        t1 *= 1.0 - self.beta2
+        t1 *= 1.0 - self.BETA2
         v += t1
-        # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
+        # update = (m / bc1) / (sqrt(v / bc2) + EPS) [+ WEIGHT_DECAY * p]
         np.divide(v, bc2, out=t1)
         np.sqrt(t1, out=t1)
-        t1 += self.eps
+        t1 += self.EPS
         np.divide(m, bc1, out=t2)
         t2 /= t1
-        if decay and self.weight_decay:
-            np.multiply(p, self.weight_decay, out=t1)
+        if decay:
+            np.multiply(p, self.WEIGHT_DECAY, out=t1)
             t2 += t1
         t2 *= lr
         p -= t2
 
 
-def warmup_lr(step, total_steps, base_lr, warmup_frac):
-    """Linear warm-up from zero, then constant."""
-    warmup_steps = max(1, int(round(total_steps * warmup_frac)))
-    return base_lr * min(1.0, (step + 1) / warmup_steps)
+def warmup_lr(step, total_steps):
+    """Linear warm-up from zero over ``WARMUP_FRAC`` of the run, then ``LR``."""
+    warmup_steps = max(1, int(round(total_steps * WARMUP_FRAC)))
+    return LR * min(1.0, (step + 1) / warmup_steps)
 
 
 METRICS_HEADER = "step,loss,l_pq,l_sem,l_maskid,val_pq"
@@ -540,12 +499,12 @@ def scene_spec_from_config(cfg):
 def _train_step(model, opt, img, gt, step, lr):
     """One update on one image; returns the loss as a float and its parts.
 
-    The AdamW step is fused into the backward pass: each parameter block is
-    updated, and its gradients dropped, as soon as the pass has finished
-    them, so the step ends with every ``grad`` None and needs no
-    ``zero_grad``. The step's graph dies on return, before a periodic eval
-    runs. An exception raised inside the backward pass propagates with some
-    blocks already updated; the model must not be used after it.
+    ``AdamW.step`` runs the backward pass and updates each parameter block
+    as soon as the pass has finished its gradients, so the step ends with
+    every ``grad`` None and needs no ``zero_grad``. The step's graph dies on
+    return, before a periodic eval runs. An exception raised inside the
+    backward pass propagates with some blocks already updated; the model
+    must not be used after it.
     """
     pred, aux, sem = model.forward(img)
     gt4 = gt.downsample(gt.height // pred.height)
@@ -554,8 +513,7 @@ def _train_step(model, opt, img, gt, step, lr):
     if not np.isfinite(loss.item()):
         # stop before backward and the update can corrupt the parameters
         raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")
-    loss.backward(opt.begin_step(lr))
-    opt.step()
+    opt.step(loss, lr)
     return loss.item(), parts
 
 
@@ -612,8 +570,7 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         img, gt = dataset.train[order[step % n_train]]
         img, gt = augment_flip(img, gt, aug_rng)
 
-        loss, parts = _train_step(model, opt, img, gt, step,
-                                  warmup_lr(step, tc.steps, LR, WARMUP_FRAC))
+        loss, parts = _train_step(model, opt, img, gt, step, warmup_lr(step, tc.steps))
 
         is_eval = (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps
         if is_eval:

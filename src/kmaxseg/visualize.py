@@ -58,7 +58,7 @@ def render_stages(model, image, infer_cfg, thing_ids, out_dir):
     """
     os.makedirs(out_dir, exist_ok=True)
     with no_grad():
-        pred, aux, _ = model.twin(np.float32).forward(image)
+        pred, aux, _ = model.twin().forward(image)
     side = image.shape[0]
     paths = []
     for stage, a in enumerate(aux):

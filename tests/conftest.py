@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
 from kmaxseg import data
+from kmaxseg import tensor as T
 
 
 @pytest.fixture
@@ -15,3 +18,12 @@ def generate_calls(monkeypatch):
 
     monkeypatch.setattr(data, "generate", counting)
     return indices
+
+
+def loss_with_grads(pairs):
+    """The scalar ``sum(reduce_sum(p * g))`` over the (tensor p, array g) pairs.
+
+    Its backward leaves ``p.grad == g`` bit for bit for each pair whose
+    ``p.grad`` was None, and reaches no tensor left out of ``pairs``.
+    """
+    return functools.reduce(T.add, [T.reduce_sum(T.mul(p, T.Tensor(g))) for p, g in pairs])

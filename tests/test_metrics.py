@@ -339,8 +339,8 @@ class _ReplayModel:
     def __init__(self, preds):
         self._preds = iter(preds)
 
-    def twin(self, dtype):
-        # ``evaluate_model`` runs its forwards on ``model.twin(np.float32)``
+    def twin(self):
+        # ``evaluate_model`` runs its forwards on ``model.twin()``
         return self
 
     def forward(self, img):
@@ -541,7 +541,7 @@ def test_render_stages_writes_the_bytes_of_a_fresh_float32_copy(tmp_path, monkey
                                         KMaxModel(cfg, seed=1).named_parameters()):
         dst.data[...] = src.data
     refilled = render("refilled")
-    monkeypatch.setattr(model, "twin", model.astype)   # a new deep copy per call
+    monkeypatch.setattr(model, "twin", lambda: model.astype(np.float32))   # a new copy per call
     assert render("astype") == refilled != first
 
 

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import loss_with_grads
 
 from kmaxseg import checkpoint
 from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
@@ -383,7 +384,7 @@ def test_astype_twin_holds_float32_copies_of_every_parameter():
 
 
 def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
-    from kmaxseg.training import AdamW
+    from kmaxseg.training import LR, AdamW
 
     model = KMaxModel(_small_cfg(), seed=3)
     opt = AdamW(model.named_parameters())
@@ -398,25 +399,26 @@ def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
         assert all(np.shares_memory(t.data, p) for t, _, _ in parts)
     assert all(t.grad is None for _, t, _ in twin.named_parameters())
     twin_bytes = [t.data.tobytes() for _, t, _ in twin.named_parameters()]
-    opt.step()
+    for _, t, _ in model.named_parameters():
+        t.grad = None
+    opt.step(loss_with_grads([(t, grad) for t, _, _, grad in before]), LR)
     assert all(t.data.tobytes() != raw for (_, t, _), (_, _, raw, _) in
                zip(model.named_parameters(), before))
     assert [t.data.tobytes() for _, t, _ in twin.named_parameters()] == twin_bytes
 
 
 def test_kept_twin_is_refilled_in_place_to_a_fresh_astype_copy():
-    from kmaxseg.training import AdamW
+    from kmaxseg.training import LR, AdamW
 
     model = KMaxModel(_small_cfg(), seed=3)
     opt = AdamW(model.named_parameters())
-    twin = model.twin(np.float32)
+    twin = model.twin()
     tensors = [t for _, t, _ in twin.named_parameters()]
     for step in range(2):
-        for _, t, _ in model.named_parameters():
-            t.grad = np.full_like(t.data, 0.5)
-        opt.step()
+        opt.step(loss_with_grads([(t, np.full_like(t.data, 0.5))
+                                  for _, t, _ in model.named_parameters()]), LR)
         raw = [t.data.tobytes() for _, t, _ in model.named_parameters()]
-        assert model.twin(np.float32) is twin
+        assert model.twin() is twin
         fresh = model.astype(np.float32)
         for (_, t, _), (_, f, _), kept in zip(twin.named_parameters(),
                                                fresh.named_parameters(), tensors):
@@ -426,7 +428,7 @@ def test_kept_twin_is_refilled_in_place_to_a_fresh_astype_copy():
         assert [t.data.tobytes() for _, t, _ in model.named_parameters()] == raw
         assert {t.data.dtype for _, t, _ in model.named_parameters()} == {np.dtype(np.float64)}
     # an astype copy starts with no kept twin of its own
-    assert model.astype(np.float32)._twins == {}
+    assert model.astype(np.float32)._twin is None
 
 
 def test_loss_graph_on_the_float32_twin_is_float32():

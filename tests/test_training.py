@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import loss_with_grads
 
 from kmaxseg import tensor as T
 from kmaxseg.config import Config
@@ -142,7 +143,7 @@ def _tiny_gt():
 def test_matching_cost_perfect_prediction_is_minus_one():
     gt = _tiny_gt()
     pred = _one_hot_prediction(gt, num_classes=2, sharpness=500.0)
-    cost = matching_cost(pred, gt).data
+    cost = matching_cost(pred, gt)
     assert cost.shape == (2, pred.num_queries)
     # each gt segment is reproduced exactly by its own query
     assert abs(cost[0, 0] + 1.0) < 1e-4 or abs(cost[0, 1] + 1.0) < 1e-4
@@ -158,7 +159,7 @@ def test_matching_cost_disjoint_mask_is_zero():
     mask_logits[:, 1] = 500.0  # query 0 gets no pixels at all
     class_logits = np.zeros((2, 3))
     pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), 4, 4)
-    cost = matching_cost(pred, gt).data
+    cost = matching_cost(pred, gt)
     assert np.all(np.abs(cost[:, 0]) < 1e-12)
 
 
@@ -168,10 +169,10 @@ def test_matching_cost_bilinear_in_class_probability():
     z = base.mask_logits
     # class logits tuned so the target-class probability exactly halves
     cl = base.class_logits.data.copy()
-    cost_full = matching_cost(base, gt).data
+    cost_full = matching_cost(base, gt)
     probs = base.class_probs()
     halved = PredictionSet(z, Tensor(np.zeros_like(cl)), 4, 4)
-    cost_uniform = matching_cost(halved, gt).data
+    cost_uniform = matching_cost(halved, gt)
     # with uniform class logits the confidence drops from ~1 to 1/3
     ratio = cost_uniform[0].min() / cost_full[0].min()
     assert abs(ratio - 1 / 3) < 1e-3
@@ -395,68 +396,75 @@ def test_adamw_zero_lr_keeps_parameters():
     rng = np.random.default_rng(6)
     p = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     before = p.data.copy()
-    opt = AdamW([("p", p, True)], lr=0.0)
-    p.grad = np.ones_like(p.data)
-    opt.step(0.0)
+    opt = AdamW([("p", p, True)])
+    opt.step(loss_with_grads([(p, np.ones_like(p.data))]), 0.0)
     assert np.array_equal(p.data, before)
-    assert opt.t == 1 and np.any(opt.m[0] != 0)
+    assert opt.t == 1 and np.any(opt.m[0] != 0) and p.grad is None
 
 
 def test_adamw_decay_flag_controls_decay():
     p1 = Tensor(np.full((2, 2), 10.0), requires_grad=True)
     p2 = Tensor(np.full((2, 2), 10.0), requires_grad=True)
-    opt = AdamW([("a", p1, True), ("b", p2, False)], lr=0.1, weight_decay=0.5)
-    p1.grad = np.zeros_like(p1.data)
-    p2.grad = np.zeros_like(p2.data)
-    opt.step()
+    opt = AdamW([("a", p1, True), ("b", p2, False)])
+    opt.step(loss_with_grads([(p1, np.zeros_like(p1.data)), (p2, np.zeros_like(p2.data))]),
+             0.1)
     assert np.all(p1.data < 10.0)
     assert np.array_equal(p2.data, np.full((2, 2), 10.0))
 
 
-class _ReferenceAdamW:
-    """The per-tensor AdamW loop, on copies of the parameters."""
+def test_adamw_step_leaves_the_gradient_of_a_leaf_it_does_not_own():
+    p = Tensor(np.ones(3), requires_grad=True)
+    other = Tensor(np.full(2, 4.0), requires_grad=True)
+    opt = AdamW([("p", p, True)])
+    g = np.array([2.0, -1.0])
+    opt.step(loss_with_grads([(p, np.ones(3)), (other, g)]), 1e-3)
+    assert p.grad is None and not np.array_equal(p.data, np.ones(3))
+    assert np.array_equal(other.grad, g) and np.array_equal(other.data, np.full(2, 4.0))
 
-    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.05):
+
+class _ReferenceAdamW:
+    """The per-tensor AdamW loop of the fixed recipe, on copies of the parameters."""
+
+    def __init__(self, named_params):
         self.items = [(t.data.copy(), decay) for _, t, decay in named_params]
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m = [np.zeros_like(p) for p, _ in self.items]
         self.v = [np.zeros_like(p) for p, _ in self.items]
         self.t = 0
 
-    def step(self, grads, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self, grads, lr):
+        b1, b2 = 0.9, 0.999
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for (p, decay), m, v, g in zip(self.items, self.m, self.v, grads):
             if g is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if decay and self.weight_decay:
-                update = update + self.weight_decay * p
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            if decay:
+                update = update + 0.05 * p
             p -= lr * update
 
 
 def _step_both(opt, ref, named, rng, step, skip=lambda step, i: False):
+    grads = []
     for i, (_, t, _) in enumerate(named):
         scale = 10.0 ** rng.integers(-3, 2)
-        t.grad = None if skip(step, i) else rng.normal(size=t.data.shape) * scale
+        grads.append(None if skip(step, i) else rng.normal(size=t.data.shape) * scale)
     lr = 1e-3 * (1 + step % 5) / 5   # varies from step to step
-    opt.step(lr)
-    ref.step([t.grad for _, t, _ in named], lr)
+    opt.step(loss_with_grads([(t, g) for (_, t, _), g in zip(named, grads) if g is not None]),
+             lr)
+    assert [n for n, t, _ in named if t.grad is not None] == []
+    ref.step(grads, lr)
 
 
 def _assert_equals_reference(named, steps=20, skip=lambda step, i: False):
     rng = np.random.default_rng(11)
-    opt = AdamW(named, weight_decay=0.05)
-    ref = _ReferenceAdamW(named, weight_decay=0.05)
+    opt = AdamW(named)
+    ref = _ReferenceAdamW(named)
     for step in range(steps):
         _step_both(opt, ref, named, rng, step, skip)
         for (name, t, _), (p, _) in zip(named, ref.items):
@@ -530,6 +538,7 @@ def _scene_loss(model, cfg, index, sem_only=False):
 
 def test_a_fused_step_gives_the_bytes_of_backward_then_step(tmp_path, monkeypatch):
     from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
+    from kmaxseg.tensor import GradTape
 
     # small blocks, so the tiny model has 23 and its larger tensors span several
     monkeypatch.setattr(AdamW, "CHUNK", 1024)
@@ -549,20 +558,29 @@ def test_a_fused_step_gives_the_bytes_of_backward_then_step(tmp_path, monkeypatc
         for model in (composed, fused):
             for i, (_, t, _) in enumerate(model.named_parameters()):
                 t.requires_grad = i % 5 != step % 5
-        composed.zero_grad()
+        # the composed model: a whole backward pass, then a step that only
+        # hands those gradients back
         _scene_loss(composed, cfg, step, sem_only=step == 2).backward()
-        held = sum(t.grad is not None for _, t, _ in composed.named_parameters())
-        opt_c.step(lr)
+        grads = [(t, t.grad) for _, t, _ in composed.named_parameters() if t.grad is not None]
+        held = len(grads)
+        for t, _ in grads:
+            t.grad = None
+        opt_c.step(loss_with_grads(grads), lr)
         alive = []
-        on_final = opt_f.begin_step(lr)
+        backprop = GradTape.backprop
 
-        def counting(t):
-            on_final(t)
-            alive.append(sum(p.grad is not None for p in params))
+        def counting_backprop(tape, grad, on_final):
+            def counting(t):
+                on_final(t)
+                alive.append(sum(p.grad is not None for p in params))
 
-        _scene_loss(fused, cfg, step, sem_only=step == 2).backward(counting)
-        opt_f.step()
-        assert [n for n, t, _ in fused.named_parameters() if t.grad is not None] == []
+            backprop(tape, grad, counting)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GradTape, "backprop", counting_backprop)
+            opt_f.step(_scene_loss(fused, cfg, step, sem_only=step == 2), lr)
+        for model in (composed, fused):
+            assert [n for n, t, _ in model.named_parameters() if t.grad is not None] == []
         # gradients die as their blocks are updated: the fused pass never
         # holds all the gradients that backward-then-step holds
         assert max(alive) < held
@@ -577,21 +595,6 @@ def test_a_fused_step_gives_the_bytes_of_backward_then_step(tmp_path, monkeypatc
 def test_train_loop_returns_a_model_without_gradients():
     model = train_loop(_tiny_train_config(steps=3), seed=0).model
     assert [n for n, t, _ in model.named_parameters() if t.grad is not None] == []
-
-
-def test_a_fused_step_rejects_misuse():
-    p = Tensor(np.ones(3), requires_grad=True)
-    opt = AdamW([("p", p, True)])
-    on_final = opt.begin_step(1e-3)
-    with pytest.raises(ContractError, match="begin_step"):
-        opt.begin_step(1e-3)
-    with pytest.raises(ContractError, match="lr"):
-        opt.step(1e-3)
-    T.reduce_sum(T.mul(p, p)).backward(on_final)
-    with pytest.raises(ContractError, match="twice"):
-        T.reduce_sum(p).backward(on_final)
-    opt.step()
-    assert opt.t == 1 and p.grad is not None   # the second pass's gradient
 
 
 def test_an_error_inside_backward_propagates_and_updated_blocks_stay(monkeypatch):
@@ -636,7 +639,7 @@ def test_an_error_inside_backward_propagates_and_updated_blocks_stay(monkeypatch
 
 
 def test_warmup_schedule_shape():
-    lrs = [warmup_lr(s, 100, 1e-3, 0.05) for s in range(100)]
+    lrs = [warmup_lr(s, 100) for s in range(100)]
     assert lrs[0] == pytest.approx(1e-3 / 5)
     assert lrs[4] == pytest.approx(1e-3)
     assert all(lr == pytest.approx(1e-3) for lr in lrs[5:])
