@@ -119,9 +119,10 @@ def criterion_1_gradients():
 
 
 def criterion_2_kmeans_equivalence():
-    """The decoder's hard-assignment update equals one Lloyd step on 20 sets.
+    """The per-cluster mean of the decoder's k-means sum equals one Lloyd step.
 
-    It runs ``_hard_aggregate`` with ``normalize`` set on the raw affinity
+    The decoder runs ``_hard_aggregate``'s sum; on 20 sets this runs it with
+    ``normalize`` set, the mean of that sum, on the raw affinity
     ``centers @ points.T``, the op ``KMaxDecoderBlock._interaction`` runs. The
     points are unit-norm and the initial centers are points, so the affinity
     argmax is the nearest center. An empty cluster is the one case where the

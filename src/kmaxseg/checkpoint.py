@@ -23,7 +23,7 @@ apart), when the param lines and payload do not match their checksum, when
 a parameter holds a NaN or an infinity (the checksum covers such a value,
 and the model would then merge every image to void without an error), or
 when the file has no ``config`` or no ``sha256`` line, as files written
-before those lines existed do.
+before those lines existed do, or when its manifest is not UTF-8.
 
 Loading reads the file into one buffer and parses the payload in place: the
 checksum runs over a ``memoryview`` of it and every parameter is a
@@ -94,7 +94,10 @@ def _parse_manifest(blob, path):
     cut = blob.find(marker)
     if cut < 0:
         raise ConfigError(f"{path} has no data section")
-    header = blob[:cut].decode("utf-8").splitlines()
+    try:
+        header = blob[:cut].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} has a manifest that is not UTF-8") from exc
     if not header or header[0] != MAGIC:
         raise ConfigError(f"{path} is not a {MAGIC} checkpoint")
     entries, lines = [], []

@@ -74,10 +74,8 @@ def _cmd_ablate(args):
         raise ConfigError(f"--seeds must be positive, got {args.seeds}")
     seeds = [cfg.train.seed + i for i in range(args.seeds)]
     variants = [
-        ("softmax cross-attention", dict(kernel="softmax", kmeans_normalize=False)),
+        ("softmax cross-attention", dict(kernel="softmax")),
         ("kmeans cross-attention", dict(kernel="kmeans")),
-        ("kmeans cross-attention (normalized)",
-         dict(kernel="kmeans", kmeans_normalize=True)),
         ("kmeans, decoders (1,1,1)", dict(kernel="kmeans", schedule=(1, 1, 1))),
         ("kmeans, decoders (2,2,2)", dict(kernel="kmeans", schedule=(2, 2, 2))),
         ("kmeans, decoders (3,3,3)", dict(kernel="kmeans", schedule=(3, 3, 3))),

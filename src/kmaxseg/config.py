@@ -32,7 +32,6 @@ class ModelConfig:
     image_size: int = 64
     schedule: tuple = (2, 2, 2)
     kernel: str = "kmeans"            # kmeans | softmax
-    kmeans_normalize: bool = False
     ffn_hidden: int = 256
     encoder_channels: tuple = (16, 32, 48, 64, 64)
 
@@ -53,8 +52,6 @@ class ModelConfig:
                 f"model.encoder_channels must be positive, got {self.encoder_channels}")
         if len(self.schedule) != 3 or any(s < 1 for s in self.schedule):
             raise ConfigError(f"model.schedule needs three positive entries, got {self.schedule}")
-        if self.kernel == "softmax" and self.kmeans_normalize:
-            raise ConfigError("model.kmeans_normalize only applies to the kmeans kernel")
         return self
 
 
@@ -114,12 +111,6 @@ def _parse_value(raw, kind, key):
             return int(raw)
         if kind is float:
             return float(raw)
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind is tuple:
             return tuple(int(v) for v in raw.split(","))
         return raw
@@ -128,8 +119,6 @@ def _parse_value(raw, kind, key):
 
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -149,10 +138,9 @@ def parse_config(text):
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(target)}
         types = {f.name: type(getattr(target, f.name)) for f in fields(target)}
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"unknown key {section}.{key}")
             setattr(target, key, _parse_value(raw, types[key], f"{section}.{key}"))
     return cfg.validate()

@@ -33,12 +33,10 @@ __all__ = ["KMaxDecoderBlock"]
 class KMaxDecoderBlock:
     """One decoder block: self-attention, interaction kernel, FFN, heads."""
 
-    def __init__(self, rng, d, num_classes, kernel="kmeans", ffn_hidden=256,
-                 kmeans_normalize=False):
+    def __init__(self, rng, d, num_classes, kernel="kmeans", ffn_hidden=256):
         if kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"unknown interaction kernel {kernel!r}")
         self.kernel = kernel
-        self.kmeans_normalize = kmeans_normalize
         self.logit_scale = d ** -0.5  # transformer scaling; the argmax ignores it
         self.params = p = Params(rng)
         self.sa_ln = p.layer_norm("sa_ln", d)
@@ -75,7 +73,7 @@ class KMaxDecoderBlock:
         if self.kernel == "kmeans":
             # the supervised mask logits define the hard assignment, so the
             # deep-supervision losses directly shape the clustering
-            update = _hard_aggregate(affinity, v, self.kmeans_normalize)
+            update = _hard_aggregate(affinity, v)
         else:
             update = softmax_attention(q, k, v, self.logit_scale)
         return c + self.ker_ln_out(update), sup_logits

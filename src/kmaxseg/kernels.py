@@ -7,7 +7,7 @@ callers add the residual themselves.
 
 ``_hard_aggregate`` is the k-means map the decoder's interaction kernel
 runs: each pixel is hard-assigned to its argmax cluster of an (N, HW)
-affinity, and a cluster sums (or averages) the value rows assigned to it.
+affinity, and a cluster sums the value rows assigned to it.
 The assignment is detached, so gradients reach the query/key projections
 only through losses on the affinity itself. The decoder takes that affinity
 against the mask embedding of Q, so it calls ``project`` and then
@@ -95,7 +95,8 @@ def _hard_aggregate(logits, v, normalize=False):
     """Per-cluster update of V under the hard assignment of (N, HW) ``logits``.
 
     Each pixel goes to its argmax cluster (detached); a cluster sums its
-    assigned value rows, or averages them when ``normalize`` is set. An
+    assigned value rows, the decoder's update. ``normalize`` averages them
+    instead, the mean acceptance criterion 2 compares with a Lloyd step. An
     empty cluster gets a zero row either way, where Lloyd would keep its
     previous center. Every call the model makes has empty clusters: 16
     queries compete for the 4-64 pixels of a stride-32/16/8 grid, so most

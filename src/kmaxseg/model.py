@@ -90,11 +90,8 @@ class KMaxModel:
                                    for _ in range(count))
         self.blocks = []
         for i in range(len(self.block_strides)):
-            block = KMaxDecoderBlock(
-                p.rng, d, num_classes, kernel=cfg.kernel,
-                ffn_hidden=cfg.ffn_hidden,
-                kmeans_normalize=cfg.kmeans_normalize,
-            )
+            block = KMaxDecoderBlock(p.rng, d, num_classes, kernel=cfg.kernel,
+                                     ffn_hidden=cfg.ffn_hidden)
             self.blocks.append(block)
             p.adopt(f"blocks.{i}", block.named_parameters())
 

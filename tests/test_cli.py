@@ -40,16 +40,17 @@ def test_train_eval_and_ablate_exit_zero(tmp_path, capsys, monkeypatch):
         return train_loop(cfg, seed=seed)
 
     monkeypatch.setattr(cli, "train_loop", counting_train_loop)
-    # six variants, among them the normalized kmeans kernel; at the default
+    # five variants: the two kernels and three schedules; at the default
     # (2,2,2) schedule "kmeans cross-attention" and "kmeans, decoders (2,2,2)"
     # are one model, trained once per seed
     capsys.readouterr()
     cfg = _config(tmp_path, schedule="2,2,2")
     assert main(["ablate", "--config", cfg, "--seeds", "1"]) == 0
     out = capsys.readouterr().out
-    assert "kmeans cross-attention (normalized)" in out
-    assert len(out.splitlines()) == 2 + 6
-    assert seeds == [0] * 5
+    assert [line[:40].rstrip() for line in out.splitlines()[2:]] == [
+        "softmax cross-attention", "kmeans cross-attention", "kmeans, decoders (1,1,1)",
+        "kmeans, decoders (2,2,2)", "kmeans, decoders (3,3,3)"]
+    assert seeds == [0] * 4
 
 
 def test_eval_renders_only_the_val_split(tmp_path, generate_calls):

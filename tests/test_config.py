@@ -24,8 +24,6 @@ def _section(cls, **constrained):
         default = getattr(cls(), f.name)
         if f.name in constrained:
             kwargs[f.name] = constrained[f.name]
-        elif isinstance(default, bool):
-            kwargs[f.name] = st.booleans()
         elif isinstance(default, int):
             kwargs[f.name] = INTS
         elif isinstance(default, float):
@@ -51,7 +49,7 @@ CONFIGS = st.builds(
                    eval_interval=POSITIVE, seed=SEEDS),
     data=_section(DataConfig, seed=SEEDS),
     infer=_section(InferConfig, conf_thresh=UNIT, overlap_thresh=UNIT, mask_binarize=UNIT),
-).filter(lambda cfg: cfg.model.kernel == "kmeans" or not cfg.model.kmeans_normalize)
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,6 +65,8 @@ def test_config_round_trips_through_text(cfg):
     ("data", "separate_background_classes"),
     # the class count is the scene schema's
     ("model", "num_classes"),
+    # the k-means update is always the sum over a cluster's pixels
+    ("model", "kmeans_normalize"),
     # the fixed training recipe and scene ranges
     *[("train", key) for key in ("lr", "warmup_frac", "weight_decay", "beta1", "beta2",
                                  "eps", "flip_prob", "w_pq", "w_sem", "w_maskid", "w_void",
@@ -84,7 +84,7 @@ def test_config_file_lists_exactly_the_settable_keys():
     parser.read_string(serialize_config(Config()))
     assert [f"{s}.{k}" for s in parser.sections() for k in parser[s]] == [
         "model.d", "model.num_queries", "model.image_size",
-        "model.schedule", "model.kernel", "model.kmeans_normalize", "model.ffn_hidden",
+        "model.schedule", "model.kernel", "model.ffn_hidden",
         "model.encoder_channels",
         "train.steps", "train.seed", "train.train_size", "train.val_size",
         "train.eval_interval",
@@ -106,8 +106,6 @@ def test_non_positive_model_sizes_raise_config_error(key, value):
     ("[data]\nseed = -3", "data.seed must be non-negative"),
     ("[infer]\nmask_binarize = 7", r"infer.mask_binarize must lie in \[0, 1\]"),
     ("[infer]\nmask_binarize = nan", r"infer.mask_binarize must lie in \[0, 1\]"),
-    ("[model]\nkernel = softmax\nkmeans_normalize = true",
-     "kmeans_normalize only applies to the kmeans kernel"),
     ("[model]\nimage_size = 0", "model.image_size must be at least 32, got 0"),
     ("[model]\nimage_size = -64", "model.image_size must be at least 32, got -64"),
 ])

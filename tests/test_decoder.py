@@ -88,27 +88,37 @@ def test_softmax_block_matches_reimplementation():
     assert np.allclose(aux.class_logits.data, cls_ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_kmeans_block_matches_reimplementation(normalize):
+def test_kmeans_block_matches_reimplementation():
     rng = np.random.default_rng(3)
     block = KMaxDecoderBlock(np.random.default_rng(4), 4, num_classes=3,
-                             kernel="kmeans", ffn_hidden=8, kmeans_normalize=normalize)
+                             kernel="kmeans", ffn_hidden=8)
     c = rng.normal(size=(3, 4))
     p = _pixels(rng, 4, 4, 4)
     out, aux = block.forward(Tensor(c), p)
 
     # the hard assignment is the argmax over clusters of the supervised logits
     onehot = np.eye(3)[aux.mask_logits.data.argmax(axis=1)].T  # (N, HW)
-    sizes = onehot.sum(axis=1, keepdims=True)
+    sizes = onehot.sum(axis=1)
     assert (sizes > 0).sum() >= 2 and sizes.max() > 1  # a non-trivial partition
-    weights = onehot / np.maximum(sizes, 1.0) if normalize else onehot
 
-    c3, mask_ref, cls_ref = _reference_forward(block, c, p, lambda q, k, v: weights @ v)
+    c3, mask_ref, cls_ref = _reference_forward(block, c, p, lambda q, k, v: onehot @ v)
     assert np.allclose(out.data, c3, atol=1e-12)
     assert np.allclose(aux.mask_logits.data, mask_ref, atol=1e-12)
     assert np.allclose(aux.class_logits.data, cls_ref, atol=1e-12)
     assert np.array_equal(aux.affinity, aux.mask_logits.data.T)
     assert not aux.affinity.flags.writeable
+
+
+def test_block_rejects_an_unknown_kernel():
+    with pytest.raises(ConfigError, match="unknown interaction kernel 'bogus'"):
+        KMaxDecoderBlock(np.random.default_rng(0), 4, num_classes=3, kernel="bogus")
+
+
+def test_block_rejects_pixels_without_spatial_dims():
+    rng = np.random.default_rng(1)
+    block = KMaxDecoderBlock(np.random.default_rng(2), 4, num_classes=3)
+    with pytest.raises(ConfigError, match="take PixelFeatures"):
+        block.forward(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(6, 4))))
 
 
 def test_stacked_blocks_change_centers():

@@ -62,8 +62,7 @@ def test_pixel_path_rejects_bad_sizes():
 @pytest.mark.parametrize("kw,match", [
     (dict(schedule=(0, 1, 1)), "model.schedule needs three positive entries"),
     (dict(image_size=48), "model.image_size must be a multiple of 32"),
-    (dict(kernel="softmax", kmeans_normalize=True), "only applies to the kmeans kernel"),
-], ids=["schedule", "image_size", "kernel"])
+], ids=["schedule", "image_size"])
 def test_invalid_config_raises_at_construction(kw, match):
     with pytest.raises(ConfigError, match=match):
         KMaxModel(_small_cfg(**kw), seed=0)
@@ -314,6 +313,24 @@ def test_checkpoint_rejects_one_flipped_payload_byte(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError, match="fails its sha256 checksum"):
         load_checkpoint(path, KMaxModel(_small_cfg(), seed=1))
+
+
+def test_checkpoint_with_a_manifest_that_is_not_utf8_is_rejected(tmp_path):
+    # a flipped high bit in a param name, or a foreign file that happens to
+    # hold "\ndata\n", used to escape as an untyped UnicodeDecodeError
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"\nparam name=") + len(b"\nparam name=")] = 0xFF
+    model = KMaxModel(_small_cfg(), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    for bad in (bytes(blob), b"\xff\xfe garbage\ndata\n"):
+        path.write_bytes(bad)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))} has a manifest "
+                                              "that is not UTF-8"):
+            load_checkpoint(path, model)
+        assert all(np.array_equal(b, t.data)
+                   for b, (_, t, _) in zip(before, model.named_parameters()))
 
 
 def test_checkpoint_without_config_or_checksum_line_is_rejected(tmp_path):

@@ -40,7 +40,6 @@ SEED = 5
 VARIANTS = {
     "kmeans": {},
     "softmax": {"kernel": "softmax"},
-    "kmeans_normalize": {"kmeans_normalize": True},
     "schedule_111": {"schedule": (1, 1, 1)},
     "schedule_333": {"schedule": (3, 3, 3)},
 }
