@@ -1,5 +1,6 @@
 """Toy-scale mask-transformer panoptic segmentation on a numpy autodiff core.
 
+Importing it sets the BLAS thread counts to 1 unless set, before numpy loads.
 The package groups into:
 
 * ``tensor`` / ``gradcheck`` - dtype-preserving tensors with reverse-mode
@@ -19,18 +20,25 @@ The package groups into:
   parameter block from inside it (``Tensor.backward(on_final)``) as soon as
   its gradients are final, and frees them,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
-* ``metrics`` - mask-wise merging, panoptic quality, mIoU, and
-  ``evaluate_model``, which scores the model's float32 twin. It runs the
-  forward passes and merges in contiguous shares, one per usable CPU and
-  none under ``MIN_SHARE`` images (a forked child costs about two images of
-  work), with forked children on Linux and in one share where ``os.fork``
-  is missing or the images are too few. It then scores every image in its
-  original order in one process, so results are bitwise those of one share,
+* ``metrics`` - mask-wise merging, panoptic quality with its SQ and RQ
+  split, mIoU, ``run_in_shares`` (a list's contiguous shares, one per usable
+  CPU, run in forked children), and ``evaluate_model``, which labels images
+  with the model's float32 twin through it and scores them in order in one
+  process, so results are bitwise those of one share,
+* ``acceptance`` - the release criteria; ``train_grid`` trains the runs of
+  criteria 7-9 and ``kmaxseg ablate`` through ``run_in_shares``,
 * ``data`` - deterministic synthetic panoptic scenes and their fixed class
   table, ``CLASS_TABLE``,
 * ``config`` / ``cli`` - configuration files, with the one model-section
   check in ``ModelConfig.validate``, and the command-line tools.
 """
+
+import os
+
+# 2-core VM: two forked train shares ran at 1.77-2.01x serial speed with one BLAS thread
+# each, 0.44-0.58x with OpenBLAS's default two; a lone run stepped 3-20 % faster with one
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import Config, ModelConfig, load_config, parse_config, serialize_config
 from .data import CLASS_TABLE, SceneSpec, SyntheticDataset, augment_flip, generate

@@ -4,7 +4,8 @@ Each criterion returns (passed, detail). ``run_all`` prints one PASS/FAIL
 line per criterion and returns a process exit code; the pytest suite calls
 the same functions. Training-based criteria share one cached set of
 ablation runs so the kernel and decoder-count comparisons reuse the
-convergence runs.
+convergence runs. ``train_grid`` trains them, and ``kmaxseg ablate``'s runs,
+in one forked share per usable CPU through ``metrics.run_in_shares``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .config import Config
 from .data import SceneSpec, generate
 from .gradcheck import grad_check
 from .kernels import _hard_aggregate, lloyd_init, lloyd_kmeans
-from .metrics import panoptic_quality
+from .metrics import panoptic_quality, run_in_shares
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import Tensor
@@ -193,7 +195,7 @@ def criterion_4_hungarian_oracle():
 
 
 def criterion_5_pq_hand_cases():
-    """PQ hand values plus relabeling invariance on 50 random maps."""
+    """PQ and its SQ x RQ split on hand cases, and PQ's relabeling invariance."""
     cls = np.zeros((8, 8), dtype=np.int64)
     inst = np.zeros((8, 8), dtype=np.int64)
     cls[2:6, 2:6] = 1
@@ -211,9 +213,12 @@ def criterion_5_pq_hand_cases():
     pc = np.full((10, 10), VOID, dtype=np.int64)
     pi = np.zeros((10, 10), dtype=np.int64)
     pc[0, :4] = 1; pi[0, :4] = 1
-    got = panoptic_quality(PanopticMap(pc, pi), g2, {1})["pq"]
+    split = panoptic_quality(PanopticMap(pc, pi), g2, {1})
+    got = split["pq"]
     if abs(got - 0.8 / 1.5) > 1e-6:
         return False, f"0.8-IoU TP + FN case scored {got:.6f}"
+    if abs(split["sq"] - 0.8) > 1e-12 or abs(split["rq"] - 2 / 3) > 1e-12:
+        return False, f"0.8-IoU TP + FN case split into SQ {split['sq']} RQ {split['rq']}"
 
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -243,52 +248,63 @@ def criterion_6_determinism():
     return ok, "traces identical" if ok else "traces differ"
 
 
+def train_grid(base, variants, seeds):
+    """``[[(final val PQ, seconds) per seed] per variant]`` of ``train_loop``
+    on ``base`` with each variant's dict of ``model`` fields set.
+
+    Variants with one model config train once per seed. The distinct runs
+    train on every usable CPU through ``run_in_shares`` (one run or more to a
+    share); a run is a pure function of (config, seed), so each PQ is the
+    float a serial run gives.
+    """
+    cfgs = [replace(base, model=replace(base.model, **v)) for v in variants]
+    distinct = [cfg for i, cfg in enumerate(cfgs) if cfg not in cfgs[:i]]
+
+    def train(share):
+        return [(r.final_val_pq, r.seconds)
+                for r in (train_loop(cfg, seed=seed) for cfg, seed in share)]
+
+    runs = run_in_shares(train, [(cfg, seed) for cfg in distinct for seed in seeds], 1)
+    starts = [distinct.index(cfg) * len(seeds) for cfg in cfgs]
+    return [runs[i:i + len(seeds)] for i in starts]
+
+
+ABLATION = (dict(kernel="kmeans", schedule=(2, 2, 2)),
+            dict(kernel="softmax", schedule=(2, 2, 2)),
+            dict(kernel="kmeans", schedule=(1, 1, 1)))
+
+
 @functools.lru_cache(maxsize=None)
 def ablation_results(steps=2000, seeds=(0, 1, 2)):
-    """Final validation PQ per (kernel, schedule, seed); cached per session."""
-    out = {}
-    for kernel, schedule in (("kmeans", (2, 2, 2)), ("softmax", (2, 2, 2)),
-                             ("kmeans", (1, 1, 1))):
-        for seed in seeds:
-            cfg = Config()
-            cfg.model.kernel = kernel
-            cfg.model.schedule = schedule
-            cfg.train.steps = steps
-            result = train_loop(cfg, seed=seed)
-            out[(kernel, schedule, seed)] = (result.final_val_pq, result.seconds)
-    return out
+    """``train_grid``'s runs of ``ABLATION`` at ``steps``; cached per session."""
+    base = Config()
+    base.train.steps = steps
+    return train_grid(base, ABLATION, seeds)
 
 
-def _median_pq(results, kernel, schedule):
-    vals = [pq for (k, s, _), (pq, _) in results.items()
-            if k == kernel and s == schedule]
-    return float(np.median(vals))
+def _median_pq(runs):
+    return float(np.median([pq for pq, _ in runs]))
 
 
 def criterion_7_convergence(results=None):
     """Median validation PQ of the default model reaches 0.55 in budget."""
-    results = results or ablation_results()
-    med = _median_pq(results, "kmeans", (2, 2, 2))
-    runtimes = [sec for (k, s, _), (_, sec) in results.items()
-                if k == "kmeans" and s == (2, 2, 2)]
+    runs = (results or ablation_results())[0]
+    med = _median_pq(runs)
+    runtimes = [sec for _, sec in runs]
     ok = med >= 0.55 and max(runtimes) < 1800.0
     return ok, f"median val PQ {med:.4f} (runs {min(runtimes):.0f}-{max(runtimes):.0f}s)"
 
 
 def criterion_8_kernel_ablation(results=None):
     """Hard-assignment kernel beats softmax kernel by at least 0.03 PQ."""
-    results = results or ablation_results()
-    km = _median_pq(results, "kmeans", (2, 2, 2))
-    sm = _median_pq(results, "softmax", (2, 2, 2))
+    km, sm, _ = map(_median_pq, results or ablation_results())
     ok = km - sm >= 0.03
     return ok, f"kmeans {km:.4f} vs softmax {sm:.4f} (gap {km - sm:+.4f})"
 
 
 def criterion_9_decoder_count(results=None):
     """Six decoders do not degrade against three by more than 0.01 PQ."""
-    results = results or ablation_results()
-    six = _median_pq(results, "kmeans", (2, 2, 2))
-    three = _median_pq(results, "kmeans", (1, 1, 1))
+    six, _, three = map(_median_pq, results or ablation_results())
     ok = six >= three - 0.01
     return ok, f"(2,2,2) {six:.4f} vs (1,1,1) {three:.4f}"
 

@@ -3,7 +3,8 @@
 Subcommands:
   train      train a model from a config file; writes checkpoint + metrics CSV
   eval       evaluate a checkpoint on the seeded validation split
-  ablate     kernel-swap and decoder-count studies at equal step budgets
+  ablate     kernel-swap and decoder-count studies at equal step budgets,
+             trained on every usable CPU
   visualize  render per-stage assignment maps and the final panoptic map
   selftest   run the acceptance suite
 """
@@ -13,9 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from .acceptance import run_all, train_grid
 from .config import Config, load_config, save_config
 from .checkpoint import load_checkpoint
 from .data import CLASS_TABLE, SyntheticDataset, generate
@@ -73,26 +76,16 @@ def _cmd_ablate(args):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be positive, got {args.seeds}")
     seeds = [cfg.train.seed + i for i in range(args.seeds)]
-    variants = [
-        ("softmax cross-attention", dict(kernel="softmax")),
-        ("kmeans cross-attention", dict(kernel="kmeans")),
-        ("kmeans, decoders (1,1,1)", dict(kernel="kmeans", schedule=(1, 1, 1))),
-        ("kmeans, decoders (2,2,2)", dict(kernel="kmeans", schedule=(2, 2, 2))),
-        ("kmeans, decoders (3,3,3)", dict(kernel="kmeans", schedule=(3, 3, 3))),
-    ]
+    variants = [(f"{kernel} cross-attention", dict(kernel=kernel))
+                for kernel in ("softmax", "kmeans")]
+    variants += [(f"kmeans, decoders ({n},{n},{n})", dict(kernel="kmeans", schedule=(n,) * 3))
+                 for n in (1, 2, 3)]
     print(f"steps per run: {cfg.train.steps}, seeds: {seeds}")
     print(f"{'variant':40s} {'params':>9s} {'median PQ':>10s}  per-seed PQ")
-    # training is deterministic, so variants with one model config share runs
-    trained = []
-    for name, overrides in variants:
-        run_cfg = _load_config(args.config)
-        for key, value in overrides.items():
-            setattr(run_cfg.model, key, value)
-        pqs = next((p for model_cfg, p in trained if model_cfg == run_cfg.model), None)
-        if pqs is None:
-            pqs = [train_loop(run_cfg, seed=seed).final_val_pq for seed in seeds]
-            trained.append((run_cfg.model, pqs))
-        params = KMaxModel(run_cfg.model, seed=0).parameter_count()
+    grid = train_grid(cfg, [overrides for _, overrides in variants], seeds)
+    for (name, overrides), runs in zip(variants, grid):
+        pqs = [pq for pq, _ in runs]
+        params = KMaxModel(replace(cfg.model, **overrides), seed=0).parameter_count()
         per_seed = " ".join(f"{v:.4f}" for v in pqs)
         print(f"{name:40s} {params:9d} {np.median(pqs):10.4f}  {per_seed}")
     return 0
@@ -120,8 +113,6 @@ def _cmd_visualize(args):
 
 
 def _cmd_selftest(args):
-    from .acceptance import run_all
-
     return run_all(fast=args.fast)
 
 

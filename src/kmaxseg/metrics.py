@@ -10,6 +10,8 @@ little of their own binary mask, and finally assign instance ids (fresh per
 class match when IoU exceeds 0.5 (such a match is unique), and
 PQ = sum of matched IoUs / (TP + FP/2 + FN/2), averaged over classes that
 occur. Void pixels never count against intersection-over-union denominators.
+Each class's PQ splits into SQ (its matches' mean IoU) and RQ
+(TP / (TP + FP/2 + FN/2)), reported beside it.
 
 Scoring never scans the image once per segment. Each map's pixels get a
 dense index into its sorted (class id, instance id) pairs
@@ -35,7 +37,7 @@ from .panoptic import VOID, PanopticMap, label_index
 from .tensor import no_grad
 
 __all__ = ["merge_masks", "panoptic_quality", "PQStat", "evaluate_model",
-           "evaluation_report"]
+           "evaluation_report", "run_in_shares"]
 
 
 def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset(),
@@ -167,20 +169,27 @@ class PQStat:
                 "pq": self.iou.get(cls, 0.0) / denom if denom else 0.0,
                 "iou_sum": self.iou.get(cls, 0.0),
                 "tp": tp, "fp": fp, "fn": fn,
+                # PQ = SQ x RQ: mean IoU of the matches, times an F1 score
+                "sq": self.iou.get(cls, 0.0) / tp if tp else 0.0,
+                "rq": tp / denom if denom else 0.0,
             }
 
-        def average(ids):
-            vals = [per_class[c]["pq"] for c in ids]
+        def average(ids, key="pq"):
+            vals = [per_class[c][key] for c in ids]
             return float(np.mean(vals)) if vals else 0.0
 
         things = [c for c in classes if c in thing_ids]
         stuff = [c for c in classes if c not in thing_ids]
-        return {
+        result = {
             "pq": average(classes),
             "pq_things": average(things),
             "pq_stuff": average(stuff),
             "per_class": per_class,
         }
+        for key in ("sq", "rq"):
+            result.update({key: average(classes, key), f"{key}_things": average(things, key),
+                           f"{key}_stuff": average(stuff, key)})
+        return result
 
 
 def panoptic_quality(pred, gt, thing_ids=frozenset()):
@@ -192,29 +201,34 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
 
     ``examples`` is iterated once, into a list. Every forward pass runs on
-    the model's kept float32 twin (``model.twin()``), refilled
-    once per call from ``model``'s current parameters; ``model``'s own
-    parameters are not touched. The mIoU is dataset-level: intersections
-    and unions are summed over all images before each class's IoU is taken.
+    the model's kept float32 twin (``model.twin()``), refilled once per call
+    from ``model``'s current parameters; ``model``'s own parameters are not
+    touched. The mIoU is dataset-level: intersections and unions are summed
+    over all images before each class's IoU is taken.
 
-    The forward passes and mask merges run in contiguous shares of the
-    images, one per usable CPU (``os.sched_getaffinity``) and none smaller
-    than ``MIN_SHARE``: this process runs the first share and a forked child
-    each other one, which pipes its merged maps back. ``upsample``,
-    ``PQStat.update`` and the class overlap then run here over every image
-    in its original order, so the float sums add up in the same order and
-    the result is bitwise the one-share result. Where ``os.fork`` or the
-    affinity mask is missing, or there are fewer than ``2 * MIN_SHARE``
-    images, the same code runs one share in this process. An exception a
-    child raises, such as ``ContractError`` for a NaN image, is raised here,
-    and no child outlives the call. Forking is safe with OpenBLAS, which
-    stops its threads around ``fork``; Python 3.12 and later still warn on
-    ``os.fork`` while any OS thread exists.
+    The forward passes and mask merges run through ``run_in_shares``, no
+    share under ``MIN_SHARE`` images; ``upsample``, ``PQStat.update`` and the
+    class overlap then run here over every image in order, so the result is
+    bitwise the one-share result. An exception raised in any share, such as
+    ``ContractError`` for a NaN image, is raised here.
     """
     examples = list(examples)
     twin = model.twin()
     thing_ids = class_table.thing_ids
-    labels = _merged_labels(twin, [img for img, _ in examples], infer_cfg, thing_ids)
+
+    def label(share):
+        out = []
+        for img, _ in share:
+            with no_grad():
+                pred, _, _ = twin.forward(img)
+            merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
+                                 overlap_thresh=infer_cfg.overlap_thresh,
+                                 thing_ids=thing_ids,
+                                 mask_binarize=infer_cfg.mask_binarize)
+            out.append((merged.class_map, merged.instance_map))
+        return out
+
+    labels = run_in_shares(label, examples, MIN_SHARE)
     stat = PQStat()
     num_classes = class_table.num_classes
     inter = np.zeros(num_classes, dtype=np.int64)
@@ -241,39 +255,22 @@ def evaluate_model(model, examples, infer_cfg, class_table):
 MIN_SHARE = 4
 
 
-def _shares(n):
-    """Contiguous ``(start, stop)`` ranges over ``n`` images, one per process.
+def run_in_shares(work, items, min_share):
+    """``work(share)`` over contiguous shares of ``items``, concatenated in item order.
 
-    One per usable CPU, each at least ``MIN_SHARE`` long; a single share
-    where ``os.fork`` or the CPU affinity mask does not exist.
+    One share per usable CPU (``os.sched_getaffinity``: ``taskset -c 0``
+    gives one), none under ``min_share`` items, and one share where
+    ``os.fork`` or the mask is missing. This process runs the first share
+    and a forked child each other one; a child pipes back its list, or the
+    exception it raised, which is raised here. No child outlives the call.
+    OpenBLAS stops its threads around ``fork``; Python 3.12+ warns on
+    ``os.fork`` while any other OS thread exists.
     """
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    k = max(1, min(cpus, n // MIN_SHARE))
-    bounds = [n * i // k for i in range(k + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _merged_labels(twin, images, infer_cfg, thing_ids):
-    """``(class_map, instance_map)`` of ``merge_masks`` for each image, in order.
-
-    This process labels the first share; a forked child labels each other
-    share and pipes its maps, or the exception it raised, back. The child's
-    exception is raised here, and no child outlives the call.
-    """
-    def label(share):
-        out = []
-        for img in share:
-            with no_grad():
-                pred, _, _ = twin.forward(img)
-            merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
-                                 overlap_thresh=infer_cfg.overlap_thresh,
-                                 thing_ids=thing_ids,
-                                 mask_binarize=infer_cfg.mask_binarize)
-            out.append((merged.class_map, merged.instance_map))
-        return out
-
-    (start, stop), *rest = _shares(len(images))
+    k = max(1, min(cpus, len(items) // min_share))
+    bounds = [len(items) * i // k for i in range(k + 1)]
+    (start, stop), *rest = zip(bounds, bounds[1:])
     children = []   # (pid, read end of its pipe), not yet reaped
     try:
         for lo, hi in rest:
@@ -286,13 +283,13 @@ def _merged_labels(twin, images, infer_cfg, thing_ids):
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _child(write_fd, label, images[lo:hi])
+                _child(write_fd, work, items[lo:hi])
             os.close(write_fd)
             children.append((pid, read_fd))
-        labels = label(images[start:stop])
+        out = work(items[start:stop])
         while children:
-            labels += _reap(*children.pop(0))
-        return labels
+            out += _reap(*children.pop(0))
+        return out
     finally:
         for pid, read_fd in children:
             os.kill(pid, signal.SIGKILL)
@@ -300,13 +297,13 @@ def _merged_labels(twin, images, infer_cfg, thing_ids):
             os.waitpid(pid, 0)
 
 
-def _child(write_fd, work, *args):
-    """In a forked child: pickle ``(True, work(*args))`` or ``(False, exception)``
+def _child(write_fd, work, share):
+    """In a forked child: pickle ``(True, work(share))`` or ``(False, exception)``
     into ``write_fd`` and exit, never returning into the parent's frames."""
     status = 1
     try:
         try:
-            payload = (True, work(*args))
+            payload = (True, work(share))
         except BaseException as exc:  # raised again in the parent by ``_reap``
             payload = (False, exc)
         with os.fdopen(write_fd, "wb") as pipe:
@@ -317,7 +314,7 @@ def _child(write_fd, work, *args):
 
 
 def _reap(pid, read_fd):
-    """Read a child's payload, wait for it, and return its labels or raise its exception."""
+    """Read a child's payload, wait for it, and return its result or raise its exception."""
     try:
         with os.fdopen(read_fd, "rb") as pipe:
             data = pipe.read()
@@ -325,7 +322,7 @@ def _reap(pid, read_fd):
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise RuntimeError(f"evaluation worker {pid} exited with status {code}")
+        raise RuntimeError(f"worker {pid} exited with status {code}")
     ok, value = pickle.loads(data)
     if not ok:
         raise value
@@ -354,13 +351,16 @@ def _class_overlap(pred_map, gt):
 
 
 def evaluation_report(result, class_table):
-    """Fixed-order plain-text report of an evaluation result."""
+    """Fixed-order plain-text report of an evaluation result: PQ and mIoU
+    lines, then the SQ and RQ lines."""
     lines = [
         f"overall pq {result['pq']:.6f}",
         f"overall pq_things {result['pq_things']:.6f}",
         f"overall pq_stuff {result['pq_stuff']:.6f}",
         f"overall miou {result.get('miou', 0.0):.6f}",
     ]
+    split = [f"overall {key} {result[key]:.6f}" for key in
+             ("sq", "sq_things", "sq_stuff", "rq", "rq_things", "rq_stuff")]
     for cls in sorted(result["per_class"]):
         row = result["per_class"][cls]
         name = class_table.names[cls] if cls < len(class_table.names) else str(cls)
@@ -368,4 +368,5 @@ def evaluation_report(result, class_table):
             f"class {cls} {name} pq {row['pq']:.6f} iou_sum {row['iou_sum']:.6f} "
             f"tp {row['tp']} fp {row['fp']} fn {row['fn']}"
         )
-    return "\n".join(lines)
+        split.append(f"class {cls} {name} sq {row['sq']:.6f} rq {row['rq']:.6f}")
+    return "\n".join(lines + split)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from kmaxseg import cli
+from kmaxseg import acceptance
 from kmaxseg.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 TINY = """\
 [model]
@@ -33,13 +40,15 @@ def test_train_eval_and_ablate_exit_zero(tmp_path, capsys, monkeypatch):
     assert main(["eval", "--config", str(out / "config.used.txt"),
                  "--checkpoint", str(out / "model.ckpt")]) == 0
     seeds = []
-    train_loop = cli.train_loop
+    train_loop = acceptance.train_loop
 
     def counting_train_loop(cfg, seed):
         seeds.append(seed)
         return train_loop(cfg, seed=seed)
 
-    monkeypatch.setattr(cli, "train_loop", counting_train_loop)
+    # one usable CPU, so every run trains in this process, where it is counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(acceptance, "train_loop", counting_train_loop)
     # five variants: the two kernels and three schedules; at the default
     # (2,2,2) schedule "kmeans cross-attention" and "kmeans, decoders (2,2,2)"
     # are one model, trained once per seed
@@ -102,3 +111,41 @@ def test_flags_a_command_never_reads_are_not_offered(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _python(args, **env):
+    """Run a fresh ``python3`` on this checkout's ``src``, with ``env`` over a copy
+    of this environment in which the BLAS thread variables are unset."""
+    environ = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    environ.update(env, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=environ,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_kmaxseg_runs_the_cli():
+    done = _python(["-m", "kmaxseg", "--help"])
+    assert done.returncode == 0 and done.stdout.startswith("usage: kmaxseg"), done.stderr
+    done = _python(["-m", "kmaxseg", "eval"])
+    assert done.returncode == 2
+    assert done.stderr == "error: eval requires --checkpoint\n"
+
+
+@pytest.mark.parametrize("user", [None, "2"])
+def test_import_sets_one_blas_thread_unless_the_user_set_a_count(user):
+    # the variables are read when numpy loads, so record them at that moment
+    code = """if True:
+        import os, sys
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        seen = []
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(" ".join(os.environ.get(v, "unset") for v in names))
+        sys.meta_path.insert(0, Spy())
+        import kmaxseg
+        print(seen[0])
+    """
+    done = _python(["-c", code], **({} if user is None else {"OPENBLAS_NUM_THREADS": user}))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1" if user is None else user, "1", "1"]

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from kmaxseg.config import InferConfig
 from kmaxseg.data import CLASS_TABLE, SceneSpec
 from kmaxseg.errors import ContractError, ShapeError
-from kmaxseg.metrics import (PQStat, evaluate_model, evaluation_report, merge_masks,
-                             panoptic_quality)
+from kmaxseg.metrics import (MIN_SHARE, PQStat, evaluate_model, evaluation_report,
+                             merge_masks, panoptic_quality, run_in_shares)
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
 from kmaxseg.visualize import cluster_color, panoptic_image
@@ -135,6 +135,38 @@ def test_pq_hand_case_point_eight_iou_plus_fn():
     pred = PanopticMap(pcls, pinst)
     result = panoptic_quality(pred, gt, thing_ids={1})
     assert result["pq"] == pytest.approx(0.8 / 1.5, abs=1e-6)
+    # PQ = SQ x RQ: the match's IoU times TP / (TP + FN/2)
+    assert result["sq"] == pytest.approx(0.8, abs=1e-12)
+    assert result["rq"] == pytest.approx(2 / 3, abs=1e-12)
+    assert result["per_class"][1]["sq"] * result["per_class"][1]["rq"] == pytest.approx(
+        result["pq"], abs=1e-12)
+
+
+def test_sq_and_rq_split_things_from_stuff_by_hand():
+    # thing class 1: one TP of IoU 0.5625 (9 of 16 px) and one FP;
+    # stuff class 2: one perfect TP; class 3: only a FN
+    cls = np.zeros((8, 8), dtype=np.int64)
+    inst = np.zeros((8, 8), dtype=np.int64)
+    cls[:, :4] = 2
+    cls[0:4, 4:8] = 1; inst[0:4, 4:8] = 1
+    cls[6:8, 6:8] = 3
+    gt = PanopticMap(cls, inst)
+    pcls, pinst = cls.copy(), inst.copy()
+    pcls[0:4, 4:8] = 0; pinst[0:4, 4:8] = 0
+    pcls[1:4, 5:8] = 1; pinst[1:4, 5:8] = 1       # 9 px inside the 16-px thing
+    pcls[5, 4] = 1; pinst[5, 4] = 2                 # a lone false positive
+    pcls[6:8, 6:8] = 0
+    result = panoptic_quality(PanopticMap(pcls, pinst), gt, thing_ids={1})
+    rows = result["per_class"]
+    assert (rows[1]["sq"], rows[1]["rq"]) == (pytest.approx(9 / 16), pytest.approx(1 / 1.5))
+    assert (rows[2]["sq"], rows[2]["rq"]) == (1.0, 1.0)
+    assert (rows[3]["sq"], rows[3]["rq"], rows[3]["pq"]) == (0.0, 0.0, 0.0)   # tp = 0
+    assert result["sq_things"] == pytest.approx(9 / 16)
+    assert result["rq_things"] == pytest.approx(2 / 3)
+    assert result["sq_stuff"] == pytest.approx(np.mean([rows[c]["sq"] for c in (0, 2, 3)]))
+    assert result["rq"] == pytest.approx(np.mean([row["rq"] for row in rows.values()]))
+    for row in rows.values():
+        assert row["sq"] * row["rq"] == pytest.approx(row["pq"], abs=1e-12)
 
 
 def test_pq_empty_prediction_is_zero():
@@ -219,11 +251,17 @@ def test_evaluation_report_is_stable():
     b = evaluation_report(result, table)
     assert a == b
     lines = a.splitlines()
+    n = len(result["per_class"])
+    assert lines[4 + n:] == [
+        "overall sq 1.000000", "overall sq_things 1.000000", "overall sq_stuff 1.000000",
+        "overall rq 1.000000", "overall rq_things 1.000000", "overall rq_stuff 1.000000",
+        *[f"class {c} {CLASS_TABLE.names[c]} sq 1.000000 rq 1.000000"
+          for c in sorted(result["per_class"])]]
     assert lines[0].startswith("overall pq ")
     assert lines[1].startswith("overall pq_things ")
     assert lines[2].startswith("overall pq_stuff ")
     assert lines[3].startswith("overall miou ")
-    assert all(line.startswith("class ") for line in lines[4:])
+    assert all(line.startswith("class ") for line in lines[4:4 + n])
 
 
 # Reference implementations: one boolean mask per segment and one full-map
@@ -633,11 +671,49 @@ def test_evaluate_model_iterates_its_examples_once_and_never_indexes(trained_eva
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 7, 8, 9, 20, 64])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_shares_are_contiguous_and_no_smaller_than_the_minimum(monkeypatch, n, cpus):
-    from kmaxseg.metrics import MIN_SHARE, _shares
+    pids = _counting_fork(monkeypatch, cpus)
+    for min_share in (1, MIN_SHARE):
+        del pids[:]
+        shares = run_in_shares(lambda share: [share], list(range(n)), min_share)
+        assert sum(shares, []) == list(range(n))   # contiguous, in item order
+        assert len(shares) == max(1, min(cpus, n // min_share)) == len(pids) + 1
+        assert len(shares) == 1 or min(len(share) for share in shares) >= min_share
+        _assert_no_child_left()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    shares = _shares(n)
-    assert shares[0][0] == 0 and shares[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
-    assert len(shares) == max(1, min(cpus, n // MIN_SHARE))
-    assert len(shares) == 1 or min(hi - lo for lo, hi in shares) >= MIN_SHARE
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_in_shares_gives_the_one_share_result(monkeypatch, cpus):
+    items = [np.random.default_rng(i).normal(size=3) for i in range(7)]
+    pids = _counting_fork(monkeypatch, cpus)
+    split = run_in_shares(lambda share: [np.cumsum(x) for x in share], items, 2)
+    assert len(pids) == min(cpus, 3) - 1
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")   # where fork is missing, one share runs here
+    whole = run_in_shares(lambda share: [np.cumsum(x) for x in share], items, 2)
+    assert [x.tobytes() for x in split] == [x.tobytes() for x in whole]
+
+
+@pytest.mark.parametrize("bad", [0, 5])   # in this process's share, in the last child's
+def test_an_exception_in_any_share_is_raised_here_and_leaves_no_child(monkeypatch, bad):
+    def work(share):
+        if bad in share:
+            raise ContractError(f"item {bad}")
+        return share
+
+    pids = _counting_fork(monkeypatch, 3)
+    with pytest.raises(ContractError, match=f"item {bad}"):
+        run_in_shares(work, list(range(6)), 2)
+    assert len(pids) == 2
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_is_a_runtime_error_and_leaves_no_child(monkeypatch):
+    def work(share):
+        if 3 in share:
+            os._exit(7)
+        return share
+
+    _counting_fork(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with status 7"):
+        run_in_shares(work, list(range(4)), 1)
+    _assert_no_child_left()
