@@ -255,23 +255,32 @@ def evaluate_model(model, examples, infer_cfg, class_table):
 MIN_SHARE = 4
 
 
+# True in a process that runs one of several shares. A call from inside
+# ``work``, such as the periodic eval of a training run in a grid share, then
+# runs one share in place: the sibling shares already hold the other CPUs.
+_IN_SHARE = False
+
+
 def run_in_shares(work, items, min_share):
     """``work(share)`` over contiguous shares of ``items``, concatenated in item order.
 
     One share per usable CPU (``os.sched_getaffinity``: ``taskset -c 0``
     gives one), none under ``min_share`` items, and one share where
-    ``os.fork`` or the mask is missing. This process runs the first share
-    and a forked child each other one; a child pipes back its list, or the
-    exception it raised, which is raised here. No child outlives the call.
-    OpenBLAS stops its threads around ``fork``; Python 3.12+ warns on
+    ``os.fork`` or the mask is missing, or where the call comes from inside
+    one of several shares of an outer call. This process runs the first
+    share and a forked child each other one; a child pipes back its list, or
+    the exception it raised, which is raised here. No child outlives the
+    call. OpenBLAS stops its threads around ``fork``; Python 3.12+ warns on
     ``os.fork`` while any other OS thread exists.
     """
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    global _IN_SHARE
+    cpus = (len(os.sched_getaffinity(0)) if not _IN_SHARE and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") else 1)
     k = max(1, min(cpus, len(items) // min_share))
     bounds = [len(items) * i // k for i in range(k + 1)]
     (start, stop), *rest = zip(bounds, bounds[1:])
     children = []   # (pid, read end of its pipe), not yet reaped
+    outer, _IN_SHARE = _IN_SHARE, _IN_SHARE or k > 1   # children inherit it
     try:
         for lo, hi in rest:
             read_fd, write_fd = os.pipe()
@@ -291,6 +300,7 @@ def run_in_shares(work, items, min_share):
             out += _reap(*children.pop(0))
         return out
     finally:
+        _IN_SHARE = outer
         for pid, read_fd in children:
             os.kill(pid, signal.SIGKILL)
             os.close(read_fd)

@@ -71,6 +71,49 @@ def test_train_grid_over_two_shares_equals_one_share(monkeypatch, last_losses):
     assert len(set(losses)) == 4   # each (variant, seed) is its own run, in place
 
 
+@pytest.fixture
+def forks_anywhere(monkeypatch):
+    """Count every ``os.fork``, also those made in forked children, through a
+    pipe; returns a function that gives the count so far."""
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)
+    fork = os.fork
+    counted = []
+
+    def counting():
+        pid = fork()
+        if pid:
+            os.write(write_fd, b"f")
+        return pid
+
+    def count():
+        try:
+            counted.append(len(os.read(read_fd, 1 << 16)))
+        except BlockingIOError:
+            pass
+        return sum(counted)
+
+    monkeypatch.setattr(os, "fork", counting)
+    yield count
+    os.close(read_fd)
+    os.close(write_fd)
+
+
+def test_grid_runs_evaluate_in_their_own_share_without_forking(
+        monkeypatch, last_losses, forks_anywhere):
+    cfg = _tiny()
+    cfg.train.steps, cfg.train.eval_interval, cfg.train.val_size = 2, 1, 8
+    variants = [dict(kernel="softmax"), dict(kernel="kmeans")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    split = acceptance.train_grid(cfg, variants, (0,))
+    assert forks_anywhere() == 1   # the grid's child; its evals and this share's fork none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    whole = acceptance.train_grid(cfg, variants, (0,))
+    assert forks_anywhere() == 1
+    assert [[run[0] for run in runs] for runs in split] == \
+        [[run[0] for run in runs] for runs in whole]
+
+
 def test_train_grid_trains_each_model_config_once_per_seed(monkeypatch):
     calls = []
     monkeypatch.setattr(acceptance, "train_loop",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from kmaxseg import data
 from kmaxseg.data import (CLASS_TABLE, MIN_SEGMENT_PX, SceneSpec, SyntheticDataset,
                           augment_flip, generate)
-from kmaxseg.errors import ConfigError
+from kmaxseg.errors import ConfigError, ContractError
 from kmaxseg.panoptic import VOID
 from kmaxseg.ppm import write_ppm
 
@@ -131,18 +133,26 @@ def test_split_scenes_equal_generate_bitwise():
         assert _same_scene(ds.val[i], generate(SPEC, SyntheticDataset.VAL_OFFSET + i))
 
 
+def _same_bytes(a, b):
+    """Whether two (image, ground truth) scenes hold the same bytes and dtypes."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a[0], b[0]), (a[1].class_map, b[1].class_map),
+                            (a[1].instance_map, b[1].instance_map)))
+
+
 def test_splits_index_slice_and_iterate_like_lists():
     ds = SyntheticDataset(SPEC, train_size=4, val_size=2)
     scenes = [generate(SPEC, i) for i in range(4)]
     assert len(ds.train) == 4 and len(ds.val) == 2
-    assert ds.train[-1] is ds.train[3] and ds.train[-4] is ds.train[0]
-    assert ds.train[np.int64(2)] is ds.train[2]
-    assert ds.train[np.int64(-1)] is ds.train[3]
+    # each read builds a new image, so equal reads are compared by their bytes
+    assert _same_bytes(ds.train[-1], ds.train[3]) and _same_bytes(ds.train[-4], ds.train[0])
+    assert _same_bytes(ds.train[np.int64(2)], ds.train[2])
+    assert _same_bytes(ds.train[np.int64(-1)], ds.train[3])
     for index in (slice(1, 3), slice(None, None, -1), slice(-3, None, 2), slice(5, 9)):
         got = ds.train[index]
         assert isinstance(got, list) and len(got) == len(scenes[index])
         assert all(_same_scene(a, b) for a, b in zip(got, scenes[index]))
-    assert [id(s) for s in ds.train] == [id(ds.train[i]) for i in range(4)]
+    assert all(_same_bytes(s, ds.train[i]) for i, s in enumerate(ds.train))
     assert all(_same_scene(a, b) for a, b in zip(list(ds.train), scenes))
     for index in (4, -5, np.int64(4)):
         with pytest.raises(IndexError):
@@ -156,6 +166,53 @@ def test_building_a_dataset_renders_nothing_and_each_scene_once(generate_calls):
     for split, index in ((ds.train, 5), (ds.train, 5), (ds.train, -251), (ds.val, 0)):
         split[index]
     assert generate_calls == [5, SyntheticDataset.VAL_OFFSET]
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_split_reads_equal_generate_byte_for_byte(size, generate_calls):
+    for seed in (0, 1, 2):
+        spec = SceneSpec(seed=seed, height=size, width=size)
+        ds = SyntheticDataset(spec, train_size=24, val_size=8)
+        for split, start in ((ds.train, 0), (ds.val, SyntheticDataset.VAL_OFFSET)):
+            for _ in range(2):   # the first read renders the scene, the second rebuilds it
+                for i, scene in enumerate(split):
+                    assert _same_bytes(scene, generate(spec, start + i))
+        assert generate_calls == (list(range(24))
+                                  + [SyntheticDataset.VAL_OFFSET + i for i in range(8)])
+        generate_calls.clear()
+
+
+def test_a_split_keeps_under_16_kib_per_64_px_scene():
+    ds = SyntheticDataset(SPEC, train_size=64, val_size=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in ds.train:
+            pass
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the image alone is 96 KiB; a palette, a uint8 index map and int8 labels remain
+    assert kept / 64 < 16 * 1024
+
+
+def test_a_palette_of_more_than_256_rows_reads_back_byte_for_byte():
+    spec = SceneSpec(seed=3, height=260, width=32)   # 260 background rows + shapes
+    ds = SyntheticDataset(spec, train_size=2, val_size=0)
+    for i, scene in enumerate(ds.train):
+        assert _same_bytes(scene, generate(spec, i))
+
+
+def test_a_scene_off_its_palette_raises_contract_error(monkeypatch):
+    def speckled(spec, index):
+        img, gt = generate(spec, index)
+        img[0, 0] += 1e-9   # a background pixel unlike the rest of its row
+        return img, gt
+
+    monkeypatch.setattr(data, "generate", speckled)
+    ds = SyntheticDataset(SPEC, train_size=1, val_size=0)
+    with pytest.raises(ContractError, match="scene 0 does not fit"):
+        ds.train[0]
 
 
 def test_split_arrays_are_read_only():

@@ -717,3 +717,30 @@ def test_a_child_that_dies_is_a_runtime_error_and_leaves_no_child(monkeypatch):
     with pytest.raises(RuntimeError, match="exited with status 7"):
         run_in_shares(work, list(range(4)), 1)
     _assert_no_child_left()
+
+
+def test_a_call_nested_in_one_of_several_shares_runs_in_place(monkeypatch):
+    pids = _counting_fork(monkeypatch, 2)
+
+    def pids_of(share):
+        return [os.getpid()] * len(share)
+
+    def nested(share):
+        return [(os.getpid(), run_in_shares(pids_of, list(range(4)), 1)) for _ in share]
+
+    outer = run_in_shares(nested, [0, 1], 1)
+    assert [pid for pid, _ in outer] == [os.getpid(), pids[0]]
+    assert all(inner == [pid] * 4 for pid, inner in outer)   # no share forked again
+    assert len(pids) == 1
+    # after the call, and inside a single outer share, a call has every CPU again
+    assert run_in_shares(pids_of, list(range(4)), 1) == [os.getpid()] * 2 + [pids[1]] * 2
+    [(pid, inner)] = run_in_shares(nested, [0], 1)
+    assert pid == os.getpid() and inner == [pid] * 2 + [pids[2]] * 2
+    with pytest.raises(ContractError):
+        run_in_shares(lambda share: _raise(ContractError("outer")), [0, 1], 1)
+    assert run_in_shares(pids_of, list(range(4)), 1) == [os.getpid()] * 2 + [pids[4]] * 2
+    _assert_no_child_left()
+
+
+def _raise(exc):
+    raise exc

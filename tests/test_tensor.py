@@ -200,6 +200,33 @@ def _reference_conv3x3(x, w, b, stride, g):
     return out, gx[1 : 1 + h, 1 : 1 + wd], gw, g.sum(axis=(0, 1))
 
 
+def _nine_slice_conv3x3(x, w, b, stride, g):
+    """Forward and gradients of conv3x3 with its im2col matrix filled by nine
+    slice copies and kept for the weight gradient."""
+    h, wd, cin = x.shape
+    cout = w.shape[3]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    xp = np.zeros((h + 2, wd + 2, cin))
+    xp[1 : 1 + h, 1 : 1 + wd] = x
+    cols = np.empty((ho, wo, 3, 3, cin))
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, i, j] = xp[i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols = cols.reshape(ho * wo, 9 * cin)
+    wmat = w.reshape(9 * cin, cout)
+    out = (cols @ wmat).reshape(ho, wo, cout)
+    if b is not None:
+        out += b
+    g2 = g.reshape(ho * wo, cout)
+    gw = (cols.T @ g2).reshape(3, 3, cin, cout)
+    gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
+    gx = np.zeros((h + 2, wd + 2, cin))
+    for i in range(3):
+        for j in range(3):
+            gx[i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+    return out, gx[1 : 1 + h, 1 : 1 + wd], gw, g.sum(axis=(0, 1))
+
+
 def _rel_err(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
@@ -229,6 +256,26 @@ def test_conv3x3_matches_the_einsum_reference(shape, stride):
             assert _rel_err(xt.grad, ref_gx) <= 1e-12
         else:
             assert xt.grad is None
+        # and byte for byte the nine-slice im2col conv that kept its matrix
+        kept = _nine_slice_conv3x3(x, w, b if use_bias else None, stride, g)
+        got = (out.data, xt.grad if x_grad else kept[1], wt.grad,
+               bt.grad if use_bias else kept[3])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in kept]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_backward_keeps_no_im2col_matrix(stride):
+    rng = np.random.default_rng(4)
+    h, w, cin, cout = 9, 8, 6, 4
+    x = Tensor(rng.normal(size=(h, w, cin)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(3, 3, cin, cout)), requires_grad=True)
+    out = T.conv3x3(x, wt, Tensor(np.zeros(cout), requires_grad=True), stride=stride)
+    ho, wo = out.data.shape[:2]
+    held = [c.cell_contents for c in out._backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    arrays += [t.data for t in held if isinstance(t, Tensor)]
+    assert arrays and all(a.size < ho * wo * 9 * cin for a in arrays)
+    assert all(a.base is None or a.base.size < ho * wo * 9 * cin for a in arrays)
 
 
 def test_conv3x3_keeps_nothing_under_no_grad():
