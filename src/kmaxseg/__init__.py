@@ -20,12 +20,13 @@ The package groups into:
   parameter block from inside it (``Tensor.backward(on_final)``) as soon as
   its gradients are final, and frees them,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
-* ``metrics`` - mask-wise merging, panoptic quality with its SQ and RQ
-  split, mIoU, ``run_in_shares`` (a list's contiguous shares, one per usable
+* ``metrics`` - mask-wise merging, ``PQStat`` (panoptic quality with its SQ
+  and RQ split, and dataset-level mIoU, all read from one segment histogram
+  per image), ``run_in_shares`` (a list's contiguous shares, one per usable
   CPU, run in forked children; a call nested in a share runs in place), and
   ``evaluate_model``, which labels images with the model's float32 twin
-  through it and scores them in order in one process, so results are bitwise
-  those of one share,
+  through it and scores them with ``PQStat`` in order in one process, so
+  results are bitwise those of one share,
 * ``acceptance`` - the release criteria; ``train_grid`` trains the runs of
   criteria 7-9 and ``kmaxseg ablate`` through ``run_in_shares``,
 * ``data`` - deterministic synthetic panoptic scenes and their fixed class

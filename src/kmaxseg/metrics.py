@@ -19,9 +19,11 @@ dense index into its sorted (class id, instance id) pairs
 ``gt_index * n_pred + pred_index`` gives the full gt-by-prediction
 intersection matrix. Segment areas are its row and column sums, and a
 prediction's void overlap is its column summed over the gt rows of class
-``VOID``. Matching then walks this small integer matrix. mIoU uses the same
-histogram over pairs of class ids: intersections on its diagonal, unions from
-row sum plus column sum minus the diagonal.
+``VOID``. Matching then walks this small integer matrix. mIoU reads the same
+matrix: a non-void class's intersection is the sum of its block (its gt rows
+by its predicted columns), and its union is its rows' sum plus its columns'
+sum minus that block. ``PQStat`` sums both over images, so mIoU is
+dataset-level: each class's IoU is taken from its summed counts.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+from collections import Counter
 
 import numpy as np
 
 from .errors import ShapeError
-from .panoptic import VOID, PanopticMap, label_index
+from .panoptic import VOID, PanopticMap
 from .tensor import no_grad
 
 __all__ = ["merge_masks", "panoptic_quality", "PQStat", "evaluate_model",
@@ -100,16 +103,20 @@ def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset()
 
 
 class PQStat:
-    """Accumulates panoptic-quality statistics over one or more images."""
+    """Accumulates panoptic-quality and mIoU statistics over one or more images.
+
+    ``update`` builds one gt-by-prediction segment histogram per image and
+    adds to every store from it: the matched IoU sum and the TP, FP and FN
+    counts per class, and each non-void class's pixel intersection and union.
+    """
 
     def __init__(self):
-        self.iou = {}
-        self.tp = {}
-        self.fp = {}
-        self.fn = {}
-
-    def _bump(self, store, cls, amount=1):
-        store[cls] = store.get(cls, 0) + amount
+        self.iou = Counter()
+        self.tp = Counter()
+        self.fp = Counter()
+        self.fn = Counter()
+        self.inter = Counter()
+        self.union = Counter()
 
     def update(self, pred, gt):
         if pred.class_map.shape != gt.class_map.shape:
@@ -119,15 +126,24 @@ class PQStat:
             )
         g_index, g_keys = gt.segment_index()
         p_index, p_keys = pred.segment_index()
-        inter = _pair_histogram(g_index, p_index, len(g_keys), len(p_keys))
-        g_area = inter.sum(axis=1).tolist()
-        p_area = inter.sum(axis=0).tolist()
-        p_void = inter[g_keys[:, 0] == VOID].sum(axis=0).tolist()
-        inter = inter.tolist()
+        n_pred = len(p_keys)
+        hist = np.bincount(g_index * n_pred + p_index,
+                           minlength=len(g_keys) * n_pred).reshape(-1, n_pred)
+        g_area = hist.sum(axis=1).tolist()
+        p_area = hist.sum(axis=0).tolist()
+        p_void = hist[g_keys[:, 0] == VOID].sum(axis=0).tolist()
+        inter = hist.tolist()
         g_cls = g_keys[:, 0].tolist()
         p_cls = p_keys[:, 0].tolist()
         gt_rows = [i for i, cls in enumerate(g_cls) if cls != VOID]
         pred_cols = [j for j, cls in enumerate(p_cls) if cls != VOID]
+
+        for cls in set(g_cls).union(p_cls) - {VOID}:
+            rows = [i for i in gt_rows if g_cls[i] == cls]
+            cols = [j for j in pred_cols if p_cls[j] == cls]
+            both = int(hist[rows][:, cols].sum())
+            self.inter[cls] += both
+            self.union[cls] += sum(g_area[i] for i in rows) + sum(p_area[j] for j in cols) - both
 
         gt_matched = set()
         pred_matched = set()
@@ -141,20 +157,20 @@ class PQStat:
                 union = g_area[i] + p_area[j] - overlap - p_void[j]
                 iou = overlap / union if union > 0 else 0.0
                 if iou > 0.5:
-                    self._bump(self.tp, g_cls[i])
-                    self._bump(self.iou, g_cls[i], iou)
+                    self.tp[g_cls[i]] += 1
+                    self.iou[g_cls[i]] += iou
                     gt_matched.add(i)
                     pred_matched.add(j)
                     break
         for i in gt_rows:
             if i not in gt_matched:
-                self._bump(self.fn, g_cls[i])
+                self.fn[g_cls[i]] += 1
         for j in pred_cols:
             if j in pred_matched:
                 continue
             if p_area[j] and p_void[j] / p_area[j] > 0.5:
                 continue  # mostly-void predictions are not false positives
-            self._bump(self.fp, p_cls[j])
+            self.fp[p_cls[j]] += 1
         return self
 
     def summarize(self, thing_ids=frozenset()):
@@ -189,11 +205,15 @@ class PQStat:
         for key in ("sq", "rq"):
             result.update({key: average(classes, key), f"{key}_things": average(things, key),
                            f"{key}_stuff": average(stuff, key)})
+        # every stored union holds at least the class's own pixels, so is nonzero
+        seen = sorted(self.union)
+        ious = np.array([self.inter[c] for c in seen]) / np.array([self.union[c] for c in seen])
+        result["miou"] = float(np.mean(ious)) if seen else 0.0
         return result
 
 
 def panoptic_quality(pred, gt, thing_ids=frozenset()):
-    """Single-image PQ with PQ over thing and stuff classes split out."""
+    """Single-image PQ with PQ over thing and stuff classes split out, and mIoU."""
     return PQStat().update(pred, gt).summarize(thing_ids)
 
 
@@ -203,14 +223,16 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     ``examples`` is iterated once, into a list. Every forward pass runs on
     the model's kept float32 twin (``model.twin()``), refilled once per call
     from ``model``'s current parameters; ``model``'s own parameters are not
-    touched. The mIoU is dataset-level: intersections and unions are summed
-    over all images before each class's IoU is taken.
+    touched. The mIoU is ``PQStat``'s, dataset-level: each class's
+    intersection and union are summed over all images before its IoU is
+    taken.
 
     The forward passes and mask merges run through ``run_in_shares``, no
-    share under ``MIN_SHARE`` images; ``upsample``, ``PQStat.update`` and the
-    class overlap then run here over every image in order, so the result is
-    bitwise the one-share result. An exception raised in any share, such as
-    ``ContractError`` for a NaN image, is raised here.
+    share under ``MIN_SHARE`` images, and each share returns its merged
+    ``PanopticMap``s. Only ``upsample`` and ``PQStat.update`` run here, over
+    every image in order, so the result is bitwise the one-share result. An
+    exception raised in any share, such as ``ContractError`` for a NaN image,
+    is raised here.
     """
     examples = list(examples)
     twin = model.twin()
@@ -221,30 +243,16 @@ def evaluate_model(model, examples, infer_cfg, class_table):
         for img, _ in share:
             with no_grad():
                 pred, _, _ = twin.forward(img)
-            merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
-                                 overlap_thresh=infer_cfg.overlap_thresh,
-                                 thing_ids=thing_ids,
-                                 mask_binarize=infer_cfg.mask_binarize)
-            out.append((merged.class_map, merged.instance_map))
+            out.append(merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
+                                   overlap_thresh=infer_cfg.overlap_thresh,
+                                   thing_ids=thing_ids,
+                                   mask_binarize=infer_cfg.mask_binarize))
         return out
 
-    labels = run_in_shares(label, examples, MIN_SHARE)
     stat = PQStat()
-    num_classes = class_table.num_classes
-    inter = np.zeros(num_classes, dtype=np.int64)
-    union = np.zeros(num_classes, dtype=np.int64)
-    for (class_map, instance_map), (_, gt) in zip(labels, examples):
-        merged = PanopticMap(class_map, instance_map)
-        full = merged.upsample(gt.height // merged.height)
-        stat.update(full, gt)
-        classes, img_inter, img_union = _class_overlap(full, gt)
-        keep = (classes >= 0) & (classes < num_classes)
-        inter[classes[keep]] += img_inter[keep]
-        union[classes[keep]] += img_union[keep]
-    result = stat.summarize(thing_ids)
-    present = union > 0
-    result["miou"] = float(np.mean(inter[present] / union[present])) if present.any() else 0.0
-    return result
+    for merged, (_, gt) in zip(run_in_shares(label, examples, MIN_SHARE), examples):
+        stat.update(merged.upsample(gt.height // merged.height), gt)
+    return stat.summarize(thing_ids)
 
 
 # A child returns its share ≈7-9 ms later than this process would finish it
@@ -339,27 +347,6 @@ def _reap(pid, read_fd):
     return value
 
 
-def _pair_histogram(rows, cols, n_rows, n_cols):
-    """(n_rows, n_cols) pixel count of every (row label, column label) pair."""
-    return np.bincount(rows * n_cols + cols,
-                       minlength=n_rows * n_cols).reshape(n_rows, n_cols)
-
-
-def _class_overlap(pred_map, gt):
-    """Per-class pixel intersection and union of two semantic maps.
-
-    Returns the sorted class ids found in either map, void included, with
-    int64 arrays of each class's intersection and union.
-    """
-    hw = gt.class_map.size
-    index, classes = label_index(
-        np.concatenate([gt.class_map.reshape(-1), pred_map.class_map.reshape(-1)]))
-    classes = classes[:, 0]
-    hist = _pair_histogram(index[:hw], index[hw:], classes.size, classes.size)
-    inter = hist.diagonal()
-    return classes, inter, hist.sum(axis=1) + hist.sum(axis=0) - inter
-
-
 def evaluation_report(result, class_table):
     """Fixed-order plain-text report of an evaluation result: PQ and mIoU
     lines, then the SQ and RQ lines."""
@@ -367,7 +354,7 @@ def evaluation_report(result, class_table):
         f"overall pq {result['pq']:.6f}",
         f"overall pq_things {result['pq_things']:.6f}",
         f"overall pq_stuff {result['pq_stuff']:.6f}",
-        f"overall miou {result.get('miou', 0.0):.6f}",
+        f"overall miou {result['miou']:.6f}",
     ]
     split = [f"overall {key} {result[key]:.6f}" for key in
              ("sq", "sq_things", "sq_stuff", "rq", "rq_things", "rq_stuff")]

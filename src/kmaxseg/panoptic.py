@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, softmax
+from .tensor import Tensor, softmax_lse
 
 VOID = -1
 
@@ -147,8 +147,8 @@ class PredictionSet:
 
     def mask_probs(self):
         """Per-pixel softmax over the N masks; rows sum to one."""
-        return softmax(Tensor(self.mask_logits.data), axis=1).data
+        return softmax_lse(self.mask_logits.data, axis=1)[0]
 
     def class_probs(self):
         """Per-mask class distribution including the void class."""
-        return softmax(Tensor(self.class_logits.data), axis=1).data
+        return softmax_lse(self.class_logits.data, axis=1)[0]

@@ -419,13 +419,24 @@ def reduce_sum(x, axis=None, keepdims=False):
 # -- normalization / attention primitives --------------------------------------
 
 
+def softmax_lse(x, axis=-1):
+    """Stabilized softmax of the array ``x`` along ``axis`` and its log-sum-exp.
+
+    Returns ``(p, lse)``: ``p`` has ``x``'s shape and its slices sum to one;
+    ``lse`` drops ``axis``. It records no tape node; every softmax in the
+    package, the ``softmax`` node's included, is computed here.
+    """
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=axis, keepdims=True)
+    return e / z, np.squeeze(m, axis) + np.log(np.squeeze(z, axis))
+
+
 def softmax(x, axis):
     """Stabilized softmax along ``axis``; slices sum to one."""
     x = _as_tensor(x)
     axis = _check_axis(x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s, _ = softmax_lse(x.data, axis)
 
     def bwd(g):
         inner = (g * s).sum(axis=axis, keepdims=True)
@@ -448,9 +459,7 @@ def softmax_attention(q, k, v, logit_scale=1.0):
         raise ShapeError(
             f"softmax_attention values {v.data.shape} do not match keys {k.data.shape}"
         )
-    logits = (q.data @ k.data.T) * logit_scale
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
+    s, _ = softmax_lse((q.data @ k.data.T) * logit_scale, axis=1)
 
     def bwd(g):
         if q.requires_grad or k.requires_grad:
@@ -640,12 +649,9 @@ def cross_entropy_from_logits(logits, targets, reduction="mean"):
     if ids.size and (ids.min() < 0 or ids.max() >= c):
         raise ValueError(f"target ids must lie in [0, {c})")
 
-    m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=1, keepdims=True)
-    p = e / z
+    p, lse = softmax_lse(logits.data, axis=1)
     rows = np.arange(r)
-    nll = (m[:, 0] + np.log(z[:, 0])) - logits.data[rows, ids]
+    nll = lse - logits.data[rows, ids]
 
     if reduction == "none":
         data = nll

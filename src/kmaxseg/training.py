@@ -48,7 +48,7 @@ from .data import CLASS_TABLE, MAX_SHAPES, SyntheticDataset, SceneSpec, augment_
 from .errors import ConfigError, ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
-from .tensor import Tensor, _accum, _make, cross_entropy_from_logits, scale, take
+from .tensor import Tensor, _accum, _make, cross_entropy_from_logits, scale, softmax_lse, take
 
 DICE_EPS = 1e-6
 LR = 1e-3
@@ -204,14 +204,6 @@ def _masked_cross_entropy(logits, targets):
     return cross_entropy_from_logits(take(logits, rows, axis=0), targets[rows])
 
 
-def _softmax_lse(logits):
-    """Softmax over the last axis of (O, R, C) ``logits`` and its (O, R) log-sum-exp."""
-    m = logits.max(axis=2, keepdims=True)
-    e = np.exp(logits - m)
-    z = e.sum(axis=2, keepdims=True)
-    return e / z, m[:, :, 0] + np.log(z[:, :, 0])
-
-
 def _set_prediction_loss(final, aux, masks, class_ids, matching):
     """Mask-quality and mask-id losses of the final and auxiliary outputs, one node.
 
@@ -246,9 +238,9 @@ def _set_prediction_loss(final, aux, masks, class_ids, matching):
     unmatched = matching.unmatched_queries()
     targets = np.full(n, class_logits.shape[2] - 1, dtype=np.int64)
     targets[matched] = class_ids
-    p_class, lse_class = _softmax_lse(class_logits)
+    p_class, lse_class = softmax_lse(class_logits)
     ce = lse_class - class_logits[:, np.arange(n), targets]          # (O, N)
-    z, lse = _softmax_lse(logits)
+    z, lse = softmax_lse(logits)
     # supervised pixels and the query matched to each one's segment
     pix, seg = np.nonzero(masks)
     qid = matched[seg]
@@ -575,12 +567,8 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         is_eval = (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps
         if is_eval:
             val_pq = evaluate_model(model, dataset.val, cfg.infer, table)["pq"]
-        rows.append(
-            f"{step},{loss!r},{parts['l_pq']!r},{parts['l_sem']!r},"
-            f"{parts['l_maskid']!r},{val_pq!r}" if is_eval else
-            f"{step},{loss!r},{parts['l_pq']!r},{parts['l_sem']!r},"
-            f"{parts['l_maskid']!r},"
-        )
+        rows.append(f"{step},{loss!r},{parts['l_pq']!r},{parts['l_sem']!r},"
+                    f"{parts['l_maskid']!r},{repr(val_pq) if is_eval else ''}")
 
     if metrics_path is not None:
         with open(metrics_path, "w", encoding="utf-8") as fh:

@@ -169,6 +169,36 @@ def test_sq_and_rq_split_things_from_stuff_by_hand():
         assert row["sq"] * row["rq"] == pytest.approx(row["pq"], abs=1e-12)
 
 
+def test_miou_sums_both_images_before_dividing_by_hand():
+    # image a: a void top row, stuff class 0, a 2x2 thing of class 1; the
+    # prediction covers two void pixels with class 0, half the thing, and
+    # one pixel of class 2, which the ground truth never holds
+    gt_a = np.array([[VOID, VOID, VOID, VOID], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]])
+    pred_a = np.array([[0, 0, VOID, VOID], [0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2]])
+    # image b: class 0 with one void pixel, predicted as class 0 everywhere
+    gt_b = np.zeros((4, 4), dtype=np.int64)
+    gt_b[0, 0] = VOID
+    pred_b = np.zeros((4, 4), dtype=np.int64)
+    pairs = [(PanopticMap(p, (p == 1).astype(np.int64)), PanopticMap(g, (g == 1).astype(np.int64)))
+             for p, g in ((pred_a, gt_a), (pred_b, gt_b))]
+    stat = PQStat()
+    for pred, gt in pairs:
+        stat.update(pred, gt)
+    miou = stat.summarize(thing_ids={1})["miou"]
+
+    ious = []
+    for cls in (0, 1, 2):
+        both = sum(int(((p.class_map == cls) & (g.class_map == cls)).sum()) for p, g in pairs)
+        either = sum(int(((p.class_map == cls) | (g.class_map == cls)).sum()) for p, g in pairs)
+        ious.append(both / either)
+    assert miou == pytest.approx(np.mean(ious), abs=1e-15)
+    # class 0: 7 + 15 of 12 + 16 px; class 1: 2 of 4; class 2: 0 of 1
+    assert miou == pytest.approx((22 / 28 + 2 / 4 + 0 / 1) / 3, abs=1e-15)
+    per_image = [panoptic_quality(pred, gt, thing_ids={1})["miou"] for pred, gt in pairs]
+    assert per_image == pytest.approx([(7 / 12 + 2 / 4 + 0 / 1) / 3, 15 / 16], abs=1e-15)
+    assert abs(miou - np.mean(per_image)) > 0.1
+
+
 def test_pq_empty_prediction_is_zero():
     gt = _gt_square()
     pred = PanopticMap(np.full((8, 8), VOID, dtype=np.int64),
