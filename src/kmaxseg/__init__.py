@@ -7,9 +7,10 @@ The package groups into:
   autodiff (float64 for training, float32 for evaluation) and float64
   finite-difference verification,
 * ``layers`` - the parameter registry (naming, initialization, weight-decay
-  policy) and the affine and layer-norm layers built on it,
-* ``kernels`` - the softmax attention path, the hard-assignment (k-means)
-  map the decoder runs, and Lloyd k-means as its oracle,
+  policy) and the affine and layer-norm layers built on it; ``Params.qkv``
+  declares the three projections of an attention sublayer,
+* ``kernels`` - the hard-assignment (k-means) map the decoder runs in place
+  of ``tensor.softmax_attention``, and Lloyd k-means as its oracle,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
   the full encoder/pyramid/cluster-path model, which validates its config,
   runs its blocks over the pyramid strides its schedule names, and has
@@ -46,7 +47,7 @@ from .config import Config, ModelConfig, load_config, parse_config, serialize_co
 from .data import CLASS_TABLE, SceneSpec, SyntheticDataset, augment_flip, generate
 from .decoder import KMaxDecoderBlock
 from .gradcheck import grad_check
-from .kernels import PixelFeatures, ProjectionWeights, lloyd_kmeans
+from .kernels import PixelFeatures, lloyd_kmeans
 from .layers import Affine, LayerNorm, Params
 from .metrics import evaluate_model, evaluation_report, merge_masks, panoptic_quality
 from .model import KMaxModel

@@ -26,7 +26,7 @@ from .metrics import panoptic_quality, run_in_shares
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import Tensor
-from .training import Matching, hungarian_match, total_loss, train_loop
+from .training import Matching, hungarian_match, matching_cost, total_loss, train_loop
 
 GRAD_TOL = 1e-4
 GRAD_EPS = 1e-5
@@ -123,16 +123,16 @@ def criterion_1_gradients():
 def criterion_2_kmeans_equivalence():
     """The per-cluster mean of the decoder's k-means sum equals one Lloyd step.
 
-    The decoder runs ``_hard_aggregate``'s sum; on 20 sets this runs it with
-    ``normalize`` set, the mean of that sum, on the raw affinity
-    ``centers @ points.T``, the op ``KMaxDecoderBlock._interaction`` runs. The
-    points are unit-norm and the initial centers are points, so the affinity
-    argmax is the nearest center. An empty cluster is the one case where the
-    two rules differ (Lloyd keeps its previous center, the model gives a zero
-    row), so an instance with one fails the check. The model itself always
-    has empty clusters (16 queries over the 4-64 pixels of a stride-32/16/8
-    grid), so the zero-row rule is the one in force there; this criterion
-    proves the equivalence where no cluster is empty, and
+    The decoder runs ``_hard_aggregate``'s sum; on 20 sets this divides that
+    sum by the cluster sizes, on the raw affinity ``centers @ points.T``,
+    the op ``KMaxDecoderBlock._interaction`` runs. The points are unit-norm
+    and the initial centers are points, so the affinity argmax is the
+    nearest center. An empty cluster is the one case where the two rules
+    differ (Lloyd keeps its previous center, the model gives a zero row), so
+    an instance with one fails the check. The model itself always has empty
+    clusters (16 queries over the 4-64 pixels of a stride-32/16/8 grid), so
+    the zero-row rule is the one in force there; this criterion proves the
+    equivalence where no cluster is empty, and
     ``test_hard_aggregate_empty_cluster_is_zero_row`` covers the rule the
     model runs.
     """
@@ -146,13 +146,14 @@ def criterion_2_kmeans_equivalence():
         centers, labels = lloyd_kmeans(pts, n, max_iters=1, seed=seed)
         init = Tensor(lloyd_init(pts, n, seed))
         affinity = T.matmul(init, Tensor(pts).T)
-        out = _hard_aggregate(affinity, Tensor(pts), normalize=True)
         assignment = affinity.data.argmax(axis=0)
-        if np.bincount(assignment, minlength=n).min() == 0:
+        counts = np.bincount(assignment, minlength=n)
+        if counts.min() == 0:
             return False, f"empty cluster at seed {seed}"
         if not np.array_equal(assignment, labels):
             return False, f"assignment mismatch at seed {seed}"
-        if np.max(np.abs(out.data - centers)) >= 1e-12:
+        means = _hard_aggregate(affinity, Tensor(pts)).data / counts[:, None]
+        if np.max(np.abs(means - centers)) >= 1e-12:
             return False, f"center mismatch at seed {seed}"
     return True, ("20/20 instances: _hard_aggregate on raw affinities equals one "
                   "Lloyd step (centers within 1e-12)")
@@ -311,8 +312,6 @@ def criterion_9_decoder_count(results=None):
 
 def criterion_10_deep_supervision():
     """Kernel query projections receive gradient only through aux losses."""
-    from .training import hungarian_match, matching_cost
-
     cfg = Config()
     model = KMaxModel(cfg.model, seed=0)
     spec = SceneSpec(seed=1, height=cfg.model.image_size, width=cfg.model.image_size)
@@ -325,7 +324,7 @@ def criterion_10_deep_supervision():
         matching = hungarian_match(matching_cost(pred, gt4))
         loss, _ = total_loss(pred, aux if aux_on else [], sem, gt4, matching)
         loss.backward()
-        return [b.ker_proj.wq.grad for b in model.blocks]
+        return [b.ker_q.w.grad for b in model.blocks]
 
     grads_off = run(aux_on=False)
     if any(g is not None and np.linalg.norm(g) != 0.0 for g in grads_off):

@@ -6,6 +6,10 @@ and a feed-forward network. Each sublayer carries two layer norms: one on
 its input and one on its update before the residual add. The output norm
 matters most for the hard-assignment kernel, whose per-cluster update is a
 sum over assigned pixels and would otherwise scale with cluster size.
+Both attention sublayers call their layers directly: Q, K and V are three
+``Affine``s declared by ``Params.qkv``, and the interaction kernel, either
+``tensor.softmax_attention`` or ``kernels._hard_aggregate``, is the block's
+one branch.
 
 Every block also emits an auxiliary prediction: a ``PredictionSet`` at the
 stride of the pixels it read, so it merges like the final one. Its mask
@@ -22,7 +26,7 @@ adopts them under ``blocks.<i>``.
 from __future__ import annotations
 
 from .errors import ConfigError
-from .kernels import PixelFeatures, ProjectionWeights, _hard_aggregate
+from .kernels import PixelFeatures, _hard_aggregate
 from .layers import Params
 from .panoptic import PredictionSet
 from .tensor import gelu, matmul, scale, softmax_attention, transpose
@@ -41,11 +45,11 @@ class KMaxDecoderBlock:
         self.params = p = Params(rng)
         self.sa_ln = p.layer_norm("sa_ln", d)
         self.sa_ln_out = p.layer_norm("sa_ln_out", d)
-        self.sa_proj = ProjectionWeights.init(p, "sa", d)
+        self.sa_q, self.sa_k, self.sa_v = p.qkv("sa", d)
         self.ker_ln_c = p.layer_norm("ker_ln_c", d)
         self.ker_ln_p = p.layer_norm("ker_ln_p", d)
         self.ker_ln_out = p.layer_norm("ker_ln_out", d)
-        self.ker_proj = ProjectionWeights.init(p, "ker", d)
+        self.ker_q, self.ker_k, self.ker_v = p.qkv("ker", d)
         self.ffn_ln = p.layer_norm("ffn_ln", d)
         self.ffn_ln_out = p.layer_norm("ffn_ln_out", d)
         self.ffn1 = p.affine("ffn1", d, ffn_hidden)
@@ -61,12 +65,12 @@ class KMaxDecoderBlock:
 
     def _self_attention(self, c):
         x = self.sa_ln(c)
-        update = self.sa_proj.attend(x, x, logit_scale=self.logit_scale)
+        update = softmax_attention(self.sa_q(x), self.sa_k(x), self.sa_v(x), self.logit_scale)
         return c + self.sa_ln_out(update)
 
     def _interaction(self, c, pixels):
-        # not ``attend``: the affinity is taken against the mask embedding
-        q, k, v = self.ker_proj.project(self.ker_ln_c(c), self.ker_ln_p(pixels))
+        cn, pn = self.ker_ln_c(c), self.ker_ln_p(pixels)
+        q, k, v = self.ker_q(cn), self.ker_k(pn), self.ker_v(pn)
         mask_emb = self.mask(q)
         affinity = matmul(mask_emb, k.T)
         sup_logits = scale(affinity, self.logit_scale)

@@ -1,24 +1,20 @@
 """Pixel-cluster interaction kernels.
 
-``ProjectionWeights.attend`` projects centers to Q and pixels (or centers)
-to K/V and returns the single-head softmax attention update
-``softmax(c · Q K^T) V``, computed by one ``softmax_attention`` tape node. The decoder's self-attention and the stride-32 pixel block use it;
-callers add the residual themselves.
-
-``_hard_aggregate`` is the k-means map the decoder's interaction kernel
-runs: each pixel is hard-assigned to its argmax cluster of an (N, HW)
-affinity, and a cluster sums the value rows assigned to it.
-The assignment is detached, so gradients reach the query/key projections
-only through losses on the affinity itself. The decoder takes that affinity
-against the mask embedding of Q, so it calls ``project`` and then
-``softmax_attention`` or ``_hard_aggregate`` itself.
+The decoder's cross-attention maps an (N, HW) affinity of cluster centers
+against pixels to a per-cluster update of the pixels' value rows. The
+softmax kernel is ``tensor.softmax_attention``, which the decoder's
+self-attention and the stride-32 pixel block run too. The k-means kernel is
+``_hard_aggregate``: each pixel is hard-assigned to its argmax cluster, and
+a cluster sums the value rows assigned to it. The assignment is detached,
+so gradients reach the query/key projections only through losses on the
+affinity itself. Callers apply the projections (``Params.qkv``) and add the
+residual themselves.
 
 ``lloyd_kmeans`` is classic Lloyd clustering, the oracle acceptance
-criterion 2 checks ``_hard_aggregate`` against; ``lloyd_init`` draws its
-initial centers, which the criterion hands to ``_hard_aggregate`` too.
-
-Feed-forward layers and normalization are deliberately absent here; they
-belong to the decoder block that wraps these kernels.
+criterion 2 checks ``_hard_aggregate``'s sum divided by cluster sizes
+against; ``lloyd_init`` draws its initial centers, which the criterion hands
+to ``_hard_aggregate`` too. ``PixelFeatures`` carries flattened pixel
+features with their grid.
 """
 
 from __future__ import annotations
@@ -28,15 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .layers import Affine
-from .tensor import Tensor, argmax_onehot, matmul, softmax_attention
+from .tensor import Tensor, argmax_onehot, matmul
 
-__all__ = [
-    "PixelFeatures",
-    "ProjectionWeights",
-    "lloyd_init",
-    "lloyd_kmeans",
-]
+__all__ = ["PixelFeatures", "lloyd_init", "lloyd_kmeans"]
 
 
 @dataclass
@@ -55,60 +45,18 @@ class PixelFeatures:
             )
 
 
-@dataclass
-class ProjectionWeights:
-    """Query/key/value projections and the one attention path through them.
-
-    ``project`` is the only place the projections are applied; ``attend``
-    projects and then runs single-head softmax attention.
-    """
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bq: Tensor
-    bk: Tensor
-    bv: Tensor
-
-    def __post_init__(self):
-        self._q = Affine(self.wq, self.bq)
-        self._k = Affine(self.wk, self.bk)
-        self._v = Affine(self.wv, self.bv)
-
-    @staticmethod
-    def init(params, prefix, d):
-        """Declare ``prefix.wq``, ``.wk``, ``.wv`` and zero ``.bq``, ``.bk``, ``.bv``."""
-        w = [params.normal(f"{prefix}.w{n}", (d, d), d ** -0.5) for n in "qkv"]
-        b = [params.const(f"{prefix}.b{n}", (d,), 0.0) for n in "qkv"]
-        return ProjectionWeights(*w, *b)
-
-    def project(self, centers, pixels):
-        return self._q(centers), self._k(pixels), self._v(pixels)
-
-    def attend(self, queries, keys, logit_scale=1.0):
-        """Project ``queries`` to Q and ``keys`` to K/V; return the softmax attention update."""
-        q, k, v = self.project(queries, keys)
-        return softmax_attention(q, k, v, logit_scale)
-
-
-def _hard_aggregate(logits, v, normalize=False):
-    """Per-cluster update of V under the hard assignment of (N, HW) ``logits``.
+def _hard_aggregate(logits, v):
+    """Per-cluster sum of V under the hard assignment of (N, HW) ``logits``.
 
     Each pixel goes to its argmax cluster (detached); a cluster sums its
-    assigned value rows, the decoder's update. ``normalize`` averages them
-    instead, the mean acceptance criterion 2 compares with a Lloyd step. An
-    empty cluster gets a zero row either way, where Lloyd would keep its
-    previous center. Every call the model makes has empty clusters: 16
-    queries compete for the 4-64 pixels of a stride-32/16/8 grid, so most
+    assigned value rows. An empty cluster gets a zero row, where Lloyd would
+    keep its previous center. Every call the model makes has empty clusters:
+    16 queries compete for the 4-64 pixels of a stride-32/16/8 grid, so most
     win none. The zero-row rule is therefore the one in force in training
     and evaluation; ``test_hard_aggregate_empty_cluster_is_zero_row`` covers
     it, and acceptance criterion 2 covers the nonempty case.
     """
-    a = argmax_onehot(logits)
-    if not normalize:
-        return matmul(a, v)
-    counts = a.data.sum(axis=1, keepdims=True)
-    return matmul(Tensor(a.data / np.maximum(counts, 1.0)), v)
+    return matmul(argmax_onehot(logits), v)
 
 
 def lloyd_init(pts, k, seed):

@@ -70,6 +70,13 @@ class Params:
         return Affine(self.normal(f"{name}.w", (din, dout), din ** -0.5),
                       self.const(f"{name}.b", (dout,), 0.0))
 
+    def qkv(self, name, d):
+        """Three ``d``-to-``d`` ``Affine``s: ``name.wq``, ``.wk``, ``.wv`` drawn at
+        std ``d ** -0.5``, then zero ``name.bq``, ``.bk``, ``.bv``."""
+        w = [self.normal(f"{name}.w{n}", (d, d), d ** -0.5) for n in "qkv"]
+        b = [self.const(f"{name}.b{n}", (d,), 0.0) for n in "qkv"]
+        return tuple(map(Affine, w, b))
+
     def layer_norm(self, name, d):
         return LayerNorm(self.const(f"{name}.gain", (d,), 1.0),
                          self.const(f"{name}.bias", (d,), 0.0))

@@ -35,7 +35,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .panoptic import VOID, PanopticMap
 from .tensor import no_grad
 
@@ -220,7 +220,8 @@ def panoptic_quality(pred, gt, thing_ids=frozenset()):
 def evaluate_model(model, examples, infer_cfg, class_table):
     """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
 
-    ``examples`` is iterated once, into a list. Every forward pass runs on
+    ``examples`` is iterated once, into a list; an empty one raises
+    ``ContractError`` rather than scoring PQ 0. Every forward pass runs on
     the model's kept float32 twin (``model.twin()``), refilled once per call
     from ``model``'s current parameters; ``model``'s own parameters are not
     touched. The mIoU is ``PQStat``'s, dataset-level: each class's
@@ -235,6 +236,8 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     is raised here.
     """
     examples = list(examples)
+    if not examples:
+        raise ContractError("no examples to evaluate")
     twin = model.twin()
     thing_ids = class_table.thing_ids
 

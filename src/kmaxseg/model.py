@@ -5,6 +5,8 @@ followed by a feature-pyramid decoder: per-stride projections of encoder
 skips, nearest 2x upsampling, additive zero-initialized positional
 embeddings, one self-attention block at stride 32 and one residual conv
 block per finer stride. All pyramid levels share the channel width ``d``.
+The positional embeddings fix each level's grid, so the model takes only
+``image_size``-square images.
 
 The cluster path threads learnable queries through the configured decoder
 blocks: ``schedule[i]`` blocks read the pyramid level at stride 32, 16 and 8
@@ -34,11 +36,11 @@ from .config import ModelConfig
 from .data import CLASS_TABLE
 from .decoder import KMaxDecoderBlock
 from .errors import ContractError, ShapeError
-from .kernels import PixelFeatures, ProjectionWeights
+from .kernels import PixelFeatures
 from .layers import Params
 from .panoptic import PredictionSet
-from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, transpose,
-                     upsample_nearest)
+from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, softmax_attention,
+                     transpose, upsample_nearest)
 
 __all__ = ["KMaxModel"]
 
@@ -71,7 +73,7 @@ class KMaxModel:
 
         # stride-32 feature enhancement: self-attention + mlp, both pre-norm
         self.attn_ln = p.layer_norm("pyr.32.attn_ln", d)
-        self.attn_proj = ProjectionWeights.init(p, "pyr.32.attn", d)
+        self.attn_q, self.attn_k, self.attn_v = p.qkv("pyr.32.attn", d)
         self.mlp_ln = p.layer_norm("pyr.32.mlp_ln", d)
         self.mlp1 = p.affine("pyr.32.mlp1", d, 2 * d)
         self.mlp2 = p.affine("pyr.32.mlp2", 2 * d, d)
@@ -153,15 +155,18 @@ class KMaxModel:
         """Toy encoder plus pyramid decoder.
 
         Returns ``{stride: PixelFeatures}`` for strides 32, 16, 8 and the
-        final stride 4. An array image is cast to the parameters' dtype.
+        final stride 4. The image must be ``image_size`` square; an array
+        image is cast to the parameters' dtype.
         """
         dtype = self.queries.data.dtype
         x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=dtype))
         if x.data.ndim != 3 or x.data.shape[2] != 3:
             raise ShapeError(f"expected an (H, W, 3) image, got {x.data.shape}")
         h, w = x.data.shape[:2]
-        if h % 32 or w % 32:
-            raise ShapeError(f"image dims {h}x{w} must be multiples of 32")
+        size = self.cfg.image_size
+        if (h, w) != (size, size):
+            raise ShapeError(f"image is {h}x{w} but the model takes {size}x{size} "
+                             "(model.image_size)")
         if not np.isfinite(x.data).all():
             # a NaN would reach every mask logit and merge to an all-void map
             raise ContractError("image has non-finite pixel values")
@@ -186,8 +191,8 @@ class KMaxModel:
             t = t + self.pos[s]
             if s == 32:
                 a_in = self.attn_ln(t)
-                upd = self.attn_proj.attend(a_in, a_in, logit_scale=self.cfg.d ** -0.5)
-                t = t + upd
+                t = t + softmax_attention(self.attn_q(a_in), self.attn_k(a_in),
+                                          self.attn_v(a_in), self.cfg.d ** -0.5)
                 t = t + self.mlp2(gelu(self.mlp1(self.mlp_ln(t))))
             else:
                 cw, cb = self.block_conv[s]

@@ -531,6 +531,8 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
         dataset = SyntheticDataset(spec, tc.train_size, tc.val_size)
     if len(dataset.train) == 0:
         raise ContractError("dataset has no training scenes")
+    if len(dataset.val) == 0:
+        raise ContractError("dataset has no validation scenes")
     table = dataset.class_table
     if table.num_classes != CLASS_TABLE.num_classes:
         raise ContractError(

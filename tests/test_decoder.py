@@ -44,27 +44,27 @@ def _reference_forward(block, c, p, interaction):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + eps) * norm.gain.data + norm.bias.data
 
-    def proj(x, w, b):
-        return x @ w.data + b.data
+    def proj(x, layer):
+        return x @ layer.w.data + layer.b.data
 
     scale = c.shape[1] ** -0.5  # standard transformer logit scaling
     # self-attention, output-normalized residual
     x = ln(c, block.sa_ln)
-    q = proj(x, block.sa_proj.wq, block.sa_proj.bq)
-    k = proj(x, block.sa_proj.wk, block.sa_proj.bk)
-    v = proj(x, block.sa_proj.wv, block.sa_proj.bv)
+    q = proj(x, block.sa_q)
+    k = proj(x, block.sa_k)
+    v = proj(x, block.sa_v)
     upd = _numpy_softmax(scale * (q @ k.T), axis=1) @ v
     c1 = c + ln(upd, block.sa_ln_out)
     # cross-attention
-    q2 = proj(ln(c1, block.ker_ln_c), block.ker_proj.wq, block.ker_proj.bq)
+    q2 = proj(ln(c1, block.ker_ln_c), block.ker_q)
     pin = ln(p.values.data, block.ker_ln_p)
-    k2 = proj(pin, block.ker_proj.wk, block.ker_proj.bk)
-    v2 = proj(pin, block.ker_proj.wv, block.ker_proj.bv)
+    k2 = proj(pin, block.ker_k)
+    v2 = proj(pin, block.ker_v)
     c2 = c1 + ln(interaction(q2, k2, v2), block.ker_ln_out)
     # ffn
-    h = proj(ln(c2, block.ffn_ln), block.ffn1.w, block.ffn1.b)
+    h = proj(ln(c2, block.ffn_ln), block.ffn1)
     h = 0.5 * h * (1 + erf(h / np.sqrt(2)))
-    c3 = c2 + ln(proj(h, block.ffn2.w, block.ffn2.b), block.ffn_ln_out)
+    c3 = c2 + ln(proj(h, block.ffn2), block.ffn_ln_out)
 
     mask_ref = scale * ((q2 @ block.mask.w.data + block.mask.b.data) @ k2.T)
     cls_ref = ln(c3, block.head_ln) @ block.cls.w.data + block.cls.b.data
@@ -177,12 +177,12 @@ def test_kmeans_block_grad_reaches_wq_only_via_aux_logits():
 
     out, aux = block.forward(c, p)
     T.reduce_sum(T.mul(out, out)).backward()
-    assert block.ker_proj.wq.grad is None
-    assert block.ker_proj.wk.grad is None
+    assert block.ker_q.w.grad is None
+    assert block.ker_k.w.grad is None
 
     out2, aux2 = block.forward(c, p)
     loss = T.add(T.reduce_sum(T.mul(out2, out2)),
                  T.reduce_sum(T.mul(aux2.mask_logits, aux2.mask_logits)))
     loss.backward()
-    assert np.linalg.norm(block.ker_proj.wq.grad) > 0
-    assert np.linalg.norm(block.ker_proj.wk.grad) > 0
+    assert np.linalg.norm(block.ker_q.w.grad) > 0
+    assert np.linalg.norm(block.ker_k.w.grad) > 0

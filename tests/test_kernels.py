@@ -3,9 +3,8 @@ import pytest
 
 from kmaxseg import tensor as T
 from kmaxseg.errors import ShapeError
-from kmaxseg.kernels import (PixelFeatures, ProjectionWeights, _hard_aggregate, lloyd_init,
-                             lloyd_kmeans)
-from kmaxseg.layers import Params
+from kmaxseg.kernels import PixelFeatures, _hard_aggregate, lloyd_init, lloyd_kmeans
+from kmaxseg.layers import Affine, Params
 from kmaxseg.tensor import Tensor
 
 
@@ -14,39 +13,33 @@ def _numpy_softmax(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _zero_weights(d):
-    z, zb = Tensor(np.zeros((d, d))), Tensor(np.zeros(d))
-    return ProjectionWeights(z, z, z, zb, zb, zb)
+def _qkv(seed, d):
+    """Random Q/K/V projections, declared as the decoder declares its own."""
+    return Params(np.random.default_rng(seed)).qkv("p", d)
 
 
-def _identity_weights(d):
-    eye, zb = Tensor(np.eye(d)), Tensor(np.zeros(d))
-    return ProjectionWeights(eye, eye, eye, zb, zb, zb)
-
-
-def _affinity(w, centers, pixels):
-    """The (N, HW) logits ``Q K^T`` and the values V of ``w`` on centers and pixels."""
-    q, k, v = w.project(centers, pixels)
-    return T.matmul(q, k.T), v
+def _affinity(qkv, centers, pixels):
+    """The (N, HW) logits ``Q K^T`` and the values V of ``qkv`` on centers and pixels."""
+    q, k, v = qkv
+    return T.matmul(q(centers), k(pixels).T), v(pixels)
 
 
 def test_softmax_attention_zero_weights_is_identity():
     rng = np.random.default_rng(0)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(6, 4)))
-    w = _zero_weights(4)
-    out = c + w.attend(c, p)
+    z = Affine(Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))
+    out = c + T.softmax_attention(z(c), z(p), z(p))
     assert np.array_equal(out.data, c.data)
-    assert np.array_equal(_affinity(w, c, p)[0].data, np.zeros((3, 6)))
+    assert np.array_equal(_affinity((z, z, z), c, p)[0].data, np.zeros((3, 6)))
 
 
 def test_softmax_attention_single_query_stays_in_value_hull():
     rng = np.random.default_rng(1)
     c = Tensor(rng.normal(size=(1, 3)))
     p = Tensor(rng.normal(size=(5, 3)))
-    w = _identity_weights(3)
-    out = w.attend(c, p)
-    attn = _numpy_softmax(_affinity(w, c, p)[0].data, axis=1)
+    out = T.softmax_attention(c, p, p)
+    attn = T.softmax_attention(c, p, np.eye(5)).data  # identity values give the weights
     assert np.all(attn > 0) and abs(attn.sum() - 1.0) < 1e-12
     lo, hi = p.data.min(axis=0), p.data.max(axis=0)
     assert np.all(out.data[0] >= lo - 1e-12) and np.all(out.data[0] <= hi + 1e-12)
@@ -56,7 +49,7 @@ def test_softmax_attention_matches_reimplementation():
     rng = np.random.default_rng(2)
     c = rng.normal(size=(2, 3))
     p = rng.normal(size=(4, 3))
-    out = _identity_weights(3).attend(Tensor(c), Tensor(p)) + c
+    out = T.softmax_attention(c, p, p) + c
     expected = _numpy_softmax(c @ p.T, axis=1) @ p + c
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -66,7 +59,7 @@ def test_softmax_attention_row_normalization():
     for _ in range(100):
         c = Tensor(rng.normal(size=(4, 5)))
         p = Tensor(rng.normal(size=(9, 5)))
-        attn = _numpy_softmax(_affinity(_identity_weights(5), c, p)[0].data, axis=1)
+        attn = T.softmax_attention(c, p, np.eye(9)).data
         assert np.all(np.abs(attn.sum(axis=1) - 1.0) <= 1e-12)
 
 
@@ -74,7 +67,7 @@ def test_dimension_mismatch_raises():
     c = Tensor(np.zeros((2, 4)))
     p = Tensor(np.zeros((6, 3)))
     with pytest.raises(ShapeError):
-        _identity_weights(4).attend(c, p)
+        T.softmax_attention(c, p, p)
 
 
 def _embed_1d(points, centers):
@@ -86,43 +79,45 @@ def _embed_1d(points, centers):
     return Tensor(c), Tensor(p)
 
 
-def _hard_update(c, p, normalize):
-    """``_hard_aggregate`` on the raw affinity ``c p^T`` with values ``p``."""
+def _hard_update(c, p):
+    """``_hard_aggregate`` on the raw affinity ``c p^T`` with values ``p``, and
+    the (N, HW) one-hot assignment it sums under."""
     affinity = T.matmul(c, p.T)
-    return _hard_aggregate(affinity, p, normalize), T.argmax_onehot(affinity)
+    return _hard_aggregate(affinity, p).data, T.argmax_onehot(affinity).data
 
 
 def test_hard_aggregate_normalized_hand_case():
     c, p = _embed_1d(np.array([0.0, 0.1, 10.0, 10.1]), np.array([0.0, 10.0]))
-    new, assignment = _hard_update(c, p, normalize=True)
-    assert np.array_equal(assignment.data, [[1, 1, 0, 0], [0, 0, 1, 1]])
-    assert np.allclose(new.data[:, 0], [0.05, 10.05], atol=1e-12)
+    new, assignment = _hard_update(c, p)
+    assert np.array_equal(assignment, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    # the sum divided by cluster size is the Lloyd mean
+    mean = new / assignment.sum(axis=1, keepdims=True)
+    assert np.allclose(mean[:, 0], [0.05, 10.05], atol=1e-12)
 
 
 def test_hard_aggregate_literal_hand_case():
     c, p = _embed_1d(np.array([0.0, 0.1, 10.0, 10.1]), np.array([0.0, 10.0]))
-    new, _ = _hard_update(c, p, normalize=False)
-    assert np.allclose(new.data[:, 0], [0.1, 20.1], atol=1e-12)
+    new, _ = _hard_update(c, p)
+    assert np.allclose(new[:, 0], [0.1, 20.1], atol=1e-12)
 
 
 def test_hard_aggregate_identical_pixels_collapse_to_one_cluster():
     p = Tensor(np.ones((5, 3)))
     c = Tensor(np.zeros((2, 3)))
-    new, assignment = _hard_update(c, p, normalize=True)
+    new, assignment = _hard_update(c, p)
     # zero affinities tie, so every pixel lands in cluster 0
-    assert np.array_equal(assignment.data[0], np.ones(5))
-    assert np.allclose(new.data[0], np.ones(3))
+    assert np.array_equal(assignment[0], np.ones(5))
+    assert np.allclose(new[0] / assignment[0].sum(), np.ones(3))
 
 
 def test_hard_aggregate_empty_cluster_is_zero_row():
     # every pixel prefers cluster 0, so cluster 1 is empty: its update is a
-    # zero row under both normalize values, never its previous center
+    # zero row, never its previous center
     p = Tensor(np.ones((5, 3)))
     c = Tensor(np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]))
-    for normalize, row0 in ((False, 5.0), (True, 1.0)):
-        new, assignment = _hard_update(c, p, normalize)
-        assert np.array_equal(assignment.data[1], np.zeros(5))
-        assert np.array_equal(new.data, [[row0] * 3, [0.0] * 3])
+    new, assignment = _hard_update(c, p)
+    assert np.array_equal(assignment[1], np.zeros(5))
+    assert np.array_equal(new, [[5.0] * 3, [0.0] * 3])
 
 
 def test_lloyd_separates_two_blobs():
@@ -171,8 +166,8 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
     rng = np.random.default_rng(8)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(10, 4)))
-    affinity, v = _affinity(_identity_weights(4), c, p)
-    update = _hard_aggregate(affinity, v).data
+    affinity = T.matmul(c, p.T)
+    update = _hard_aggregate(affinity, p).data
     a = T.argmax_onehot(affinity).data
     for i in range(3):
         assert np.allclose(update[i], p.data[a[i] == 1].sum(axis=0), atol=1e-12)
@@ -182,50 +177,46 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
 
 def test_kmeans_attention_argmax_scale_invariance():
     rng = np.random.default_rng(9)
-    w = _identity_weights(4)
     for _ in range(100):
         c = Tensor(rng.normal(size=(3, 4)))
         p = Tensor(rng.normal(size=(7, 4)))
-        affinity, v = _affinity(w, c, p)
-        for normalize in (False, True):
-            assert np.array_equal(_hard_aggregate(affinity, v, normalize).data,
-                                  _hard_aggregate(T.scale(affinity, 12.5), v, normalize).data)
+        affinity = T.matmul(c, p.T)
+        assert np.array_equal(_hard_aggregate(affinity, p).data,
+                              _hard_aggregate(T.scale(affinity, 12.5), p).data)
 
 
 def test_permutation_equivariance_in_cluster_index():
     rng = np.random.default_rng(11)
     c = rng.normal(size=(4, 6))
     p = Tensor(rng.normal(size=(9, 6)))
-    w = ProjectionWeights.init(Params(np.random.default_rng(0)), "p", 6)
+    wq, wk, wv = w = _qkv(0, 6)
     perm = np.array([2, 0, 3, 1])
-    base, permuted = w.attend(Tensor(c), p) + c, w.attend(Tensor(c[perm]), p) + c[perm]
+    base = T.softmax_attention(wq(Tensor(c)), wk(p), wv(p)) + c
+    permuted = T.softmax_attention(wq(Tensor(c[perm])), wk(p), wv(p)) + c[perm]
     assert np.allclose(permuted.data, base.data[perm], atol=1e-12)
     base_affinity, v = _affinity(w, Tensor(c), p)
     perm_affinity, _ = _affinity(w, Tensor(c[perm]), p)
     assert np.allclose(perm_affinity.data, base_affinity.data[perm], atol=1e-12)
-    for normalize in (False, True):
-        base = _hard_aggregate(base_affinity, v, normalize) + c
-        permuted = _hard_aggregate(perm_affinity, v, normalize) + c[perm]
-        assert np.allclose(permuted.data, base.data[perm], atol=1e-12)
+    base = _hard_aggregate(base_affinity, v) + c
+    permuted = _hard_aggregate(perm_affinity, v) + c[perm]
+    assert np.allclose(permuted.data, base.data[perm], atol=1e-12)
 
 
 def test_self_attention_single_query():
     rng = np.random.default_rng(12)
     c = Tensor(rng.normal(size=(1, 4)))
-    w = ProjectionWeights.init(Params(np.random.default_rng(1)), "p", 4)
-    out = c + w.attend(c, c)
-    v = c.data @ w.wv.data + w.bv.data
+    wq, wk, wv = _qkv(1, 4)
+    out = c + T.softmax_attention(wq(c), wk(c), wv(c))
+    v = c.data @ wv.w.data + wv.b.data
     assert np.allclose(out.data, c.data + v, atol=1e-12)
 
 
 def test_self_attention_matches_reimplementation():
     rng = np.random.default_rng(13)
     c = rng.normal(size=(3, 4))
-    w = ProjectionWeights.init(Params(np.random.default_rng(2)), "p", 4)
-    out = w.attend(Tensor(c), Tensor(c)) + c
-    q = c @ w.wq.data + w.bq.data
-    k = c @ w.wk.data + w.bk.data
-    v = c @ w.wv.data + w.bv.data
+    wq, wk, wv = _qkv(2, 4)
+    out = T.softmax_attention(wq(c), wk(c), wv(c)) + c
+    q, k, v = (c @ layer.w.data + layer.b.data for layer in (wq, wk, wv))
     expected = c + _numpy_softmax(q @ k.T, axis=1) @ v
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -233,10 +224,11 @@ def test_self_attention_matches_reimplementation():
 def test_self_attention_permutation_equivariance():
     rng = np.random.default_rng(14)
     c = rng.normal(size=(5, 4))
-    w = ProjectionWeights.init(Params(np.random.default_rng(3)), "p", 4)
+    wq, wk, wv = _qkv(3, 4)
     perm = np.array([4, 2, 0, 1, 3])
-    out = (w.attend(Tensor(c), Tensor(c)) + c).data
-    out_perm = (w.attend(Tensor(c[perm]), Tensor(c[perm])) + c[perm]).data
+    out = (T.softmax_attention(wq(c), wk(c), wv(c)) + c).data
+    cp = c[perm]
+    out_perm = (T.softmax_attention(wq(cp), wk(cp), wv(cp)) + cp).data
     assert np.allclose(out_perm, out[perm], atol=1e-12)
 
 
@@ -244,22 +236,22 @@ def test_gradient_routes_of_kmeans_attention():
     rng = np.random.default_rng(15)
     c = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     p = Tensor(rng.normal(size=(8, 4)))
-    w = ProjectionWeights.init(Params(np.random.default_rng(4)), "p", 4)
+    wq, wk, wv = w = _qkv(4, 4)
 
     affinity, v = _affinity(w, c, p)
     out = c + _hard_aggregate(affinity, v)
     T.reduce_sum(T.mul(out, out)).backward()
-    assert np.linalg.norm(w.wv.grad) > 0
+    assert np.linalg.norm(wv.w.grad) > 0
     assert np.linalg.norm(c.grad) > 0
     # the assignment is detached, so no output-loss gradient reaches wq/wk
-    assert w.wq.grad is None and w.wk.grad is None
+    assert wq.w.grad is None and wk.w.grad is None
 
     affinity2, v2 = _affinity(w, c, p)
     out2 = c + _hard_aggregate(affinity2, v2)
     supervised = T.reduce_sum(T.mul(affinity2, affinity2))
     T.add(T.reduce_sum(T.mul(out2, out2)), supervised).backward()
-    assert np.linalg.norm(w.wq.grad) > 0
-    assert np.linalg.norm(w.wk.grad) > 0
+    assert np.linalg.norm(wq.w.grad) > 0
+    assert np.linalg.norm(wk.w.grad) > 0
 
 
 def test_kmeans_attention_gradcheck_through_loss_path():
@@ -267,7 +259,7 @@ def test_kmeans_attention_gradcheck_through_loss_path():
 
     rng = np.random.default_rng(16)
     p = Tensor(rng.normal(size=(4, 3)))
-    w = ProjectionWeights.init(Params(np.random.default_rng(5)), "p", 3)
+    wq, wk, _ = w = _qkv(5, 3)
     r_out = np.random.default_rng(6).normal(size=(4, 3))
     r_log = np.random.default_rng(7).normal(size=(4, 4))
 
@@ -279,7 +271,7 @@ def test_kmeans_attention_gradcheck_through_loss_path():
 
     x = Tensor(rng.normal(size=(4, 3)))
     # reseed if the instance sits near an assignment boundary
-    logits = (x.data @ w.wq.data + w.bq.data) @ (p.data @ w.wk.data + w.bk.data).T
+    logits = (x.data @ wq.w.data + wq.b.data) @ (p.data @ wk.w.data + wk.b.data).T
     top2 = np.sort(logits, axis=0)[-2:]
     assert (top2[1] - top2[0]).min() > 1e-3
     assert grad_check(f, x, eps=1e-5) < 1e-4
@@ -290,7 +282,7 @@ def test_pixel_features_shape_validation():
         PixelFeatures(Tensor(np.zeros((5, 3))), 2, 2)
     pf = PixelFeatures(Tensor(np.zeros((4, 3))), 2, 2)
     c = Tensor(np.zeros((2, 3)))
-    out = c + _identity_weights(3).attend(c, pf.values)
+    out = c + T.softmax_attention(c, pf.values, pf.values)
     assert out.data.shape == (2, 3)
 
 

@@ -415,6 +415,12 @@ class _ReplayModel:
         return next(self._preds), None, None
 
 
+def test_evaluate_model_rejects_no_examples():
+    # an empty split would otherwise score PQ 0.0, a plausible wrong answer
+    with pytest.raises(ContractError, match="no examples to evaluate"):
+        evaluate_model(_ReplayModel([]), iter([]), InferConfig(), CLASS_TABLE)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_evaluate_model_equals_per_image_reference_sums(seed):

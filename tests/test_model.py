@@ -57,6 +57,11 @@ def test_pixel_path_rejects_bad_sizes():
         model.pixel_path(np.zeros((48, 48, 3)))
     with pytest.raises(ShapeError):
         model.pixel_path(np.zeros((64, 64, 4)))
+    # multiples of 32, but not the image_size the positional embeddings fix
+    for shape in ((128, 128, 3), (64, 96, 3)):
+        with pytest.raises(ShapeError, match=rf"image is {shape[0]}x{shape[1]} but "
+                                             r"the model takes 64x64"):
+            model.pixel_path(np.zeros(shape))
 
 
 @pytest.mark.parametrize("kw,match", [
@@ -395,9 +400,33 @@ def test_astype_twin_holds_float32_copies_of_every_parameter():
     # the twin's layers hold the twin's registry tensors
     named = {name: t for name, t, _ in twin.named_parameters()}
     assert twin.enc[0][0] is named["enc.0.w"] and twin.queries is named["queries"]
-    assert twin.blocks[0].ker_proj.wq is named["blocks.0.ker.wq"]
-    assert twin.blocks[0].ker_proj._q.w is named["blocks.0.ker.wq"]
+    assert twin.blocks[0].ker_q.w is named["blocks.0.ker.wq"]
+    assert twin.attn_v.b is named["pyr.32.attn.bv"]
     assert twin.final_ln.gain is named["final.ln.gain"]
+
+
+@pytest.mark.parametrize("prefix,before,after,layers", [
+    ("pyr.32.attn", "pyr.32.attn_ln", "pyr.32.mlp_ln", ("attn_q", "attn_k", "attn_v")),
+    ("blocks.0.sa", "blocks.0.sa_ln_out", "blocks.0.ker_ln_c", ("sa_q", "sa_k", "sa_v")),
+    ("blocks.0.ker", "blocks.0.ker_ln_out", "blocks.0.ffn_ln", ("ker_q", "ker_k", "ker_v")),
+], ids=["pyramid", "self_attention", "interaction"])
+def test_attention_projections_keep_their_checkpoint_names_and_order(prefix, before, after,
+                                                                     layers):
+    # names, order and decay flags fix the random draws, AdamW's blocks and the
+    # checkpoint layout, so checkpoints written before ``Params.qkv`` keep loading
+    model = KMaxModel(_small_cfg(), seed=0)
+    named = model.named_parameters()
+    names = [name for name, _, _ in named]
+    i = names.index(f"{prefix}.wq")
+    want = [f"{prefix}.{n}" for n in ("wq", "wk", "wv", "bq", "bk", "bv")]
+    assert names[i - 2:i + 8] == [f"{before}.gain", f"{before}.bias", *want,
+                                  f"{after}.gain", f"{after}.bias"]
+    assert [decay for _, _, decay in named[i:i + 6]] == [True] * 3 + [False] * 3
+    owner = model if prefix.startswith("pyr") else model.blocks[0]
+    tensors = {name: t for name, t, _ in named}
+    for attr, n in zip(layers, "qkv"):
+        layer = getattr(owner, attr)
+        assert layer.w is tensors[f"{prefix}.w{n}"] and layer.b is tensors[f"{prefix}.b{n}"]
 
 
 def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():

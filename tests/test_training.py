@@ -713,6 +713,17 @@ def test_train_loop_rejects_an_empty_train_split_before_any_work(monkeypatch):
         train_loop(_tiny_train_config(steps=2), dataset=dataset, seed=0)
 
 
+def test_train_loop_rejects_an_empty_val_split_before_any_work(monkeypatch):
+    from kmaxseg import training
+    from kmaxseg.data import SceneSpec, SyntheticDataset
+
+    # no val scenes would score PQ 0.0 at every eval instead of failing
+    monkeypatch.setattr(training, "KMaxModel", None)
+    dataset = SyntheticDataset(SceneSpec(seed=0), 4, 0)
+    with pytest.raises(ContractError, match="dataset has no validation scenes"):
+        train_loop(_tiny_train_config(steps=2), dataset=dataset, seed=0)
+
+
 def test_a_short_train_loop_renders_only_the_scenes_it_reads(generate_calls):
     from kmaxseg.data import SyntheticDataset
 
