@@ -4,8 +4,8 @@ Importing it sets the BLAS thread counts to 1 unless set, before numpy loads.
 The package groups into:
 
 * ``tensor`` / ``gradcheck`` - dtype-preserving tensors with reverse-mode
-  autodiff (float64 for training, float32 for evaluation) and float64
-  finite-difference verification,
+  autodiff over only the ops the model runs (float64 for training, float32
+  for evaluation) and float64 finite-difference verification,
 * ``layers`` - the parameter registry (naming, initialization, weight-decay
   policy) and the affine and layer-norm layers built on it; ``Params.qkv``
   declares the three projections of an attention sublayer,
@@ -16,10 +16,10 @@ The package groups into:
   runs its blocks over the pyramid strides its schedule names, and has
   ``astype`` for a float32 copy and ``twin`` for the kept float32 copy
   that evaluation and rendering refill and run,
-* ``training`` - bipartite matching, the loss suite, AdamW and the train
-  loop. ``AdamW.step(loss, lr)`` runs the backward pass and updates each
-  parameter block from inside it (``Tensor.backward(on_final)``) as soon as
-  its gradients are final, and frees them,
+* ``training`` - bipartite matching, the whole loss as one tape node, AdamW
+  and the train loop. ``AdamW.step(loss, lr)`` runs the backward pass and
+  updates each parameter block from inside it (``Tensor.backward(on_final)``)
+  as soon as its gradients are final, and frees them,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
 * ``metrics`` - mask-wise merging, ``PQStat`` (panoptic quality with its SQ
   and RQ split, and dataset-level mIoU, all read from one segment histogram
@@ -52,7 +52,7 @@ from .layers import Affine, LayerNorm, Params
 from .metrics import evaluate_model, evaluation_report, merge_masks, panoptic_quality
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
-from .tensor import GradTape, Tensor, argmax_onehot, no_grad, softmax
+from .tensor import GradTape, Tensor, argmax_onehot, no_grad
 from .training import (AdamW, Matching, hungarian_match, matching_cost, total_loss,
                        train_loop)
 

@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Raised when tensor shapes violate an operation's contract."""
 
 
-class AxisError(ValueError):
-    """Raised when an axis argument is out of range for a tensor."""
-
-
 class ConfigError(ValueError):
     """Raised for invalid configuration values or files."""
 

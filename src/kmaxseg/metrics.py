@@ -46,7 +46,7 @@ __all__ = ["merge_masks", "panoptic_quality", "PQStat", "evaluate_model",
 def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset(),
                 mask_binarize=0.5):
     """Mask-wise merging of a set prediction into a panoptic labeling."""
-    if not 0.0 <= conf_thresh <= 1.0 or not 0.0 <= overlap_thresh <= 1.0:
+    if not all(0.0 <= t <= 1.0 for t in (conf_thresh, overlap_thresh, mask_binarize)):
         raise ValueError("thresholds must lie in [0, 1]")
     h, w = pred.height, pred.width
     n = pred.num_queries

@@ -19,9 +19,8 @@ final: right after the closure of its last consumer has fired, the pass calls
 ``on_final(leaf)`` once. The optimizer uses this to update a parameter block
 and drop its gradients while the rest of the pass still runs.
 
-Only the operations this package needs are provided; there is no general
-broadcasting beyond what those operations use, no views of views bookkeeping,
-and no control-flow capture.
+Only the operations the model and its loss run are provided; there is no
+broadcasting, no views of views bookkeeping, and no control-flow capture.
 
 A tensor holds float32 data as float32 and turns anything else into
 float64. Every op allocates its result, its saved buffers and its gradients
@@ -44,7 +43,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .errors import AxisError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
 _F32 = np.dtype(np.float32)
@@ -97,9 +96,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
 
     # -- backward ------------------------------------------------------------
 
@@ -236,56 +232,20 @@ def _make(data, parents, backward):
     return out
 
 
-def _unbroadcast(g, shape):
-    """Sum g down to ``shape`` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def _check_axis(x, axis):
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise AxisError(f"axis {axis} out of range for shape {x.data.shape}")
-    return axis % x.data.ndim
-
-
 # -- arithmetic ---------------------------------------------------------------
 
 
 def add(a, b):
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add needs equal shapes, got {a.data.shape} and {b.data.shape}")
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
-    return _make(data, (a, b), bwd)
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
-        _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
-
-    return _make(data, (a, b), bwd)
-
-
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape), fresh=True)
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), fresh=True)
-
-    return _make(data, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def scale(x, c):
@@ -384,38 +344,6 @@ def reshape(x, shape):
     return _make(x.data.reshape(shape), (x,), bwd)
 
 
-def take(x, indices, axis=0):
-    """Select rows (or slices along ``axis``) by integer index."""
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (slice(None),) * axis + (idx,), g)
-            _accum(x, gx, fresh=True)
-
-    return _make(np.take(x.data, idx, axis=axis), (x,), bwd)
-
-
-# -- reductions ---------------------------------------------------------------
-
-
-def reduce_sum(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
-    if axis is not None:
-        axis = _check_axis(x, axis)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.data.shape))
-
-    return _make(data, (x,), bwd)
-
-
 # -- normalization / attention primitives --------------------------------------
 
 
@@ -424,7 +352,7 @@ def softmax_lse(x, axis=-1):
 
     Returns ``(p, lse)``: ``p`` has ``x``'s shape and its slices sum to one;
     ``lse`` drops ``axis``. It records no tape node; every softmax in the
-    package, the ``softmax`` node's included, is computed here.
+    package is computed here.
     """
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
@@ -432,26 +360,13 @@ def softmax_lse(x, axis=-1):
     return e / z, np.squeeze(m, axis) + np.log(np.squeeze(z, axis))
 
 
-def softmax(x, axis):
-    """Stabilized softmax along ``axis``; slices sum to one."""
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    s, _ = softmax_lse(x.data, axis)
-
-    def bwd(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - inner), fresh=True)
-
-    return _make(s, (x,), bwd)
-
-
 def softmax_attention(q, k, v, logit_scale=1.0):
     """``softmax(logit_scale · q kᵀ, axis=1) @ v`` as one node.
 
     ``q`` is (N, D), ``k`` (M, D) and ``v`` (M, Dv); the result is the (N, Dv)
     attention output. The backward repeats, in the same order, the numpy
-    calls of the composed ``matmul``, ``scale``, ``softmax`` and ``matmul``
-    nodes, so it rounds as they do.
+    calls of a ``matmul``, ``scale``, softmax and ``matmul`` chain of nodes,
+    so it rounds as that chain does.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     _check_gemm(q.data, k.data.T, "softmax_attention")
@@ -557,10 +472,10 @@ def upsample_nearest(x, factor):
     return _make(data, (x,), bwd)
 
 
-def conv3x3(x, weight, bias=None, stride=1):
+def conv3x3(x, weight, bias, stride=1):
     """3x3 convolution over an (H, W, Cin) tensor, padding 1, stride 1 or 2.
 
-    ``weight`` has shape (3, 3, Cin, Cout); ``bias`` is (Cout,) or None.
+    ``weight`` has shape (3, 3, Cin, Cout) and ``bias`` (Cout,).
 
     Forward is im2col plus one GEMM. The (Ho·Wo, 9·Cin) im2col matrix holds
     in row ``y·Wo + x`` the 3x3 window of the zero-padded input whose
@@ -579,9 +494,7 @@ def conv3x3(x, weight, bias=None, stride=1):
     the same order, so every output and gradient rounds as when the matrix
     was kept. Under ``no_grad`` nothing is kept.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
-    if bias is not None:
-        bias = _as_tensor(bias)
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 3 or weight.data.ndim != 4 or weight.data.shape[:2] != (3, 3):
         raise ShapeError(
             f"conv3x3 expects (H,W,Cin) and (3,3,Cin,Cout), got {x.data.shape} "
@@ -611,14 +524,13 @@ def conv3x3(x, weight, bias=None, stride=1):
 
     wmat = weight.data.reshape(9 * cin, cout)
     data = (im2col() @ wmat).reshape(ho, wo, cout)
-    if bias is not None:
-        data += bias.data
+    data += bias.data
 
     def bwd(g):
         g2 = g.reshape(ho * wo, cout)
         if weight.requires_grad:
             _accum(weight, (im2col().T @ g2).reshape(3, 3, cin, cout), fresh=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 1)), fresh=True)
         if x.requires_grad:
             gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
@@ -627,46 +539,4 @@ def conv3x3(x, weight, bias=None, stride=1):
                 gx[window] += gcols[:, :, i, j]
             _accum(x, gx[1 : 1 + h, 1 : 1 + w], fresh=True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(data, parents, bwd)
-
-
-# -- losses ---------------------------------------------------------------------
-
-
-def cross_entropy_from_logits(logits, targets, reduction="mean"):
-    """Row-wise negative log-likelihood of integer ``targets`` under ``logits``.
-
-    ``reduction`` is 'mean' or 'none' (per-row vector).
-    """
-    logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy expects (rows, classes), got {logits.data.shape}")
-    ids = np.asarray(targets, dtype=np.intp)
-    r, c = logits.data.shape
-    if ids.shape != (r,):
-        raise ShapeError(f"targets shape {ids.shape} does not match {r} rows")
-    if ids.size and (ids.min() < 0 or ids.max() >= c):
-        raise ValueError(f"target ids must lie in [0, {c})")
-
-    p, lse = softmax_lse(logits.data, axis=1)
-    rows = np.arange(r)
-    nll = lse - logits.data[rows, ids]
-
-    if reduction == "none":
-        data = nll
-    elif reduction == "mean":
-        data = nll.mean()
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
-    def bwd(g):
-        d = p.copy()
-        d[rows, ids] -= 1.0
-        if reduction == "none":
-            d *= g[:, None]
-        else:
-            d *= g / r
-        _accum(logits, d, fresh=True)
-
-    return _make(data, (logits,), bwd)
+    return _make(data, (x, weight, bias), bwd)

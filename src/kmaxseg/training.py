@@ -18,10 +18,10 @@ every auxiliary decoder output:
 
 All mask losses are computed at stride 4; coarser auxiliary logits are
 upsampled by nearest neighbor first. The final and every auxiliary output
-weigh alike. The mask-quality and mask-id terms of all outputs are one tape
-node, ``_set_prediction_loss``: it stacks the outputs and computes each
-cross-entropy, the Dice and the mask-id targets once, with a hand-written
-backward. The semantic cross-entropy stays a composed node.
+weigh alike. The whole loss is one tape node, ``_set_prediction_loss``: it
+stacks the outputs and computes each cross-entropy, the Dice and the
+mask-id targets once, adds the semantic cross-entropy, and has a
+hand-written backward.
 
 The optimizer is AdamW, and its ``step(loss, lr)`` runs the backward pass:
 each parameter block is updated as soon as its gradients are final, and
@@ -48,7 +48,7 @@ from .data import CLASS_TABLE, MAX_SHAPES, SyntheticDataset, SceneSpec, augment_
 from .errors import ConfigError, ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
-from .tensor import Tensor, _accum, _make, cross_entropy_from_logits, scale, softmax_lse, take
+from .tensor import _accum, _make, softmax_lse
 
 DICE_EPS = 1e-6
 LR = 1e-3
@@ -193,30 +193,26 @@ def matching_cost(pred, gt):
     return -confidence * dice
 
 
-def _masked_cross_entropy(logits, targets):
-    """Mean cross-entropy over the rows whose target is not negative; 0 if none."""
-    keep = targets >= 0
-    if keep.all():
-        return cross_entropy_from_logits(logits, targets)
-    if not keep.any():
-        return Tensor(0.0)
-    rows = np.nonzero(keep)[0]
-    return cross_entropy_from_logits(take(logits, rows, axis=0), targets[rows])
-
-
-def _set_prediction_loss(final, aux, masks, class_ids, matching):
-    """Mask-quality and mask-id losses of the final and auxiliary outputs, one node.
+def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matching):
+    """The whole training loss of one image as one node.
 
     The final (HW, N) mask logits and each auxiliary output's, nearest-
     upsampled to the final grid, are stacked into one (O, HW, N) array, and
     the class logits into (O, N, C+1); class cross-entropy, Dice, void
     cross-entropy and mask-id cross-entropy are then computed once over the
-    output axis. Returns ``(loss, l_pq, l_maskid)``: the scalar tensor
-    ``sum_o W_PQ * l_pq[o] + W_MASKID * l_maskid[o]`` and the two (O,)
-    per-output arrays. The backward sums each auxiliary gradient over its
-    f x f upsampling blocks.
+    output axis. The semantic cross-entropy is the mean over the (HW, C+1)
+    ``sem_logits`` rows whose ``sem_ids`` entry is not void; with every row
+    void it is 0 and the semantic logits get no gradient. Returns
+    ``(loss, l_pq, l_maskid, l_sem)``: the scalar tensor
+    ``sum_o (W_PQ * l_pq[o] + W_MASKID * l_maskid[o]) + W_SEM * l_sem``, the
+    two (O,) per-output arrays and the float ``l_sem``. The backward sums
+    each auxiliary gradient over its f x f upsampling blocks.
     """
     hw, n = final.mask_logits.data.shape
+    if sem_logits.data.shape != (sem_ids.size, final.class_logits.data.shape[1]):
+        raise ShapeError(f"semantic logits {sem_logits.data.shape} do not match "
+                         f"{sem_ids.size} ground-truth pixels by "
+                         f"{final.class_logits.data.shape[1]} classes")
     factors = []
     for a in aux:
         factor = final.height // a.height
@@ -261,6 +257,16 @@ def _set_prediction_loss(final, aux, masks, class_ids, matching):
     if pix.size:
         l_maskid += (lse[:, pix] - logits[:, pix, qid]).mean(axis=1)
     terms = W_PQ * l_pq + W_MASKID * l_maskid
+    # the semantic cross-entropy, over the pixels whose ground truth is not void
+    rows = np.nonzero(sem_ids >= 0)[0]
+    r = rows.size
+    some_void = r < sem_ids.size
+    sem = sem_logits.data[rows] if some_void else sem_logits.data
+    sem_t = sem_ids[rows]
+    l_sem = 0.0
+    if r:
+        p_sem, lse_sem = softmax_lse(sem, axis=1)
+        l_sem = float((lse_sem - sem[np.arange(r), sem_t]).mean())
 
     def bwd(g):
         g_class = p_class.copy()
@@ -285,9 +291,18 @@ def _set_prediction_loss(final, aux, masks, class_ids, matching):
             g_a = g_logits[i].reshape(a.height, f, a.width, f, n).sum(axis=(1, 3))
             _accum(a.mask_logits, g_a.reshape(a.height * a.width, n), fresh=True)
             _accum(a.class_logits, g_class[i], fresh=True)
+        if r:
+            g_sem = p_sem.copy()
+            g_sem[np.arange(r), sem_t] -= 1.0
+            g_sem *= (W_SEM * g) / r
+            if some_void:
+                g_kept, g_sem = g_sem, np.zeros_like(sem_logits.data)
+                g_sem[rows] = g_kept
+            _accum(sem_logits, g_sem, fresh=True)
 
     parents = [t for out in outputs for t in (out.mask_logits, out.class_logits)]
-    return _make(sum(terms.tolist()), parents, bwd), l_pq, l_maskid
+    loss = _make(sum(terms.tolist()) + W_SEM * l_sem, [*parents, sem_logits], bwd)
+    return loss, l_pq, l_maskid, l_sem
 
 
 def total_loss(final, aux, sem_logits, gt, matching):
@@ -297,9 +312,8 @@ def total_loss(final, aux, sem_logits, gt, matching):
     ``l_maskid`` summed over the final and auxiliary outputs, and ``l_sem``.
     ``matching`` must be the assignment computed on ``final``; it is reused
     for every auxiliary output. ``gt`` is the ground truth already at the
-    supervision resolution of ``final``. The mask losses of all outputs are
-    one tape node (``_set_prediction_loss``); the semantic cross-entropy is
-    added to it.
+    supervision resolution of ``final``. The loss is one tape node
+    (``_set_prediction_loss``).
     """
     if matching is None:
         raise ContractError("total_loss requires the matching computed on the final prediction")
@@ -309,11 +323,10 @@ def total_loss(final, aux, sem_logits, gt, matching):
             f"ground truth grid {gt.height}x{gt.width} does not match the "
             f"{final.height}x{final.width} prediction"
         )
-    loss, l_pq, l_maskid = _set_prediction_loss(final, aux, masks, class_ids, matching)
-    l_sem = _masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
-    total = loss + scale(l_sem, W_SEM)
-    return total, {"l_pq": sum(l_pq.tolist()), "l_sem": l_sem.item(),
-                   "l_maskid": sum(l_maskid.tolist())}
+    loss, l_pq, l_maskid, l_sem = _set_prediction_loss(
+        final, aux, sem_logits, masks, class_ids, gt.class_map.reshape(-1), matching)
+    return loss, {"l_pq": sum(l_pq.tolist()), "l_sem": l_sem,
+                  "l_maskid": sum(l_maskid.tolist())}
 
 
 class AdamW:

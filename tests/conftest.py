@@ -1,6 +1,7 @@
 import functools
 
 import pytest
+import reference_ops as R
 
 from kmaxseg import data
 from kmaxseg import tensor as T
@@ -26,4 +27,4 @@ def loss_with_grads(pairs):
     Its backward leaves ``p.grad == g`` bit for bit for each pair whose
     ``p.grad`` was None, and reaches no tensor left out of ``pairs``.
     """
-    return functools.reduce(T.add, [T.reduce_sum(T.mul(p, T.Tensor(g))) for p, g in pairs])
+    return functools.reduce(T.add, [R.reduce_sum(R.mul(p, T.Tensor(g))) for p, g in pairs])

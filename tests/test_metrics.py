@@ -56,6 +56,15 @@ def test_merge_all_below_confidence_gives_void():
     assert np.all(result.instance_map == 0)
 
 
+@pytest.mark.parametrize("mask_binarize", [1.5, -0.5, float("nan")])
+def test_merge_rejects_a_mask_binarize_outside_the_unit_interval(mask_binarize):
+    h = w = 4
+    pred = _pred_from_masks([np.ones((h, w))], [0], num_classes=2, h=h, w=w)
+    assert np.all(merge_masks(pred, mask_binarize=0.5).class_map == 0)
+    with pytest.raises(ValueError, match="thresholds"):
+        merge_masks(pred, mask_binarize=mask_binarize)
+
+
 def test_merge_duplicate_stuff_queries_collapse():
     h = w = 8
     m1 = np.zeros((h, w)); m1[:, :4] = 1

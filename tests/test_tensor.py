@@ -1,11 +1,13 @@
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+import reference_ops as R
 
 from kmaxseg import tensor as T
 from kmaxseg.acceptance import GRAD_EPS, GRAD_TOL, gradient_cases, scalarize
-from kmaxseg.errors import AxisError, ContractError, ShapeError
+from kmaxseg.errors import ContractError, ShapeError
 from kmaxseg.gradcheck import grad_check
 from kmaxseg.tensor import Tensor
 
@@ -39,38 +41,36 @@ def test_matmul_associative_on_random_chains():
         assert np.max(np.abs(left - right)) < 1e-10
 
 
+# ``softmax_lse`` is every softmax the package computes
+
+
 def test_softmax_uniform_input():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
-    assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    p, lse = T.softmax_lse(np.zeros(3), axis=0)
+    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    assert abs(lse - np.log(3.0)) < 1e-15
 
 
 def test_softmax_hand_computed():
     # e^0 / (e^0 + e^ln2) = 1/3, e^ln2 / (...) = 2/3
-    out = T.softmax(Tensor([0.0, np.log(2.0)]), axis=0)
-    assert np.allclose(out.data, [1 / 3, 2 / 3], atol=1e-15)
+    p, _ = T.softmax_lse(np.array([0.0, np.log(2.0)]), axis=0)
+    assert np.allclose(p, [1 / 3, 2 / 3], atol=1e-15)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 5))
     for c in (-7.0, 3.5, 100.0):
-        a = T.softmax(Tensor(x), axis=1).data
-        b = T.softmax(Tensor(x + c), axis=1).data
+        a = T.softmax_lse(x, axis=1)[0]
+        b = T.softmax_lse(x + c, axis=1)[0]
         assert np.allclose(a, b, atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_open_interval():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        x = Tensor(rng.uniform(-30, 30, size=(3, 7)))
-        s = T.softmax(x, axis=1).data
+        s = T.softmax_lse(rng.uniform(-30, 30, size=(3, 7)), axis=1)[0]
         assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all((s > 0) & (s < 1))
-
-
-def test_softmax_axis_out_of_range():
-    with pytest.raises(AxisError):
-        T.softmax(Tensor([[1.0, 2.0]]), axis=2)
 
 
 def test_argmax_onehot_distinct_maxima():
@@ -106,7 +106,7 @@ def test_argmax_onehot_is_detached():
     x = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
     out = T.argmax_onehot(x)
     assert not out.requires_grad
-    loss = T.reduce_sum(T.matmul(out, T.reduce_sum(x, axis=0, keepdims=True).T))
+    loss = R.reduce_sum(T.matmul(out, T.transpose(x)))
     loss.backward()
     # gradient reaches x only through the differentiable branch
     assert x.grad is not None
@@ -114,21 +114,21 @@ def test_argmax_onehot_is_detached():
 
 def test_grad_check_quadratic():
     x = Tensor([1.0, 2.0, 3.0])
-    err = grad_check(lambda t: T.reduce_sum(T.mul(t, t)), x)
+    err = grad_check(lambda t: R.reduce_sum(R.mul(t, t)), x)
     assert err < 1e-6
     # analytic gradient is 2x
     leaf = Tensor(x.data, requires_grad=True)
-    T.reduce_sum(T.mul(leaf, leaf)).backward()
+    R.reduce_sum(R.mul(leaf, leaf)).backward()
     assert np.allclose(leaf.grad, [2.0, 4.0, 6.0])
 
 
 def test_grad_check_softmax_sum_is_constant():
     x = Tensor(np.random.default_rng(4).normal(size=(5,)))
     leaf = Tensor(x.data, requires_grad=True)
-    T.reduce_sum(T.softmax(leaf, axis=0)).backward()
+    R.reduce_sum(R.softmax(leaf, axis=0)).backward()
     assert np.max(np.abs(leaf.grad)) < 1e-12
     # both sides are ~0 here, so the floored denominator only sees FD noise
-    assert grad_check(lambda t: T.reduce_sum(T.softmax(t, axis=0)), x) < 1e-2
+    assert grad_check(lambda t: R.reduce_sum(R.softmax(t, axis=0)), x) < 1e-2
 
 
 def test_grad_check_rejects_non_scalar():
@@ -137,21 +137,32 @@ def test_grad_check_rejects_non_scalar():
 
 
 def _op_cases(seed):
-    """Criterion 1's cases plus the broadcasts and options it does not run."""
+    """Criterion 1's cases plus the tests' reference ops, which the composed
+    loss and the other references of these tests are built from."""
     rng = np.random.default_rng(1000 + seed)
-    x, img = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 4, 2)))
-    b3 = Tensor(rng.normal(size=3))
-    w_conv = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.5)
-    b_conv = Tensor(rng.normal(size=3))
+    x, other = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
     ids = np.array([0, 2, 1, 2])
     return {
         **gradient_cases(seed),
-        "add_broadcast": (lambda t: scalarize(T.add(t, b3)), x),
-        "conv_s1": (lambda t: scalarize(T.conv3x3(t, w_conv, b_conv, stride=1)), img),
-        "conv_s2": (lambda t: scalarize(T.conv3x3(t, w_conv, b_conv, stride=2)), img),
+        "mul": (lambda t: scalarize(R.mul(t, other)), x),
+        "div": (lambda t: scalarize(R.div(t, Tensor(other.data ** 2 + 1.0))), x),
+        "softmax": (lambda t: scalarize(R.softmax(t, axis=1)), x),
+        "take": (lambda t: scalarize(R.take(t, [1, 3, 1], axis=0)), x),
+        "reduce_sum": (lambda t: scalarize(R.reduce_sum(t, axis=0)), x),
+        "cross_entropy": (lambda t: R.cross_entropy_from_logits(t, ids, "mean"), x),
         "cross_entropy_none": (
-            lambda t: scalarize(T.cross_entropy_from_logits(t, ids, "none")), x),
+            lambda t: scalarize(R.cross_entropy_from_logits(t, ids, "none")), x),
     }
+
+
+def test_gradient_cases_name_every_tape_op():
+    # criterion 1 checks exactly the public ops of ``tensor`` that record a
+    # tape node, and the training loss; a case is named ``op`` or ``op/variant``
+    tape_ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                if fn.__module__ == T.__name__ and not name.startswith("_")
+                and "_make(" in inspect.getsource(fn)}
+    assert {"add", "conv3x3", "softmax_attention"} <= tape_ops
+    assert {name.split("/")[0] for name in gradient_cases(0)} == tape_ops | {"total_loss"}
 
 
 @pytest.mark.parametrize("name", sorted(_op_cases(0)))
@@ -189,9 +200,7 @@ def _reference_conv3x3(x, w, b, stride, g):
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
     win = win[::stride, ::stride]  # (Ho, Wo, Cin, 3, 3)
     ho, wo = win.shape[:2]
-    out = np.einsum("hwcij,ijco->hwo", win, w, optimize=True)
-    if b is not None:
-        out = out + b
+    out = np.einsum("hwcij,ijco->hwo", win, w, optimize=True) + b
     gw = np.einsum("hwcij,hwo->ijco", win, g, optimize=True)
     gx = np.zeros_like(xp)
     for i in range(3):
@@ -215,8 +224,7 @@ def _nine_slice_conv3x3(x, w, b, stride, g):
     cols = cols.reshape(ho * wo, 9 * cin)
     wmat = w.reshape(9 * cin, cout)
     out = (cols @ wmat).reshape(ho, wo, cout)
-    if b is not None:
-        out += b
+    out += b
     g2 = g.reshape(ho * wo, cout)
     gw = (cols.T @ g2).reshape(3, 3, cin, cout)
     gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
@@ -239,27 +247,24 @@ def test_conv3x3_matches_the_einsum_reference(shape, stride):
     x = rng.normal(size=shape)
     w = rng.normal(size=(3, 3, shape[2], cout))
     b = rng.normal(size=cout)
-    for use_bias, x_grad in itertools.product((True, False), (True, False)):
+    for x_grad in (True, False):
         xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
-        bt = Tensor(b, requires_grad=True) if use_bias else None
+        bt = Tensor(b, requires_grad=True)
         out = T.conv3x3(xt, wt, bt, stride=stride)
         g = rng.normal(size=out.data.shape)
-        T.reduce_sum(T.mul(out, Tensor(g))).backward()
-        ref_out, ref_gx, ref_gw, ref_gb = _reference_conv3x3(
-            x, w, b if use_bias else None, stride, g)
+        R.reduce_sum(R.mul(out, Tensor(g))).backward()
+        ref_out, ref_gx, ref_gw, ref_gb = _reference_conv3x3(x, w, b, stride, g)
         assert out.data.shape == ref_out.shape
         assert _rel_err(out.data, ref_out) <= 1e-12
         assert _rel_err(wt.grad, ref_gw) <= 1e-12
-        if use_bias:
-            assert _rel_err(bt.grad, ref_gb) <= 1e-12
+        assert _rel_err(bt.grad, ref_gb) <= 1e-12
         if x_grad:
             assert _rel_err(xt.grad, ref_gx) <= 1e-12
         else:
             assert xt.grad is None
         # and byte for byte the nine-slice im2col conv that kept its matrix
-        kept = _nine_slice_conv3x3(x, w, b if use_bias else None, stride, g)
-        got = (out.data, xt.grad if x_grad else kept[1], wt.grad,
-               bt.grad if use_bias else kept[3])
+        kept = _nine_slice_conv3x3(x, w, b, stride, g)
+        got = (out.data, xt.grad if x_grad else kept[1], wt.grad, bt.grad)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in kept]
 
 
@@ -288,12 +293,12 @@ def test_conv3x3_keeps_nothing_under_no_grad():
 
 
 def test_conv3x3_rejects_other_strides_with_a_contract_error():
-    x, w = Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 1)))
+    x, w, b = Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1))
     for stride in (0, 3):
         with pytest.raises(ContractError, match="stride"):
-            T.conv3x3(x, w, stride=stride)
+            T.conv3x3(x, w, b, stride=stride)
     with pytest.raises(ValueError):   # existing callers catch ValueError
-        T.conv3x3(x, w, stride=3)
+        T.conv3x3(x, w, b, stride=3)
 
 
 def test_upsample2x_nearest_values():
@@ -315,10 +320,10 @@ def test_upsample_backward_equals_the_chain_of_doublings():
         for _ in range(factor.bit_length() - 1):
             chain = T.upsample_nearest(chain, 2)
         x.grad = None
-        T.reduce_sum(T.mul(chain, Tensor(g))).backward()
+        R.reduce_sum(R.mul(chain, Tensor(g))).backward()
         expected = x.grad
         x.grad = None
-        T.reduce_sum(T.mul(T.upsample_nearest(x, factor), Tensor(g))).backward()
+        R.reduce_sum(R.mul(T.upsample_nearest(x, factor), Tensor(g))).backward()
         assert np.array_equal(T.upsample_nearest(x, factor).data, chain.data)
         assert x.grad.tobytes() == expected.tobytes()
 
@@ -332,10 +337,9 @@ def test_layer_norm_rows_standardized():
 
 
 def test_cross_entropy_uniform_is_log_n():
-    logits = Tensor(np.zeros((5, 8)))
-    ids = np.arange(5) % 8
-    out = T.cross_entropy_from_logits(logits, ids, "mean")
-    assert abs(out.item() - np.log(8.0)) < 1e-12
+    # each cross-entropy of the loss is ``lse - logits[target]``
+    _, lse = T.softmax_lse(np.zeros((5, 8)), axis=1)
+    assert np.all(np.abs(lse - np.log(8.0)) < 1e-12)
 
 
 def test_backward_requires_scalar():
@@ -347,15 +351,22 @@ def test_backward_visits_shared_nodes_once():
     # y = x + x reuses the same tensor twice; gradient must be exactly 2
     x = Tensor([3.0], requires_grad=True)
     y = T.add(x, x)
-    T.reduce_sum(y).backward()
+    R.reduce_sum(y).backward()
     assert np.array_equal(x.grad, [2.0])
+
+
+def test_add_rejects_unequal_shapes():
+    # the model adds only equal shapes; ``add`` does not broadcast
+    for a, b in (((4, 3), (3,)), ((4, 3), (1, 3)), ((2,), ()), ((4, 3), (3, 4))):
+        with pytest.raises(ShapeError, match="equal shapes"):
+            T.add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 def test_backward_releases_inner_nodes_and_leaves_keep_their_gradients():
     x = Tensor([1.0, 2.0], requires_grad=True)
     w = Tensor([3.0, -1.0], requires_grad=True)
-    y = T.mul(x, w)
-    loss = T.reduce_sum(y)
+    y = R.mul(x, w)
+    loss = R.reduce_sum(y)
     loss.backward()
     assert np.array_equal(x.grad, [3.0, -1.0]) and np.array_equal(w.grad, [1.0, 2.0])
     for node in (y, loss):
@@ -365,13 +376,13 @@ def test_backward_releases_inner_nodes_and_leaves_keep_their_gradients():
 def test_second_backward_through_a_released_graph_raises_and_writes_nothing():
     x = Tensor([1.0, 2.0], requires_grad=True)
     w = Tensor([3.0, -1.0], requires_grad=True)
-    y = T.mul(x, w)
-    loss = T.reduce_sum(y)
+    y = R.mul(x, w)
+    loss = R.reduce_sum(y)
     loss.backward()
     before = x.grad.copy(), w.grad.copy()
     # the same output again, and a new output over a released inner node
     # and a leaf, whose closure would write the leaf before reaching ``y``
-    for out in (loss, T.reduce_sum(T.add(x, y))):
+    for out in (loss, R.reduce_sum(T.add(x, y))):
         with pytest.raises(ContractError, match="already released"):
             out.backward()
         assert out.grad is None
@@ -384,9 +395,9 @@ def _final_order_graph():
     x = Tensor([1.0, -2.0], requires_grad=True)
     w = Tensor([3.0, 0.5], requires_grad=True)
     c = Tensor([2.0, 4.0])
-    y = T.mul(x, x)
-    k = T.add(T.mul(y, w), x)
-    return x, w, c, T.reduce_sum(T.mul(k, c))
+    y = R.mul(x, x)
+    k = T.add(R.mul(y, w), x)
+    return x, w, c, R.reduce_sum(R.mul(k, c))
 
 
 def test_on_final_fires_once_per_reached_leaf_after_its_last_consumer():
@@ -441,7 +452,7 @@ def test_a_released_graph_raises_before_on_final_fires():
     loss.backward()
     fired = []
     # the same output again, and a new one over the released output and a leaf
-    for out in (loss, T.add(T.reduce_sum(x), loss)):
+    for out in (loss, T.add(R.reduce_sum(x), loss)):
         with pytest.raises(ContractError, match="already released"):
             out.backward(fired.append)
     assert fired == []
@@ -450,14 +461,15 @@ def test_a_released_graph_raises_before_on_final_fires():
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        y = T.mul(x, x)
+        y = T.scale(x, 2.0)
     assert not y.requires_grad and y._backward is None
 
 
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(4, 4)) * 50)
-    for out in (T.softmax(x, axis=1), T.gelu(x),
+    eye = Tensor(np.eye(4))
+    for out in (T.softmax_attention(x, eye, eye), T.gelu(x),
                 T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))):
         assert np.all(np.isfinite(out.data))
 
@@ -512,25 +524,17 @@ def test_tensor_keeps_float32_and_makes_everything_else_float64():
 
 def _float32_cases(rng):
     """name -> (op, float32 inputs that require grad) for every differentiable op."""
-    def t(*shape, positive=False):
-        x = rng.normal(size=shape)
-        return Tensor((np.abs(x) + 1.0 if positive else x).astype(np.float32),
-                      requires_grad=True)
+    def t(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
-    ids = np.array([0, 2, 1, 2])
     return {
-        "add": (T.add, (t(4, 3), t(3))),
-        "mul": (T.mul, (t(4, 3), t(4, 3))),
-        "div": (T.div, (t(4, 3), t(4, 3, positive=True))),
+        "add": (T.add, (t(4, 3), t(4, 3))),
         "scale": (lambda x: T.scale(x, -1.7), (t(4, 3),)),
         "matmul": (T.matmul, (t(4, 3), t(3, 5))),
         "affine": (T.affine, (t(4, 3), t(3, 5), t(5))),
         "gelu": (T.gelu, (t(4, 3),)),
         "transpose": (T.transpose, (t(4, 3),)),
         "reshape": (lambda x: T.reshape(x, (3, 4)), (t(4, 3),)),
-        "take": (lambda x: T.take(x, [1, 3, 1]), (t(4, 3),)),
-        "reduce_sum": (lambda x: T.reduce_sum(x, axis=0), (t(4, 3),)),
-        "softmax": (lambda x: T.softmax(x, axis=1), (t(4, 3),)),
         "softmax_attention": (lambda q, k, v: T.softmax_attention(q, k, v, 0.7),
                               (t(3, 4), t(5, 4), t(5, 2))),
         "layer_norm": (T.layer_norm, (t(4, 3), t(3), t(3))),
@@ -539,9 +543,6 @@ def _float32_cases(rng):
                     (t(4, 4, 2), t(3, 3, 2, 3), t(3))),
         "conv_s2": (lambda x, w, b: T.conv3x3(x, w, b, stride=2),
                     (t(5, 4, 2), t(3, 3, 2, 3), t(3))),
-        "cross_entropy": (lambda x: T.cross_entropy_from_logits(x, ids), (t(4, 3),)),
-        "cross_entropy_rows": (lambda x: T.cross_entropy_from_logits(x, ids, "none"),
-                               (t(4, 3),)),
     }
 
 
@@ -550,7 +551,7 @@ def test_every_op_keeps_float32_forward_and_backward(name):
     op, inputs = _float32_cases(np.random.default_rng(15))[name]
     out = op(*inputs)
     assert out.data.dtype == np.float32
-    (T.reduce_sum(out) if out.data.ndim else out).backward()
+    R.reduce_sum(out).backward()
     assert [x.grad.dtype for x in inputs] == [np.float32] * len(inputs)
 
 
@@ -580,7 +581,7 @@ def test_layer_norm_rounds_as_the_np_mean_formulation(dtype):
         gain, bias = (rng.normal(size=d).astype(dtype) for _ in range(2))
         leaf = Tensor(x, requires_grad=True)
         out = T.layer_norm(leaf, Tensor(gain), Tensor(bias))
-        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        R.reduce_sum(R.mul(out, Tensor(g))).backward()
         want_out, want_grad = _layer_norm_with_np_mean(x, gain, bias, g)
         assert out.data.dtype == dtype and leaf.grad.dtype == dtype
         assert out.data.tobytes() == want_out.tobytes()
@@ -593,7 +594,7 @@ def test_grad_check_differences_a_float32_input_in_float64():
 
     def f(t):
         seen.add(t.data.dtype)
-        return T.reduce_sum(T.mul(t, t))
+        return R.reduce_sum(R.mul(t, t))
 
     # float32 central differences at eps 1e-5 are off by far more than 1e-6
     assert grad_check(f, x) < 1e-6

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_ops as R
 from conftest import loss_with_grads
 
 from kmaxseg import tensor as T
@@ -16,9 +17,8 @@ from kmaxseg.model import KMaxModel
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
 from kmaxseg.training import (DICE_EPS, W_MASKID, W_PQ, W_SEM, W_VOID, AdamW, Matching,
-                              _gt_arrays, _masked_cross_entropy, hungarian_match,
-                              matching_cost, scene_spec_from_config, total_loss, train_loop,
-                              warmup_lr)
+                              _gt_arrays, hungarian_match, matching_cost,
+                              scene_spec_from_config, total_loss, train_loop, warmup_lr)
 
 
 def brute_force_match(cost):
@@ -232,6 +232,36 @@ def test_stage_logits_that_do_not_double_up_to_the_grid_raise_shape_error():
             total_loss(pred, [stage], sem, gt, matching)
 
 
+@pytest.mark.parametrize("rows, cols", [(15, 3), (17, 3), (16, 2), (16, 4)])
+def test_semantic_logits_of_the_wrong_shape_raise_shape_error(rows, cols):
+    # the 4x4 ground truth has 16 pixels; the class logits have 3 columns
+    gt = _tiny_gt()
+    pred, _, matching = _loss_inputs(gt, 2)
+    with pytest.raises(ShapeError, match="semantic logits"):
+        total_loss(pred, [], Tensor(np.zeros((rows, cols))), gt, matching)
+
+
+def test_the_whole_loss_is_one_tape_node():
+    rng = np.random.default_rng(8)
+    gt = _tiny_gt()
+    n, c = 4, 3
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    pred = PredictionSet(leaf(16, n), leaf(n, c), 4, 4)
+    aux = [PredictionSet(leaf(4, n), leaf(n, c), 2, 2),
+           PredictionSet(leaf(1, n), leaf(n, c), 1, 1)]
+    sem = leaf(16, c)
+    loss, _ = total_loss(pred, aux, sem, gt, Matching(np.array([2, 0]), n))
+    parents = [t for out in (pred, *aux) for t in (out.mask_logits, out.class_logits)]
+    parents.append(sem)
+    assert [id(t) for t in loss._parents] == [id(t) for t in parents]
+    # every other node on the tape is one of those leaves
+    nodes = T.GradTape.from_output(loss).nodes
+    assert nodes[-1] is loss and {id(t) for t in nodes[:-1]} == {id(t) for t in parents}
+
+
 def test_total_loss_gradient_passes_finite_differences():
     # 4 queries, 16 pixels with two void ones, aux outputs at 1/2 and 1/4 of
     # the grid; matching frozen, all logits packed into one leaf
@@ -273,28 +303,28 @@ def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matchin
 
     targets = np.full(n, void_id, dtype=np.int64)
     targets[matching.gt_to_query] = class_ids
-    ce_rows = T.cross_entropy_from_logits(class_logits, targets, reduction="none")
+    ce_rows = R.cross_entropy_from_logits(class_logits, targets, reduction="none")
 
     pq = Tensor(0.0)
     if k:
-        matched_ce = T.reduce_sum(T.take(ce_rows, matching.gt_to_query, axis=0))
-        z = T.softmax(mask_logits, axis=1)
-        zm = T.take(z, matching.gt_to_query, axis=1)
-        inter = T.reduce_sum(T.mul(zm, Tensor(masks)), axis=0)
-        denom = T.reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
-        dice = T.scale(T.div(inter, denom), 2.0)
-        one_minus_dice = T.reduce_sum(Tensor(np.ones(k)) - dice)
+        matched_ce = R.reduce_sum(R.take(ce_rows, matching.gt_to_query, axis=0))
+        z = R.softmax(mask_logits, axis=1)
+        zm = R.take(z, matching.gt_to_query, axis=1)
+        inter = R.reduce_sum(R.mul(zm, Tensor(masks)), axis=0)
+        denom = R.reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
+        dice = T.scale(R.div(inter, denom), 2.0)
+        one_minus_dice = R.reduce_sum(R.sub(Tensor(np.ones(k)), dice))
         pq = pq + T.scale(matched_ce + one_minus_dice, 1.0 / k)
     unmatched = matching.unmatched_queries()
     if unmatched.size:
-        void_ce = T.reduce_sum(T.take(ce_rows, unmatched, axis=0))
+        void_ce = R.reduce_sum(R.take(ce_rows, unmatched, axis=0))
         pq = pq + T.scale(void_ce, W_VOID / unmatched.size)
 
     hw = mask_logits.data.shape[0]
     qid = np.full(hw, -1, dtype=np.int64)
     for i in range(k):
         qid[masks[:, i] > 0] = matching.gt_to_query[i]
-    return pq, _masked_cross_entropy(mask_logits, qid)
+    return pq, R.masked_cross_entropy(mask_logits, qid)
 
 
 def _reference_total_loss(final, aux, sem_logits, gt, matching):
@@ -310,7 +340,7 @@ def _reference_total_loss(final, aux, sem_logits, gt, matching):
         total = total + (T.scale(a_pq, W_PQ) + T.scale(a_maskid, W_MASKID))
         pq_sum += a_pq.item()
         maskid_sum += a_maskid.item()
-    l_sem = _masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
+    l_sem = R.masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
     total = total + T.scale(l_sem, W_SEM)
     return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
 
@@ -531,7 +561,7 @@ def _scene_loss(model, cfg, index, sem_only=False):
     img, gt = generate(scene_spec_from_config(cfg), index)
     pred, aux, sem = model.forward(img)
     if sem_only:   # reaches no decoder parameter
-        return T.reduce_sum(sem)
+        return R.reduce_sum(sem)
     gt4 = gt.downsample(cfg.model.image_size // pred.height)
     return total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))[0]
 
