@@ -12,7 +12,8 @@ The package groups into:
 * ``kernels`` - the hard-assignment (k-means) map the decoder runs in place
   of ``tensor.softmax_attention``, and Lloyd k-means as its oracle,
 * ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
-  the full encoder/pyramid/cluster-path model, which validates its config,
+  the full encoder/pyramid/cluster-path model, all of whose widths derive
+  from ``d``, which validates its config,
   runs its blocks over the pyramid strides its schedule names, and has
   ``astype`` for a float32 copy and ``twin`` for the kept float32 copy
   that evaluation and rendering refill and run,

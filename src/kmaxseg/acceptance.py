@@ -248,29 +248,30 @@ def criterion_6_determinism():
     cfg.train.train_size = 8
     cfg.train.val_size = 2
     cfg.train.eval_interval = 5
-    a = train_loop(cfg, seed=11)
-    b = train_loop(cfg, seed=11)
+    cfg.train.seed = 11
+    a = train_loop(cfg)
+    b = train_loop(cfg)
     ok = a.rows == b.rows
     return ok, "traces identical" if ok else "traces differ"
 
 
 def train_grid(base, variants, seeds):
     """``[[(final val PQ, seconds) per seed] per variant]`` of ``train_loop``
-    on ``base`` with each variant's dict of ``model`` fields set.
+    on ``base`` with each variant's ``model`` fields and each seed as ``train.seed``.
 
     Variants with one model config train once per seed. The distinct runs
     train on every usable CPU through ``run_in_shares`` (one run or more to a
-    share); a run is a pure function of (config, seed), so each PQ is the
-    float a serial run gives.
+    share); a run is a pure function of its config, so each PQ is the float a
+    serial run gives.
     """
     cfgs = [replace(base, model=replace(base.model, **v)) for v in variants]
     distinct = [cfg for i, cfg in enumerate(cfgs) if cfg not in cfgs[:i]]
 
     def train(share):
-        return [(r.final_val_pq, r.seconds)
-                for r in (train_loop(cfg, seed=seed) for cfg, seed in share)]
+        return [(r.final_val_pq, r.seconds) for r in map(train_loop, share)]
 
-    runs = run_in_shares(train, [(cfg, seed) for cfg in distinct for seed in seeds], 1)
+    runs = run_in_shares(train, [replace(cfg, train=replace(cfg.train, seed=seed))
+                                 for cfg in distinct for seed in seeds], 1)
     starts = [distinct.index(cfg) * len(seeds) for cfg in cfgs]
     return [runs[i:i + len(seeds)] for i in starts]
 
@@ -318,12 +319,11 @@ def criterion_9_decoder_count(results=None):
 def criterion_10_deep_supervision():
     """Kernel query projections receive gradient only through aux losses."""
     cfg = Config()
-    model = KMaxModel(cfg.model, seed=0)
     spec = SceneSpec(seed=1, height=cfg.model.image_size, width=cfg.model.image_size)
     img, gt = generate(spec, 0)
 
     def run(aux_on):
-        model.zero_grad()
+        model = KMaxModel(cfg.model, seed=0)
         pred, aux, sem = model.forward(img)
         gt4 = gt.downsample(cfg.model.image_size // pred.height)
         matching = hungarian_match(matching_cost(pred, gt4))

@@ -10,12 +10,13 @@ Layout::
     data
     <raw little-endian float64 payload>
 
-The ``config`` line holds every ``ModelConfig`` field in the config-file
-format. The line is tied to the ``ModelConfig`` fields: adding or removing
-one makes every checkpoint saved before fail its config check. Offsets
-index into the payload that follows the ``data`` line. The checksum covers
-the ``param`` lines as well as the payload, so swapping the names or offsets
-of two same-shape parameters fails it.
+The ``config`` line holds the five ``ModelConfig`` fields in the config-file
+format. It is tied to them: adding or removing a field makes every checkpoint
+saved before fail its config check, as the removed ``ffn_hidden`` and
+``encoder_channels`` do. Offsets index into the payload that follows the
+``data`` line. The checksum covers the ``param`` lines as well as the
+payload, so swapping the names or offsets of two same-shape parameters
+fails it.
 Loading is exact: the bytes written are the bytes restored. It fails with
 ``ConfigError`` when the model's config differs from the saved one (two
 kernels have equal parameter shapes, so shapes alone cannot tell them
@@ -50,7 +51,8 @@ def _config_fields(cfg):
 
 
 def save_checkpoint(path, model):
-    """Write ``model`` to ``path`` through a temp file renamed over it.
+    """Write ``model`` to ``path`` through a temp file renamed over it; a
+    failed write removes the temp file and leaves ``path`` as it was.
 
     The checksum precedes the payload in the file, so the parameters are
     read twice, once to hash and once to write, each one's bytes at a time
@@ -68,11 +70,16 @@ def save_checkpoint(path, model):
     digest = _digest(params, map(_raw, tensors))
     manifest = [MAGIC, f"config {config}", f"sha256 {digest}", *params, "data"]
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(("\n".join(manifest) + "\n").encode("utf-8"))
-        for tensor in tensors:
-            fh.write(_raw(tensor))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(manifest) + "\n").encode("utf-8"))
+            for tensor in tensors:
+                fh.write(_raw(tensor))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _raw(tensor):

@@ -49,8 +49,7 @@ def _cmd_train(args):
     os.makedirs(out_dir, exist_ok=True)
     ckpt = args.checkpoint or os.path.join(out_dir, "model.ckpt")
     metrics = os.path.join(out_dir, "metrics.csv")
-    result = train_loop(cfg, seed=cfg.train.seed, checkpoint_path=ckpt,
-                        metrics_path=metrics)
+    result = train_loop(cfg, checkpoint_path=ckpt, metrics_path=metrics)
     save_config(cfg, os.path.join(out_dir, "config.used.txt"))
     print(f"trained {cfg.train.steps} steps in {result.seconds:.0f}s; "
           f"val PQ {result.final_val_pq!r}")

@@ -1,8 +1,9 @@
 """Typed configuration with a flat ``key = value`` text format.
 
-Four sections (model, train, data, infer) hold what a run varies: model
-sizes and the ablated kernel and decoder schedule, run length, dataset sizes
-and seeds, and inference thresholds; the dataclasses below (``ModelConfig``,
+Four sections (model, train, data, infer) hold what a run varies: the
+width ``d`` (every model width derives from it), query count, image size,
+ablated kernel and decoder schedule, run length, dataset sizes and seeds,
+and inference thresholds; the dataclasses below (``ModelConfig``,
 ``TrainConfig``, ``DataConfig``, ``InferConfig``) list them with their
 defaults. Their slots make setting a misspelled or removed field an
 ``AttributeError``. The training recipe is fixed and written once beside its
@@ -32,8 +33,6 @@ class ModelConfig:
     image_size: int = 64
     schedule: tuple = (2, 2, 2)
     kernel: str = "kmeans"            # kmeans | softmax
-    ffn_hidden: int = 256
-    encoder_channels: tuple = (16, 32, 48, 64, 64)
 
     def validate(self):
         if self.kernel not in ("kmeans", "softmax"):
@@ -42,14 +41,11 @@ class ModelConfig:
             raise ConfigError(f"model.image_size must be at least 32, got {self.image_size}")
         if self.image_size % 32:
             raise ConfigError(f"model.image_size must be a multiple of 32, got {self.image_size}")
-        for key in ("d", "num_queries", "ffn_hidden"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"model.{key} must be positive, got {getattr(self, key)}")
-        if len(self.encoder_channels) != 5:
-            raise ConfigError("model.encoder_channels needs five entries (strides 2..32)")
-        if any(c < 1 for c in self.encoder_channels):
-            raise ConfigError(
-                f"model.encoder_channels must be positive, got {self.encoder_channels}")
+        # d >= 4 keeps the narrowest encoder width, d // 4, at least 1
+        for key, least in (("d", 4), ("num_queries", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(
+                    f"model.{key} must be at least {least}, got {getattr(self, key)}")
         if len(self.schedule) != 3 or any(s < 1 for s in self.schedule):
             raise ConfigError(f"model.schedule needs three positive entries, got {self.schedule}")
         return self

@@ -2,10 +2,11 @@
 
 A block runs three residual sublayers over the cluster centers: softmax
 self-attention, the configured interaction kernel against pixel features,
-and a feed-forward network. Each sublayer carries two layer norms: one on
-its input and one on its update before the residual add. The output norm
-matters most for the hard-assignment kernel, whose per-cluster update is a
-sum over assigned pixels and would otherwise scale with cluster size.
+and a feed-forward network of hidden width 4d. Each sublayer carries two
+layer norms: one on its input and one on its update before the residual
+add. The output norm matters most for the hard-assignment kernel, whose
+per-cluster update is a sum over assigned pixels and would otherwise scale
+with cluster size.
 Both attention sublayers call their layers directly: Q, K and V are three
 ``Affine``s declared by ``Params.qkv``, and the interaction kernel, either
 ``tensor.softmax_attention`` or ``kernels._hard_aggregate``, is the block's
@@ -37,7 +38,7 @@ __all__ = ["KMaxDecoderBlock"]
 class KMaxDecoderBlock:
     """One decoder block: self-attention, interaction kernel, FFN, heads."""
 
-    def __init__(self, rng, d, num_classes, kernel="kmeans", ffn_hidden=256):
+    def __init__(self, rng, d, num_classes, kernel):
         if kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"unknown interaction kernel {kernel!r}")
         self.kernel = kernel
@@ -52,8 +53,8 @@ class KMaxDecoderBlock:
         self.ker_q, self.ker_k, self.ker_v = p.qkv("ker", d)
         self.ffn_ln = p.layer_norm("ffn_ln", d)
         self.ffn_ln_out = p.layer_norm("ffn_ln_out", d)
-        self.ffn1 = p.affine("ffn1", d, ffn_hidden)
-        self.ffn2 = p.affine("ffn2", ffn_hidden, d)
+        self.ffn1 = p.affine("ffn1", d, 4 * d)
+        self.ffn2 = p.affine("ffn2", 4 * d, d)
         self.mask = p.affine("mask", d, d)
         self.cls = p.affine("class", d, num_classes + 1)
         self.head_ln = p.layer_norm("head_ln", d)

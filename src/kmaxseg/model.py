@@ -1,10 +1,11 @@
 """Full segmentation model: pixel path, cluster path, prediction heads.
 
-The pixel path is a small strided-convolution encoder down to stride 32
-followed by a feature-pyramid decoder: per-stride projections of encoder
-skips, nearest 2x upsampling, additive zero-initialized positional
-embeddings, one self-attention block at stride 32 and one residual conv
-block per finer stride. All pyramid levels share the channel width ``d``.
+The pixel path is a strided-convolution encoder of widths d/4, d/2, 3d/4,
+d and d down to stride 32, then a feature-pyramid decoder: per-stride
+projections of encoder skips, nearest 2x upsampling, additive
+zero-initialized positional embeddings, one self-attention block at stride
+32 and one residual conv block per finer stride. All pyramid levels share
+the channel width ``d``.
 The positional embeddings fix each level's grid, so the model takes only
 ``image_size``-square images.
 
@@ -52,8 +53,8 @@ class KMaxModel:
         self.params = p = Params(np.random.default_rng(seed))
         d = cfg.d
 
-        # encoder: five stride-2 convs, 3 -> encoder_channels
-        chans = (3,) + tuple(cfg.encoder_channels)
+        # encoder: five stride-2 convs
+        chans = (3, d // 4, d // 2, 3 * d // 4, d, d)
         self.enc = []
         for i in range(5):
             std = (2.0 / (9 * chans[i])) ** 0.5
@@ -92,8 +93,7 @@ class KMaxModel:
                                    for _ in range(count))
         self.blocks = []
         for i in range(len(self.block_strides)):
-            block = KMaxDecoderBlock(p.rng, d, num_classes, kernel=cfg.kernel,
-                                     ffn_hidden=cfg.ffn_hidden)
+            block = KMaxDecoderBlock(p.rng, d, num_classes, cfg.kernel)
             self.blocks.append(block)
             p.adopt(f"blocks.{i}", block.named_parameters())
 
@@ -110,10 +110,6 @@ class KMaxModel:
 
     def parameter_count(self):
         return int(sum(t.data.size for _, t, _ in self.named_parameters()))
-
-    def zero_grad(self):
-        for _, t, _ in self.named_parameters():
-            t.grad = None
 
     def astype(self, dtype):
         """A copy of the model whose parameters hold ``dtype`` data.

@@ -411,15 +411,14 @@ def argmax_onehot(x):
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row layer normalization with learnable gain and bias."""
+    """Per-row layer normalization of (..., D) rows with a (D,) gain and bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if x.data.shape[-1] != gain.data.shape[-1]:
-        raise ShapeError(
-            f"layer_norm gain {gain.data.shape} does not match rows of {x.data.shape}"
-        )
+    n = x.data.shape[-1]
+    if gain.data.shape != (n,) or bias.data.shape != (n,):
+        raise ShapeError(f"layer_norm gain {gain.data.shape} and bias {bias.data.shape} "
+                         f"do not match rows of {x.data.shape}")
     # ``np.add.reduce`` then ``/= n`` rounds as ``np.mean`` does, without
     # its Python overhead
-    n = x.data.shape[-1]
     mu = np.add.reduce(x.data, axis=-1, keepdims=True)
     mu /= n
     xc = x.data - mu
@@ -504,6 +503,9 @@ def conv3x3(x, weight, bias, stride=1):
         raise ShapeError(
             f"conv3x3 channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}"
         )
+    if bias.data.shape != weight.data.shape[3:]:
+        raise ShapeError(f"conv3x3 bias {bias.data.shape} does not match kernel "
+                         f"{weight.data.shape}")
     if stride not in (1, 2):
         raise ContractError(f"conv3x3 stride must be 1 or 2, got {stride}")
 

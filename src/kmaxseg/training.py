@@ -45,7 +45,7 @@ import numpy as np
 
 from .config import Config
 from .data import CLASS_TABLE, MAX_SHAPES, SyntheticDataset, SceneSpec, augment_flip
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .model import KMaxModel
 from .panoptic import VOID
 from .tensor import _accum, _make, softmax_lse
@@ -522,23 +522,20 @@ def _train_step(model, opt, img, gt, step, lr):
     return loss.item(), parts
 
 
-def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
-               metrics_path=None):
+def train_loop(cfg: Config, dataset=None, checkpoint_path=None, metrics_path=None):
     """Train a model per ``cfg``; returns the model and the metrics rows.
 
-    Fully deterministic for a fixed (config, seed): initialization, data
-    order and flips all derive from one seed sequence. The returned model
-    holds no gradients. An exception from inside a train step's backward
-    pass propagates with that step half applied (see ``_train_step``).
+    Fully deterministic for a fixed config: initialization, data order and
+    flips all derive from one seed sequence of ``cfg.train.seed``, the run's
+    only seed. The returned model holds no gradients. An exception from
+    inside a train step's backward pass propagates with that step half
+    applied (see ``_train_step``).
     """
     from .checkpoint import save_checkpoint
     from .metrics import evaluate_model
 
     cfg.validate()
     tc = cfg.train
-    seed = tc.seed if seed is None else seed
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
     spec = scene_spec_from_config(cfg)
     if dataset is None:
         dataset = SyntheticDataset(spec, tc.train_size, tc.val_size)
@@ -559,7 +556,7 @@ def train_loop(cfg: Config, dataset=None, seed=None, checkpoint_path=None,
             f"{max_segments} ground-truth segments"
         )
 
-    ss = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(tc.seed)
     s_model, s_order, s_aug = ss.spawn(3)
     model = KMaxModel(cfg.model, seed=s_model)
     opt = AdamW(model.named_parameters())

@@ -37,8 +37,7 @@ def _counting_fork(monkeypatch, cpus):
 
 def _tiny():
     cfg = Config()
-    cfg.model = ModelConfig(d=8, num_queries=6, encoder_channels=(4, 4, 4, 4, 8),
-                            ffn_hidden=8, schedule=(1, 1, 1))
+    cfg.model = ModelConfig(d=8, num_queries=6, schedule=(1, 1, 1))
     cfg.train.steps, cfg.train.train_size, cfg.train.val_size = 3, 3, 2
     return cfg
 
@@ -49,8 +48,8 @@ def last_losses(monkeypatch):
     float a change of order or of share would move first."""
     train_loop = acceptance.train_loop
 
-    def with_loss(cfg, seed):
-        result = train_loop(cfg, seed=seed)
+    def with_loss(cfg):
+        result = train_loop(cfg)
         result.final_val_pq = (result.final_val_pq, float(result.rows[-1].split(",")[1]))
         return result
 
@@ -117,8 +116,8 @@ def test_grid_runs_evaluate_in_their_own_share_without_forking(
 def test_train_grid_trains_each_model_config_once_per_seed(monkeypatch):
     calls = []
     monkeypatch.setattr(acceptance, "train_loop",
-                        lambda cfg, seed: calls.append((cfg.model.kernel, seed))
-                        or TrainResult(None, [], float(seed), 0.0))
+                        lambda cfg: calls.append((cfg.model.kernel, cfg.train.seed))
+                        or TrainResult(None, [], float(cfg.train.seed), 0.0))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     variants = [dict(kernel="kmeans"), dict(kernel="softmax"), dict(kernel="kmeans")]
     grid = acceptance.train_grid(_tiny(), variants, (3, 5))
@@ -127,8 +126,8 @@ def test_train_grid_trains_each_model_config_once_per_seed(monkeypatch):
 
 
 def test_a_run_raising_in_a_grid_child_raises_here_and_leaves_no_child(monkeypatch):
-    def train_loop(cfg, seed):
-        if cfg.model.kernel == "kmeans" and seed == 1:   # the last run: the child's share
+    def train_loop(cfg):
+        if cfg.model.kernel == "kmeans" and cfg.train.seed == 1:   # the last run: the child's share
             raise ContractError("run kmeans/1 failed")
         return TrainResult(None, [], 0.5, 0.0)
 

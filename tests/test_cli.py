@@ -14,8 +14,6 @@ TINY = """\
 [model]
 d = 8
 num_queries = 6
-encoder_channels = 4,4,4,4,8
-ffn_hidden = 8
 schedule = {schedule}
 
 [train]
@@ -42,9 +40,9 @@ def test_train_eval_and_ablate_exit_zero(tmp_path, capsys, monkeypatch):
     seeds = []
     train_loop = acceptance.train_loop
 
-    def counting_train_loop(cfg, seed):
-        seeds.append(seed)
-        return train_loop(cfg, seed=seed)
+    def counting_train_loop(cfg):
+        seeds.append(cfg.train.seed)
+        return train_loop(cfg)
 
     # one usable CPU, so every run trains in this process, where it is counted
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

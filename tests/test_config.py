@@ -40,8 +40,7 @@ CONFIGS = st.builds(
     model=_section(
         ModelConfig,
         image_size=st.integers(1, 8).map(lambda k: 32 * k),
-        d=POSITIVE, num_queries=POSITIVE, ffn_hidden=POSITIVE,
-        encoder_channels=st.tuples(*[POSITIVE] * 5),
+        d=st.integers(4, 10**6), num_queries=POSITIVE,
         schedule=st.tuples(POSITIVE, POSITIVE, POSITIVE),
         kernel=st.sampled_from(["kmeans", "softmax"]),
     ),
@@ -67,6 +66,8 @@ def test_config_round_trips_through_text(cfg):
     ("model", "num_classes"),
     # the k-means update is always the sum over a cluster's pixels
     ("model", "kmeans_normalize"),
+    # the encoder and FFN widths derive from d
+    ("model", "ffn_hidden"), ("model", "encoder_channels"),
     # the fixed training recipe and scene ranges
     *[("train", key) for key in ("lr", "warmup_frac", "weight_decay", "beta1", "beta2",
                                  "eps", "flip_prob", "w_pq", "w_sem", "w_maskid", "w_void",
@@ -84,8 +85,7 @@ def test_config_file_lists_exactly_the_settable_keys():
     parser.read_string(serialize_config(Config()))
     assert [f"{s}.{k}" for s in parser.sections() for k in parser[s]] == [
         "model.d", "model.num_queries", "model.image_size",
-        "model.schedule", "model.kernel", "model.ffn_hidden",
-        "model.encoder_channels",
+        "model.schedule", "model.kernel",
         "train.steps", "train.seed", "train.train_size", "train.val_size",
         "train.eval_interval",
         "data.seed",
@@ -93,10 +93,9 @@ def test_config_file_lists_exactly_the_settable_keys():
     ]
 
 
-@pytest.mark.parametrize("key,value", [("d", -4), ("num_queries", 0), ("ffn_hidden", -1),
-                                       ("encoder_channels", "16,32,0,64,64")])
+@pytest.mark.parametrize("key,value", [("d", -4), ("num_queries", 0)])
 def test_non_positive_model_sizes_raise_config_error(key, value):
-    with pytest.raises(ConfigError, match=f"model.{key} must be positive"):
+    with pytest.raises(ConfigError, match=f"model.{key} must be at least"):
         parse_config(f"[model]\n{key} = {value}\n")
 
 
@@ -108,6 +107,8 @@ def test_non_positive_model_sizes_raise_config_error(key, value):
     ("[infer]\nmask_binarize = nan", r"infer.mask_binarize must lie in \[0, 1\]"),
     ("[model]\nimage_size = 0", "model.image_size must be at least 32, got 0"),
     ("[model]\nimage_size = -64", "model.image_size must be at least 32, got -64"),
+    # the narrowest encoder width is d // 4
+    ("[model]\nd = 3", "model.d must be at least 4, got 3"),
 ])
 def test_out_of_range_values_raise_config_error(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -115,7 +116,7 @@ def test_out_of_range_values_raise_config_error(text, match):
 
 
 @pytest.mark.parametrize("key,value", [("schedule", "2,,2,2"), ("schedule", ",2,2,2"),
-                                       ("encoder_channels", "16,32,48,64,64,"),
+                                       ("schedule", "2,2,2,"),
                                        ("schedule", "")])
 def test_empty_tuple_items_raise_config_error(key, value):
     with pytest.raises(ConfigError, match=f"bad value for model.{key}: "):

@@ -19,9 +19,9 @@ def test_criteria_spread_prints_each_draw_then_the_ranges(monkeypatch):
     train_loop = acceptance.train_loop
     lrs = []
 
-    def recording(cfg, seed):
+    def recording(cfg):
         lrs.append(training.LR)
-        return train_loop(cfg, seed=seed)
+        return train_loop(cfg)
 
     monkeypatch.setattr(acceptance, "train_loop", recording)
     lr = training.LR

@@ -22,7 +22,7 @@ def _numpy_softmax(x, axis):
 
 def test_zero_block_passes_centers_through():
     rng = np.random.default_rng(0)
-    block = KMaxDecoderBlock(np.random.default_rng(1), 4, num_classes=3)
+    block = KMaxDecoderBlock(np.random.default_rng(1), 4, 3, "kmeans")
     for _, t, _ in block.named_parameters():
         t.data[...] = 0.0
     c = Tensor(rng.normal(size=(2, 4)))
@@ -74,8 +74,7 @@ def _reference_forward(block, c, p, interaction):
 
 def test_softmax_block_matches_reimplementation():
     rng = np.random.default_rng(1)
-    block = KMaxDecoderBlock(np.random.default_rng(2), 4, num_classes=3,
-                             kernel="softmax", ffn_hidden=8)
+    block = KMaxDecoderBlock(np.random.default_rng(2), 4, num_classes=3, kernel="softmax")
     c = rng.normal(size=(2, 4))
     p = _pixels(rng, 2, 3, 4)
     out, aux = block.forward(Tensor(c), p)
@@ -91,8 +90,7 @@ def test_softmax_block_matches_reimplementation():
 
 def test_kmeans_block_matches_reimplementation():
     rng = np.random.default_rng(3)
-    block = KMaxDecoderBlock(np.random.default_rng(4), 4, num_classes=3,
-                             kernel="kmeans", ffn_hidden=8)
+    block = KMaxDecoderBlock(np.random.default_rng(4), 4, num_classes=3, kernel="kmeans")
     c = rng.normal(size=(3, 4))
     p = _pixels(rng, 4, 4, 4)
     out, aux = block.forward(Tensor(c), p)
@@ -117,14 +115,14 @@ def test_block_rejects_an_unknown_kernel():
 
 def test_block_rejects_pixels_without_spatial_dims():
     rng = np.random.default_rng(1)
-    block = KMaxDecoderBlock(np.random.default_rng(2), 4, num_classes=3)
+    block = KMaxDecoderBlock(np.random.default_rng(2), 4, 3, "kmeans")
     with pytest.raises(ConfigError, match="take PixelFeatures"):
         block.forward(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(6, 4))))
 
 
 def test_stacked_blocks_change_centers():
     rng = np.random.default_rng(3)
-    blocks = [KMaxDecoderBlock(np.random.default_rng(10 + i), 4, 3) for i in range(2)]
+    blocks = [KMaxDecoderBlock(np.random.default_rng(10 + i), 4, 3, "kmeans") for i in range(2)]
     c = Tensor(rng.normal(size=(3, 4)))
     p = _pixels(rng, 2, 2, 4)
     out, _ = blocks[0].forward(c, p)
@@ -134,7 +132,7 @@ def test_stacked_blocks_change_centers():
 
 def test_forward_is_deterministic():
     rng = np.random.default_rng(4)
-    block = KMaxDecoderBlock(np.random.default_rng(5), 4, 3)
+    block = KMaxDecoderBlock(np.random.default_rng(5), 4, 3, "kmeans")
     c = Tensor(rng.normal(size=(3, 4)))
     p = _pixels(rng, 2, 2, 4)
     a1, aux1 = block.forward(c, p)
@@ -144,8 +142,7 @@ def test_forward_is_deterministic():
 
 
 def _model(schedule):
-    return KMaxModel(ModelConfig(d=8, num_queries=3, image_size=64, schedule=schedule,
-                                 encoder_channels=(4, 4, 4, 4, 4), ffn_hidden=8), seed=0)
+    return KMaxModel(ModelConfig(d=8, num_queries=3, image_size=64, schedule=schedule), seed=0)
 
 
 def _aux_strides(schedule):

@@ -552,8 +552,9 @@ def test_float32_and_float64_inference_merge_identical_labels():
 
     cfg = Config()
     cfg.train.steps = cfg.train.train_size = 12
+    cfg.train.seed = 5
     dataset = SyntheticDataset(scene_spec_from_config(cfg), 12, cfg.train.val_size)
-    model = train_loop(cfg, dataset=dataset, seed=5).model
+    model = train_loop(cfg, dataset=dataset).model
     twin = model.astype(np.float32)
     infer, thing_ids = cfg.infer, dataset.class_table.thing_ids
     assert len(dataset.val) == 16
@@ -573,8 +574,7 @@ def _spied_small_model(monkeypatch):
     from kmaxseg.config import ModelConfig
     from kmaxseg.model import KMaxModel
 
-    model = KMaxModel(ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1),
-                                  encoder_channels=(4, 6, 8, 10, 12), ffn_hidden=16), seed=0)
+    model = KMaxModel(ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1)), seed=0)
     dtypes = []
     forward = KMaxModel.forward
 
@@ -610,8 +610,7 @@ def test_render_stages_writes_the_bytes_of_a_fresh_float32_copy(tmp_path, monkey
     from kmaxseg.model import KMaxModel
     from kmaxseg.visualize import render_stages
 
-    cfg = ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1),
-                      encoder_channels=(4, 6, 8, 10, 12), ffn_hidden=16)
+    cfg = ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1))
     model = KMaxModel(cfg, seed=0)
     img = np.random.default_rng(0).uniform(size=(64, 64, 3))
 
@@ -637,8 +636,9 @@ def trained_eval():
 
     cfg = Config()
     cfg.train.steps = cfg.train.train_size = 12
+    cfg.train.seed = 5
     dataset = SyntheticDataset(scene_spec_from_config(cfg), 12, 20)
-    model = train_loop(cfg, dataset=dataset, seed=5).model
+    model = train_loop(cfg, dataset=dataset).model
     return model, cfg, list(dataset.val)
 
 

@@ -16,9 +16,7 @@ from kmaxseg.tensor import no_grad
 
 
 def _small_cfg(**kw):
-    base = dict(d=16, num_queries=4, image_size=64,
-                schedule=(1, 1, 1), encoder_channels=(4, 6, 8, 10, 12),
-                ffn_hidden=16)
+    base = dict(d=16, num_queries=4, image_size=64, schedule=(1, 1, 1))
     base.update(kw)
     return ModelConfig(**base)
 
@@ -87,9 +85,7 @@ def test_forward_rejects_a_non_finite_pixel():
 
 
 def test_forward_output_shapes_match_config():
-    cfg = ModelConfig(d=32, num_queries=16, image_size=64,
-                      schedule=(2, 2, 2), encoder_channels=(8, 12, 16, 24, 32),
-                      ffn_hidden=32)
+    cfg = ModelConfig(d=32, num_queries=16, image_size=64, schedule=(2, 2, 2))
     model = KMaxModel(cfg, seed=0)
     img = np.random.default_rng(1).uniform(size=(64, 64, 3))
     with no_grad():
@@ -115,8 +111,8 @@ def test_query_permutation_equivariance_end_to_end():
 def _expected_param_count(cfg):
     # closed-form parameter count, summed per component
     d, n, k, s = cfg.d, cfg.num_queries, CLASS_TABLE.num_classes, cfg.image_size
-    h = cfg.ffn_hidden
-    chans = (3,) + tuple(cfg.encoder_channels)
+    h = 4 * d
+    chans = (3, d // 4, d // 2, 3 * d // 4, d, d)
     encoder = sum(9 * chans[i] * chans[i + 1] + chans[i + 1] for i in range(5))
     skip = {32: chans[5], 16: chans[4], 8: chans[3], 4: chans[2]}
     pyramid = sum(skip[st] * d + d + (s // st) ** 2 * d for st in (32, 16, 8, 4))
@@ -355,20 +351,74 @@ def test_checkpoint_without_config_or_checksum_line_is_rejected(tmp_path):
                    for b, (_, t, _) in zip(before, model.named_parameters()))
 
 
-def test_checkpoint_with_a_removed_config_key_is_rejected(tmp_path):
-    # a checkpoint saved while model.selfattn_first existed names it in its
-    # config line; the key is gone, so the file no longer describes this model
+def _assert_refused_with_config_suffix(tmp_path, suffix, key):
+    """A checkpoint whose config line ends with ``suffix`` fails to load,
+    naming ``model.<key>``, and leaves the model as it was."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
     lines = path.read_bytes().split(b"\n")
-    lines[1] += b" selfattn_first=true"
+    lines[1] += suffix
     path.write_bytes(b"\n".join(lines))
     model = KMaxModel(_small_cfg(), seed=1)
     before = [t.data.copy() for _, t, _ in model.named_parameters()]
-    with pytest.raises(ConfigError, match="unknown key model.selfattn_first"):
+    with pytest.raises(ConfigError, match=f"unknown key model.{key}$"):
         load_checkpoint(path, model)
     assert all(np.array_equal(b, t.data)
                for b, (_, t, _) in zip(before, model.named_parameters()))
+
+
+def test_checkpoint_with_a_removed_config_key_is_rejected(tmp_path):
+    # a checkpoint saved while model.selfattn_first existed names it in its
+    # config line; the key is gone, so the file no longer describes this model
+    _assert_refused_with_config_suffix(tmp_path, b" selfattn_first=true", "selfattn_first")
+
+
+def test_checkpoint_saved_with_the_width_keys_is_rejected(tmp_path):
+    # before the encoder and FFN widths derived from d, the config line also
+    # carried them; such a file is refused even where its shapes would fit
+    _assert_refused_with_config_suffix(
+        tmp_path, b" ffn_hidden=64 encoder_channels=4,8,12,16,16", "ffn_hidden")
+
+
+def test_a_failed_checkpoint_write_leaves_no_temp_file_and_the_old_file(tmp_path,
+                                                                       monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
+    saved = path.read_bytes()
+    model = KMaxModel(_small_cfg(), seed=1)
+    count = len(model.named_parameters())
+    raw, calls = checkpoint._raw, []
+
+    def failing(tensor):
+        # the hashing pass reads every parameter once; the write pass fails at its first
+        calls.append(None)
+        if len(calls) > count:
+            raise OSError("No space left on device")
+        return raw(tensor)
+
+    monkeypatch.setattr(checkpoint, "_raw", failing)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, model)
+    assert len(calls) == count + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    assert path.read_bytes() == saved
+
+
+NON_DEFAULT = {"d": 8, "num_queries": 6, "image_size": 32, "schedule": (2, 1, 1),
+               "kernel": "softmax"}
+
+
+def _built(model):
+    return ([(name, t.data.shape) for name, t, _ in model.named_parameters()],
+            [block.kernel for block in model.blocks])
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelConfig)])
+def test_every_model_field_changes_the_built_model(field):
+    # a field that changes no parameter name, shape or block kernel is a knob to delete
+    base = _small_cfg()
+    changed = dataclasses.replace(base, **{field: NON_DEFAULT[field]})
+    assert _built(KMaxModel(changed, seed=0)) != _built(KMaxModel(base, seed=0))
 
 
 def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path):

@@ -301,6 +301,15 @@ def test_conv3x3_rejects_other_strides_with_a_contract_error():
         T.conv3x3(x, w, b, stride=3)
 
 
+@pytest.mark.parametrize("shape", [(1,), (4,), (3, 1), ()],
+                         ids=["one", "four", "column", "scalar"])
+def test_conv3x3_rejects_a_bias_that_is_not_one_per_output_channel(shape):
+    # a (1,) bias would broadcast and get a (3,) gradient
+    x, w = Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 3)))
+    with pytest.raises(ShapeError, match=r"conv3x3 bias .* does not match kernel"):
+        T.conv3x3(x, w, Tensor(np.zeros(shape), requires_grad=True))
+
+
 def test_upsample2x_nearest_values():
     x = Tensor(np.arange(4.0).reshape(2, 2, 1))
     up = T.upsample_nearest(x, 2).data[:, :, 0]
@@ -334,6 +343,15 @@ def test_layer_norm_rows_standardized():
     out = T.layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(out.std(axis=1), 1.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("gain,bias", [((16,), (1,)), ((1,), (16,)), ((16,), (8,)),
+                                       ((1, 16), (16,)), ((16,), (6, 16))],
+                         ids=["bias_one", "gain_one", "bias_short", "gain_row", "bias_rows"])
+def test_layer_norm_rejects_a_gain_or_bias_that_is_not_one_per_feature(gain, bias):
+    x = Tensor(np.random.default_rng(8).normal(size=(6, 16)))
+    with pytest.raises(ShapeError, match=r"layer_norm gain .* do not match rows"):
+        T.layer_norm(x, Tensor(np.ones(gain)), Tensor(np.zeros(bias)))
 
 
 def test_cross_entropy_uniform_is_log_n():

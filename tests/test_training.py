@@ -623,7 +623,7 @@ def test_a_fused_step_gives_the_bytes_of_backward_then_step(tmp_path, monkeypatc
 
 
 def test_train_loop_returns_a_model_without_gradients():
-    model = train_loop(_tiny_train_config(steps=3), seed=0).model
+    model = train_loop(_tiny_train_config(steps=3)).model
     assert [n for n, t, _ in model.named_parameters() if t.grad is not None] == []
 
 
@@ -655,7 +655,7 @@ def test_an_error_inside_backward_propagates_and_updated_blocks_stay(monkeypatch
     monkeypatch.setattr(training, "AdamW", RecordingAdamW)
     monkeypatch.setattr(model_module, "conv3x3", failing_first_conv)
     with pytest.raises(RuntimeError, match="closure failed"):
-        train_loop(_tiny_train_config(steps=3), seed=0)
+        train_loop(_tiny_train_config(steps=3))
     # the blocks holding the first conv's weight or bias were never
     # completed; every other block was updated before the closure failed
     updated = 0
@@ -681,8 +681,6 @@ def _tiny_train_config(steps=10, **model_kw):
     cfg.model.d = 16
     cfg.model.num_queries = 6
     cfg.model.schedule = (1, 1, 1)
-    cfg.model.encoder_channels = (4, 6, 8, 10, 12)
-    cfg.model.ffn_hidden = 16
     for k, v in model_kw.items():
         setattr(cfg.model, k, v)
     cfg.train.steps = steps
@@ -694,10 +692,12 @@ def _tiny_train_config(steps=10, **model_kw):
 
 def test_train_loop_fixed_seed_traces_are_bitwise_identical():
     cfg = _tiny_train_config(steps=10)
-    a = train_loop(cfg, seed=3)
-    b = train_loop(cfg, seed=3)
+    cfg.train.seed = 3
+    a = train_loop(cfg)
+    b = train_loop(cfg)
     assert a.rows == b.rows
-    c = train_loop(cfg, seed=4)
+    cfg.train.seed = 4
+    c = train_loop(cfg)
     assert c.rows != a.rows
 
 
@@ -708,7 +708,7 @@ def test_train_loop_zero_lr_keeps_parameters(monkeypatch):
     # a zero train.lr fails validation, so zero the scheduled rate instead
     monkeypatch.setattr(training, "warmup_lr", lambda *args: 0.0)
     cfg = _tiny_train_config(steps=3)
-    result = train_loop(cfg, seed=0)
+    result = train_loop(cfg)
     ss = np.random.SeedSequence(0)
     s_model = ss.spawn(4)[0]
     fresh = KMaxModel(cfg.model, seed=s_model)
@@ -720,17 +720,20 @@ def test_train_loop_zero_lr_keeps_parameters(monkeypatch):
 def test_train_loop_rejects_too_few_surviving_queries():
     # five shapes plus the background need six queries
     cfg = _tiny_train_config(steps=2, num_queries=5)
+    cfg.train.seed = 1
     with pytest.raises(ContractError):
-        train_loop(cfg, seed=1)
+        train_loop(cfg)
 
 
 def test_train_loop_rejects_a_negative_seed_before_any_work(monkeypatch):
     from kmaxseg import training
 
-    # the seed argument overrides the validated train.seed
+    # a seed set after parsing is validated again before the dataset is built
     monkeypatch.setattr(training, "SyntheticDataset", None)
-    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-        train_loop(_tiny_train_config(steps=2), seed=-1)
+    cfg = _tiny_train_config(steps=2)
+    cfg.train.seed = -1
+    with pytest.raises(ConfigError, match="train.seed must be non-negative, got -1"):
+        train_loop(cfg)
 
 
 def test_train_loop_rejects_an_empty_train_split_before_any_work(monkeypatch):
@@ -740,7 +743,7 @@ def test_train_loop_rejects_an_empty_train_split_before_any_work(monkeypatch):
     monkeypatch.setattr(training, "KMaxModel", None)
     dataset = SyntheticDataset(SceneSpec(seed=0), 0, 2)
     with pytest.raises(ContractError, match="dataset has no training scenes"):
-        train_loop(_tiny_train_config(steps=2), dataset=dataset, seed=0)
+        train_loop(_tiny_train_config(steps=2), dataset=dataset)
 
 
 def test_train_loop_rejects_an_empty_val_split_before_any_work(monkeypatch):
@@ -751,7 +754,7 @@ def test_train_loop_rejects_an_empty_val_split_before_any_work(monkeypatch):
     monkeypatch.setattr(training, "KMaxModel", None)
     dataset = SyntheticDataset(SceneSpec(seed=0), 4, 0)
     with pytest.raises(ContractError, match="dataset has no validation scenes"):
-        train_loop(_tiny_train_config(steps=2), dataset=dataset, seed=0)
+        train_loop(_tiny_train_config(steps=2), dataset=dataset)
 
 
 def test_a_short_train_loop_renders_only_the_scenes_it_reads(generate_calls):
@@ -759,7 +762,7 @@ def test_a_short_train_loop_renders_only_the_scenes_it_reads(generate_calls):
 
     cfg = _tiny_train_config(steps=4)
     cfg.train.train_size = 256
-    train_loop(cfg, seed=0)
+    train_loop(cfg)
     val = [i for i in generate_calls if i >= SyntheticDataset.VAL_OFFSET]
     assert len(generate_calls) == len(set(generate_calls))
     assert len(generate_calls) - len(val) <= 4
@@ -790,7 +793,7 @@ def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):
     monkeypatch.setattr(training, "KMaxModel", RecordingModel)
     monkeypatch.setattr(training, "total_loss", nan_at_step_one)
     with pytest.raises(ContractError, match="step 1"):
-        train_loop(_tiny_train_config(steps=3), seed=0)
+        train_loop(_tiny_train_config(steps=3))
     for name, t, _ in models[0].named_parameters():
         assert np.array_equal(t.data, snapshot[name]), name
         assert t.grad is None, name   # backward never ran on the NaN loss
@@ -800,7 +803,7 @@ def test_train_loop_writes_metrics_and_checkpoint(tmp_path):
     cfg = _tiny_train_config(steps=5)
     metrics = tmp_path / "metrics.csv"
     ckpt = tmp_path / "model.ckpt"
-    result = train_loop(cfg, seed=0, checkpoint_path=ckpt, metrics_path=metrics)
+    result = train_loop(cfg, checkpoint_path=ckpt, metrics_path=metrics)
     lines = metrics.read_text().splitlines()
     assert lines[0] == "step,loss,l_pq,l_sem,l_maskid,val_pq"
     assert len(lines) == 6
@@ -814,13 +817,13 @@ def test_loss_decreases_over_200_toy_steps():
     # median over three seeds of mean(last 20) vs mean(first 20)
     cfg = _tiny_train_config(steps=200)
     cfg.model.d = 32
-    cfg.model.encoder_channels = (8, 12, 16, 24, 32)
     cfg.train.train_size = 32
     cfg.train.val_size = 2
     cfg.train.eval_interval = 200
     drops = []
     for seed in range(3):
-        rows = train_loop(cfg, seed=seed).rows[1:]
+        cfg.train.seed = seed
+        rows = train_loop(cfg).rows[1:]
         losses = np.array([float(r.split(",")[1]) for r in rows])
         drops.append(losses[-20:].mean() - losses[:20].mean())
     assert np.median(drops) < 0

@@ -51,6 +51,7 @@ def digest(overrides):
         setattr(cfg.model, key, value)
     cfg.train.steps = STEPS
     cfg.train.train_size = STEPS
+    cfg.train.seed = SEED
     dataset = SyntheticDataset(scene_spec_from_config(cfg), cfg.train.train_size,
                                cfg.train.val_size)
     from_output = GradTape.__dict__["from_output"]
@@ -63,7 +64,7 @@ def digest(overrides):
 
     GradTape.from_output = staticmethod(counting)
     try:
-        result = train_loop(cfg, dataset=dataset, seed=SEED)
+        result = train_loop(cfg, dataset=dataset)
     finally:
         GradTape.from_output = from_output
     rows = hashlib.sha256("\n".join(result.rows).encode()).hexdigest()
