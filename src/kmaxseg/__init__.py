@@ -15,8 +15,8 @@ The package groups into:
   the full encoder/pyramid/cluster-path model, all of whose widths derive
   from ``d``, which validates its config,
   runs its blocks over the pyramid strides its schedule names, and has
-  ``astype`` for a float32 copy and ``twin`` for the kept float32 copy
-  that evaluation and rendering refill and run,
+  ``astype`` for the float32 copy that evaluation and rendering cast per
+  call and run,
 * ``training`` - bipartite matching, the whole loss as one tape node, AdamW
   and the train loop. ``AdamW.step(loss, lr)`` runs the backward pass and
   updates each parameter block from inside it (``Tensor.backward(on_final)``)
@@ -26,7 +26,7 @@ The package groups into:
   and RQ split, and dataset-level mIoU, all read from one segment histogram
   per image), ``run_in_shares`` (a list's contiguous shares, one per usable
   CPU, run in forked children; a call nested in a share runs in place), and
-  ``evaluate_model``, which labels images with the model's float32 twin
+  ``evaluate_model``, which labels images with a float32 copy of the model
   through it and scores them with ``PQStat`` in order in one process, so
   results are bitwise those of one share,
 * ``acceptance`` - the release criteria; ``train_grid`` trains the runs of

@@ -16,7 +16,9 @@ saved before fail its config check, as the removed ``ffn_hidden`` and
 ``encoder_channels`` do. Offsets index into the payload that follows the
 ``data`` line. The checksum covers the ``param`` lines as well as the
 payload, so swapping the names or offsets of two same-shape parameters
-fails it.
+fails it. Anyone can recompute it, so the manifest must also tile the
+payload: no parameter named twice, no line repeating a key, each parameter
+starting where the one before it ends, and the last ending the file.
 Loading is exact: the bytes written are the bytes restored. It fails with
 ``ConfigError`` when the model's config differs from the saved one (two
 kernels have equal parameter shapes, so shapes alone cannot tell them
@@ -116,6 +118,8 @@ def _parse_manifest(blob, path):
                 (checksum,) = fields
                 continue
             parts = dict(kv.split("=", 1) for kv in fields)
+            if len(parts) != len(fields):
+                raise ValueError("a key repeats")   # ``dict`` would keep its last value
             if kind == "config":
                 config = parts
                 continue
@@ -157,6 +161,8 @@ def load_checkpoint(path, model):
     for name, shape, offset in entries:
         if name not in params:
             raise ConfigError(f"checkpoint parameter {name} not in model")
+        if name in arrays:
+            raise ConfigError(f"{path} names parameter {name} twice")
         tensor = params[name]
         if tuple(tensor.data.shape) != shape:
             raise ConfigError(
@@ -181,6 +187,15 @@ def load_checkpoint(path, model):
             f"{path} fails its sha256 checksum: manifest {checksum}, param lines "
             f"and payload {actual}"
         )
+    tiled = 0   # the parameters, in manifest order, must fill the payload end to end
+    for (name, _, offset), arr in zip(entries, arrays.values()):
+        if offset != tiled:
+            raise ConfigError(f"{path} puts parameter {name} at payload byte {offset}, "
+                              f"not at {tiled} where the one before it ends")
+        tiled += arr.nbytes
+    if tiled != len(payload):
+        raise ConfigError(f"{path} holds {len(payload) - tiled} payload bytes after "
+                          "its last parameter")
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise ConfigError(f"{path} holds a non-finite value in parameter {name}")

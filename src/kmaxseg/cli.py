@@ -5,7 +5,7 @@ Subcommands:
   eval       evaluate a checkpoint on the seeded validation split
   ablate     kernel-swap and decoder-count studies at equal step budgets,
              trained on every usable CPU
-  visualize  render per-stage assignment maps and the final panoptic map
+  visualize  render a checkpoint's per-stage assignment maps and final panoptic map
   selftest   run the acceptance suite
 """
 
@@ -41,6 +41,15 @@ def _build_dataset(cfg):
                             cfg.train.val_size)
 
 
+def _checkpointed_model(cfg, args):
+    """The model ``--checkpoint`` holds; it overwrites every seed-0 draw."""
+    if args.checkpoint is None:
+        raise ConfigError(f"{args.command} requires --checkpoint")
+    model = KMaxModel(cfg.model, seed=0)
+    load_checkpoint(args.checkpoint, model)
+    return model
+
+
 def _cmd_train(args):
     cfg = _load_config(args.config)
     if args.seed is not None:
@@ -60,10 +69,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     cfg = _load_config(args.config)
-    if args.checkpoint is None:
-        raise ConfigError("eval requires --checkpoint")
-    model = KMaxModel(cfg.model, seed=0)
-    load_checkpoint(args.checkpoint, model)
+    model = _checkpointed_model(cfg, args)
     dataset = _build_dataset(cfg)
     result = evaluate_model(model, dataset.val, cfg.infer, dataset.class_table)
     print(evaluation_report(result, dataset.class_table))
@@ -97,9 +103,7 @@ def _cmd_visualize(args):
     # the image is val scene ``--seed``; a negative one would index another split
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    model = KMaxModel(cfg.model, seed=cfg.train.seed)
-    if args.checkpoint is not None:
-        load_checkpoint(args.checkpoint, model)
+    model = _checkpointed_model(cfg, args)
     spec = scene_spec_from_config(cfg)
     index = SyntheticDataset.VAL_OFFSET + (args.seed or 0)
     img, _ = generate(spec, index)

@@ -39,8 +39,6 @@ class KMaxDecoderBlock:
     """One decoder block: self-attention, interaction kernel, FFN, heads."""
 
     def __init__(self, rng, d, num_classes, kernel):
-        if kernel not in ("kmeans", "softmax"):
-            raise ConfigError(f"unknown interaction kernel {kernel!r}")
         self.kernel = kernel
         self.logit_scale = d ** -0.5  # transformer scaling; the argmax ignores it
         self.params = p = Params(rng)

@@ -222,11 +222,11 @@ def evaluate_model(model, examples, infer_cfg, class_table):
 
     ``examples`` is iterated once, into a list; an empty one raises
     ``ContractError`` rather than scoring PQ 0. Every forward pass runs on
-    the model's kept float32 twin (``model.twin()``), refilled once per call
-    from ``model``'s current parameters; ``model``'s own parameters are not
-    touched. The mIoU is ``PQStat``'s, dataset-level: each class's
-    intersection and union are summed over all images before its IoU is
-    taken.
+    one float32 copy of ``model`` (``model.astype``), cast from its current
+    parameters at the start of the call and dropped when it returns;
+    ``model``'s own parameters are not touched. The mIoU is ``PQStat``'s,
+    dataset-level: each class's intersection and union are summed over all
+    images before its IoU is taken.
 
     The forward passes and mask merges run through ``run_in_shares``, no
     share under ``MIN_SHARE`` images, and each share returns its merged
@@ -238,14 +238,14 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     examples = list(examples)
     if not examples:
         raise ContractError("no examples to evaluate")
-    twin = model.twin()
+    model32 = model.astype(np.float32)   # before the fork, so the shares share it
     thing_ids = class_table.thing_ids
 
     def label(share):
         out = []
         for img, _ in share:
             with no_grad():
-                pred, _, _ = twin.forward(img)
+                pred, _, _ = model32.forward(img)
             out.append(merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
                                    overlap_thresh=infer_cfg.overlap_thresh,
                                    thing_ids=thing_ids,

@@ -22,9 +22,9 @@ it, draws it from the model seed in declaration order and sets its weight
 decay; ``named_parameters`` returns that registry in declaration order.
 
 The parameters are float64. ``astype`` makes a copy of the model in another
-dtype, and ``twin`` keeps one float32 copy and refills it on each call;
-evaluation runs that twin, and ``pixel_path`` casts the image to
-the parameters' dtype, so a forward pass computes in that one dtype.
+dtype; evaluation and rendering each cast one float32 copy per call and drop
+it when they return, and ``pixel_path`` casts the image to the parameters'
+dtype, so a forward pass computes in that one dtype.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = ["KMaxModel"]
 class KMaxModel:
     def __init__(self, cfg: ModelConfig, seed=0):
         self.cfg = cfg.validate()
-        self._twin = None  # the float32 copy ``twin`` keeps
         self.params = p = Params(np.random.default_rng(seed))
         d = cfg.d
 
@@ -122,28 +121,7 @@ class KMaxModel:
         """
         memo = {id(t): Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
                 for _, t, _ in self.named_parameters()}
-        memo[id(self._twin)] = None
         return copy.deepcopy(self, memo)
-
-    def twin(self):
-        """The kept float32 copy of the model, refilled from its parameters.
-
-        Evaluation and rendering run this copy. The first call builds it with
-        ``astype``; later calls cast this model's current parameter data into
-        the copy's buffers in place, which gives the same bytes as a new
-        ``astype`` copy without its deep copy (≈0.5 ms against ≈3 ms on the
-        default config). So a twin from an earlier call changes with the next
-        one; use ``astype`` for a copy that stays fixed.
-        """
-        twin = self._twin
-        if twin is None:
-            twin = self._twin = self.astype(np.float32)
-        else:
-            for (_, src, _), (_, dst, _) in zip(self.named_parameters(),
-                                                twin.named_parameters()):
-                np.copyto(dst.data, src.data, casting="same_kind")
-                dst.grad = None
-        return twin
 
     # -- pixel path --------------------------------------------------------------
 

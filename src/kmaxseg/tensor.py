@@ -26,7 +26,8 @@ A tensor holds float32 data as float32 and turns anything else into
 float64. Every op allocates its result, its saved buffers and its gradients
 in its input's dtype, so a graph built on float32 data stays float32.
 Training, checkpoints and finite-difference checks run in float64;
-evaluation runs the model's kept float32 copy (``KMaxModel.twin``).
+evaluation runs a float32 copy of the model cast for each call
+(``KMaxModel.astype``).
 
 The model's matrices are small (16 queries by 64 channels), so a node's
 Python overhead costs more than its arithmetic. Two patterns the model

@@ -51,14 +51,14 @@ def panoptic_image(pmap):
 def render_stages(model, image, infer_cfg, thing_ids, out_dir):
     """Write one assignment PPM per decoder stage plus the final panoptic map.
 
-    The forward pass runs on the kept float32 copy of ``model`` that
-    ``evaluate_model`` scores (``model.twin``), so the maps drawn are the
-    maps evaluated.
+    The forward pass runs on a float32 copy of ``model`` cast for this
+    call, as ``evaluate_model``'s is, so the maps drawn are the maps
+    evaluated.
     Returns the list of written paths (stage images in order, final last).
     """
     os.makedirs(out_dir, exist_ok=True)
     with no_grad():
-        pred, aux, _ = model.twin().forward(image)
+        pred, aux, _ = model.astype(np.float32).forward(image)
     side = image.shape[0]
     paths = []
     for stage, a in enumerate(aux):

@@ -101,6 +101,30 @@ def test_visualize_with_a_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_visualize_renders_each_stage_of_a_checkpoint(tmp_path, capsys):
+    from kmaxseg.checkpoint import save_checkpoint
+    from kmaxseg.config import load_config
+    from kmaxseg.model import KMaxModel
+
+    cfg = _config(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(str(ckpt), KMaxModel(load_config(cfg).model, seed=3))
+    out = tmp_path / "vis"
+    assert main(["visualize", "--config", cfg, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0
+    names = ["stage_00.ppm", "stage_01.ppm", "stage_02.ppm", "final_panoptic.ppm"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert capsys.readouterr().out.split() == [str(out / name) for name in names]
+
+
+def test_visualize_without_a_checkpoint_is_a_config_error(tmp_path, capsys):
+    # there is no trained model to draw, and no seed that gives a run's initial one
+    out = tmp_path / "vis"
+    assert main(["visualize", "--config", _config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: visualize requires --checkpoint\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["eval", "--seed", "5"], ["ablate", "--seed", "9"],
                                   ["ablate", "--out", "abl"]])
 def test_flags_a_command_never_reads_are_not_offered(argv, capsys):

@@ -109,6 +109,7 @@ def test_non_positive_model_sizes_raise_config_error(key, value):
     ("[model]\nimage_size = -64", "model.image_size must be at least 32, got -64"),
     # the narrowest encoder width is d // 4
     ("[model]\nd = 3", "model.d must be at least 4, got 3"),
+    ("[model]\nkernel = bogus", "model.kernel must be kmeans or softmax, got 'bogus'"),
 ])
 def test_out_of_range_values_raise_config_error(text, match):
     with pytest.raises(ConfigError, match=match):

@@ -108,11 +108,6 @@ def test_kmeans_block_matches_reimplementation():
     assert not aux.affinity.flags.writeable
 
 
-def test_block_rejects_an_unknown_kernel():
-    with pytest.raises(ConfigError, match="unknown interaction kernel 'bogus'"):
-        KMaxDecoderBlock(np.random.default_rng(0), 4, num_classes=3, kernel="bogus")
-
-
 def test_block_rejects_pixels_without_spatial_dims():
     rng = np.random.default_rng(1)
     block = KMaxDecoderBlock(np.random.default_rng(2), 4, 3, "kmeans")

@@ -416,8 +416,8 @@ class _ReplayModel:
     def __init__(self, preds):
         self._preds = iter(preds)
 
-    def twin(self):
-        # ``evaluate_model`` runs its forwards on ``model.twin()``
+    def astype(self, dtype):
+        # ``evaluate_model`` runs its forwards on ``model.astype(np.float32)``
         return self
 
     def forward(self, img):
@@ -603,9 +603,19 @@ def test_render_stages_merges_through_the_float32_twin(tmp_path, monkeypatch):
     img = np.random.default_rng(0).uniform(size=(64, 64, 3))
     paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path)
     assert len(paths) == 4 and dtypes == [np.dtype(np.float32)]
+    assert {t.data.dtype for _, t, _ in model.named_parameters()} == {np.dtype(np.float64)}
 
 
-def test_render_stages_writes_the_bytes_of_a_fresh_float32_copy(tmp_path, monkeypatch):
+def _overwrite_parameters(model, seed):
+    """Write the parameters of a ``seed`` model of the same config into ``model`` in place."""
+    from kmaxseg.model import KMaxModel
+
+    for (_, dst, _), (_, src, _) in zip(model.named_parameters(),
+                                        KMaxModel(model.cfg, seed=seed).named_parameters()):
+        dst.data[...] = src.data
+
+
+def test_render_stages_writes_the_bytes_of_a_fresh_float32_copy(tmp_path):
     from kmaxseg.config import ModelConfig
     from kmaxseg.model import KMaxModel
     from kmaxseg.visualize import render_stages
@@ -614,17 +624,76 @@ def test_render_stages_writes_the_bytes_of_a_fresh_float32_copy(tmp_path, monkey
     model = KMaxModel(cfg, seed=0)
     img = np.random.default_rng(0).uniform(size=(64, 64, 3))
 
-    def render(name):
-        paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path / name)
+    def render(m, name):
+        paths = render_stages(m, img, InferConfig(), frozenset({1}), tmp_path / name)
         return [Path(p).read_bytes() for p in paths]
 
-    first = render("first")   # builds the kept twin
-    for (_, dst, _), (_, src, _) in zip(model.named_parameters(),
-                                        KMaxModel(cfg, seed=1).named_parameters()):
-        dst.data[...] = src.data
-    refilled = render("refilled")
-    monkeypatch.setattr(model, "twin", lambda: model.astype(np.float32))   # a new copy per call
-    assert render("astype") == refilled != first
+    first = render(model, "first")
+    _overwrite_parameters(model, 1)
+    assert render(model, "changed") == render(KMaxModel(cfg, seed=1), "fresh") != first
+
+
+def _float32_arrays_reachable_from(root):
+    """The float32 arrays that ``gc.get_referents`` reaches from ``root``.
+
+    The walk does not enter classes, modules or functions, which lead to
+    every module's globals rather than to what ``root`` holds.
+    """
+    import gc
+    import types
+
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float32:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_float32_copy_outlives_an_evaluation(tmp_path):
+    from kmaxseg.config import Config
+    from kmaxseg.data import SyntheticDataset
+    from kmaxseg.training import scene_spec_from_config, train_loop
+    from kmaxseg.visualize import render_stages
+
+    cfg = Config()
+    cfg.model.d, cfg.model.num_queries, cfg.model.schedule = 16, 6, (1, 1, 1)
+    cfg.train.steps = cfg.train.train_size = cfg.train.eval_interval = 2
+    cfg.train.val_size = 2
+    dataset = SyntheticDataset(scene_spec_from_config(cfg), 2, 2)
+    result = train_loop(cfg, dataset=dataset)   # evaluates after its second step
+    model = result.model
+    # the walk finds the arrays of a float32 copy when something holds one
+    assert len(_float32_arrays_reachable_from(model.astype(np.float32))) == \
+        len(model.named_parameters())
+    assert _float32_arrays_reachable_from(result) == []
+    evaluate_model(model, dataset.val, cfg.infer, dataset.class_table)
+    assert _float32_arrays_reachable_from(model) == []
+    render_stages(model, dataset.val[0][0], cfg.infer, frozenset({1}), tmp_path)
+    assert _float32_arrays_reachable_from(model) == []
+
+
+def test_evaluate_model_scores_a_fresh_float32_copy_after_an_in_place_change():
+    from kmaxseg.config import ModelConfig
+    from kmaxseg.data import SyntheticDataset
+    from kmaxseg.model import KMaxModel
+    from kmaxseg.tensor import no_grad
+
+    model = KMaxModel(ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1)), seed=0)
+    dataset = SyntheticDataset(SceneSpec(seed=2), 0, 3)
+    infer = InferConfig()
+    before = evaluate_model(model, dataset.val, infer, dataset.class_table)
+    _overwrite_parameters(model, 1)
+    fresh = model.astype(np.float32)
+    with no_grad():
+        preds = [fresh.forward(img)[0] for img, _ in dataset.val]
+    want = evaluate_model(_ReplayModel(preds), dataset.val, infer, dataset.class_table)
+    got = evaluate_model(model, dataset.val, infer, dataset.class_table)
+    assert got == want != before
 
 
 @pytest.fixture(scope="module")

@@ -65,7 +65,9 @@ def test_pixel_path_rejects_bad_sizes():
 @pytest.mark.parametrize("kw,match", [
     (dict(schedule=(0, 1, 1)), "model.schedule needs three positive entries"),
     (dict(image_size=48), "model.image_size must be a multiple of 32"),
-], ids=["schedule", "image_size"])
+    # the one kernel check: a decoder block takes its kernel as given
+    (dict(kernel="bogus"), "model.kernel must be kmeans or softmax, got 'bogus'"),
+], ids=["schedule", "image_size", "kernel"])
 def test_invalid_config_raises_at_construction(kw, match):
     with pytest.raises(ConfigError, match=match):
         KMaxModel(_small_cfg(**kw), seed=0)
@@ -351,6 +353,88 @@ def test_checkpoint_without_config_or_checksum_line_is_rejected(tmp_path):
                    for b, (_, t, _) in zip(before, model.named_parameters()))
 
 
+def _rewrite_with_checksum(path, edit, payload_edit=lambda payload: payload):
+    """Rewrite the manifest lines and payload of the checkpoint at ``path``
+    through ``edit`` and ``payload_edit``, with a checksum that matches them."""
+    header, payload = path.read_bytes().split(b"\ndata\n", 1)
+    lines, payload = edit(header.decode().split("\n")), payload_edit(payload)
+    params = "".join(f"{line}\n" for line in lines if line.startswith("param "))
+    digest = hashlib.sha256(params.encode() + payload).hexdigest()
+    lines = [f"sha256 {digest}" if line.startswith("sha256 ") else line for line in lines]
+    path.write_bytes("\n".join(lines).encode() + b"\ndata\n" + payload)
+
+
+def _assert_refused(path, match):
+    """Loading ``path`` raises ``ConfigError`` matching ``match`` and leaves the model as it was."""
+    model = KMaxModel(_small_cfg(), seed=1)
+    before = [t.data.copy() for _, t, _ in model.named_parameters()]
+    with pytest.raises(ConfigError, match=match):
+        load_checkpoint(path, model)
+    assert all(np.array_equal(b, t.data)
+               for b, (_, t, _) in zip(before, model.named_parameters()))
+
+
+def _saved(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, KMaxModel(_small_cfg(), seed=0))
+    return path
+
+
+def test_checkpoint_naming_a_parameter_twice_is_rejected(tmp_path):
+    # a second ``queries`` line used to win, and the first's bytes went unread
+    path = _saved(tmp_path)
+    _rewrite_with_checksum(path, lambda lines: [
+        *lines, *(line for line in lines if line.startswith("param name=queries "))])
+    _assert_refused(path, "names parameter queries twice$")
+
+
+def _with_offset(lines, name, offset):
+    """``lines`` with the param line of ``name`` moved to payload byte ``offset``."""
+    return [re.sub(r"offset=\d+$", f"offset={offset}", line)
+            if line.startswith(f"param name={name} ") else line for line in lines]
+
+
+@pytest.mark.parametrize("case", ["overlap", "gap"])
+def test_checkpoint_offsets_must_tile_the_payload(tmp_path, case):
+    path = _saved(tmp_path)
+    offsets = {name: int(offset) for name, offset in
+               re.findall(rb"^param name=(\S+) \S+ offset=(\d+)$", path.read_bytes(), re.M)}
+    if case == "overlap":
+        # both are (d, d): ``wk`` would load ``wq``'s bytes
+        wq, wk = offsets[b"blocks.0.sa.wq"], offsets[b"blocks.0.sa.wk"]
+        _rewrite_with_checksum(path, lambda lines: _with_offset(lines, "blocks.0.sa.wk", wq))
+        _assert_refused(path, f"puts parameter blocks.0.sa.wk at payload byte {wq}, "
+                              f"not at {wk} where the one before it ends$")
+    else:
+        # eight bytes that no parameter reads, ahead of the first
+        def shift(lines):
+            for name, offset in offsets.items():
+                lines = _with_offset(lines, name.decode(), offset + 8)
+            return lines
+
+        _rewrite_with_checksum(path, shift, lambda payload: bytes(8) + payload)
+        _assert_refused(path, "puts parameter enc.0.w at payload byte 8, not at 0 ")
+
+
+def test_checkpoint_with_bytes_after_its_last_parameter_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    _rewrite_with_checksum(path, lambda lines: lines, lambda payload: payload + bytes(64))
+    _assert_refused(path, "holds 64 payload bytes after its last parameter$")
+
+
+@pytest.mark.parametrize("kind,key", [("config", " kernel=kmeans"), ("param", " offset=0")])
+def test_checkpoint_line_repeating_a_key_is_rejected(tmp_path, kind, key):
+    # the line used to read as valid, with the key's last value
+    path = _saved(tmp_path)
+
+    def repeat(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{kind} "))
+        return [*lines[:i], lines[i] + key, *lines[i + 1:]]
+
+    _rewrite_with_checksum(path, repeat)
+    _assert_refused(path, f"malformed manifest line '{kind} .*{key}'$")
+
+
 def _assert_refused_with_config_suffix(tmp_path, suffix, key):
     """A checkpoint whose config line ends with ``suffix`` fails to load,
     naming ``model.<key>``, and leaves the model as it was."""
@@ -501,30 +585,6 @@ def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
     assert all(t.data.tobytes() != raw for (_, t, _), (_, _, raw, _) in
                zip(model.named_parameters(), before))
     assert [t.data.tobytes() for _, t, _ in twin.named_parameters()] == twin_bytes
-
-
-def test_kept_twin_is_refilled_in_place_to_a_fresh_astype_copy():
-    from kmaxseg.training import LR, AdamW
-
-    model = KMaxModel(_small_cfg(), seed=3)
-    opt = AdamW(model.named_parameters())
-    twin = model.twin()
-    tensors = [t for _, t, _ in twin.named_parameters()]
-    for step in range(2):
-        opt.step(loss_with_grads([(t, np.full_like(t.data, 0.5))
-                                  for _, t, _ in model.named_parameters()]), LR)
-        raw = [t.data.tobytes() for _, t, _ in model.named_parameters()]
-        assert model.twin() is twin
-        fresh = model.astype(np.float32)
-        for (_, t, _), (_, f, _), kept in zip(twin.named_parameters(),
-                                               fresh.named_parameters(), tensors):
-            assert t is kept and t.grad is None
-            assert t.data.dtype == np.float32 and t.data.tobytes() == f.data.tobytes()
-        # refilling reads the model's parameters and writes none of them
-        assert [t.data.tobytes() for _, t, _ in model.named_parameters()] == raw
-        assert {t.data.dtype for _, t, _ in model.named_parameters()} == {np.dtype(np.float64)}
-    # an astype copy starts with no kept twin of its own
-    assert model.astype(np.float32)._twin is None
 
 
 def test_loss_graph_on_the_float32_twin_is_float32():

@@ -19,7 +19,7 @@ def test_trace_digest_prints_every_field():
     line = trace_digest.digest({})
     sha = "[0-9a-f]{64}"
     assert re.fullmatch(rf"rows {sha} params {sha} \(\d+ tensors\) labels {sha} "
-                        rf"logits {sha} pq \S+ miou \S+ nodes \d+", line), line
+                        rf"logits {sha} logits32 {sha} pq \S+ miou \S+ nodes \d+", line), line
 
 
 @pytest.mark.parametrize("name", trace_digest.VARIANTS)

@@ -8,18 +8,20 @@ SHA-256 of the metrics rows, the SHA-256 of every trained parameter's name
 and bytes in name order, the SHA-256 of the ``class_map`` and
 ``instance_map`` bytes that ``merge_masks`` gives for every validation image
 of the trained model, the SHA-256 of the mask and class logits of the final
-and every auxiliary prediction of each validation image before merging, that
-model's validation PQ and mIoU, and the number of tape nodes in the first
-step's loss graph. After 12 steps the merged maps, PQ and mIoU rarely tell
-two variants apart, so the logits field is the one that shows a change to
-the forward pass. The labels and logits fields come from the trained
-float64 model; the PQ, mIoU and the rows' val PQ come from
-``evaluate_model``, which runs a float32 copy of it. Running the script on two checkouts and diffing the
-output compares them. It uses only ``Config``, ``SyntheticDataset``,
-``scene_spec_from_config``, ``train_loop``, ``merge_masks``, ``no_grad``,
-``evaluate_model`` and ``tensor.GradTape.from_output``, and reads only the
-two maps of a merge result and the ``mask_logits`` and ``class_logits`` of a
-prediction, so older checkouts run it unchanged.
+and every auxiliary prediction of each validation image before merging, the
+same SHA-256 for a float32 copy of the model, that model's validation PQ and
+mIoU, and the number of tape nodes in the first step's loss graph. After 12
+steps the merged maps, PQ and mIoU rarely tell two variants apart, so the
+two logits fields are the ones that show a change to the forward pass. The
+labels and logits fields come from the trained float64 model, and logits32
+from ``model.astype(np.float32)``, the copy that ``evaluate_model`` runs; the
+PQ, mIoU and the rows' val PQ come from ``evaluate_model``. Running the
+script on two checkouts and diffing the output compares them. It uses only
+``Config``, ``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
+``merge_masks``, ``no_grad``, ``evaluate_model``, ``KMaxModel.astype`` and
+``tensor.GradTape.from_output``, and reads only the two maps of a merge
+result and the ``mask_logits`` and ``class_logits`` of a prediction, so older
+checkouts run it unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -74,11 +78,15 @@ def digest(overrides):
         params.update(name.encode() + b"\0" + tensor.data.tobytes())
     labels = hashlib.sha256()
     logits = hashlib.sha256()
+    logits32 = hashlib.sha256()
+    model32 = result.model.astype(np.float32)
     for img, _ in dataset.val:
         with no_grad():
             pred, aux, _ = result.model.forward(img)
-        for p in [pred, *aux]:
-            logits.update(p.mask_logits.data.tobytes() + p.class_logits.data.tobytes())
+            pred32, aux32, _ = model32.forward(img)
+        for hashed, preds in ((logits, [pred, *aux]), (logits32, [pred32, *aux32])):
+            for p in preds:
+                hashed.update(p.mask_logits.data.tobytes() + p.class_logits.data.tobytes())
         merged = merge_masks(pred, conf_thresh=cfg.infer.conf_thresh,
                              overlap_thresh=cfg.infer.overlap_thresh,
                              thing_ids=dataset.class_table.thing_ids,
@@ -86,7 +94,8 @@ def digest(overrides):
         labels.update(merged.class_map.tobytes() + merged.instance_map.tobytes())
     scores = evaluate_model(result.model, dataset.val, cfg.infer, dataset.class_table)
     return (f"rows {rows} params {params.hexdigest()} ({len(named)} tensors) "
-            f"labels {labels.hexdigest()} logits {logits.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r} "
+            f"labels {labels.hexdigest()} logits {logits.hexdigest()} "
+            f"logits32 {logits32.hexdigest()} pq {scores['pq']!r} miou {scores['miou']!r} "
             f"nodes {tape_sizes[0]}")
 
 
