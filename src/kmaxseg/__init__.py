@@ -17,6 +17,8 @@ The package groups into:
   runs its blocks over the pyramid strides its schedule names, and has
   ``astype`` for the float32 copy that evaluation and rendering cast per
   call and run,
+* ``checkpoint`` - a model's exact float64 parameters on disk, behind a
+  checksummed header of its config and a digest of its parameter layout,
 * ``training`` - bipartite matching, the whole loss as one tape node, AdamW
   and the train loop. ``AdamW.step(loss, lr)`` runs the backward pass and
   updates each parameter block from inside it (``Tensor.backward(on_final)``)

@@ -1,37 +1,24 @@
-"""Checkpoint container: UTF-8 manifest plus raw little-endian float64 data.
+"""Checkpoint container: a UTF-8 header plus raw little-endian float64 data.
 
 Layout::
 
-    KMAXCKPT1
+    KMAXCKPT2
     config <field>=<value> ...
-    sha256 <hex digest of the param lines and the payload>
-    param name=<dotted.name> shape=<d0,d1,...> offset=<byte offset>
-    ...
-    data
-    <raw little-endian float64 payload>
+    layout <sha256 of "<name> <d0,d1,...>\n" for each parameter in order>
+    sha256 <hex digest of the config and layout lines and the payload>
+    <raw little-endian float64 payload, the parameters in declaration order>
 
 The ``config`` line holds the five ``ModelConfig`` fields in the config-file
-format. It is tied to them: adding or removing a field makes every checkpoint
-saved before fail its config check, as the removed ``ffn_hidden`` and
-``encoder_channels`` do. Offsets index into the payload that follows the
-``data`` line. The checksum covers the ``param`` lines as well as the
-payload, so swapping the names or offsets of two same-shape parameters
-fails it. Anyone can recompute it, so the manifest must also tile the
-payload: no parameter named twice, no line repeating a key, each parameter
-starting where the one before it ends, and the last ending the file.
-Loading is exact: the bytes written are the bytes restored. It fails with
-``ConfigError`` when the model's config differs from the saved one (two
-kernels have equal parameter shapes, so shapes alone cannot tell them
-apart), when the param lines and payload do not match their checksum, when
-a parameter holds a NaN or an infinity (the checksum covers such a value,
-and the model would then merge every image to void without an error), or
-when the file has no ``config`` or no ``sha256`` line, as files written
-before those lines existed do, or when its manifest is not UTF-8.
-
-Loading reads the file into one buffer and parses the payload in place: the
-checksum runs over a ``memoryview`` of it and every parameter is a
-read-only view into it, copied into the model only after every check has
-passed, so a load holds one copy of the payload, not two.
+format. The config fixes the model, and the model each parameter's name,
+shape and place in the payload, so the file lists no parameters: its
+``layout`` must equal the model's. The checksum covers the config line too,
+so a file edited from one kernel to the other (their shapes are equal)
+fails it. Loading checks the magic (older files are not ``KMAXCKPT2``), a
+UTF-8 header, the config and layout, a payload of ``8 * parameter_count()``
+bytes, the checksum and that every value is finite (a NaN would merge every
+image to void), raising ``ConfigError``. It hashes and views the payload in
+the one buffer the file is read into, and copies into the model only after
+every check has passed, so the bytes written are the bytes restored.
 """
 
 from __future__ import annotations
@@ -45,11 +32,20 @@ import numpy as np
 from .config import _format_value
 from .errors import ConfigError
 
-MAGIC = "KMAXCKPT1"
+MAGIC = b"KMAXCKPT2\n"
 
 
 def _config_fields(cfg):
     return {f.name: _format_value(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+
+
+def _layout(model):
+    """The sha256 of each parameter's name and shape, in declaration order."""
+    digest = hashlib.sha256()
+    for name, tensor, _ in model.named_parameters():
+        shape = ",".join(str(s) for s in tensor.data.shape)
+        digest.update(f"{name} {shape}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def save_checkpoint(path, model):
@@ -61,20 +57,15 @@ def save_checkpoint(path, model):
     and with no copy of a float64 parameter.
     """
     config = " ".join(f"{k}={v}" for k, v in _config_fields(model.cfg).items())
-    tensors = []
-    params = []
-    offset = 0
-    for name, tensor, _ in model.named_parameters():
-        tensors.append(tensor)
-        shape = ",".join(str(s) for s in tensor.data.shape)
-        params.append(f"param name={name} shape={shape} offset={offset}")
-        offset += 8 * tensor.data.size
-    digest = _digest(params, map(_raw, tensors))
-    manifest = [MAGIC, f"config {config}", f"sha256 {digest}", *params, "data"]
+    signed = f"config {config}\nlayout {_layout(model)}\n".encode("utf-8")
+    tensors = [tensor for _, tensor, _ in model.named_parameters()]
+    digest = hashlib.sha256(signed)
+    for tensor in tensors:
+        digest.update(_raw(tensor))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(("\n".join(manifest) + "\n").encode("utf-8"))
+            fh.write(MAGIC + signed + f"sha256 {digest.hexdigest()}\n".encode("utf-8"))
             for tensor in tensors:
                 fh.write(_raw(tensor))
         os.replace(tmp, path)
@@ -89,115 +80,65 @@ def _raw(tensor):
     return np.ascontiguousarray(tensor.data, dtype="<f8").reshape(-1).view(np.uint8)
 
 
-def _digest(param_lines, payload):
-    digest = hashlib.sha256()
-    for line in param_lines:
-        digest.update(f"{line}\n".encode("utf-8"))
-    for raw in payload:
-        digest.update(raw)
-    return digest.hexdigest()
-
-
-def _parse_manifest(blob, path):
-    marker = b"\ndata\n"
-    cut = blob.find(marker)
-    if cut < 0:
-        raise ConfigError(f"{path} has no data section")
+def _check_config(config, cfg, path):
     try:
-        header = blob[:cut].decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} has a manifest that is not UTF-8") from exc
-    if not header or header[0] != MAGIC:
-        raise ConfigError(f"{path} is not a {MAGIC} checkpoint")
-    entries, lines = [], []
-    config = checksum = None
-    for line in header[1:]:
-        try:
-            kind, *fields = line.split()
-            if kind == "sha256":
-                (checksum,) = fields
-                continue
-            parts = dict(kv.split("=", 1) for kv in fields)
-            if len(parts) != len(fields):
-                raise ValueError("a key repeats")   # ``dict`` would keep its last value
-            if kind == "config":
-                config = parts
-                continue
-            name = parts["name"]
-            shape = tuple(int(v) for v in parts["shape"].split(",") if v)
-            offset = int(parts["offset"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path} has a malformed manifest line {line!r}") from exc
-        if kind != "param" or offset < 0:
-            raise ConfigError(f"{path} has a malformed manifest line {line!r}")
-        entries.append((name, shape, offset))
-        lines.append(line)
-    return entries, lines, config, checksum, memoryview(blob)[cut + len(marker):]
+        fields = config.split()
+        saved = dict(kv.split("=", 1) for kv in fields)
+        if len(saved) != len(fields):
+            raise ValueError("a key repeats")   # ``dict`` would keep its last value
+    except ValueError as exc:
+        raise ConfigError(f"{path} has a malformed config line {config!r}") from exc
+    current = _config_fields(cfg)
+    for key in dict.fromkeys([*current, *saved]):
+        if key not in current:
+            raise ConfigError(f"{path} was saved with unknown key model.{key}")
+        if saved.get(key) != current[key]:
+            raise ConfigError(
+                f"{path} was saved with model.{key} = {saved.get(key)} but "
+                f"the model has model.{key} = {current[key]}"
+            )
 
 
 def load_checkpoint(path, model):
-    """Restore parameters in place; config, names and shapes must match.
+    """Restore parameters in place; the config and layout must match the model's.
 
     Every check runs before the first parameter is written, so a rejected
     checkpoint leaves the model as it was.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    entries, lines, config, checksum, payload = _parse_manifest(blob, path)
-    if config is None or checksum is None:
-        raise ConfigError(f"{path} has no {'config' if config is None else 'sha256'} line")
-    current = _config_fields(model.cfg)
-    for key in dict.fromkeys([*current, *config]):
-        if key not in current:
-            raise ConfigError(f"{path} was saved with unknown key model.{key}")
-        if config.get(key) != current[key]:
-            raise ConfigError(
-                f"{path} was saved with model.{key} = {config.get(key)} but "
-                f"the model has model.{key} = {current[key]}"
-            )
-
-    params = {name: tensor for name, tensor, _ in model.named_parameters()}
-    arrays = {}
-    for name, shape, offset in entries:
-        if name not in params:
-            raise ConfigError(f"checkpoint parameter {name} not in model")
-        if name in arrays:
-            raise ConfigError(f"{path} names parameter {name} twice")
-        tensor = params[name]
-        if tuple(tensor.data.shape) != shape:
-            raise ConfigError(
-                f"shape mismatch for {name}: checkpoint {shape} vs model "
-                f"{tuple(tensor.data.shape)}"
-            )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
-        if end > len(payload):
-            raise ConfigError(
-                f"{path} is truncated: parameter {name} needs payload bytes "
-                f"{offset}..{end} but the payload holds {len(payload)}"
-            )
-        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count,
-                                     offset=offset).reshape(shape)
-    missing = set(params) - set(arrays)
-    if missing:
-        raise ConfigError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
-    actual = _digest(lines, [payload])
-    if actual != checksum:
-        raise ConfigError(
-            f"{path} fails its sha256 checksum: manifest {checksum}, param lines "
-            f"and payload {actual}"
-        )
-    tiled = 0   # the parameters, in manifest order, must fill the payload end to end
-    for (name, _, offset), arr in zip(entries, arrays.values()):
-        if offset != tiled:
-            raise ConfigError(f"{path} puts parameter {name} at payload byte {offset}, "
-                              f"not at {tiled} where the one before it ends")
-        tiled += arr.nbytes
-    if tiled != len(payload):
-        raise ConfigError(f"{path} holds {len(payload) - tiled} payload bytes after "
-                          "its last parameter")
-    for name, arr in arrays.items():
+    if not blob.startswith(MAGIC):
+        raise ConfigError(f"{path} is not a KMAXCKPT2 checkpoint")
+    header, start = [], len(MAGIC)
+    for kind in ("config", "layout", "sha256"):
+        end = blob.find(b"\n", start)
+        if end < 0 or not blob.startswith(f"{kind} ".encode(), start, end):
+            raise ConfigError(f"{path} has no {kind} line")
+        try:
+            header.append(blob[start + len(kind) + 1:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} has a header that is not UTF-8") from exc
+        signed, start = start, end + 1   # the checksum signs the lines before its own
+    config, layout, checksum = header
+    _check_config(config, model.cfg, path)
+    if layout != _layout(model):
+        raise ConfigError(f"{path} was saved with parameter layout {layout} but the "
+                          f"model has layout {_layout(model)}")
+    view = memoryview(blob)
+    payload = view[start:]
+    if len(payload) != 8 * model.parameter_count():
+        raise ConfigError(f"{path} holds {len(payload)} payload bytes but the model's "
+                          f"parameters need {8 * model.parameter_count()}")
+    digest = hashlib.sha256(view[len(MAGIC):signed])
+    digest.update(payload)
+    if digest.hexdigest() != checksum:
+        raise ConfigError(f"{path} fails its sha256 checksum: header {checksum}, "
+                          f"config, layout and payload {digest.hexdigest()}")
+    params = model.named_parameters()
+    cuts = np.cumsum([tensor.data.size for _, tensor, _ in params])[:-1]
+    arrays = np.split(np.frombuffer(payload, dtype="<f8"), cuts)
+    for (name, _, _), arr in zip(params, arrays):
         if not np.isfinite(arr).all():
             raise ConfigError(f"{path} holds a non-finite value in parameter {name}")
-    for name, arr in arrays.items():
-        params[name].data[...] = arr
+    for (_, tensor, _), arr in zip(params, arrays):
+        tensor.data[...] = arr.reshape(tensor.data.shape)

@@ -57,6 +57,7 @@ def _cmd_train(args):
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     ckpt = args.checkpoint or os.path.join(out_dir, "model.ckpt")
+    os.makedirs(os.path.dirname(ckpt) or ".", exist_ok=True)
     metrics = os.path.join(out_dir, "metrics.csv")
     result = train_loop(cfg, checkpoint_path=ckpt, metrics_path=metrics)
     save_config(cfg, os.path.join(out_dir, "config.used.txt"))

@@ -128,6 +128,8 @@ def parse_config(text):
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    if parser.defaults():   # its keys would reach every section, or none
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
 
     cfg = Config()
     for section in parser.sections():
@@ -154,8 +156,12 @@ def serialize_config(cfg):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8") from exc
+    return parse_config(text)
 
 
 def save_config(cfg, path):

@@ -43,8 +43,7 @@ __all__ = ["merge_masks", "panoptic_quality", "PQStat", "evaluate_model",
            "evaluation_report", "run_in_shares"]
 
 
-def merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, thing_ids=frozenset(),
-                mask_binarize=0.5):
+def merge_masks(pred, *, conf_thresh, overlap_thresh, mask_binarize, thing_ids=frozenset()):
     """Mask-wise merging of a set prediction into a panoptic labeling."""
     if not all(0.0 <= t <= 1.0 for t in (conf_thresh, overlap_thresh, mask_binarize)):
         raise ValueError("thresholds must lie in [0, 1]")

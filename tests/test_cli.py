@@ -74,6 +74,22 @@ def test_eval_renders_only_the_val_split(tmp_path, generate_calls):
     assert sorted(generate_calls) == [SyntheticDataset.VAL_OFFSET + i for i in range(16)]
 
 
+def test_train_creates_the_checkpoint_directory_before_training(tmp_path, monkeypatch):
+    # the write of nodir/m.ckpt.tmp used to fail after the whole run
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path)
+    assert main(["train", "--config", cfg, "--checkpoint", "nodir/m.ckpt"]) == 0
+    assert (tmp_path / "config.used.txt").exists()
+    assert main(["eval", "--config", "config.used.txt", "--checkpoint", "nodir/m.ckpt"]) == 0
+
+
+def test_eval_with_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"[model]\nd = 8\xff\n")
+    assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err == f"error: config file {path} is not UTF-8\n"
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_ablate_without_seeds_is_a_config_error(tmp_path, capsys, seeds):
     assert main(["ablate", "--config", _config(tmp_path), "--seeds", seeds]) == 2

@@ -116,6 +116,15 @@ def test_out_of_range_values_raise_config_error(text, match):
         parse_config(text + "\n")
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nd = 8\n", "[DEFAULT]\nd = 8\n[model]\n",
+                                  "[DEFAULT]\nsteps = 3\n[train]\n"])
+def test_a_key_under_the_default_section_raises_config_error(text):
+    # configparser hands a [DEFAULT] key to every section: alone, the key was
+    # dropped; beside [model] it was applied, beside [train] it was unknown
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("key,value", [("schedule", "2,,2,2"), ("schedule", ",2,2,2"),
                                        ("schedule", "2,2,2,"),
                                        ("schedule", "")])

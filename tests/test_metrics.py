@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -29,6 +30,11 @@ def _pred_from_masks(masks, classes, num_classes, h, w, sharp=60.0):
     return PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
 
 
+def _merge(pred, **kw):
+    """``merge_masks`` at ``InferConfig()``'s thresholds, but for those ``kw`` sets."""
+    return merge_masks(pred, **{**dataclasses.asdict(InferConfig()), **kw})
+
+
 def _labels(pmap):
     """Non-void (class id, instance id) pairs of a labeling, in canonical order."""
     _, keys = pmap.segment_index()
@@ -40,7 +46,7 @@ def test_merge_two_disjoint_things_become_two_instances():
     m1 = np.zeros((h, w)); m1[:4, :4] = 1
     m2 = np.zeros((h, w)); m2[4:, 4:] = 1
     pred = _pred_from_masks([m1, m2], [1, 1], num_classes=3, h=h, w=w)
-    result = merge_masks(pred, thing_ids={1, 2})
+    result = _merge(pred, thing_ids={1, 2})
     assert _labels(result) == [(1, 1), (1, 2)]
     assert result.instance_map[0, 0] != result.instance_map[7, 7]
     assert np.all(result.class_map[:4, :4] == 1)
@@ -51,7 +57,7 @@ def test_merge_all_below_confidence_gives_void():
     mask_logits = np.zeros((16, 3))
     class_logits = np.zeros((3, 4))  # uniform -> confidence 0.25 < 0.3
     pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
-    result = merge_masks(pred, conf_thresh=0.3, thing_ids={1})
+    result = _merge(pred, conf_thresh=0.3, thing_ids={1})
     assert np.all(result.class_map == VOID)
     assert np.all(result.instance_map == 0)
 
@@ -60,9 +66,16 @@ def test_merge_all_below_confidence_gives_void():
 def test_merge_rejects_a_mask_binarize_outside_the_unit_interval(mask_binarize):
     h = w = 4
     pred = _pred_from_masks([np.ones((h, w))], [0], num_classes=2, h=h, w=w)
-    assert np.all(merge_masks(pred, mask_binarize=0.5).class_map == 0)
+    assert np.all(_merge(pred, mask_binarize=0.5).class_map == 0)
     with pytest.raises(ValueError, match="thresholds"):
-        merge_masks(pred, mask_binarize=mask_binarize)
+        _merge(pred, mask_binarize=mask_binarize)
+
+
+def test_merge_takes_every_threshold_from_its_caller():
+    # InferConfig is the one home of their defaults
+    pred = _pred_from_masks([np.ones((4, 4))], [0], num_classes=2, h=4, w=4)
+    with pytest.raises(TypeError, match="conf_thresh', 'overlap_thresh', and 'mask_binarize'"):
+        merge_masks(pred, thing_ids={1})
 
 
 def test_merge_duplicate_stuff_queries_collapse():
@@ -70,7 +83,7 @@ def test_merge_duplicate_stuff_queries_collapse():
     m1 = np.zeros((h, w)); m1[:, :4] = 1
     m2 = np.zeros((h, w)); m2[:, 4:] = 1
     pred = _pred_from_masks([m1, m2], [0, 0], num_classes=3, h=h, w=w)
-    result = merge_masks(pred, thing_ids={1, 2})
+    result = _merge(pred, thing_ids={1, 2})
     assert _labels(result) == [(0, 0)]
     assert np.all(result.class_map == 0)
     assert np.all(result.instance_map == 0)
@@ -82,7 +95,7 @@ def test_merge_output_is_a_partition():
         h = w = 8
         pred = PredictionSet(Tensor(rng.normal(size=(64, 5)) * 3),
                              Tensor(rng.normal(size=(5, 4)) * 3), h, w)
-        result = merge_masks(pred, thing_ids={1, 2})
+        result = _merge(pred, thing_ids={1, 2})
         # exactly one label per pixel by construction; instances unique
         thing_ids = [inst for _, inst in _labels(result) if inst > 0]
         assert len(thing_ids) == len(set(thing_ids))
@@ -103,12 +116,12 @@ def test_merge_overlap_pruning_drops_buried_query():
     class_logits[1, 1] = np.log(198.0)   # p(class 1) = 0.99
     pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
 
-    result = merge_masks(pred, overlap_thresh=0.8, thing_ids={0, 1})
+    result = _merge(pred, overlap_thresh=0.8, thing_ids={0, 1})
     kept = {cls for cls, _ in _labels(result)}
     assert kept == {1}
     assert np.all(result.class_map == 1)
     # without pruning both queries keep their pixels
-    loose = merge_masks(pred, overlap_thresh=0.0, thing_ids={0, 1})
+    loose = _merge(pred, overlap_thresh=0.0, thing_ids={0, 1})
     assert {cls for cls, _ in _labels(loose)} == {0, 1}
 
 
@@ -441,8 +454,8 @@ def test_evaluate_model_equals_per_image_reference_sums(seed):
     for _ in range(int(rng.integers(1, 4))):
         pred = PredictionSet(Tensor(rng.normal(size=(16, 6)) * 4),
                              Tensor(rng.normal(size=(6, num_classes + 1)) * 4), 4, 4)
-        full = merge_masks(pred, infer.conf_thresh, infer.overlap_thresh,
-                           table.thing_ids, infer.mask_binarize).upsample(2)
+        full = merge_masks(pred, **dataclasses.asdict(infer),
+                           thing_ids=table.thing_ids).upsample(2)
         # ground truth: the merged prediction with a fifth of its pixels redrawn
         noise = rng.random(size=(8, 8)) < 0.2
         gt = PanopticMap(np.where(noise, rng.integers(VOID, num_classes, size=(8, 8)),
@@ -489,7 +502,8 @@ def _predictions(draw):
 @given(_predictions())
 def test_merge_masks_output_is_a_partition(case):
     pred, conf_thresh, overlap_thresh, thing_ids = case
-    result = merge_masks(pred, conf_thresh, overlap_thresh, thing_ids)
+    result = _merge(pred, conf_thresh=conf_thresh, overlap_thresh=overlap_thresh,
+                    thing_ids=thing_ids)
     cm, im = result.class_map, result.instance_map
     assert cm.shape == im.shape == (pred.height, pred.width)
     keys = _labels(result)
@@ -507,7 +521,8 @@ def test_merge_masks_output_is_a_partition(case):
 @given(_predictions(), st.integers(1, 3))
 def test_panoptic_image_equals_a_per_segment_painter(case, factor):
     pred, conf_thresh, overlap_thresh, thing_ids = case
-    pmap = merge_masks(pred, conf_thresh, overlap_thresh, thing_ids).upsample(factor)
+    pmap = _merge(pred, conf_thresh=conf_thresh, overlap_thresh=overlap_thresh,
+                  thing_ids=thing_ids).upsample(factor)
     want = np.zeros(pmap.class_map.shape + (3,))
     for cls, inst, mask in _reference_segments(pmap):
         want[mask] = cluster_color(cls * 31 + inst)
@@ -563,8 +578,7 @@ def test_float32_and_float64_inference_merge_identical_labels():
         for m in (model, twin):
             with no_grad():
                 pred, _, _ = m.forward(img)
-            maps.append(merge_masks(pred, infer.conf_thresh, infer.overlap_thresh,
-                                    thing_ids, infer.mask_binarize))
+            maps.append(merge_masks(pred, **dataclasses.asdict(infer), thing_ids=thing_ids))
         assert maps[1].class_map.tobytes() == maps[0].class_map.tobytes()
         assert maps[1].instance_map.tobytes() == maps[0].instance_map.tobytes()
 
