@@ -24,19 +24,21 @@ The package groups into:
   updates each parameter block from inside it (``Tensor.backward(on_final)``)
   as soon as its gradients are final, and frees them,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
-* ``metrics`` - mask-wise merging, ``PQStat`` (panoptic quality with its SQ
-  and RQ split, and dataset-level mIoU, all read from one segment histogram
-  per image), ``run_in_shares`` (a list's contiguous shares, one per usable
-  CPU, run in forked children; a call nested in a share runs in place), and
-  ``evaluate_model``, which labels images with a float32 copy of the model
-  through it and scores them with ``PQStat`` in order in one process, so
-  results are bitwise those of one share,
+* ``metrics`` - mask-wise merging, ``label_image`` (a float32 copy's forward
+  and merge of one image, for evaluation and rendering alike), ``PQStat``
+  (panoptic quality with its SQ and RQ split, and dataset-level mIoU, all
+  read from one segment histogram per image), ``run_in_shares`` (a list's
+  contiguous shares, one per usable CPU, run in forked children; a call
+  nested in a share runs in place), and ``evaluate_model``, which labels
+  images through both and scores them with ``PQStat`` in order in one
+  process, so results are bitwise those of one share,
 * ``acceptance`` - the release criteria; ``train_grid`` trains the runs of
   criteria 7-9 and ``kmaxseg ablate`` through ``run_in_shares``,
 * ``data`` - deterministic synthetic panoptic scenes and their fixed class
   table, ``CLASS_TABLE``,
-* ``config`` / ``cli`` - configuration files, with the one model-section
-  check in ``ModelConfig.validate``, and the command-line tools.
+* ``config`` / ``cli`` - configuration files, with the one check of each
+  validated section in ``ModelConfig.validate`` and ``InferConfig.validate``,
+  and the command-line tools.
 """
 
 import os

@@ -12,8 +12,9 @@ use: the learning rate, warm-up and loss weights are constants in
 class constants, the flip probability is ``augment_flip``'s, and the class table and
 scene ranges are constants in ``data``.
 
-``ModelConfig.validate`` is the one check of the model section; both
-``Config.validate`` and the model's constructor call it. Parsing and
+``ModelConfig.validate`` and ``InferConfig.validate`` are the one checks of
+the model and infer sections; ``Config.validate`` calls both, the model's
+constructor the first and ``metrics.merge_masks`` the second. Parsing and
 serialization round-trip exactly: parse(serialize(parse(text))) equals
 parse(text). A tuple value is comma-separated integers with no empty item.
 """
@@ -71,6 +72,13 @@ class InferConfig:
     overlap_thresh: float = 0.8
     mask_binarize: float = 0.5
 
+    def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"infer.{f.name} must lie in [0, 1], got {value!r}")
+        return self
+
 
 @dataclass(slots=True)
 class Config:
@@ -81,12 +89,7 @@ class Config:
 
     def validate(self):
         self.model.validate()
-        fractions = {"infer.conf_thresh": self.infer.conf_thresh,
-                     "infer.overlap_thresh": self.infer.overlap_thresh,
-                     "infer.mask_binarize": self.infer.mask_binarize}
-        for key, value in fractions.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1], got {value!r}")
+        self.infer.validate()
         for key in ("steps", "train_size", "val_size", "eval_interval"):
             if getattr(self.train, key) < 1:
                 raise ConfigError(f"train.{key} must be positive, got {getattr(self.train, key)}")

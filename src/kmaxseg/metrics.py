@@ -4,7 +4,10 @@
 mask-wise merging: keep confident queries, let them compete per pixel on
 confidence-weighted mask probability, prune segments that retained too
 little of their own binary mask, and finally assign instance ids (fresh per
-'thing' segment, shared per 'stuff' class).
+'thing' segment, shared per 'stuff' class). Its thresholds are one
+``InferConfig``'s, checked by ``InferConfig.validate``, their one check.
+``label_image``, which ``evaluate_model`` and ``visualize.render_stages``
+both call, is the one path from an image to its merged map.
 
 ``panoptic_quality`` follows the standard definition: segments of equal
 class match when IoU exceeds 0.5 (such a match is unique), and
@@ -39,14 +42,13 @@ from .errors import ContractError, ShapeError
 from .panoptic import VOID, PanopticMap
 from .tensor import no_grad
 
-__all__ = ["merge_masks", "panoptic_quality", "PQStat", "evaluate_model",
+__all__ = ["merge_masks", "label_image", "panoptic_quality", "PQStat", "evaluate_model",
            "evaluation_report", "run_in_shares"]
 
 
-def merge_masks(pred, *, conf_thresh, overlap_thresh, mask_binarize, thing_ids=frozenset()):
-    """Mask-wise merging of a set prediction into a panoptic labeling."""
-    if not all(0.0 <= t <= 1.0 for t in (conf_thresh, overlap_thresh, mask_binarize)):
-        raise ValueError("thresholds must lie in [0, 1]")
+def merge_masks(pred, infer, thing_ids):
+    """Mask-wise merging of ``pred`` into a panoptic labeling at ``infer``'s thresholds."""
+    infer.validate()
     h, w = pred.height, pred.width
     n = pred.num_queries
     if n == 0:
@@ -57,10 +59,10 @@ def merge_masks(pred, *, conf_thresh, overlap_thresh, mask_binarize, thing_ids=f
 
     cls = class_probs[:, :-1].argmax(axis=1)
     conf = class_probs[np.arange(n), cls]
-    active = conf >= conf_thresh
+    active = conf >= infer.conf_thresh
 
     scores = z * conf[None, :]
-    binary = z > mask_binarize
+    binary = z > infer.mask_binarize
 
     def assign(active_mask):
         if not active_mask.any():
@@ -76,7 +78,7 @@ def merge_masks(pred, *, conf_thresh, overlap_thresh, mask_binarize, thing_ids=f
         for q in np.nonzero(active)[0]:
             area = int(binary[:, q].sum())
             won = int(((assigned == q) & binary[:, q]).sum())
-            if area == 0 or won / area < overlap_thresh:
+            if area == 0 or won / area < infer.overlap_thresh:
                 drop.append(q)
         if not drop:
             break
@@ -216,6 +218,15 @@ def panoptic_quality(pred, gt, thing_ids=frozenset()):
     return PQStat().update(pred, gt).summarize(thing_ids)
 
 
+def label_image(model32, image, infer_cfg, thing_ids):
+    """``(merged, aux)``: the merged final prediction, at the prediction grid,
+    and the auxiliary predictions of a no-grad forward of the float32 model
+    copy ``model32`` on ``image``."""
+    with no_grad():
+        pred, aux, _ = model32.forward(image)
+    return merge_masks(pred, infer_cfg, thing_ids), aux
+
+
 def evaluate_model(model, examples, infer_cfg, class_table):
     """Aggregate PQ and mIoU of a model over (image, ground truth) pairs.
 
@@ -227,10 +238,10 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     dataset-level: each class's intersection and union are summed over all
     images before its IoU is taken.
 
-    The forward passes and mask merges run through ``run_in_shares``, no
-    share under ``MIN_SHARE`` images, and each share returns its merged
-    ``PanopticMap``s. Only ``upsample`` and ``PQStat.update`` run here, over
-    every image in order, so the result is bitwise the one-share result. An
+    Each ``run_in_shares`` share, none under ``MIN_SHARE`` images, labels its
+    images with ``label_image`` and returns the merged ``PanopticMap``s. Only
+    ``upsample`` and ``PQStat.update`` run here, over every image in order,
+    so the result is bitwise the one-share result. An
     exception raised in any share, such as ``ContractError`` for a NaN image,
     is raised here.
     """
@@ -238,23 +249,15 @@ def evaluate_model(model, examples, infer_cfg, class_table):
     if not examples:
         raise ContractError("no examples to evaluate")
     model32 = model.astype(np.float32)   # before the fork, so the shares share it
-    thing_ids = class_table.thing_ids
 
     def label(share):
-        out = []
-        for img, _ in share:
-            with no_grad():
-                pred, _, _ = model32.forward(img)
-            out.append(merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
-                                   overlap_thresh=infer_cfg.overlap_thresh,
-                                   thing_ids=thing_ids,
-                                   mask_binarize=infer_cfg.mask_binarize))
-        return out
+        return [label_image(model32, img, infer_cfg, class_table.thing_ids)[0]
+                for img, _ in share]
 
     stat = PQStat()
     for merged, (_, gt) in zip(run_in_shares(label, examples, MIN_SHARE), examples):
         stat.update(merged.upsample(gt.height // merged.height), gt)
-    return stat.summarize(thing_ids)
+    return stat.summarize(class_table.thing_ids)
 
 
 # A child returns its share ≈7-9 ms later than this process would finish it

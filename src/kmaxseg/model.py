@@ -160,7 +160,7 @@ class KMaxModel:
             flat = reshape(skip, (hs * ws, skip.data.shape[2]))
             t = self.proj[s](flat)
             if prev is not None:
-                up = upsample_nearest(reshape(prev, (hs // 2, ws // 2, self.cfg.d)), 2)
+                up = upsample_nearest(reshape(prev, (hs // 2, ws // 2, self.cfg.d)))
                 t = t + reshape(up, (hs * ws, self.cfg.d))
             t = t + self.pos[s]
             if s == 32:

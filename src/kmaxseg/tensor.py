@@ -447,27 +447,17 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # -- spatial ops ----------------------------------------------------------------
 
 
-def upsample_nearest(x, factor):
-    """Nearest-neighbor upsampling of an (H, W, C) tensor by a power of two.
-
-    The backward sums the gradient over 2x2 blocks once per doubling, finest
-    first: one sum over factor x factor blocks rounds differently from that
-    chain for factors above 2.
-    """
+def upsample_nearest(x):
+    """Nearest-neighbor 2x upsampling of an (H, W, C) tensor; the backward
+    sums the gradient over 2x2 blocks."""
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"upsample_nearest expects (H, W, C), got {x.data.shape}")
-    if factor < 1 or factor & (factor - 1):
-        raise ContractError(f"upsample factor must be a power of two, got {factor}")
     h, w, c = x.data.shape
-    data = np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1)
+    data = np.repeat(np.repeat(x.data, 2, axis=0), 2, axis=1)
 
     def bwd(g):
-        f = factor
-        while f > 1:
-            f //= 2
-            g = g.reshape(h * f, 2, w * f, 2, c).sum(axis=(1, 3))
-        _accum(x, g, fresh=factor > 1)
+        _accum(x, g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)), fresh=True)
 
     return _make(data, (x,), bwd)
 

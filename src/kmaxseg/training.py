@@ -260,8 +260,7 @@ def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matc
     # the semantic cross-entropy, over the pixels whose ground truth is not void
     rows = np.nonzero(sem_ids >= 0)[0]
     r = rows.size
-    some_void = r < sem_ids.size
-    sem = sem_logits.data[rows] if some_void else sem_logits.data
+    sem = sem_logits.data[rows]
     sem_t = sem_ids[rows]
     l_sem = 0.0
     if r:
@@ -292,12 +291,10 @@ def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matc
             _accum(a.mask_logits, g_a.reshape(a.height * a.width, n), fresh=True)
             _accum(a.class_logits, g_class[i], fresh=True)
         if r:
-            g_sem = p_sem.copy()
-            g_sem[np.arange(r), sem_t] -= 1.0
-            g_sem *= (W_SEM * g) / r
-            if some_void:
-                g_kept, g_sem = g_sem, np.zeros_like(sem_logits.data)
-                g_sem[rows] = g_kept
+            g_sem = np.zeros_like(sem_logits.data)
+            g_sem[rows] = p_sem
+            g_sem[rows, sem_t] -= 1.0
+            g_sem[rows] *= (W_SEM * g) / r
             _accum(sem_logits, g_sem, fresh=True)
 
     parents = [t for out in outputs for t in (out.mask_logits, out.class_logits)]

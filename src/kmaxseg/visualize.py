@@ -3,7 +3,7 @@
 Cluster colors are a deterministic function of the cluster index (golden
 angle hue walk), so two renderings of the same model state are identical.
 Stage maps show which cluster each pixel's features were assigned to at
-that decoder stage; the final image colors the merged panoptic prediction.
+that decoder stage; the final image colors ``metrics.label_image``'s map.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import os
 
 import numpy as np
 
-from .metrics import merge_masks
+from .metrics import label_image
 from .panoptic import VOID
 from .ppm import write_ppm
-from .tensor import no_grad
 
 _GOLDEN_ANGLE = 0.6180339887498949
 
@@ -51,28 +50,19 @@ def panoptic_image(pmap):
 def render_stages(model, image, infer_cfg, thing_ids, out_dir):
     """Write one assignment PPM per decoder stage plus the final panoptic map.
 
-    The forward pass runs on a float32 copy of ``model`` cast for this
-    call, as ``evaluate_model``'s is, so the maps drawn are the maps
-    evaluated.
+    The image is labelled by ``metrics.label_image`` on a float32 copy of
+    ``model`` cast for this call, the function and copy ``evaluate_model``
+    labels with, so the maps drawn are the maps evaluated.
     Returns the list of written paths (stage images in order, final last).
     """
     os.makedirs(out_dir, exist_ok=True)
-    with no_grad():
-        pred, aux, _ = model.astype(np.float32).forward(image)
+    merged, aux = label_image(model.astype(np.float32), image, infer_cfg, thing_ids)
     side = image.shape[0]
-    paths = []
-    for stage, a in enumerate(aux):
-        img = assignment_image(a.affinity, a.height, a.width,
-                               upscale=side // a.height)
-        path = os.path.join(out_dir, f"stage_{stage:02d}.ppm")
+    images = {f"stage_{stage:02d}.ppm": assignment_image(a.affinity, a.height, a.width,
+                                                         upscale=side // a.height)
+              for stage, a in enumerate(aux)}
+    images["final_panoptic.ppm"] = panoptic_image(merged.upsample(side // merged.height))
+    paths = [os.path.join(out_dir, name) for name in images]
+    for path, img in zip(paths, images.values()):
         write_ppm(path, img)
-        paths.append(path)
-    merged = merge_masks(pred, conf_thresh=infer_cfg.conf_thresh,
-                         overlap_thresh=infer_cfg.overlap_thresh,
-                         thing_ids=thing_ids,
-                         mask_binarize=infer_cfg.mask_binarize)
-    final = panoptic_image(merged.upsample(side // pred.height))
-    final_path = os.path.join(out_dir, "final_panoptic.ppm")
-    write_ppm(final_path, final)
-    paths.append(final_path)
     return paths

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 from pathlib import Path
 
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from kmaxseg.config import InferConfig
 from kmaxseg.data import CLASS_TABLE, SceneSpec
-from kmaxseg.errors import ContractError, ShapeError
+from kmaxseg.errors import ConfigError, ContractError, ShapeError
 from kmaxseg.metrics import (MIN_SHARE, PQStat, evaluate_model, evaluation_report,
                              merge_masks, panoptic_quality, run_in_shares)
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
@@ -30,9 +29,9 @@ def _pred_from_masks(masks, classes, num_classes, h, w, sharp=60.0):
     return PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
 
 
-def _merge(pred, **kw):
+def _merge(pred, thing_ids, **kw):
     """``merge_masks`` at ``InferConfig()``'s thresholds, but for those ``kw`` sets."""
-    return merge_masks(pred, **{**dataclasses.asdict(InferConfig()), **kw})
+    return merge_masks(pred, InferConfig(**kw), thing_ids)
 
 
 def _labels(pmap):
@@ -66,16 +65,27 @@ def test_merge_all_below_confidence_gives_void():
 def test_merge_rejects_a_mask_binarize_outside_the_unit_interval(mask_binarize):
     h = w = 4
     pred = _pred_from_masks([np.ones((h, w))], [0], num_classes=2, h=h, w=w)
-    assert np.all(_merge(pred, mask_binarize=0.5).class_map == 0)
-    with pytest.raises(ValueError, match="thresholds"):
-        _merge(pred, mask_binarize=mask_binarize)
+    assert np.all(_merge(pred, thing_ids=frozenset(), mask_binarize=0.5).class_map == 0)
+    # InferConfig.validate's message, the one Config.validate raises
+    with pytest.raises(ConfigError, match=r"infer\.mask_binarize must lie in \[0, 1\]"):
+        _merge(pred, thing_ids=frozenset(), mask_binarize=mask_binarize)
+
+
+@pytest.mark.parametrize("key", ["conf_thresh", "overlap_thresh"])
+def test_merge_checks_each_threshold_through_infer_config_validate(key):
+    pred = _pred_from_masks([np.ones((4, 4))], [0], num_classes=2, h=4, w=4)
+    with pytest.raises(ConfigError, match=rf"infer\.{key} must lie in \[0, 1\], got 1\.5"):
+        merge_masks(pred, InferConfig(**{key: 1.5}), frozenset())
 
 
 def test_merge_takes_every_threshold_from_its_caller():
-    # InferConfig is the one home of their defaults
+    # InferConfig is the one home of the thresholds, and thing_ids has no default
     pred = _pred_from_masks([np.ones((4, 4))], [0], num_classes=2, h=4, w=4)
-    with pytest.raises(TypeError, match="conf_thresh', 'overlap_thresh', and 'mask_binarize'"):
-        merge_masks(pred, thing_ids={1})
+    with pytest.raises(TypeError, match="thing_ids"):
+        merge_masks(pred, InferConfig())
+    with pytest.raises(TypeError, match="conf_thresh"):
+        merge_masks(pred, conf_thresh=0.3, overlap_thresh=0.8, mask_binarize=0.5,
+                    thing_ids=frozenset())
 
 
 def test_merge_duplicate_stuff_queries_collapse():
@@ -454,8 +464,7 @@ def test_evaluate_model_equals_per_image_reference_sums(seed):
     for _ in range(int(rng.integers(1, 4))):
         pred = PredictionSet(Tensor(rng.normal(size=(16, 6)) * 4),
                              Tensor(rng.normal(size=(6, num_classes + 1)) * 4), 4, 4)
-        full = merge_masks(pred, **dataclasses.asdict(infer),
-                           thing_ids=table.thing_ids).upsample(2)
+        full = merge_masks(pred, infer, table.thing_ids).upsample(2)
         # ground truth: the merged prediction with a fifth of its pixels redrawn
         noise = rng.random(size=(8, 8)) < 0.2
         gt = PanopticMap(np.where(noise, rng.integers(VOID, num_classes, size=(8, 8)),
@@ -578,7 +587,7 @@ def test_float32_and_float64_inference_merge_identical_labels():
         for m in (model, twin):
             with no_grad():
                 pred, _, _ = m.forward(img)
-            maps.append(merge_masks(pred, **dataclasses.asdict(infer), thing_ids=thing_ids))
+            maps.append(merge_masks(pred, infer, thing_ids))
         assert maps[1].class_map.tobytes() == maps[0].class_map.tobytes()
         assert maps[1].instance_map.tobytes() == maps[0].instance_map.tobytes()
 
@@ -618,6 +627,45 @@ def test_render_stages_merges_through_the_float32_twin(tmp_path, monkeypatch):
     paths = render_stages(model, img, InferConfig(), frozenset({1}), tmp_path)
     assert len(paths) == 4 and dtypes == [np.dtype(np.float32)]
     assert {t.data.dtype for _, t, _ in model.named_parameters()} == {np.dtype(np.float64)}
+
+
+def _final_ppm_bytes(model, img, infer, out_dir):
+    from kmaxseg.visualize import render_stages
+
+    return Path(render_stages(model, img, infer, frozenset({1}), out_dir)[-1]).read_bytes()
+
+
+def test_render_stages_merges_at_its_infer_cfg_thresholds(tmp_path):
+    from kmaxseg.config import ModelConfig
+    from kmaxseg.model import KMaxModel
+
+    model = KMaxModel(ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1)), seed=0)
+    img = np.random.default_rng(0).uniform(size=(64, 64, 3))
+    header = len(b"P6\n64 64\n255\n")
+    # no class probability reaches 1, so conf_thresh = 1 leaves every pixel void (black)
+    void = _final_ppm_bytes(model, img, InferConfig(conf_thresh=1.0), tmp_path / "void")
+    assert void[header:] == bytes(64 * 64 * 3)
+    kept = _final_ppm_bytes(model, img, InferConfig(conf_thresh=0.0, overlap_thresh=0.0),
+                            tmp_path / "kept")
+    assert kept[header:] != void[header:]
+
+
+def test_render_stages_draws_the_map_label_image_gives(tmp_path):
+    from kmaxseg.config import ModelConfig
+    from kmaxseg.metrics import label_image
+    from kmaxseg.model import KMaxModel
+    from kmaxseg.ppm import write_ppm
+
+    model32 = KMaxModel(ModelConfig(d=16, num_queries=4, schedule=(1, 1, 1)),
+                        seed=2).astype(np.float32)
+    img = np.random.default_rng(4).uniform(size=(64, 64, 3))
+    infer = InferConfig(conf_thresh=0.0, overlap_thresh=0.5)
+    merged, aux = label_image(model32, img, infer, frozenset({1}))
+    assert len(aux) == 3 and len(merged.segment_index()[1]) == 3
+    write_ppm(tmp_path / "want.ppm", panoptic_image(merged.upsample(64 // merged.height)))
+    # render_stages casts model32 again: a float32 copy of the same values
+    assert _final_ppm_bytes(model32, img, infer, tmp_path / "render") == \
+        (tmp_path / "want.ppm").read_bytes()
 
 
 def _overwrite_parameters(model, seed):

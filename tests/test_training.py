@@ -290,9 +290,10 @@ def test_total_loss_gradient_passes_finite_differences():
 def _reference_upsample_logits(aux, target_stride_hw):
     h, w = aux.height, aux.width
     target_h, target_w = target_stride_hw
-    factor = target_h // h
     n = aux.mask_logits.data.shape[1]
-    up = T.upsample_nearest(T.reshape(aux.mask_logits, (h, w, n)), factor)
+    up = T.reshape(aux.mask_logits, (h, w, n))
+    while up.data.shape[0] < target_h:   # 2x steps; backward sums 2x2 blocks, finest first
+        up = T.upsample_nearest(up)
     return T.reshape(up, (target_h * target_w, n))
 
 

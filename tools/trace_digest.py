@@ -20,8 +20,11 @@ script on two checkouts and diffing the output compares them. It uses only
 ``Config``, ``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
 ``merge_masks``, ``no_grad``, ``evaluate_model``, ``KMaxModel.astype`` and
 ``tensor.GradTape.from_output``, and reads only the two maps of a merge
-result and the ``mask_logits`` and ``class_logits`` of a prediction, so older
-checkouts run it unchanged.
+result and the ``mask_logits`` and ``class_logits`` of a prediction. It
+calls ``merge_masks(pred, cfg.infer, thing_ids)``, so the first checkout it
+runs on is the child of commit ``ca6dbc8``, where ``merge_masks`` began to
+take the ``InferConfig``; to compare against ``ca6dbc8`` or older, run that
+checkout's own copy of this script there.
 """
 
 from __future__ import annotations
@@ -87,10 +90,7 @@ def digest(overrides):
         for hashed, preds in ((logits, [pred, *aux]), (logits32, [pred32, *aux32])):
             for p in preds:
                 hashed.update(p.mask_logits.data.tobytes() + p.class_logits.data.tobytes())
-        merged = merge_masks(pred, conf_thresh=cfg.infer.conf_thresh,
-                             overlap_thresh=cfg.infer.overlap_thresh,
-                             thing_ids=dataset.class_table.thing_ids,
-                             mask_binarize=cfg.infer.mask_binarize)
+        merged = merge_masks(pred, cfg.infer, dataset.class_table.thing_ids)
         labels.update(merged.class_map.tobytes() + merged.instance_map.tobytes())
     scores = evaluate_model(result.model, dataset.val, cfg.infer, dataset.class_table)
     return (f"rows {rows} params {params.hexdigest()} ({len(named)} tensors) "
