@@ -14,11 +14,12 @@ one branch.
 
 Every block also emits an auxiliary prediction: a ``PredictionSet`` at the
 stride of the pixels it read, so it merges like the final one. Its mask
-logits are the scaled affinity between the mask embedding of the projected
-centers and the projected pixels; for the hard-assignment kernel the argmax
-of that same affinity is the assignment, so the supervised logits define
-the clustering by construction and are the only gradient path into its
-query/key weights.
+logits are one (N, HW) ``scaled_dot`` node: d^-0.5 times the mask embedding
+of the projected centers against the projected pixels. For the
+hard-assignment kernel their argmax over clusters is the assignment, so the
+supervised logits define the clustering and are the only gradient path into
+its query/key weights. At d = 64 the scale 1/8 is exact; for any d, rounding
+is monotone, so the scale can tie two logits but never reorders them.
 
 A block declares its parameters in its own ``Params`` registry; the model
 adopts them under ``blocks.<i>``.
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .kernels import PixelFeatures, _hard_aggregate
 from .layers import Params
 from .panoptic import PredictionSet
-from .tensor import gelu, matmul, scale, softmax_attention, transpose
+from .tensor import gelu, scaled_dot, softmax_attention, transpose
 
 __all__ = ["KMaxDecoderBlock"]
 
@@ -40,7 +41,7 @@ class KMaxDecoderBlock:
 
     def __init__(self, rng, d, num_classes, kernel):
         self.kernel = kernel
-        self.logit_scale = d ** -0.5  # transformer scaling; the argmax ignores it
+        self.logit_scale = d ** -0.5  # transformer scaling
         self.params = p = Params(rng)
         self.sa_ln = p.layer_norm("sa_ln", d)
         self.sa_ln_out = p.layer_norm("sa_ln_out", d)
@@ -70,16 +71,14 @@ class KMaxDecoderBlock:
     def _interaction(self, c, pixels):
         cn, pn = self.ker_ln_c(c), self.ker_ln_p(pixels)
         q, k, v = self.ker_q(cn), self.ker_k(pn), self.ker_v(pn)
-        mask_emb = self.mask(q)
-        affinity = matmul(mask_emb, k.T)
-        sup_logits = scale(affinity, self.logit_scale)
+        sup = scaled_dot(self.mask(q), k, self.logit_scale)
         if self.kernel == "kmeans":
             # the supervised mask logits define the hard assignment, so the
             # deep-supervision losses directly shape the clustering
-            update = _hard_aggregate(affinity, v)
+            update = _hard_aggregate(sup, v)
         else:
             update = softmax_attention(q, k, v, self.logit_scale)
-        return c + self.ker_ln_out(update), sup_logits
+        return c + self.ker_ln_out(update), sup
 
     def _ffn(self, c):
         return c + self.ffn_ln_out(self.ffn2(gelu(self.ffn1(self.ffn_ln(c)))))
@@ -89,10 +88,10 @@ class KMaxDecoderBlock:
         if not isinstance(pixels, PixelFeatures):
             raise ConfigError("decoder blocks take PixelFeatures (need spatial dims)")
         c = self._self_attention(c)
-        c, sup_logits = self._interaction(c, pixels.values)
+        c, sup = self._interaction(c, pixels.values)
         c = self._ffn(c)
 
         class_logits = self.cls(self.head_ln(c))
-        aux = PredictionSet(transpose(sup_logits), class_logits, pixels.height, pixels.width)
+        aux = PredictionSet(transpose(sup), class_logits, pixels.height, pixels.width)
         return c, aux
 

@@ -46,7 +46,7 @@ class PixelFeatures:
 
 
 def _hard_aggregate(logits, v):
-    """Per-cluster sum of V under the hard assignment of (N, HW) ``logits``.
+    """Per-cluster sum of V under the hard assignment of (N, HW) scaled mask logits.
 
     Each pixel goes to its argmax cluster (detached); a cluster sums its
     assigned value rows. An empty cluster gets a zero row, where Lloyd would

@@ -1,21 +1,22 @@
 """Full segmentation model: pixel path, cluster path, prediction heads.
 
-The pixel path is a strided-convolution encoder of widths d/4, d/2, 3d/4,
-d and d down to stride 32, then a feature-pyramid decoder: per-stride
+The pixel path is a strided-convolution encoder of widths d/4, d/2, 3d/4, d
+and d down to stride 32, then a feature-pyramid decoder: per-stride
 projections of encoder skips, nearest 2x upsampling, additive
 zero-initialized positional embeddings, one self-attention block at stride
 32 and one residual conv block per finer stride. All pyramid levels share
-the channel width ``d``.
-The positional embeddings fix each level's grid, so the model takes only
-``image_size``-square images.
+the channel width ``d``, and pixel features stay (H·W, C) rows from the
+image on. The positional embeddings fix each level's grid, so the model
+takes only ``image_size``-square images.
 
 The cluster path threads learnable queries through the configured decoder
 blocks: ``schedule[i]`` blocks read the pyramid level at stride 32, 16 and 8
 in turn (two per level by default). Final masks are the softmax over queries
-of stride-4 pixel features times mask-embedded centers; a separate affine
-head on the stride-4 features provides semantic-segmentation logits. The
-constructor checks its config with ``ModelConfig.validate``; the class count
-is ``data.CLASS_TABLE``'s.
+of one ``scaled_dot`` node, d^-0.5 times stride-4 pixel features against
+mask-embedded centers, as each block's auxiliary masks are. A separate
+affine head on the stride-4 features provides semantic-segmentation logits.
+The constructor checks its config with ``ModelConfig.validate``; the class
+count is ``data.CLASS_TABLE``'s.
 
 Every tensor is declared once through one ``Params`` registry, which names
 it, draws it from the model seed in declaration order and sets its weight
@@ -40,8 +41,7 @@ from .errors import ContractError, ShapeError
 from .kernels import PixelFeatures
 from .layers import Params
 from .panoptic import PredictionSet
-from .tensor import (Tensor, conv3x3, gelu, matmul, reshape, scale, softmax_attention,
-                     transpose, upsample_nearest)
+from .tensor import Tensor, conv3x3, gelu, scaled_dot, softmax_attention, upsample_nearest
 
 __all__ = ["KMaxModel"]
 
@@ -129,39 +129,33 @@ class KMaxModel:
         """Toy encoder plus pyramid decoder.
 
         Returns ``{stride: PixelFeatures}`` for strides 32, 16, 8 and the
-        final stride 4. The image must be ``image_size`` square; an array
-        image is cast to the parameters' dtype.
+        final stride 4. The image must be an ``image_size``-square array; it
+        is cast to the parameters' dtype and flattened to (H·W, 3) rows.
         """
-        dtype = self.queries.data.dtype
-        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=dtype))
-        if x.data.ndim != 3 or x.data.shape[2] != 3:
-            raise ShapeError(f"expected an (H, W, 3) image, got {x.data.shape}")
-        h, w = x.data.shape[:2]
+        image = np.asarray(image, dtype=self.queries.data.dtype)
+        if image.ndim != 3 or image.shape[2] != 3:
+            raise ShapeError(f"expected an (H, W, 3) image, got {image.shape}")
+        h, w = image.shape[:2]
         size = self.cfg.image_size
         if (h, w) != (size, size):
             raise ShapeError(f"image is {h}x{w} but the model takes {size}x{size} "
                              "(model.image_size)")
-        if not np.isfinite(x.data).all():
+        if not np.isfinite(image).all():
             # a NaN would reach every mask logit and merge to an all-void map
             raise ContractError("image has non-finite pixel values")
 
+        x = Tensor(image.reshape(h * w, 3))
         skips = {}
-        stride = 1
-        for wgt, bias in self.enc:
-            x = gelu(conv3x3(x, wgt, bias, stride=2))
-            stride *= 2
-            skips[stride] = x
+        for i, (wgt, bias) in enumerate(self.enc):
+            x = gelu(conv3x3(x, h >> i, w >> i, wgt, bias, stride=2))
+            skips[2 << i] = x
 
-        levels = {}
-        prev = None
+        levels, prev = {}, None
         for s in self.strides:
             hs, ws = h // s, w // s
-            skip = skips[s]
-            flat = reshape(skip, (hs * ws, skip.data.shape[2]))
-            t = self.proj[s](flat)
+            t = self.proj[s](skips[s])
             if prev is not None:
-                up = upsample_nearest(reshape(prev, (hs // 2, ws // 2, self.cfg.d)))
-                t = t + reshape(up, (hs * ws, self.cfg.d))
+                t = t + upsample_nearest(prev, hs // 2, ws // 2)
             t = t + self.pos[s]
             if s == 32:
                 a_in = self.attn_ln(t)
@@ -170,8 +164,7 @@ class KMaxModel:
                 t = t + self.mlp2(gelu(self.mlp1(self.mlp_ln(t))))
             else:
                 cw, cb = self.block_conv[s]
-                y = conv3x3(gelu(reshape(t, (hs, ws, self.cfg.d))), cw, cb)
-                t = t + reshape(y, (hs * ws, self.cfg.d))
+                t = t + conv3x3(gelu(t), hs, ws, cw, cb)
             levels[s] = PixelFeatures(t, hs, ws)
             prev = t
         return levels
@@ -190,10 +183,8 @@ class KMaxModel:
             aux.append(a)
 
         normed = self.final_ln(centers)
-        mask_emb = self.final_mask(normed)
         f4 = pyramid[4]
-        mask_logits = scale(matmul(f4.values, transpose(mask_emb)),
-                            self.cfg.d ** -0.5)
+        mask_logits = scaled_dot(f4.values, self.final_mask(normed), self.cfg.d ** -0.5)
         class_logits = self.final_class(normed)
         sem_logits = self.sem(f4.values)
 

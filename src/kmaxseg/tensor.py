@@ -30,11 +30,12 @@ evaluation runs a float32 copy of the model cast for each call
 (``KMaxModel.astype``).
 
 The model's matrices are small (16 queries by 64 channels), so a node's
-Python overhead costs more than its arithmetic. Two patterns the model
+Python overhead costs more than its arithmetic. Three patterns the model
 repeats are therefore one node each, with a hand-written backward:
-``affine`` (``x @ w + b``) and ``softmax_attention`` (``softmax(c·q kᵀ) @ v``).
-A backward closure hands the gradients it allocates to ``_accum`` without a
-copy.
+``affine`` (``x @ w + b``), ``scaled_dot`` (``c · a @ bᵀ``, every mask logit)
+and ``softmax_attention`` (``softmax(c·q kᵀ) @ v``). A backward closure hands
+the gradients it allocates to ``_accum`` without a copy. The spatial ops
+take and return pixel features as (H·W, C) rows, with their grid beside.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class Tensor:
         self._backward = None
 
     # -- basic introspection -------------------------------------------------
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -249,16 +246,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), bwd)
 
 
-def scale(x, c):
-    x = _as_tensor(x)
-    c = float(c)
-
-    def bwd(g):
-        _accum(x, g * c, fresh=True)
-
-    return _make(x.data * c, (x,), bwd)
-
-
 def _check_gemm(a, b, op):
     """Raise ``ShapeError`` unless the arrays ``a @ b`` is taken of are 2-D and conform."""
     if a.ndim != 2 or b.ndim != 2:
@@ -303,6 +290,27 @@ def affine(x, w, b):
             _accum(b, g.sum(axis=0), fresh=True)
 
     return _make(data, (x, w, b), bwd)
+
+
+def scaled_dot(a, b, c):
+    """``c · a @ bᵀ`` of (R, D) rows ``a`` and (S, D) rows ``b`` as one node.
+
+    The backward is a ``matmul`` of ``a`` and ``transpose(b)`` feeding a scale,
+    in that chain's layouts: ``b``'s gradient is copied column-major as
+    ``transpose``'s backward copies it, so later sums over it round alike."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_gemm(a.data, b.data.T, "scaled_dot")
+    c = float(c)
+    data = (a.data @ b.data.T) * c
+
+    def bwd(g):
+        gs = g * c
+        if a.requires_grad:
+            _accum(a, gs @ b.data, fresh=True)
+        if b.requires_grad:
+            _accum(b, (a.data.T @ gs).T)
+
+    return _make(data, (a, b), bwd)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -366,7 +374,7 @@ def softmax_attention(q, k, v, logit_scale=1.0):
 
     ``q`` is (N, D), ``k`` (M, D) and ``v`` (M, Dv); the result is the (N, Dv)
     attention output. The backward repeats, in the same order, the numpy
-    calls of a ``matmul``, ``scale``, softmax and ``matmul`` chain of nodes,
+    calls of a ``matmul``, scale, softmax and ``matmul`` chain of nodes,
     so it rounds as that chain does.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
@@ -447,23 +455,29 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # -- spatial ops ----------------------------------------------------------------
 
 
-def upsample_nearest(x):
-    """Nearest-neighbor 2x upsampling of an (H, W, C) tensor; the backward
-    sums the gradient over 2x2 blocks."""
+def _grid(x, h, w, op):
+    if x.data.ndim != 2 or x.data.shape[0] != h * w:
+        raise ShapeError(f"{op} expects {h}x{w} rows of channels, got {x.data.shape}")
+    return x.data.reshape(h, w, x.data.shape[1])
+
+
+def upsample_nearest(x, h, w):
+    """Nearest 2x upsampling of an h x w grid's (h·w, C) rows to the 2h x 2w
+    grid's rows; the backward sums the gradient over 2x2 blocks."""
     x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"upsample_nearest expects (H, W, C), got {x.data.shape}")
-    h, w, c = x.data.shape
-    data = np.repeat(np.repeat(x.data, 2, axis=0), 2, axis=1)
+    grid = _grid(x, h, w, "upsample_nearest")
+    c = grid.shape[2]
+    data = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1).reshape(4 * h * w, c)
 
     def bwd(g):
-        _accum(x, g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)), fresh=True)
+        _accum(x, g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)).reshape(h * w, c), fresh=True)
 
     return _make(data, (x,), bwd)
 
 
-def conv3x3(x, weight, bias, stride=1):
-    """3x3 convolution over an (H, W, Cin) tensor, padding 1, stride 1 or 2.
+def conv3x3(x, h, w, weight, bias, stride=1):
+    """3x3 convolution over the (h·w, Cin) rows of an h x w grid, padding 1,
+    stride 1 or 2; returns the (Ho·Wo, Cout) rows of the output grid.
 
     ``weight`` has shape (3, 3, Cin, Cout) and ``bias`` (Cout,).
 
@@ -474,23 +488,22 @@ def conv3x3(x, weight, bias, stride=1):
     copy of a window view of the padded input fills it.
 
     The closure keeps no im2col matrix: at 9·Cin values per output pixel,
-    the model's eight convs held 2.3 MB of them per step at 64x64 and
-    9.1 MB at 128x128. The weight grad ``cols.T @ g``
-    rebuilds the matrix from ``x``, which the tape holds anyway, and drops
-    it before the input grad ``g @ W.T`` is formed; that is added back into
-    a zero-padded buffer by nine strided slices in tap order (col2im). The
-    bias grad is ``g`` summed over pixels. The rebuilt matrix is a copy of
-    the same values in the same layout, and each product and sum runs in
-    the same order, so every output and gradient rounds as when the matrix
-    was kept. Under ``no_grad`` nothing is kept.
+    the model's eight convs held 2.3 MB of them per step at 64x64 and 9.1 MB
+    at 128x128. The weight grad ``cols.T @ g`` rebuilds the matrix from
+    ``x``, which the tape holds anyway, and drops it before the input grad
+    ``g @ W.T`` is formed; that is added back into a zero-padded buffer by
+    nine strided slices in tap order (col2im). The bias grad is ``g`` summed
+    over pixels. The rebuilt matrix is a copy of the same values in the same
+    layout, and each product and sum runs in the same order, so every output
+    and gradient rounds as when the matrix was kept. Under ``no_grad``
+    nothing is kept.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.data.ndim != 3 or weight.data.ndim != 4 or weight.data.shape[:2] != (3, 3):
-        raise ShapeError(
-            f"conv3x3 expects (H,W,Cin) and (3,3,Cin,Cout), got {x.data.shape} "
-            f"and {weight.data.shape}"
-        )
-    if x.data.shape[2] != weight.data.shape[2]:
+    if weight.data.ndim != 4 or weight.data.shape[:2] != (3, 3):
+        raise ShapeError(f"conv3x3 expects a (3,3,Cin,Cout) kernel, got {weight.data.shape}")
+    grid = _grid(x, h, w, "conv3x3")
+    cin = grid.shape[2]
+    if cin != weight.data.shape[2]:
         raise ShapeError(
             f"conv3x3 channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}"
         )
@@ -500,7 +513,6 @@ def conv3x3(x, weight, bias, stride=1):
     if stride not in (1, 2):
         raise ContractError(f"conv3x3 stride must be 1 or 2, got {stride}")
 
-    h, w, cin = x.data.shape
     cout = weight.data.shape[3]
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
     taps = [(i, j, (slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)))
@@ -509,27 +521,26 @@ def conv3x3(x, weight, bias, stride=1):
 
     def im2col():
         xp = np.zeros((h + 2, w + 2, cin), dtype=dtype)
-        xp[1 : 1 + h, 1 : 1 + w] = x.data
+        xp[1 : 1 + h, 1 : 1 + w] = grid
         win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
         cols = np.empty((ho, wo, 3, 3, cin), dtype=dtype)
         cols[...] = win[::stride, ::stride].transpose(0, 1, 3, 4, 2)
         return cols.reshape(ho * wo, 9 * cin)
 
     wmat = weight.data.reshape(9 * cin, cout)
-    data = (im2col() @ wmat).reshape(ho, wo, cout)
+    data = im2col() @ wmat
     data += bias.data
 
     def bwd(g):
-        g2 = g.reshape(ho * wo, cout)
         if weight.requires_grad:
-            _accum(weight, (im2col().T @ g2).reshape(3, 3, cin, cout), fresh=True)
+            _accum(weight, (im2col().T @ g).reshape(3, 3, cin, cout), fresh=True)
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 1)), fresh=True)
+            _accum(bias, g.sum(axis=0), fresh=True)
         if x.requires_grad:
-            gcols = (g2 @ wmat.T).reshape(ho, wo, 3, 3, cin)
+            gcols = (g @ wmat.T).reshape(ho, wo, 3, 3, cin)
             gx = np.zeros((h + 2, w + 2, cin), dtype=dtype)
             for i, j, window in taps:
                 gx[window] += gcols[:, :, i, j]
-            _accum(x, gx[1 : 1 + h, 1 : 1 + w], fresh=True)
+            _accum(x, gx[1 : 1 + h, 1 : 1 + w].reshape(h * w, cin), fresh=True)
 
     return _make(data, (x, weight, bias), bwd)

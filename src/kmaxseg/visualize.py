@@ -28,15 +28,13 @@ def cluster_color(index):
     return np.array(colorsys.hsv_to_rgb(hue, sat, val))
 
 
-def assignment_image(affinity, height, width, upscale=1):
-    """Color the per-pixel argmax cluster of an (N, HW) affinity matrix."""
+def assignment_image(affinity, height, width, upscale):
+    """Color the per-pixel argmax cluster of an (N, HW) affinity, ``upscale``-fold."""
     labels = np.asarray(affinity).argmax(axis=0).reshape(height, width)
     img = np.zeros((height, width, 3))
     for cluster in np.unique(labels):
         img[labels == cluster] = cluster_color(int(cluster))
-    if upscale > 1:
-        img = np.repeat(np.repeat(img, upscale, 0), upscale, 1)
-    return img
+    return np.repeat(np.repeat(img, upscale, 0), upscale, 1)
 
 
 def panoptic_image(pmap):

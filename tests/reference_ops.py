@@ -2,11 +2,11 @@
 
 The package defines only the ops its model and loss run. The tests'
 references need a few more: the training loss composed one node per numpy
-step, ``softmax_attention`` as a chain of nodes, and scalar losses with
-chosen gradients. They are built here on the package's node primitives,
-``tensor._make`` and ``tensor._accum``, so they share no arithmetic with the
-fused nodes they check. No op broadcasts: the two operands of ``mul``,
-``div`` and ``sub`` have one shape.
+step, ``softmax_attention`` and ``scaled_dot`` as chains of nodes, and
+scalar losses with chosen gradients. They are built here on the package's
+node primitives, ``tensor._make`` and ``tensor._accum``, so they share no
+arithmetic with the fused nodes they check. No op broadcasts: the two
+operands of ``mul``, ``div`` and ``sub`` have one shape.
 """
 
 import numpy as np
@@ -41,8 +41,19 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), bwd)
 
 
+def scale(x, c):
+    """``c·x`` for a float ``c``."""
+    x = T._as_tensor(x)
+    c = float(c)
+
+    def bwd(g):
+        _accum(x, g * c, fresh=True)
+
+    return _make(x.data * c, (x,), bwd)
+
+
 def sub(a, b):
-    return T.add(a, T.scale(b, -1.0))
+    return T.add(a, scale(b, -1.0))
 
 
 def reduce_sum(x, axis=None):

@@ -3,11 +3,13 @@ the training grid behind criteria 7-9 at a few steps."""
 
 import os
 
+import numpy as np
 import pytest
 
 from kmaxseg import acceptance
 from kmaxseg.config import Config, ModelConfig
 from kmaxseg.errors import ContractError
+from kmaxseg.gradcheck import grad_check
 from kmaxseg.training import TrainResult
 
 FAST = [fn for _, fn, slow in acceptance.CRITERIA if not slow]
@@ -17,6 +19,36 @@ FAST = [fn for _, fn, slow in acceptance.CRITERIA if not slow]
 def test_fast_criterion_passes(criterion):
     passed, detail = criterion()
     assert passed, detail
+
+
+def test_every_gradient_case_stays_two_decades_under_the_bound():
+    # criterion 1's bound is 1e-4; the Richardson oracle puts each case of
+    # each seed under 1e-6, so a new loss term has room before the bound
+    for seed in range(5):
+        for name, (f, inp) in acceptance.gradient_cases(seed).items():
+            err = grad_check(f, inp, eps=acceptance.GRAD_EPS)
+            assert err < 1e-6, f"{name} at seed {seed}: {err:.2e}"
+
+
+def test_criterion_1_fails_when_one_loss_gradient_entry_is_off_by_2e_4(monkeypatch):
+    real_total_loss = acceptance.total_loss
+
+    def skewed_total_loss(*args, **kwargs):
+        loss, parts = real_total_loss(*args, **kwargs)
+        if loss._backward is not None:
+            backward, mask_logits = loss._backward, loss._parents[0]
+
+            def skewed(g):
+                backward(g)
+                grad = mask_logits.grad.reshape(-1)
+                grad[np.argmax(np.abs(grad))] *= 1 + 2e-4
+
+            loss._backward = skewed
+        return loss, parts
+
+    monkeypatch.setattr(acceptance, "total_loss", skewed_total_loss)
+    passed, detail = acceptance.criterion_1_gradients()
+    assert not passed, detail
 
 
 def _counting_fork(monkeypatch, cpus):

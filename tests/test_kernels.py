@@ -22,7 +22,7 @@ def _qkv(seed, d):
 def _affinity(qkv, centers, pixels):
     """The (N, HW) logits ``Q K^T`` and the values V of ``qkv`` on centers and pixels."""
     q, k, v = qkv
-    return T.matmul(q(centers), k(pixels).T), v(pixels)
+    return T.matmul(q(centers), T.transpose(k(pixels))), v(pixels)
 
 
 def test_softmax_attention_zero_weights_is_identity():
@@ -83,7 +83,7 @@ def _embed_1d(points, centers):
 def _hard_update(c, p):
     """``_hard_aggregate`` on the raw affinity ``c p^T`` with values ``p``, and
     the (N, HW) one-hot assignment it sums under."""
-    affinity = T.matmul(c, p.T)
+    affinity = T.matmul(c, T.transpose(p))
     return _hard_aggregate(affinity, p).data, T.argmax_onehot(affinity).data
 
 
@@ -167,7 +167,7 @@ def test_kmeans_attention_cluster_update_is_assigned_value_sum():
     rng = np.random.default_rng(8)
     c = Tensor(rng.normal(size=(3, 4)))
     p = Tensor(rng.normal(size=(10, 4)))
-    affinity = T.matmul(c, p.T)
+    affinity = T.matmul(c, T.transpose(p))
     update = _hard_aggregate(affinity, p).data
     a = T.argmax_onehot(affinity).data
     for i in range(3):
@@ -181,9 +181,9 @@ def test_kmeans_attention_argmax_scale_invariance():
     for _ in range(100):
         c = Tensor(rng.normal(size=(3, 4)))
         p = Tensor(rng.normal(size=(7, 4)))
-        affinity = T.matmul(c, p.T)
+        affinity = T.matmul(c, T.transpose(p))
         assert np.array_equal(_hard_aggregate(affinity, p).data,
-                              _hard_aggregate(T.scale(affinity, 12.5), p).data)
+                              _hard_aggregate(R.scale(affinity, 12.5), p).data)
 
 
 def test_permutation_equivariance_in_cluster_index():
@@ -302,7 +302,7 @@ def test_softmax_attention_rounds_as_the_composed_nodes():
 
     fused = grads(lambda q, k, v: T.softmax_attention(q, k, v, 0.3))
     composed = grads(lambda q, k, v: T.matmul(
-        R.softmax(T.scale(T.matmul(q, T.transpose(k)), 0.3), axis=1), v))
+        R.softmax(R.scale(T.matmul(q, T.transpose(k)), 0.3), axis=1), v))
     for a, b in zip(fused, composed):
         assert np.array_equal(a, b)
 

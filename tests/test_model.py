@@ -9,7 +9,7 @@ from conftest import loss_with_grads
 
 from kmaxseg import checkpoint
 from kmaxseg.checkpoint import load_checkpoint, save_checkpoint
-from kmaxseg.config import ModelConfig, _format_value
+from kmaxseg.config import Config, ModelConfig, _format_value
 from kmaxseg.data import CLASS_TABLE
 from kmaxseg.errors import ConfigError, ContractError, ShapeError
 from kmaxseg.model import KMaxModel
@@ -533,22 +533,37 @@ def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
     assert [t.data.tobytes() for _, t, _ in twin.named_parameters()] == twin_bytes
 
 
-def test_loss_graph_on_the_float32_twin_is_float32():
-    from kmaxseg.config import Config
+def _loss_graph(model):
+    """The tape of a default-config loss on scene 0, and the loss."""
     from kmaxseg.data import generate
     from kmaxseg.tensor import GradTape
     from kmaxseg.training import (hungarian_match, matching_cost, scene_spec_from_config,
                                   total_loss)
 
     cfg = Config()
-    twin = KMaxModel(cfg.model, seed=0).astype(np.float32)
     img, gt = generate(scene_spec_from_config(cfg), 0)
-    pred, aux, sem = twin.forward(img)
+    pred, aux, sem = model.forward(img)
     gt4 = gt.downsample(cfg.model.image_size // pred.height)
     loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
-    nodes = GradTape.from_output(loss).nodes
+    return GradTape.from_output(loss).nodes, loss
+
+
+def test_loss_graph_on_the_float32_twin_is_float32():
+    model = KMaxModel(Config().model, seed=0)
+    twin = model.astype(np.float32)
+    nodes, loss = _loss_graph(twin)
     # only the scalar loss, one node summed in Python, is float64
     wide = [t for t in nodes if t.data.dtype != np.float32]
-    assert len(nodes) > 500 and wide == [loss] and loss.data.shape == ()
+    assert len(nodes) == len(_loss_graph(model)[0])
+    assert wide == [loss] and loss.data.shape == ()
     loss.backward()
     assert {t.grad.dtype for _, t, _ in twin.named_parameters()} == {np.dtype(np.float32)}
+
+
+def test_default_forward_tape_holds_no_reshape_node():
+    # pixel features stay (HW, C) rows from the image to the mask logits
+    nodes, _ = _loss_graph(KMaxModel(Config().model, seed=0))
+    ops = [t._backward.__qualname__.split(".")[0] for t in nodes if t._backward is not None]
+    assert "reshape" not in ops
+    assert ops.count("conv3x3") == 8 and ops.count("upsample_nearest") == 3
+    assert ops.count("scaled_dot") == 7

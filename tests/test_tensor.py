@@ -147,6 +147,7 @@ def _op_cases(seed):
         "mul": (lambda t: scalarize(R.mul(t, other)), x),
         "div": (lambda t: scalarize(R.div(t, Tensor(other.data ** 2 + 1.0))), x),
         "softmax": (lambda t: scalarize(R.softmax(t, axis=1)), x),
+        "scale": (lambda t: scalarize(R.scale(t, -1.7)), x),
         "take": (lambda t: scalarize(R.take(t, [1, 3, 1], axis=0)), x),
         "reduce_sum": (lambda t: scalarize(R.reduce_sum(t, axis=0)), x),
         "cross_entropy": (lambda t: R.cross_entropy_from_logits(t, ids, "mean"), x),
@@ -180,10 +181,11 @@ def test_conv3x3_matches_naive_loop():
     w = rng.normal(size=(3, 3, 2, 4))
     b = rng.normal(size=4)
     for stride in (1, 2):
-        out = T.conv3x3(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
-        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
         ho = (5 + 2 - 3) // stride + 1
         wo = (6 + 2 - 3) // stride + 1
+        out = T.conv3x3(Tensor(x.reshape(30, 2)), 5, 6, Tensor(w), Tensor(b),
+                        stride=stride).data.reshape(ho, wo, 4)
+        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
         ref = np.zeros((ho, wo, 4))
         for i in range(ho):
             for j in range(wo):
@@ -247,19 +249,23 @@ def test_conv3x3_matches_the_einsum_reference(shape, stride):
     x = rng.normal(size=shape)
     w = rng.normal(size=(3, 3, shape[2], cout))
     b = rng.normal(size=cout)
+    h, wd, cin = shape
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     for x_grad in (True, False):
-        xt, wt = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)
-        bt = Tensor(b, requires_grad=True)
-        out = T.conv3x3(xt, wt, bt, stride=stride)
+        xt = Tensor(x.reshape(h * wd, cin), requires_grad=x_grad)
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = T.conv3x3(xt, h, wd, wt, bt, stride=stride)
+        assert out.data.shape == (ho * wo, cout)
         g = rng.normal(size=out.data.shape)
         R.reduce_sum(R.mul(out, Tensor(g))).backward()
+        g = g.reshape(ho, wo, cout)
         ref_out, ref_gx, ref_gw, ref_gb = _reference_conv3x3(x, w, b, stride, g)
-        assert out.data.shape == ref_out.shape
-        assert _rel_err(out.data, ref_out) <= 1e-12
+        assert _rel_err(out.data.reshape(ref_out.shape), ref_out) <= 1e-12
         assert _rel_err(wt.grad, ref_gw) <= 1e-12
         assert _rel_err(bt.grad, ref_gb) <= 1e-12
         if x_grad:
-            assert _rel_err(xt.grad, ref_gx) <= 1e-12
+            assert xt.grad.shape == (h * wd, cin)
+            assert _rel_err(xt.grad.reshape(shape), ref_gx) <= 1e-12
         else:
             assert xt.grad is None
         # and byte for byte the nine-slice im2col conv that kept its matrix
@@ -272,48 +278,81 @@ def test_conv3x3_matches_the_einsum_reference(shape, stride):
 def test_conv3x3_backward_keeps_no_im2col_matrix(stride):
     rng = np.random.default_rng(4)
     h, w, cin, cout = 9, 8, 6, 4
-    x = Tensor(rng.normal(size=(h, w, cin)), requires_grad=True)
+    x = Tensor(rng.normal(size=(h * w, cin)), requires_grad=True)
     wt = Tensor(rng.normal(size=(3, 3, cin, cout)), requires_grad=True)
-    out = T.conv3x3(x, wt, Tensor(np.zeros(cout), requires_grad=True), stride=stride)
-    ho, wo = out.data.shape[:2]
+    out = T.conv3x3(x, h, w, wt, Tensor(np.zeros(cout), requires_grad=True), stride=stride)
+    pixels = out.data.shape[0]
     held = [c.cell_contents for c in out._backward.__closure__]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     arrays += [t.data for t in held if isinstance(t, Tensor)]
-    assert arrays and all(a.size < ho * wo * 9 * cin for a in arrays)
-    assert all(a.base is None or a.base.size < ho * wo * 9 * cin for a in arrays)
+    assert arrays and all(a.size < pixels * 9 * cin for a in arrays)
+    assert all(a.base is None or a.base.size < pixels * 9 * cin for a in arrays)
 
 
 def test_conv3x3_keeps_nothing_under_no_grad():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(6, 6, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(36, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
     with T.no_grad():
-        out = T.conv3x3(x, w, Tensor(np.zeros(4), requires_grad=True), stride=2)
+        out = T.conv3x3(x, 6, 6, w, Tensor(np.zeros(4), requires_grad=True), stride=2)
     assert out._backward is None and out._parents == () and not out.requires_grad
 
 
 def test_conv3x3_rejects_other_strides_with_a_contract_error():
-    x, w, b = Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1))
+    x, w, b = Tensor(np.zeros((16, 2))), Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1))
     for stride in (0, 3):
         with pytest.raises(ContractError, match="stride"):
-            T.conv3x3(x, w, b, stride=stride)
+            T.conv3x3(x, 4, 4, w, b, stride=stride)
     with pytest.raises(ValueError):   # existing callers catch ValueError
-        T.conv3x3(x, w, b, stride=3)
+        T.conv3x3(x, 4, 4, w, b, stride=3)
 
 
 @pytest.mark.parametrize("shape", [(1,), (4,), (3, 1), ()],
                          ids=["one", "four", "column", "scalar"])
 def test_conv3x3_rejects_a_bias_that_is_not_one_per_output_channel(shape):
     # a (1,) bias would broadcast and get a (3,) gradient
-    x, w = Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 3)))
+    x, w = Tensor(np.zeros((16, 2))), Tensor(np.zeros((3, 3, 2, 3)))
     with pytest.raises(ShapeError, match=r"conv3x3 bias .* does not match kernel"):
-        T.conv3x3(x, w, Tensor(np.zeros(shape), requires_grad=True))
+        T.conv3x3(x, 4, 4, w, Tensor(np.zeros(shape), requires_grad=True))
 
 
 def test_upsample2x_nearest_values():
-    x = Tensor(np.arange(4.0).reshape(2, 2, 1))
-    up = T.upsample_nearest(x).data[:, :, 0]
+    x = Tensor(np.arange(4.0).reshape(4, 1))
+    up = T.upsample_nearest(x, 2, 2).data.reshape(4, 4)
     assert np.array_equal(up, [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
+
+
+@pytest.mark.parametrize("rows", [(11, 2), (13, 2), (3, 4, 2)], ids=["short", "long", "grid"])
+def test_spatial_ops_reject_rows_that_are_not_their_grid(rows):
+    # a 3x4 grid is 12 rows of channels; another count, or the grid itself, is refused
+    x = Tensor(np.zeros(rows))
+    with pytest.raises(ShapeError, match="conv3x3 expects 3x4 rows"):
+        T.conv3x3(x, 3, 4, Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError, match="upsample_nearest expects 3x4 rows"):
+        T.upsample_nearest(x, 3, 4)
+
+
+def test_scaled_dot_rounds_as_the_composed_nodes():
+    # the node repeats the numpy calls of matmul, transpose and scale and
+    # leaves b's gradient in transpose's column-major copy, so the output,
+    # both gradients and their memory orders are the chain's
+    rng = np.random.default_rng(18)
+    arrays = [rng.normal(size=shape) for shape in ((6, 5), (4, 5))]
+    r = rng.normal(size=(6, 4))
+
+    def run(dot):
+        a, b = (Tensor(x, requires_grad=True) for x in arrays)
+        out = dot(a, b)
+        R.reduce_sum(R.mul(out, Tensor(r))).backward()
+        return [out.data, a.grad, b.grad]
+
+    fused = run(lambda a, b: T.scaled_dot(a, b, 0.3))
+    composed = run(lambda a, b: R.scale(T.matmul(a, T.transpose(b)), 0.3))
+    for x, y in zip(fused, composed):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert (x.flags.c_contiguous, x.flags.f_contiguous) == (
+            y.flags.c_contiguous, y.flags.f_contiguous)
+    assert fused[2].flags.f_contiguous and not fused[2].flags.c_contiguous
 
 
 def test_layer_norm_rows_standardized():
@@ -458,7 +497,7 @@ def test_a_released_graph_raises_before_on_final_fires():
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        y = T.scale(x, 2.0)
+        y = T.add(x, x)
     assert not y.requires_grad and y._backward is None
 
 
@@ -526,7 +565,6 @@ def _float32_cases(rng):
 
     return {
         "add": (T.add, (t(4, 3), t(4, 3))),
-        "scale": (lambda x: T.scale(x, -1.7), (t(4, 3),)),
         "matmul": (T.matmul, (t(4, 3), t(3, 5))),
         "affine": (T.affine, (t(4, 3), t(3, 5), t(5))),
         "gelu": (T.gelu, (t(4, 3),)),
@@ -535,11 +573,12 @@ def _float32_cases(rng):
         "softmax_attention": (lambda q, k, v: T.softmax_attention(q, k, v, 0.7),
                               (t(3, 4), t(5, 4), t(5, 2))),
         "layer_norm": (T.layer_norm, (t(4, 3), t(3), t(3))),
-        "upsample": (T.upsample_nearest, (t(3, 4, 2),)),
-        "conv_s1": (lambda x, w, b: T.conv3x3(x, w, b, stride=1),
-                    (t(4, 4, 2), t(3, 3, 2, 3), t(3))),
-        "conv_s2": (lambda x, w, b: T.conv3x3(x, w, b, stride=2),
-                    (t(5, 4, 2), t(3, 3, 2, 3), t(3))),
+        "upsample": (lambda x: T.upsample_nearest(x, 3, 4), (t(12, 2),)),
+        "conv_s1": (lambda x, w, b: T.conv3x3(x, 4, 4, w, b, stride=1),
+                    (t(16, 2), t(3, 3, 2, 3), t(3))),
+        "conv_s2": (lambda x, w, b: T.conv3x3(x, 5, 4, w, b, stride=2),
+                    (t(20, 2), t(3, 3, 2, 3), t(3))),
+        "scaled_dot": (lambda a, b: T.scaled_dot(a, b, -1.7), (t(3, 4), t(5, 4))),
     }
 
 

@@ -289,12 +289,11 @@ def test_total_loss_gradient_passes_finite_differences():
 
 def _reference_upsample_logits(aux, target_stride_hw):
     h, w = aux.height, aux.width
-    target_h, target_w = target_stride_hw
-    n = aux.mask_logits.data.shape[1]
-    up = T.reshape(aux.mask_logits, (h, w, n))
-    while up.data.shape[0] < target_h:   # 2x steps; backward sums 2x2 blocks, finest first
-        up = T.upsample_nearest(up)
-    return T.reshape(up, (target_h * target_w, n))
+    up = aux.mask_logits
+    while h < target_stride_hw[0]:   # 2x steps; backward sums 2x2 blocks, finest first
+        up = T.upsample_nearest(up, h, w)
+        h, w = 2 * h, 2 * w
+    return up
 
 
 def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matching):
@@ -313,13 +312,13 @@ def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matchin
         zm = R.take(z, matching.gt_to_query, axis=1)
         inter = R.reduce_sum(R.mul(zm, Tensor(masks)), axis=0)
         denom = R.reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
-        dice = T.scale(R.div(inter, denom), 2.0)
+        dice = R.scale(R.div(inter, denom), 2.0)
         one_minus_dice = R.reduce_sum(R.sub(Tensor(np.ones(k)), dice))
-        pq = pq + T.scale(matched_ce + one_minus_dice, 1.0 / k)
+        pq = pq + R.scale(matched_ce + one_minus_dice, 1.0 / k)
     unmatched = matching.unmatched_queries()
     if unmatched.size:
         void_ce = R.reduce_sum(R.take(ce_rows, unmatched, axis=0))
-        pq = pq + T.scale(void_ce, W_VOID / unmatched.size)
+        pq = pq + R.scale(void_ce, W_VOID / unmatched.size)
 
     hw = mask_logits.data.shape[0]
     qid = np.full(hw, -1, dtype=np.int64)
@@ -332,17 +331,17 @@ def _reference_total_loss(final, aux, sem_logits, gt, matching):
     masks, class_ids = _gt_arrays(gt, final.num_classes)
     l_pq, l_maskid = _reference_output_terms(final.mask_logits, final.class_logits,
                                              masks, class_ids, matching)
-    total = T.scale(l_pq, W_PQ) + T.scale(l_maskid, W_MASKID)
+    total = R.scale(l_pq, W_PQ) + R.scale(l_maskid, W_MASKID)
     pq_sum, maskid_sum = l_pq.item(), l_maskid.item()
     for a in aux:
         up = _reference_upsample_logits(a, (final.height, final.width))
         a_pq, a_maskid = _reference_output_terms(up, a.class_logits, masks, class_ids,
                                                  matching)
-        total = total + (T.scale(a_pq, W_PQ) + T.scale(a_maskid, W_MASKID))
+        total = total + (R.scale(a_pq, W_PQ) + R.scale(a_maskid, W_MASKID))
         pq_sum += a_pq.item()
         maskid_sum += a_maskid.item()
     l_sem = R.masked_cross_entropy(sem_logits, gt.class_map.reshape(-1))
-    total = total + T.scale(l_sem, W_SEM)
+    total = total + R.scale(l_sem, W_SEM)
     return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
 
 
@@ -645,9 +644,9 @@ def test_an_error_inside_backward_propagates_and_updated_blocks_stay(monkeypatch
 
     real_conv3x3 = model_module.conv3x3
 
-    def failing_first_conv(x, weight, bias=None, stride=1):
-        out = real_conv3x3(x, weight, bias, stride)
-        if out._backward is not None and x.data.shape[2] == 3:
+    def failing_first_conv(x, h, w, weight, bias, stride=1):
+        out = real_conv3x3(x, h, w, weight, bias, stride)
+        if out._backward is not None and x.data.shape[1] == 3:
             def fail(g):   # the image's conv: its closure is among the last
                 raise RuntimeError("closure failed")
             out._backward = fail
@@ -789,7 +788,7 @@ def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):
             return loss, parts
         snapshot.update((n, t.data.copy()) for n, t, _ in models[0].named_parameters())
         # keeps the graph, so a backward pass would write NaN gradients
-        return T.scale(loss, np.nan), parts
+        return R.scale(loss, np.nan), parts
 
     monkeypatch.setattr(training, "KMaxModel", RecordingModel)
     monkeypatch.setattr(training, "total_loss", nan_at_step_one)
