@@ -20,9 +20,11 @@ The package groups into:
 * ``checkpoint`` - a model's exact float64 parameters on disk, behind a
   checksummed header of its config and a digest of its parameter layout,
 * ``training`` - bipartite matching, the whole loss as one tape node, AdamW
-  and the train loop. ``AdamW.step(loss, lr)`` runs the backward pass and
-  updates each parameter block from inside it (``Tensor.backward(on_final)``)
-  as soon as its gradients are final, and frees them,
+  and the train loop. ``total_loss`` takes the full-resolution ground
+  truth, samples it to the prediction's grid and matches inside the loss.
+  ``AdamW.step(loss, lr)`` runs the backward pass and updates each parameter
+  block from inside it (``Tensor.backward(on_final)``) as soon as its
+  gradients are final, and frees them,
 * ``panoptic`` - the per-pixel panoptic labeling and the set prediction,
 * ``metrics`` - mask-wise merging, ``label_image`` (a float32 copy's forward
   and merge of one image, for evaluation and rendering alike), ``PQStat``
@@ -58,7 +60,6 @@ from .metrics import evaluate_model, evaluation_report, merge_masks, panoptic_qu
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import GradTape, Tensor, argmax_onehot, no_grad
-from .training import (AdamW, Matching, hungarian_match, matching_cost, total_loss,
-                       train_loop)
+from .training import AdamW, hungarian_match, matching_cost, total_loss, train_loop
 
 __version__ = "0.1.0"

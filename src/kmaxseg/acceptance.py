@@ -26,7 +26,7 @@ from .metrics import panoptic_quality, run_in_shares
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
 from .tensor import Tensor
-from .training import Matching, hungarian_match, matching_cost, total_loss, train_loop
+from .training import _gt_arrays, _set_prediction_loss, hungarian_match, total_loss, train_loop
 
 GRAD_TOL = 1e-4
 GRAD_EPS = 1e-3
@@ -37,7 +37,10 @@ def gradient_cases(seed):
 
     A case is named after its op, with ``/variant`` when an op has several.
     ``grad_check`` differentiates each input, so one check covers the
-    gradient of every operand.
+    gradient of every operand. The ``total_loss`` case checks the loss's one
+    node, ``_set_prediction_loss``, under a frozen matching: the assignment
+    ``total_loss`` solves is piecewise constant in the logits, so a
+    finite-difference step must not be able to change it.
     """
     rng = np.random.default_rng(2000 + seed)
     x = rng.normal(size=(4, 3))
@@ -49,8 +52,8 @@ def gradient_cases(seed):
         "layer_norm": ((4, 3), (3,), (3,)),
         "conv3x3": ((16, 2), (3, 3, 2, 3), (3,)),   # the rows of a 4x4 grid
         "softmax_attention": ((3, 4), (5, 4), (5, 2)),
-        # training loss: a 4x4 grid, 3 queries (one unmatched), aux outputs
-        # at 1/2 and 1/4 of the grid, matching frozen
+        # training loss: a 4x4 grid, 3 queries (query 2 unmatched), aux
+        # outputs at 1/2 and 1/4 of the grid
         "total_loss": ((16, 3), (3, 3), (16, 3), (4, 3), (3, 3), (1, 3), (3, 3)),
         "scaled_dot": ((3, 4), (5, 4)),   # drawn last: the other cases keep their draws
     }
@@ -59,12 +62,13 @@ def gradient_cases(seed):
               for name, op_shapes in shapes.items()}
     cls = np.zeros((4, 4), dtype=np.int64)
     cls[1:3, 1:3] = 1
-    gt = PanopticMap(cls, cls.copy())
-    matching = Matching(np.array([0, 1]), 3)
+    masks, class_ids = _gt_arrays(PanopticMap(cls, cls.copy()), 2)
+    matched = np.array([0, 1])
 
     def loss(m, cl, sem, m2, cl2, m1, cl1):
         aux = [PredictionSet(m2, cl2, 2, 2), PredictionSet(m1, cl1, 1, 1)]
-        return total_loss(PredictionSet(m, cl, 4, 4), aux, sem, gt, matching)[0]
+        return _set_prediction_loss(PredictionSet(m, cl, 4, 4), aux, sem, masks, class_ids,
+                                    cls.reshape(-1), matched)[0]
 
     return {
         "add": (lambda t: T.add(t, other), (x,)),
@@ -167,7 +171,7 @@ def criterion_4_hungarian_oracle():
         k = int(rng.integers(1, 8))
         n = int(rng.integers(k, 8))
         cost = rng.normal(size=(k, n))
-        got = cost[np.arange(k), hungarian_match(cost).gt_to_query].sum()
+        got = cost[np.arange(k), hungarian_match(cost)].sum()
         best = min(cost[np.arange(k), list(cols)].sum()
                    for cols in itertools.permutations(range(n), k))
         if abs(got - best) > 1e-9:
@@ -300,9 +304,7 @@ def criterion_10_deep_supervision():
     def run(aux_on):
         model = KMaxModel(cfg.model, seed=0)
         pred, aux, sem = model.forward(img)
-        gt4 = gt.downsample(cfg.model.image_size // pred.height)
-        matching = hungarian_match(matching_cost(pred, gt4))
-        loss, _ = total_loss(pred, aux if aux_on else [], sem, gt4, matching)
+        loss, _ = total_loss(pred, aux if aux_on else [], sem, gt)
         loss.backward()
         return [b.ker_q.w.grad for b in model.blocks]
 

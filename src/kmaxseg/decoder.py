@@ -27,7 +27,7 @@ adopts them under ``blocks.<i>``.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ContractError
 from .kernels import PixelFeatures, _hard_aggregate
 from .layers import Params
 from .panoptic import PredictionSet
@@ -86,7 +86,7 @@ class KMaxDecoderBlock:
     def forward(self, c, pixels):
         """Run the block; returns (updated centers, auxiliary prediction)."""
         if not isinstance(pixels, PixelFeatures):
-            raise ConfigError("decoder blocks take PixelFeatures (need spatial dims)")
+            raise ContractError("decoder blocks take PixelFeatures (need spatial dims)")
         c = self._self_attention(c)
         c, sup = self._interaction(c, pixels.values)
         c = self._ffn(c)

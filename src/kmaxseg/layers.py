@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ContractError
 from .tensor import Tensor, affine, layer_norm
 
 __all__ = ["Params", "Affine", "LayerNorm"]
@@ -50,7 +50,7 @@ class Params:
 
     def _add(self, name, tensor, decay):
         if name in self._entries:
-            raise ConfigError(f"duplicate parameter name {name}")
+            raise ContractError(f"duplicate parameter name {name}")
         self._entries[name] = (tensor, decay)
         return tensor
 

@@ -22,7 +22,7 @@ dense index into its sorted (class id, instance id) pairs
 ``gt_index * n_pred + pred_index`` gives the full gt-by-prediction
 intersection matrix. Segment areas are its row and column sums, and a
 prediction's void overlap is its column summed over the gt rows of class
-``VOID``. Matching then walks this small integer matrix. mIoU reads the same
+``VOID``. The PQ matching then walks this small integer matrix. mIoU reads the same
 matrix: a non-void class's intersection is the sum of its block (its gt rows
 by its predicted columns), and its union is its rows' sum plus its columns'
 sum minus that block. ``PQStat`` sums both over images, so mIoU is

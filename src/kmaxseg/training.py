@@ -1,14 +1,18 @@
 """Set-prediction training: matching, losses, optimizer, loop.
 
-Ground-truth segments are matched one-to-one to predicted masks by
-minimum-cost bipartite assignment on a similarity of class confidence times
-mask Dice. The assignment is solved here by ``_solve_assignment``, a port of
-scipy's ``linear_sum_assignment`` (D. F. Crouse, "On implementing 2D
-rectangular assignment algorithms", IEEE TAES 52(4), 2016) with the same
-tie-breaking and float arithmetic, so ``scipy.optimize`` and its start-up
-cost stay out of the process; scipy is imported only for ``erf``. A single
-matching, computed on the final prediction, supervises the final output and
-every auxiliary decoder output:
+``total_loss`` is the whole loss of one image against its full-resolution
+ground truth, as in MaX-DeepLab's set-prediction loss: it samples the
+ground truth once to the stride-4 grid of the final prediction, builds the
+segment masks once, and matches inside the loss. Ground-truth segments are
+matched one-to-one to predicted masks by minimum-cost bipartite assignment
+on a similarity of class confidence times mask Dice. The assignment is
+solved here by ``_solve_assignment``, a port of scipy's
+``linear_sum_assignment`` (D. F. Crouse, "On implementing 2D rectangular
+assignment algorithms", IEEE TAES 52(4), 2016) with the same tie-breaking
+and float arithmetic, so ``scipy.optimize`` and its start-up cost stay out
+of the process; scipy is imported only for ``erf``. A single matching,
+computed on the final prediction, supervises the final output and every
+auxiliary decoder output:
 
 * mask-quality term per matched pair: class cross-entropy plus (1 - Dice);
   unmatched queries are pushed to the void class at a reduced weight,
@@ -57,32 +61,6 @@ W_PQ = 3.0
 W_SEM = 1.0
 W_MASKID = 0.3
 W_VOID = 0.1
-
-
-@dataclass
-class Matching:
-    """Injective ground-truth-segment -> query assignment."""
-
-    gt_to_query: np.ndarray  # (K,) query index per ground-truth segment
-    num_queries: int
-
-    def __post_init__(self):
-        self.gt_to_query = np.asarray(self.gt_to_query, dtype=np.int64)
-        if len(set(self.gt_to_query.tolist())) != self.gt_to_query.size:
-            raise ContractError("matching must be injective")
-        if self.gt_to_query.size and not (
-                0 <= self.gt_to_query.min() and self.gt_to_query.max() < self.num_queries):
-            raise ContractError(f"matched queries must lie in [0, {self.num_queries}), "
-                                f"got {self.gt_to_query.tolist()}")
-
-    @property
-    def num_matched(self):
-        return int(self.gt_to_query.size)
-
-    def unmatched_queries(self):
-        mask = np.ones(self.num_queries, dtype=bool)
-        mask[self.gt_to_query] = False
-        return np.nonzero(mask)[0]
 
 
 def _solve_assignment(cost):
@@ -147,7 +125,8 @@ def _solve_assignment(cost):
 
 
 def hungarian_match(cost):
-    """Minimum-total-cost assignment of K rows to K of N columns (K <= N).
+    """The int64 (K,) column of each row in a minimum-total-cost assignment
+    of K rows to K of N columns (K <= N).
 
     Solved by ``_solve_assignment``, a port of scipy's
     ``linear_sum_assignment`` (Crouse 2016) with identical tie-breaking, so
@@ -164,8 +143,8 @@ def hungarian_match(cost):
     if k and not np.all(np.isfinite(c)):
         raise ValueError("matching costs must be finite")
     if k == 0:
-        return Matching(np.zeros(0, dtype=np.int64), n)
-    return Matching(np.array(_solve_assignment(c.tolist()), dtype=np.int64), n)
+        return np.zeros(0, dtype=np.int64)
+    return np.array(_solve_assignment(c.tolist()), dtype=np.int64)
 
 
 def _gt_arrays(gt, num_classes):
@@ -181,9 +160,9 @@ def _gt_arrays(gt, num_classes):
     return masks, class_ids
 
 
-def matching_cost(pred, gt):
-    """(K, N) matching-cost array: negative class confidence times mask Dice."""
-    masks, class_ids = _gt_arrays(gt, pred.num_classes)
+def matching_cost(pred, masks, class_ids):
+    """(K, N) matching cost of ``_gt_arrays``' ``masks`` and ``class_ids`` on
+    ``pred``'s grid: negative class confidence times mask Dice."""
     z = pred.mask_probs()
     class_probs = pred.class_probs()
     inter = masks.T @ z                                  # (K, N)
@@ -193,7 +172,7 @@ def matching_cost(pred, gt):
     return -confidence * dice
 
 
-def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matching):
+def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matched):
     """The whole training loss of one image as one node.
 
     The final (HW, N) mask logits and each auxiliary output's, nearest-
@@ -203,10 +182,13 @@ def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matc
     output axis. The semantic cross-entropy is the mean over the (HW, C+1)
     ``sem_logits`` rows whose ``sem_ids`` entry is not void; with every row
     void it is 0 and the semantic logits get no gradient. Returns
-    ``(loss, l_pq, l_maskid, l_sem)``: the scalar tensor
-    ``sum_o (W_PQ * l_pq[o] + W_MASKID * l_maskid[o]) + W_SEM * l_sem``, the
-    two (O,) per-output arrays and the float ``l_sem``. The backward sums
-    each auxiliary gradient over its f x f upsampling blocks.
+    ``(loss, parts)``: the scalar tensor
+    ``sum_o (W_PQ * l_pq[o] + W_MASKID * l_maskid[o]) + W_SEM * l_sem`` and
+    the floats ``l_pq`` and ``l_maskid`` summed over the outputs, and
+    ``l_sem``. ``matched`` holds the query of each ground-truth segment;
+    every other query is unmatched.
+    The backward sums each auxiliary gradient over its f x f upsampling
+    blocks.
     """
     hw, n = final.mask_logits.data.shape
     if sem_logits.data.shape != (sem_ids.size, final.class_logits.data.shape[1]):
@@ -229,9 +211,8 @@ def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matc
             a.mask_logits.data.reshape(a.height, 1, a.width, 1, n))
     class_logits = np.stack([out.class_logits.data for out in outputs])
 
-    k = matching.num_matched
-    matched = matching.gt_to_query
-    unmatched = matching.unmatched_queries()
+    k = matched.size
+    unmatched = np.setdiff1d(np.arange(n), matched)
     targets = np.full(n, class_logits.shape[2] - 1, dtype=np.int64)
     targets[matched] = class_ids
     p_class, lse_class = softmax_lse(class_logits)
@@ -299,31 +280,31 @@ def _set_prediction_loss(final, aux, sem_logits, masks, class_ids, sem_ids, matc
 
     parents = [t for out in outputs for t in (out.mask_logits, out.class_logits)]
     loss = _make(sum(terms.tolist()) + W_SEM * l_sem, [*parents, sem_logits], bwd)
-    return loss, l_pq, l_maskid, l_sem
-
-
-def total_loss(final, aux, sem_logits, gt, matching):
-    """Weighted training loss for one image and its unweighted parts.
-
-    Returns ``(loss, parts)``; ``parts`` holds the floats ``l_pq`` and
-    ``l_maskid`` summed over the final and auxiliary outputs, and ``l_sem``.
-    ``matching`` must be the assignment computed on ``final``; it is reused
-    for every auxiliary output. ``gt`` is the ground truth already at the
-    supervision resolution of ``final``. The loss is one tape node
-    (``_set_prediction_loss``).
-    """
-    if matching is None:
-        raise ContractError("total_loss requires the matching computed on the final prediction")
-    masks, class_ids = _gt_arrays(gt, final.num_classes)
-    if masks.shape[0] != final.mask_logits.data.shape[0]:
-        raise ShapeError(
-            f"ground truth grid {gt.height}x{gt.width} does not match the "
-            f"{final.height}x{final.width} prediction"
-        )
-    loss, l_pq, l_maskid, l_sem = _set_prediction_loss(
-        final, aux, sem_logits, masks, class_ids, gt.class_map.reshape(-1), matching)
     return loss, {"l_pq": sum(l_pq.tolist()), "l_sem": l_sem,
                   "l_maskid": sum(l_maskid.tolist())}
+
+
+def total_loss(final, aux, sem_logits, gt):
+    """Weighted training loss for one image and its unweighted parts.
+
+    ``gt`` is the full-resolution ground truth; its height and width must be
+    the same whole multiple of ``final``'s. It is sampled once to ``final``'s
+    grid, its segments are matched to ``final``'s queries, and that one
+    matching supervises the final and every auxiliary output. Returns the
+    ``(loss, parts)`` of the one tape node it records,
+    ``_set_prediction_loss``.
+    """
+    stride = gt.height // final.height
+    if not stride or (gt.height, gt.width) != (final.height * stride, final.width * stride):
+        raise ShapeError(
+            f"ground truth grid {gt.height}x{gt.width} is not a whole multiple of the "
+            f"{final.height}x{final.width} prediction"
+        )
+    gt = gt.downsample(stride)
+    masks, class_ids = _gt_arrays(gt, final.num_classes)
+    matched = hungarian_match(matching_cost(final, masks, class_ids))
+    return _set_prediction_loss(final, aux, sem_logits, masks, class_ids,
+                                gt.class_map.reshape(-1), matched)
 
 
 class AdamW:
@@ -509,9 +490,7 @@ def _train_step(model, opt, img, gt, step, lr):
     must not be used after it.
     """
     pred, aux, sem = model.forward(img)
-    gt4 = gt.downsample(gt.height // pred.height)
-    matching = hungarian_match(matching_cost(pred, gt4))
-    loss, parts = total_loss(pred, aux, sem, gt4, matching)
+    loss, parts = total_loss(pred, aux, sem, gt)
     if not np.isfinite(loss.item()):
         # stop before backward and the update can corrupt the parameters
         raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")

@@ -31,10 +31,10 @@ def test_every_gradient_case_stays_two_decades_under_the_bound():
 
 
 def test_criterion_1_fails_when_one_loss_gradient_entry_is_off_by_2e_4(monkeypatch):
-    real_total_loss = acceptance.total_loss
+    real_loss = acceptance._set_prediction_loss
 
-    def skewed_total_loss(*args, **kwargs):
-        loss, parts = real_total_loss(*args, **kwargs)
+    def skewed_loss(*args):
+        loss, parts = real_loss(*args)
         if loss._backward is not None:
             backward, mask_logits = loss._backward, loss._parents[0]
 
@@ -46,7 +46,7 @@ def test_criterion_1_fails_when_one_loss_gradient_entry_is_off_by_2e_4(monkeypat
             loss._backward = skewed
         return loss, parts
 
-    monkeypatch.setattr(acceptance, "total_loss", skewed_total_loss)
+    monkeypatch.setattr(acceptance, "_set_prediction_loss", skewed_loss)
     passed, detail = acceptance.criterion_1_gradients()
     assert not passed, detail
 

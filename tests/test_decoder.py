@@ -5,7 +5,7 @@ import reference_ops as R
 from kmaxseg import tensor as T
 from kmaxseg.config import ModelConfig
 from kmaxseg.decoder import KMaxDecoderBlock
-from kmaxseg.errors import ConfigError
+from kmaxseg.errors import ConfigError, ContractError
 from kmaxseg.kernels import PixelFeatures
 from kmaxseg.model import KMaxModel
 from kmaxseg.tensor import Tensor
@@ -111,7 +111,7 @@ def test_kmeans_block_matches_reimplementation():
 def test_block_rejects_pixels_without_spatial_dims():
     rng = np.random.default_rng(1)
     block = KMaxDecoderBlock(np.random.default_rng(2), 4, 3, "kmeans")
-    with pytest.raises(ConfigError, match="take PixelFeatures"):
+    with pytest.raises(ContractError, match="take PixelFeatures"):
         block.forward(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(6, 4))))
 
 

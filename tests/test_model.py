@@ -564,6 +564,18 @@ def test_attention_projections_keep_their_checkpoint_names_and_order(prefix, bef
         assert layer.w is tensors[f"{prefix}.w{n}"] and layer.b is tensors[f"{prefix}.b{n}"]
 
 
+def test_a_duplicate_parameter_name_is_a_contract_error():
+    from kmaxseg.layers import Params
+
+    params = Params(np.random.default_rng(0))
+    params.affine("head", 2, 3)
+    with pytest.raises(ContractError, match="duplicate parameter name head.b"):
+        params.const("head.b", (3,), 0.0)
+    with pytest.raises(ContractError, match="duplicate parameter name blocks.0.w"):
+        params.adopt("blocks", [("0.w", params.normal("w", (2,), 1.0), True)] * 2)
+    assert [name for name, _, _ in params.named()] == ["head.w", "head.b", "w", "blocks.0.w"]
+
+
 def test_astype_leaves_the_model_and_its_optimizer_blocks_untouched():
     from kmaxseg.training import LR, AdamW
 
@@ -592,14 +604,12 @@ def _loss_graph(model):
     """The tape of a default-config loss on scene 0, and the loss."""
     from kmaxseg.data import generate
     from kmaxseg.tensor import GradTape
-    from kmaxseg.training import (hungarian_match, matching_cost, scene_spec_from_config,
-                                  total_loss)
+    from kmaxseg.training import scene_spec_from_config, total_loss
 
     cfg = Config()
     img, gt = generate(scene_spec_from_config(cfg), 0)
     pred, aux, sem = model.forward(img)
-    gt4 = gt.downsample(cfg.model.image_size // pred.height)
-    loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
+    loss, _ = total_loss(pred, aux, sem, gt)
     return GradTape.from_output(loss).nodes, loss
 
 

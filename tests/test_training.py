@@ -16,9 +16,10 @@ from kmaxseg.gradcheck import grad_check
 from kmaxseg.model import KMaxModel
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
-from kmaxseg.training import (DICE_EPS, W_MASKID, W_PQ, W_SEM, W_VOID, AdamW, Matching,
-                              _gt_arrays, hungarian_match, matching_cost,
-                              scene_spec_from_config, total_loss, train_loop, warmup_lr)
+from kmaxseg.training import (DICE_EPS, W_MASKID, W_PQ, W_SEM, W_VOID, AdamW, _gt_arrays,
+                              _set_prediction_loss, _train_step, hungarian_match,
+                              matching_cost, scene_spec_from_config, total_loss, train_loop,
+                              warmup_lr)
 
 
 def brute_force_match(cost):
@@ -34,12 +35,12 @@ def brute_force_match(cost):
 
 def test_hungarian_two_by_two_hand_case():
     m = hungarian_match(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert m.gt_to_query.tolist() == [0, 1]
+    assert m.dtype == np.int64 and m.tolist() == [0, 1]
 
 
 def test_hungarian_identity_favoring_cost():
     cost = np.ones((4, 4)) - np.eye(4)
-    assert hungarian_match(cost).gt_to_query.tolist() == [0, 1, 2, 3]
+    assert hungarian_match(cost).tolist() == [0, 1, 2, 3]
 
 
 def test_hungarian_matches_brute_force():
@@ -48,8 +49,7 @@ def test_hungarian_matches_brute_force():
         k = int(rng.integers(1, 8))
         n = int(rng.integers(k, 8))
         cost = rng.normal(size=(k, n))
-        m = hungarian_match(cost)
-        got = cost[np.arange(k), m.gt_to_query].sum()
+        got = cost[np.arange(k), hungarian_match(cost)].sum()
         best, _ = brute_force_match(cost)
         assert abs(got - best) < 1e-9
 
@@ -58,8 +58,8 @@ def test_hungarian_invariant_to_constant_shift():
     rng = np.random.default_rng(1)
     for _ in range(20):
         cost = rng.normal(size=(4, 6))
-        a = hungarian_match(cost).gt_to_query
-        b = hungarian_match(cost + 17.5).gt_to_query
+        a = hungarian_match(cost)
+        b = hungarian_match(cost + 17.5)
         assert np.array_equal(a, b)
 
 
@@ -84,14 +84,13 @@ def test_hungarian_equals_scipy_bitwise():
     for k, n in cases:
         for cost in costs(k, n):
             rows, cols = linear_sum_assignment(cost)
-            got = hungarian_match(cost).gt_to_query
+            got = hungarian_match(cost)
             assert got.tolist() == cols[np.argsort(rows)].tolist(), (k, n)
 
 
 def test_hungarian_with_no_segments_is_empty():
     m = hungarian_match(np.zeros((0, 5)))
-    assert m.num_matched == 0 and m.num_queries == 5
-    assert m.unmatched_queries().tolist() == [0, 1, 2, 3, 4]
+    assert m.dtype == np.int64 and m.shape == (0,)
 
 
 def test_importing_the_package_leaves_scipy_optimize_out():
@@ -102,19 +101,6 @@ def test_importing_the_package_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
-
-
-def test_matching_injective_and_flags_unmatched():
-    m = Matching(np.array([3, 0]), num_queries=5)
-    assert m.unmatched_queries().tolist() == [1, 2, 4]
-    with pytest.raises(ContractError):
-        Matching(np.array([1, 1]), num_queries=4)
-
-
-@pytest.mark.parametrize("queries", [[-1], [0, 4], [2, 7]])
-def test_matching_rejects_queries_out_of_range(queries):
-    with pytest.raises(ContractError):
-        Matching(np.array(queries), num_queries=4)
 
 
 def _one_hot_prediction(gt, num_classes, sharpness=50.0):
@@ -143,12 +129,11 @@ def _tiny_gt():
 def test_matching_cost_perfect_prediction_is_minus_one():
     gt = _tiny_gt()
     pred = _one_hot_prediction(gt, num_classes=2, sharpness=500.0)
-    cost = matching_cost(pred, gt)
+    cost = matching_cost(pred, *_gt_arrays(gt, 2))
     assert cost.shape == (2, pred.num_queries)
     # each gt segment is reproduced exactly by its own query
     assert abs(cost[0, 0] + 1.0) < 1e-4 or abs(cost[0, 1] + 1.0) < 1e-4
-    m = hungarian_match(cost)
-    matched = cost[np.arange(2), m.gt_to_query]
+    matched = cost[np.arange(2), hungarian_match(cost)]
     assert np.all(matched < -0.99)
 
 
@@ -159,7 +144,7 @@ def test_matching_cost_disjoint_mask_is_zero():
     mask_logits[:, 1] = 500.0  # query 0 gets no pixels at all
     class_logits = np.zeros((2, 3))
     pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), 4, 4)
-    cost = matching_cost(pred, gt)
+    cost = matching_cost(pred, *_gt_arrays(gt, 2))
     assert np.all(np.abs(cost[:, 0]) < 1e-12)
 
 
@@ -169,10 +154,10 @@ def test_matching_cost_bilinear_in_class_probability():
     z = base.mask_logits
     # class logits tuned so the target-class probability exactly halves
     cl = base.class_logits.data.copy()
-    cost_full = matching_cost(base, gt)
+    cost_full = matching_cost(base, *_gt_arrays(gt, 2))
     probs = base.class_probs()
     halved = PredictionSet(z, Tensor(np.zeros_like(cl)), 4, 4)
-    cost_uniform = matching_cost(halved, gt)
+    cost_uniform = matching_cost(halved, *_gt_arrays(gt, 2))
     # with uniform class logits the confidence drops from ~1 to 1/3
     ratio = cost_uniform[0].min() / cost_full[0].min()
     assert abs(ratio - 1 / 3) < 1e-3
@@ -181,23 +166,22 @@ def test_matching_cost_bilinear_in_class_probability():
 def _loss_inputs(gt, num_classes):
     pred = _one_hot_prediction(gt, num_classes, sharpness=50.0)
     sem = Tensor(np.zeros((gt.height * gt.width, num_classes + 1)))
-    matching = hungarian_match(matching_cost(pred, gt))
-    return pred, sem, matching
+    return pred, sem
 
 
-def test_total_loss_requires_matching():
-    gt = _tiny_gt()
-    pred, sem, _ = _loss_inputs(gt, 2)
-    with pytest.raises(ContractError):
-        total_loss(pred, [], sem, gt, None)
+def _loss_with_matching(final, aux, sem_logits, gt, matched):
+    """``total_loss``'s node and parts with the matching ``matched`` set by
+    hand; ``gt`` is on ``final``'s grid."""
+    masks, class_ids = _gt_arrays(gt, final.num_classes)
+    return _set_prediction_loss(final, aux, sem_logits, masks, class_ids,
+                                gt.class_map.reshape(-1), matched)
 
 
 def test_total_loss_perfect_prediction_nears_lower_bound():
     gt = _tiny_gt()
     pred = _one_hot_prediction(gt, num_classes=2, sharpness=500.0)
     sem = Tensor(np.zeros((16, 3)))
-    matching = hungarian_match(matching_cost(pred, gt))
-    _, parts = total_loss(pred, [], sem, gt, matching)
+    _, parts = total_loss(pred, [], sem, gt)
     # CE of matched classes ~ 0, dice term ~ 0, void CE of the unmatched
     # query ~ 0, mask-id CE ~ 0
     assert parts["l_pq"] < 1e-4
@@ -209,36 +193,63 @@ def test_total_loss_uniform_masks_give_log_n_maskid():
     n = 4
     pred = PredictionSet(Tensor(np.zeros((16, n))), Tensor(np.zeros((n, 3))), 4, 4)
     sem = Tensor(np.zeros((16, 3)))
-    matching = Matching(np.array([0, 1]), n)
-    _, parts = total_loss(pred, [], sem, gt, matching)
+    _, parts = _loss_with_matching(pred, [], sem, gt, np.array([0, 1]))
     assert abs(parts["l_maskid"] - np.log(n)) < 1e-12
+
+
+def test_the_loss_pushes_each_unmatched_query_to_void():
+    # queries 3 and 0 take the two segments (classes 0 and 1); 1, 2 and 4 are
+    # unmatched and share the void cross-entropy's W_VOID weight
+    gt = _tiny_gt()
+    n = 5
+    class_logits = Tensor(np.zeros((n, 3)), requires_grad=True)
+    pred = PredictionSet(Tensor(np.zeros((16, n))), class_logits, 4, 4)
+    loss, _ = _loss_with_matching(pred, [], Tensor(np.zeros((16, 3))), gt, np.array([3, 0]))
+    loss.backward()
+    # softmax of zero logits minus the target one-hot, times each row's weight
+    want = np.full((n, 3), 1.0 / 3)
+    want[[3, 0, 1, 2, 4], [0, 1, 2, 2, 2]] -= 1.0
+    want *= W_PQ * np.array([1 / 2, W_VOID / 3, W_VOID / 3, 1 / 2, W_VOID / 3])[:, None]
+    assert np.allclose(class_logits.grad, want, rtol=1e-12, atol=0.0)
 
 
 def test_total_loss_without_aux_equals_final_terms():
     gt = _tiny_gt()
-    pred, sem, matching = _loss_inputs(gt, 2)
-    loss, parts = total_loss(pred, [], sem, gt, matching)
+    pred, sem = _loss_inputs(gt, 2)
+    loss, parts = total_loss(pred, [], sem, gt)
     expected = W_PQ * parts["l_pq"] + W_MASKID * parts["l_maskid"] + W_SEM * parts["l_sem"]
     assert abs(loss.item() - expected) < 1e-12
 
 
 def test_stage_logits_that_do_not_double_up_to_the_grid_raise_shape_error():
     gt = _tiny_gt()
-    pred, sem, matching = _loss_inputs(gt, 2)
+    pred, sem = _loss_inputs(gt, 2)
     n = pred.num_queries
     for h, w in ((3, 3), (2, 4), (8, 8)):
         stage = PredictionSet(Tensor(np.zeros((h * w, n))), Tensor(np.zeros((n, 3))), h, w)
         with pytest.raises(ShapeError, match="supervision grid 4x4"):
-            total_loss(pred, [stage], sem, gt, matching)
+            total_loss(pred, [stage], sem, gt)
 
 
 @pytest.mark.parametrize("rows, cols", [(15, 3), (17, 3), (16, 2), (16, 4)])
 def test_semantic_logits_of_the_wrong_shape_raise_shape_error(rows, cols):
     # the 4x4 ground truth has 16 pixels; the class logits have 3 columns
     gt = _tiny_gt()
-    pred, _, matching = _loss_inputs(gt, 2)
+    pred, _ = _loss_inputs(gt, 2)
     with pytest.raises(ShapeError, match="semantic logits"):
-        total_loss(pred, [], Tensor(np.zeros((rows, cols))), gt, matching)
+        total_loss(pred, [], Tensor(np.zeros((rows, cols))), gt)
+
+
+@pytest.mark.parametrize("height, width", [(32, 128), (40, 40), (8, 8), (8, 32), (32, 33)])
+def test_a_ground_truth_that_is_not_a_whole_multiple_of_the_prediction_raises(height, width):
+    # against a 16x16 prediction: 32x128 is 2x in height only, 40x40 is 2.5x,
+    # 8x8 and 8x32 are finer (8x32 has its 256 pixels), and 32x33 samples to
+    # 16x16 at stride 2 though it is no multiple of it
+    n = 4
+    pred = PredictionSet(Tensor(np.zeros((256, n))), Tensor(np.zeros((n, 3))), 16, 16)
+    ids = np.zeros((height, width), dtype=np.int64)
+    with pytest.raises(ShapeError, match=f"ground truth grid {height}x{width}"):
+        total_loss(pred, [], Tensor(np.zeros((256, 3))), PanopticMap(ids, ids))
 
 
 def test_the_whole_loss_is_one_tape_node():
@@ -253,7 +264,7 @@ def test_the_whole_loss_is_one_tape_node():
     aux = [PredictionSet(leaf(4, n), leaf(n, c), 2, 2),
            PredictionSet(leaf(1, n), leaf(n, c), 1, 1)]
     sem = leaf(16, c)
-    loss, _ = total_loss(pred, aux, sem, gt, Matching(np.array([2, 0]), n))
+    loss, _ = _loss_with_matching(pred, aux, sem, gt, np.array([2, 0]))
     parents = [t for out in (pred, *aux) for t in (out.mask_logits, out.class_logits)]
     parents.append(sem)
     assert [id(t) for t in loss._parents] == [id(t) for t in parents]
@@ -269,12 +280,12 @@ def test_total_loss_gradient_passes_finite_differences():
     gt = _tiny_gt()
     gt.class_map[0, :2] = VOID
     n, c = 4, 3
-    matching = Matching(np.array([2, 0]), n)
+    matched = np.array([2, 0])
     shapes = ((16, n), (n, c), (16, c), (4, n), (n, c), (1, n), (n, c))
 
     def f(m, cl, sem, m2, cl2, m1, cl1):
         aux = [PredictionSet(m2, cl2, 2, 2), PredictionSet(m1, cl1, 1, 1)]
-        return total_loss(PredictionSet(m, cl, 4, 4), aux, sem, gt, matching)[0]
+        return _loss_with_matching(PredictionSet(m, cl, 4, 4), aux, sem, gt, matched)[0]
 
     assert grad_check(f, *(rng.normal(size=shape) for shape in shapes), eps=1e-5) < 1e-4
 
@@ -292,26 +303,26 @@ def _reference_upsample_logits(aux, target_stride_hw):
     return up
 
 
-def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matching):
+def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matched):
     n = class_logits.data.shape[0]
-    k = matching.num_matched
+    k = matched.size
     void_id = class_logits.data.shape[1] - 1
 
     targets = np.full(n, void_id, dtype=np.int64)
-    targets[matching.gt_to_query] = class_ids
+    targets[matched] = class_ids
     ce_rows = R.cross_entropy_from_logits(class_logits, targets, reduction="none")
 
     pq = Tensor(0.0)
     if k:
-        matched_ce = R.reduce_sum(R.take(ce_rows, matching.gt_to_query, axis=0))
+        matched_ce = R.reduce_sum(R.take(ce_rows, matched, axis=0))
         z = R.softmax(mask_logits, axis=1)
-        zm = R.take(z, matching.gt_to_query, axis=1)
+        zm = R.take(z, matched, axis=1)
         inter = R.reduce_sum(R.mul(zm, Tensor(masks)), axis=0)
         denom = R.reduce_sum(zm, axis=0) + Tensor(masks.sum(axis=0) + DICE_EPS)
         dice = R.scale(R.div(inter, denom), 2.0)
         one_minus_dice = R.reduce_sum(R.sub(Tensor(np.ones(k)), dice))
         pq = pq + R.scale(matched_ce + one_minus_dice, 1.0 / k)
-    unmatched = matching.unmatched_queries()
+    unmatched = np.array([q for q in range(n) if q not in matched.tolist()], dtype=np.int64)
     if unmatched.size:
         void_ce = R.reduce_sum(R.take(ce_rows, unmatched, axis=0))
         pq = pq + R.scale(void_ce, W_VOID / unmatched.size)
@@ -319,20 +330,25 @@ def _reference_output_terms(mask_logits, class_logits, masks, class_ids, matchin
     hw = mask_logits.data.shape[0]
     qid = np.full(hw, -1, dtype=np.int64)
     for i in range(k):
-        qid[masks[:, i] > 0] = matching.gt_to_query[i]
+        qid[masks[:, i] > 0] = matched[i]
     return pq, R.masked_cross_entropy(mask_logits, qid)
 
 
-def _reference_total_loss(final, aux, sem_logits, gt, matching):
+def _reference_total_loss(final, aux, sem_logits, gt, matched=None):
+    """``gt`` on a whole multiple of ``final``'s grid; with ``matched`` None
+    the matching is solved on ``final``, as ``total_loss`` solves it."""
+    gt = gt.downsample(gt.height // final.height)
     masks, class_ids = _gt_arrays(gt, final.num_classes)
+    if matched is None:
+        matched = hungarian_match(matching_cost(final, masks, class_ids))
     l_pq, l_maskid = _reference_output_terms(final.mask_logits, final.class_logits,
-                                             masks, class_ids, matching)
+                                             masks, class_ids, matched)
     total = R.scale(l_pq, W_PQ) + R.scale(l_maskid, W_MASKID)
     pq_sum, maskid_sum = l_pq.item(), l_maskid.item()
     for a in aux:
         up = _reference_upsample_logits(a, (final.height, final.width))
         a_pq, a_maskid = _reference_output_terms(up, a.class_logits, masks, class_ids,
-                                                 matching)
+                                                 matched)
         total = total + (R.scale(a_pq, W_PQ) + R.scale(a_maskid, W_MASKID))
         pq_sum += a_pq.item()
         maskid_sum += a_maskid.item()
@@ -341,14 +357,15 @@ def _reference_total_loss(final, aux, sem_logits, gt, matching):
     return total, {"l_pq": pq_sum, "l_sem": l_sem.item(), "l_maskid": maskid_sum}
 
 
-def _assert_fused_matches_composed(leaves, build):
-    """Loss, parts and every leaf gradient of both losses agree to 1e-12.
+def _assert_fused_matches_composed(leaves, fused, build):
+    """Loss, parts and every leaf gradient of ``fused`` and the composed loss
+    agree to 1e-12 on the arguments ``build()`` returns.
 
     Gradients are compared relative to their global norm, not element-wise:
     some are zero analytically and carry rounding of about 1e-17.
     """
     results = []
-    for loss_fn in (total_loss, _reference_total_loss):
+    for loss_fn in (fused, _reference_total_loss):
         for t in leaves:
             t.grad = None
         loss, parts = loss_fn(*build())
@@ -387,7 +404,7 @@ def test_fused_loss_matches_the_composed_nodes(segments, void_frac):
     for trial in range(4):
         gt = _random_gt(rng, segments, void_frac)
         k = _gt_arrays(gt, 3)[1].size
-        matching = Matching(rng.permutation(n)[:k], n)
+        matched = rng.permutation(n)[:k]
         sides = (8, 4, 2, 1)
         leaves = [Tensor(rng.normal(size=shape) * 3.0, requires_grad=True)
                   for side in sides for shape in ((side * side, n), (n, c))]
@@ -397,9 +414,9 @@ def test_fused_loss_matches_the_composed_nodes(segments, void_frac):
         def build():
             preds = [PredictionSet(leaves[2 * i], leaves[2 * i + 1], side, side)
                      for i, side in enumerate(sides)]
-            return preds[0], preds[1:], sem, gt, matching
+            return preds[0], preds[1:], sem, gt, matched
 
-        _assert_fused_matches_composed(leaves, build)
+        _assert_fused_matches_composed(leaves, _loss_with_matching, build)
 
 
 @pytest.mark.parametrize("kernel", ["kmeans", "softmax"])
@@ -411,11 +428,9 @@ def test_fused_loss_matches_the_composed_nodes_on_the_model(kernel):
     params = [t for _, t, _ in model.named_parameters()]
 
     def build():
-        pred, aux, sem = model.forward(img)
-        gt4 = gt.downsample(cfg.model.image_size // pred.height)
-        return pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4))
+        return (*model.forward(img), gt)
 
-    _assert_fused_matches_composed(params, build)
+    _assert_fused_matches_composed(params, total_loss, build)
 
 
 def test_adamw_zero_lr_keeps_parameters():
@@ -558,8 +573,7 @@ def _scene_loss(model, cfg, index, sem_only=False):
     pred, aux, sem = model.forward(img)
     if sem_only:   # reaches no decoder parameter
         return R.reduce_sum(sem)
-    gt4 = gt.downsample(cfg.model.image_size // pred.height)
-    return total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))[0]
+    return total_loss(pred, aux, sem, gt)[0]
 
 
 def test_a_fused_step_gives_the_bytes_of_backward_then_step(tmp_path, monkeypatch):
@@ -765,6 +779,23 @@ def test_a_short_train_loop_renders_only_the_scenes_it_reads(generate_calls):
     assert sorted(val) == [SyntheticDataset.VAL_OFFSET + i for i in range(2)]
 
 
+def test_a_train_step_builds_its_ground_truth_segments_once(monkeypatch):
+    cfg = _tiny_train_config()
+    model = KMaxModel(cfg.model, seed=0)
+    img, gt = generate(scene_spec_from_config(cfg), 0)
+    calls = []
+    segment_index = PanopticMap.segment_index
+
+    def counting(self):
+        calls.append((self.height, self.width))
+        return segment_index(self)
+
+    monkeypatch.setattr(PanopticMap, "segment_index", counting)
+    _train_step(model, AdamW(model.named_parameters()), img, gt, 0, 1e-3)
+    # once, on the ground truth sampled to the stride-4 prediction grid
+    assert calls == [(gt.height // 4, gt.width // 4)]
+
+
 def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):
     from kmaxseg import training
 
@@ -832,8 +863,7 @@ def test_the_loss_reaches_exactly_the_registered_parameters(kernel):
     model = KMaxModel(cfg.model, seed=0)
     img, gt = generate(scene_spec_from_config(cfg), 0)
     pred, aux, sem = model.forward(img)
-    gt4 = gt.downsample(cfg.model.image_size // pred.height)
-    loss, _ = total_loss(pred, aux, sem, gt4, hungarian_match(matching_cost(pred, gt4)))
+    loss, _ = total_loss(pred, aux, sem, gt)
     leaves = [t for t in T.GradTape.from_output(loss).nodes
               if t.requires_grad and not t._parents]
     named = model.named_parameters()
