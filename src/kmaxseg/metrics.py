@@ -22,11 +22,12 @@ dense index into its sorted (class id, instance id) pairs
 ``gt_index * n_pred + pred_index`` gives the full gt-by-prediction
 intersection matrix. Segment areas are its row and column sums, and a
 prediction's void overlap is its column summed over the gt rows of class
-``VOID``. The PQ matching then walks this small integer matrix. mIoU reads the same
-matrix: a non-void class's intersection is the sum of its block (its gt rows
-by its predicted columns), and its union is its rows' sum plus its columns'
-sum minus that block. ``PQStat`` sums both over images, so mIoU is
-dataset-level: each class's IoU is taken from its summed counts.
+``VOID``. Divided by the unions, it is the IoU matrix, and the PQ matches are
+its same-class, non-void entries above 0.5: a threshold, not a search. mIoU
+reads the same histogram: a non-void class's intersection is the sum of its
+block (its gt rows by its predicted columns), and its union is its rows' sum
+plus its columns' sum minus that block. ``PQStat`` sums both over images, so
+mIoU is dataset-level: each class's IoU is taken from its summed counts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ __all__ = ["merge_masks", "label_image", "panoptic_quality", "PQStat", "evaluate
 
 
 def merge_masks(pred, infer, thing_ids):
-    """Mask-wise merging of ``pred`` into a panoptic labeling at ``infer``'s thresholds."""
+    """Mask-wise merging of ``pred`` into a panoptic labeling at ``infer``'s thresholds.
+
+    A prune pass is one masked argmax over the active queries and one
+    ``bincount`` of the pixels each won inside its own binary mask. The maps
+    are then read through each pixel's winning query.
+    """
     infer.validate()
     h, w = pred.height, pred.width
     n = pred.num_queries
@@ -63,43 +69,25 @@ def merge_masks(pred, infer, thing_ids):
 
     scores = z * conf[None, :]
     binary = z > infer.mask_binarize
-
-    def assign(active_mask):
-        if not active_mask.any():
-            return None
-        masked = np.where(active_mask[None, :], scores, -np.inf)
-        return masked.argmax(axis=1)
-
-    assigned = assign(active)
+    area = binary.sum(axis=0)
+    pixels = np.arange(h * w)
     # prune segments that kept too small a fraction of their binary mask;
-    # removing a query only grows the remaining segments, so iterate
-    while assigned is not None:
-        drop = []
-        for q in np.nonzero(active)[0]:
-            area = int(binary[:, q].sum())
-            won = int(((assigned == q) & binary[:, q]).sum())
-            if area == 0 or won / area < infer.overlap_thresh:
-                drop.append(q)
-        if not drop:
+    # removing a query only grows the remaining segments, so iterate. With
+    # no query active, every pixel goes to the inactive, so void, query 0.
+    while True:
+        assigned = np.where(active, scores, -np.inf).argmax(axis=1)
+        won = np.bincount(assigned[binary[pixels, assigned]], minlength=n)
+        drop = active & ((area == 0) | (won / np.maximum(area, 1) < infer.overlap_thresh))
+        if not drop.any():
             break
-        active[drop] = False
-        assigned = assign(active)
+        active &= ~drop
 
-    class_map = np.full(h * w, VOID, dtype=np.int64)
-    instance_map = np.zeros(h * w, dtype=np.int64)
-    if assigned is not None:
-        next_instance = 1
-        for q in np.nonzero(active)[0]:
-            pixels = assigned == q
-            if not pixels.any():
-                continue
-            c = int(cls[q])
-            class_map[pixels] = c
-            # stuff keeps instance 0, so duplicate stuff queries of one class
-            # merge into one segment
-            if c in thing_ids:
-                instance_map[pixels] = next_instance
-                next_instance += 1
+    owns = np.bincount(assigned, minlength=n) > 0
+    # a thing query that owns a pixel takes the next instance id; stuff keeps
+    # instance 0, so duplicate stuff queries of one class merge into one segment
+    fresh = owns & active & np.isin(cls, list(thing_ids))
+    class_map = np.where(active, cls, VOID)[assigned]
+    instance_map = (np.cumsum(fresh) * fresh)[assigned]
     return PanopticMap(class_map.reshape(h, w), instance_map.reshape(h, w))
 
 
@@ -109,6 +97,9 @@ class PQStat:
     ``update`` builds one gt-by-prediction segment histogram per image and
     adds to every store from it: the matched IoU sum and the TP, FP and FN
     counts per class, and each non-void class's pixel intersection and union.
+    The matches are a boolean array over the histogram, the same-class,
+    non-void pairs whose IoU exceeds 0.5; ``tp`` and ``iou`` take them in
+    ground-truth order.
     """
 
     def __init__(self):
@@ -130,48 +121,42 @@ class PQStat:
         n_pred = len(p_keys)
         hist = np.bincount(g_index * n_pred + p_index,
                            minlength=len(g_keys) * n_pred).reshape(-1, n_pred)
-        g_area = hist.sum(axis=1).tolist()
-        p_area = hist.sum(axis=0).tolist()
-        p_void = hist[g_keys[:, 0] == VOID].sum(axis=0).tolist()
-        inter = hist.tolist()
-        g_cls = g_keys[:, 0].tolist()
-        p_cls = p_keys[:, 0].tolist()
-        gt_rows = [i for i, cls in enumerate(g_cls) if cls != VOID]
-        pred_cols = [j for j, cls in enumerate(p_cls) if cls != VOID]
+        g_cls, p_cls = g_keys[:, 0], p_keys[:, 0]
+        g_area = hist.sum(axis=1)
+        p_area = hist.sum(axis=0)
+        p_void = hist[g_cls == VOID].sum(axis=0)
 
-        for cls in set(g_cls).union(p_cls) - {VOID}:
-            rows = [i for i in gt_rows if g_cls[i] == cls]
-            cols = [j for j in pred_cols if p_cls[j] == cls]
-            both = int(hist[rows][:, cols].sum())
-            self.inter[cls] += both
-            self.union[cls] += sum(g_area[i] for i in rows) + sum(p_area[j] for j in cols) - both
+        # one row per class of either map: which gt rows and predicted columns it has
+        classes = np.unique(np.concatenate([g_cls, p_cls]))
+        in_g, in_p = classes[:, None] == g_cls, classes[:, None] == p_cls
+        both = ((in_g @ hist) * in_p).sum(axis=1)
+        either = in_g @ g_area + in_p @ p_area - both
+        for cls, b, e in zip(classes.tolist(), both.tolist(), either.tolist()):
+            if cls != VOID:
+                self.inter[cls] += b
+                self.union[cls] += e
 
-        gt_matched = set()
-        pred_matched = set()
-        for i in gt_rows:
-            for j in pred_cols:
-                if p_cls[j] != g_cls[i] or j in pred_matched:
-                    continue
-                overlap = inter[i][j]
-                if overlap == 0:
-                    continue
-                union = g_area[i] + p_area[j] - overlap - p_void[j]
-                iou = overlap / union if union > 0 else 0.0
-                if iou > 0.5:
-                    self.tp[g_cls[i]] += 1
-                    self.iou[g_cls[i]] += iou
-                    gt_matched.add(i)
-                    pred_matched.add(j)
-                    break
-        for i in gt_rows:
-            if i not in gt_matched:
-                self.fn[g_cls[i]] += 1
-        for j in pred_cols:
-            if j in pred_matched:
-                continue
-            if p_area[j] and p_void[j] / p_area[j] > 0.5:
-                continue  # mostly-void predictions are not false positives
-            self.fp[p_cls[j]] += 1
+        # A match is unique (Kirillov et al., 2019): the segments of one map
+        # are disjoint, and a pair's union is at least g_area and at least
+        # p_area - p_void, so IoU > 0.5 covers more than half of each side,
+        # which no second segment of the other map can. A non-void row's
+        # union is at least its g_area >= 1; the floor of 1 only keeps the
+        # void rows, which never match, from dividing by 0.
+        union = g_area[:, None] + p_area - hist - p_void
+        iou = hist / np.maximum(union, 1)
+        match = (g_cls[:, None] == p_cls) & (p_cls != VOID) & (iou > 0.5)
+        # row-major, so the sums add in ground-truth order
+        rows, cols = np.nonzero(match)
+        for cls, value in zip(g_cls[rows].tolist(), iou[rows, cols].tolist()):
+            self.tp[cls] += 1
+            self.iou[cls] += value
+        fn = g_cls != VOID
+        fn[rows] = False
+        self.fn.update(g_cls[fn].tolist())
+        # mostly-void predictions are not false positives
+        fp = (p_cls != VOID) & (p_void / p_area <= 0.5)
+        fp[cols] = False
+        self.fp.update(p_cls[fp].tolist())
         return self
 
     def summarize(self, thing_ids=frozenset()):

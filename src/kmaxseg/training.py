@@ -132,7 +132,8 @@ def hungarian_match(cost):
     ``linear_sum_assignment`` (Crouse 2016) with identical tie-breaking, so
     every matching equals scipy's bit for bit without importing
     ``scipy.optimize``. The size and finiteness checks below make every
-    input feasible.
+    input feasible; a non-finite cost, such as a diverged prediction's,
+    raises ``ContractError``.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -141,7 +142,7 @@ def hungarian_match(cost):
     if k > n:
         raise ValueError(f"cannot match {k} segments to only {n} queries")
     if k and not np.all(np.isfinite(c)):
-        raise ValueError("matching costs must be finite")
+        raise ContractError("non-finite matching cost")
     if k == 0:
         return np.zeros(0, dtype=np.int64)
     return np.array(_solve_assignment(c.tolist()), dtype=np.int64)
@@ -487,10 +488,15 @@ def _train_step(model, opt, img, gt, step, lr):
     every ``grad`` None and needs no ``zero_grad``. The step's graph dies on
     return, before a periodic eval runs. An exception raised inside the
     backward pass propagates with some blocks already updated; the model
-    must not be used after it.
+    must not be used after it. A non-finite loss, or a final prediction
+    whose matching costs are not finite, raises ``ContractError`` naming
+    ``step`` before the backward pass.
     """
     pred, aux, sem = model.forward(img)
-    loss, parts = total_loss(pred, aux, sem, gt)
+    try:
+        loss, parts = total_loss(pred, aux, sem, gt)
+    except ContractError as exc:   # hungarian_match on a diverged final prediction
+        raise ContractError(f"{exc} at step {step}") from exc
     if not np.isfinite(loss.item()):
         # stop before backward and the update can corrupt the parameters
         raise ContractError(f"non-finite loss {loss.item()!r} at step {step}")

@@ -30,10 +30,9 @@ def cluster_color(index):
 
 def assignment_image(affinity, height, width, upscale):
     """Color the per-pixel argmax cluster of an (N, HW) affinity, ``upscale``-fold."""
-    labels = np.asarray(affinity).argmax(axis=0).reshape(height, width)
-    img = np.zeros((height, width, 3))
-    for cluster in np.unique(labels):
-        img[labels == cluster] = cluster_color(int(cluster))
+    clusters, index = np.unique(np.asarray(affinity).argmax(axis=0), return_inverse=True)
+    colors = np.array([cluster_color(c) for c in clusters.tolist()])
+    img = colors[index].reshape(height, width, 3)
     return np.repeat(np.repeat(img, upscale, 0), upscale, 1)
 
 

@@ -14,7 +14,7 @@ from kmaxseg.metrics import (MIN_SHARE, PQStat, evaluate_model, evaluation_repor
                              merge_masks, panoptic_quality, run_in_shares)
 from kmaxseg.panoptic import VOID, PanopticMap, PredictionSet
 from kmaxseg.tensor import Tensor
-from kmaxseg.visualize import cluster_color, panoptic_image
+from kmaxseg.visualize import assignment_image, cluster_color, panoptic_image
 
 
 def _pred_from_masks(masks, classes, num_classes, h, w, sharp=60.0):
@@ -133,6 +133,28 @@ def test_merge_overlap_pruning_drops_buried_query():
     # without pruning both queries keep their pixels
     loose = _merge(pred, overlap_thresh=0.0, thing_ids={0, 1})
     assert {cls for cls, _ in _labels(loose)} == {0, 1}
+
+
+def test_merge_keeps_a_query_whose_retained_fraction_equals_the_threshold():
+    h, w = 2, 3
+    # query 0 (class 0, confidence 0.6) has pixels 0-3 in its binary mask;
+    # query 1 (class 1, confidence 0.99) outbids it on pixels 0 and 1, where
+    # Z is 0.55 against 0.45, so query 0 retains exactly 2/4 of its mask
+    z0 = np.array([0.55, 0.55, 0.9, 0.9, 0.05, 0.05])
+    mask_logits = np.zeros((6, 2))
+    mask_logits[:, 1] = np.log((1 - z0) / z0)
+    class_logits = np.zeros((2, 3))
+    class_logits[0, 0] = np.log(3.0)
+    class_logits[1, 1] = np.log(198.0)
+    pred = PredictionSet(Tensor(mask_logits), Tensor(class_logits), h, w)
+
+    # the prune drops a query when won / area < overlap_thresh, so a tie keeps it
+    kept = _merge(pred, overlap_thresh=0.5, thing_ids={0, 1})
+    assert kept.class_map.tolist() == [[1, 1, 0], [0, 1, 1]]
+    assert kept.instance_map.tolist() == [[2, 2, 1], [1, 2, 2]]
+    dropped = _merge(pred, overlap_thresh=np.nextafter(0.5, 1.0), thing_ids={0, 1})
+    assert dropped.class_map.tolist() == [[1, 1, 1], [1, 1, 1]]
+    assert dropped.instance_map.tolist() == [[1, 1, 1], [1, 1, 1]]
 
 
 def _gt_square():
@@ -494,6 +516,56 @@ def test_evaluate_model_equals_per_image_reference_sums(seed):
     assert result == want
 
 
+def _reference_merge(pred, infer, thing_ids):
+    """Mask-wise merging with one pass over the active queries per prune
+    round and one paint per query."""
+    h, w = pred.height, pred.width
+    n = pred.num_queries
+    if n == 0:
+        return PanopticMap(np.full((h, w), VOID, dtype=np.int64),
+                           np.zeros((h, w), dtype=np.int64))
+    class_probs = pred.class_probs()
+    z = pred.mask_probs()
+    cls = class_probs[:, :-1].argmax(axis=1)
+    conf = class_probs[np.arange(n), cls]
+    active = conf >= infer.conf_thresh
+    scores = z * conf[None, :]
+    binary = z > infer.mask_binarize
+
+    def assign(active_mask):
+        if not active_mask.any():
+            return None
+        return np.where(active_mask[None, :], scores, -np.inf).argmax(axis=1)
+
+    assigned = assign(active)
+    while assigned is not None:
+        drop = []
+        for q in np.nonzero(active)[0]:
+            area = int(binary[:, q].sum())
+            won = int(((assigned == q) & binary[:, q]).sum())
+            if area == 0 or won / area < infer.overlap_thresh:
+                drop.append(q)
+        if not drop:
+            break
+        active[drop] = False
+        assigned = assign(active)
+
+    class_map = np.full(h * w, VOID, dtype=np.int64)
+    instance_map = np.zeros(h * w, dtype=np.int64)
+    if assigned is not None:
+        next_instance = 1
+        for q in np.nonzero(active)[0]:
+            pixels = assigned == q
+            if not pixels.any():
+                continue
+            c = int(cls[q])
+            class_map[pixels] = c
+            if c in thing_ids:
+                instance_map[pixels] = next_instance
+                next_instance += 1
+    return PanopticMap(class_map.reshape(h, w), instance_map.reshape(h, w))
+
+
 @st.composite
 def _predictions(draw):
     """Random mask and class logits, thresholds and thing ids."""
@@ -511,9 +583,12 @@ def _predictions(draw):
 @given(_predictions())
 def test_merge_masks_output_is_a_partition(case):
     pred, conf_thresh, overlap_thresh, thing_ids = case
-    result = _merge(pred, conf_thresh=conf_thresh, overlap_thresh=overlap_thresh,
-                    thing_ids=thing_ids)
+    infer = InferConfig(conf_thresh=conf_thresh, overlap_thresh=overlap_thresh)
+    result = merge_masks(pred, infer, thing_ids)
     cm, im = result.class_map, result.instance_map
+    want = _reference_merge(pred, infer, thing_ids)
+    for got, ref in ((cm, want.class_map), (im, want.instance_map)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert cm.shape == im.shape == (pred.height, pred.width)
     keys = _labels(result)
     # a thing's fresh instance id is not reused by any other thing, of its
@@ -536,6 +611,19 @@ def test_panoptic_image_equals_a_per_segment_painter(case, factor):
     for cls, inst, mask in _reference_segments(pmap):
         want[mask] = cluster_color(cls * 31 + inst)
     assert np.array_equal(panoptic_image(pmap), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.data())
+def test_assignment_image_equals_a_per_cluster_painter(h, w, upscale, data):
+    n = data.draw(st.integers(1, 8))
+    affinity = data.draw(arrays(np.float64, (n, h * w), elements=st.floats(-4.0, 4.0)))
+    labels = affinity.argmax(axis=0).reshape(h, w)
+    want = np.zeros((h, w, 3))
+    for cluster in np.unique(labels):
+        want[labels == cluster] = cluster_color(int(cluster))
+    want = np.repeat(np.repeat(want, upscale, 0), upscale, 1)
+    assert np.array_equal(assignment_image(affinity, h, w, upscale), want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -68,6 +68,14 @@ def test_hungarian_rejects_more_segments_than_queries():
         hungarian_match(np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hungarian_rejects_a_non_finite_cost(bad):
+    cost = np.zeros((2, 3))
+    cost[1, 2] = bad
+    with pytest.raises(ContractError, match="non-finite matching cost"):
+        hungarian_match(cost)
+
+
 def test_hungarian_equals_scipy_bitwise():
     """The in-package solver returns scipy's assignment, ties included."""
     from scipy.optimize import linear_sum_assignment
@@ -824,6 +832,24 @@ def test_train_loop_stops_on_a_non_finite_loss_before_the_update(monkeypatch):
     for name, t, _ in models[0].named_parameters():
         assert np.array_equal(t.data, snapshot[name]), name
         assert t.grad is None, name   # backward never ran on the NaN loss
+
+
+# a NaN weight in the final class head reaches the matching costs; in the
+# semantic head and in the last block's auxiliary class head only the loss
+@pytest.mark.parametrize("name", ["final.class.w", "final.sem.w", "blocks.2.class.w"])
+def test_a_diverged_parameter_stops_the_step_naming_it_before_the_update(name):
+    cfg = _tiny_train_config()
+    model = KMaxModel(cfg.model, seed=0)
+    params = {n: t for n, t, _ in model.named_parameters()}
+    params[name].data[0, 0] = np.nan
+    snapshot = {n: t.data.copy() for n, t in params.items()}
+    opt = AdamW(model.named_parameters())
+    img, gt = generate(scene_spec_from_config(cfg), 0)
+    with pytest.raises(ContractError, match="^non-finite .* at step 7$"):
+        _train_step(model, opt, img, gt, 7, 1e-3)
+    for n, t in params.items():
+        assert np.array_equal(t.data, snapshot[n], equal_nan=True), n
+        assert t.grad is None, n
 
 
 def test_train_loop_writes_metrics_and_checkpoint(tmp_path):
