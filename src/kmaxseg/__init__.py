@@ -19,6 +19,7 @@ The package groups into:
   call and run,
 * ``checkpoint`` - a model's exact float64 parameters on disk, behind a
   checksummed header of its config and a digest of its parameter layout,
+  which one function builds for saving and loading compares byte for byte,
 * ``training`` - bipartite matching, the whole loss as one tape node, AdamW
   and the train loop. ``total_loss`` takes the full-resolution ground
   truth, samples it to the prediction's grid and matches inside the loss.

@@ -1,4 +1,4 @@
-"""Checkpoint container: a UTF-8 header plus raw little-endian float64 data.
+"""Checkpoint container: a signed header plus raw little-endian float64 data.
 
 Layout::
 
@@ -13,13 +13,19 @@ The ``config`` line holds the five ``ModelConfig`` fields in the config-file
 format. The config fixes the model, and the model each parameter's name,
 shape and place in the payload, so the file lists no parameters: its
 ``layout`` must equal the model's. The pad makes the payload start at a
-multiple of 8 bytes, so the float64 views of it are aligned; loading skips
-it by its length, so only the checksum reads its bytes. The checksum covers
-the config line too, so a file edited from one kernel to the other (their
-shapes are equal) fails it. Loading checks the magic (older files are not
-``KMAXCKPT3``), a UTF-8 header, the config and layout, a payload of
-``8 * parameter_count()`` bytes, the checksum and that every value is finite
-(a NaN would merge every image to void), raising ``ConfigError``. It hashes
+multiple of 8 bytes, so the float64 views of it are aligned.
+
+``_header(model)`` builds the signed header, the config and layout lines and
+the pad, for both directions: saving writes it, and loading requires the
+file's bytes after the magic to equal it. So the file's header is never
+parsed. Another config or layout, a repeated, unknown or reordered key, bytes
+that are not UTF-8 or a flipped pad bit are all one refusal, which names the
+first header line that differs, the file's next to the model's. Only then
+does loading read the ``sha256`` line at its fixed offset and check a payload
+of ``8 * parameter_count()`` bytes, the checksum and that every value is
+finite (a NaN would merge every image to void). Every refusal is a
+``ConfigError``. The checksum covers the header too, so a file edited from
+one kernel to the other (their shapes are equal) fails it. Loading hashes
 and views the payload in the one buffer the file is read into, and copies
 into the model only after every check has passed, so the bytes written are
 the bytes restored.
@@ -30,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from itertools import zip_longest
 
 import numpy as np
 
@@ -37,10 +44,7 @@ from .config import _format_value
 from .errors import ConfigError
 
 MAGIC = b"KMAXCKPT3\n"
-
-
-def _config_fields(cfg):
-    return {f.name: _format_value(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+CHECKSUM_LINE = len("sha256 \n") + 64   # the line after the signed header
 
 
 def _layout(model):
@@ -52,6 +56,16 @@ def _layout(model):
     return digest.hexdigest()
 
 
+def _header(model):
+    """The signed header of ``model``'s checkpoint: its config and layout lines
+    and the pad, which with the checksum line after it puts the payload at a
+    multiple of 8 bytes."""
+    config = " ".join(f"{f.name}={_format_value(getattr(model.cfg, f.name))}"
+                      for f in dataclasses.fields(model.cfg))
+    lines = f"config {config}\nlayout {_layout(model)}\n".encode("utf-8")
+    return lines + b"\n" * (-(len(MAGIC) + len(lines)) % 8)
+
+
 def save_checkpoint(path, model):
     """Write ``model`` to ``path`` through a temp file renamed over it; a
     failed write removes the temp file and leaves ``path`` as it was.
@@ -60,9 +74,7 @@ def save_checkpoint(path, model):
     read twice, once to hash and once to write, each one's bytes at a time
     and with no copy of a float64 parameter.
     """
-    config = " ".join(f"{k}={v}" for k, v in _config_fields(model.cfg).items())
-    signed = f"config {config}\nlayout {_layout(model)}\n".encode("utf-8")
-    signed += b"\n" * _pad(len(MAGIC) + len(signed))
+    signed = _header(model)
     tensors = [tensor for _, tensor, _ in model.named_parameters()]
     digest = hashlib.sha256(signed)
     for tensor in tensors:
@@ -80,38 +92,13 @@ def save_checkpoint(path, model):
         raise
 
 
-def _pad(offset):
-    """The pad after a signed header ending at ``offset``: the 72-byte checksum
-    line that follows keeps the payload at a multiple of 8 bytes."""
-    return -offset % 8
-
-
 def _raw(tensor):
     """The bytes of ``tensor`` as little-endian float64, a view where they already are."""
     return np.ascontiguousarray(tensor.data, dtype="<f8").reshape(-1).view(np.uint8)
 
 
-def _check_config(config, cfg, path):
-    try:
-        fields = config.split()
-        saved = dict(kv.split("=", 1) for kv in fields)
-        if len(saved) != len(fields):
-            raise ValueError("a key repeats")   # ``dict`` would keep its last value
-    except ValueError as exc:
-        raise ConfigError(f"{path} has a malformed config line {config!r}") from exc
-    current = _config_fields(cfg)
-    for key in dict.fromkeys([*current, *saved]):
-        if key not in current:
-            raise ConfigError(f"{path} was saved with unknown key model.{key}")
-        if saved.get(key) != current[key]:
-            raise ConfigError(
-                f"{path} was saved with model.{key} = {saved.get(key)} but "
-                f"the model has model.{key} = {current[key]}"
-            )
-
-
 def load_checkpoint(path, model):
-    """Restore parameters in place; the config and layout must match the model's.
+    """Restore parameters in place; the signed header must be the model's.
 
     Every check runs before the first parameter is written, so a rejected
     checkpoint leaves the model as it was.
@@ -120,33 +107,29 @@ def load_checkpoint(path, model):
         blob = fh.read()
     if not blob.startswith(MAGIC):
         raise ConfigError(f"{path} is not a KMAXCKPT3 checkpoint")
-    header, start = [], len(MAGIC)
-    for kind in ("config", "layout", "sha256"):
-        if kind == "sha256":
-            start += _pad(start)
-        end = blob.find(b"\n", start)
-        if end < 0 or not blob.startswith(f"{kind} ".encode(), start, end):
-            raise ConfigError(f"{path} has no {kind} line")
-        try:
-            header.append(blob[start + len(kind) + 1:end].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} has a header that is not UTF-8") from exc
-        signed, start = start, end + 1   # the checksum signs the lines before its own
-    config, layout, checksum = header
-    _check_config(config, model.cfg, path)
-    if layout != _layout(model):
-        raise ConfigError(f"{path} was saved with parameter layout {layout} but the "
-                          f"model has layout {_layout(model)}")
+    signed = _header(model)
+    start = len(MAGIC) + len(signed)
+    found = blob[len(MAGIC):start]
+    if found != signed:
+        # each of the model's lines ends in a newline, so a file that ends
+        # early differs at its first missing line too
+        theirs, ours = next(pair for pair in zip_longest(
+            found.splitlines(True), signed.splitlines(True), fillvalue=b"")
+            if pair[0] != pair[1])
+        raise ConfigError(f"{path} has header line {theirs!r} but the model writes {ours!r}")
+    if not blob.startswith(b"sha256 ", start):
+        raise ConfigError(f"{path} has no sha256 line")
     view = memoryview(blob)
-    payload = view[start:]
+    payload = view[start + CHECKSUM_LINE:]
     if len(payload) != 8 * model.parameter_count():
         raise ConfigError(f"{path} holds {len(payload)} payload bytes but the model's "
                           f"parameters need {8 * model.parameter_count()}")
-    digest = hashlib.sha256(view[len(MAGIC):signed])
+    digest = hashlib.sha256(signed)
     digest.update(payload)
-    if digest.hexdigest() != checksum:
-        raise ConfigError(f"{path} fails its sha256 checksum: header {checksum}, "
-                          f"signed header and payload {digest.hexdigest()}")
+    checksum = blob[start:start + CHECKSUM_LINE]
+    if checksum != f"sha256 {digest.hexdigest()}\n".encode("utf-8"):
+        raise ConfigError(f"{path} fails its sha256 checksum: the file has {checksum!r}, "
+                          f"its signed header and payload {digest.hexdigest()}")
     flat = np.frombuffer(payload, dtype="<f8")
 
     def saved():

@@ -14,7 +14,10 @@ scene ranges are constants in ``data``.
 
 ``ModelConfig.validate`` and ``InferConfig.validate`` are the one checks of
 the model and infer sections; ``Config.validate`` calls both, the model's
-constructor the first and ``metrics.merge_masks`` the second. Parsing and
+constructor the first and ``metrics.merge_masks`` the second. Each section's
+check first refuses a value whose type is not its field's: an int field takes
+no float or bool, a float field takes an int too, and the schedule is a tuple
+of ints. Parsing and
 serialization round-trip exactly: parse(serialize(parse(text))) equals
 parse(text). A tuple value is comma-separated integers with no empty item.
 """
@@ -27,6 +30,30 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a field accepts, by its default's type, and how an error names it
+_ACCEPTS = {
+    int: (_is_int, "an int"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "an int or a float"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_int, v)), "a tuple of ints"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_types(section, target):
+    """Refuse a value whose type is not its field's. The range checks would
+    pass a float width or step count, which numpy or ``range`` then refuses
+    untyped, and a list schedule, which the config file does not read back."""
+    for f in fields(target):
+        accepts, kind = _ACCEPTS[type(f.default)]
+        value = getattr(target, f.name)
+        if not accepts(value):
+            raise ConfigError(f"{section}.{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass(slots=True)
 class ModelConfig:
     d: int = 64
@@ -36,6 +63,7 @@ class ModelConfig:
     kernel: str = "kmeans"            # kmeans | softmax
 
     def validate(self):
+        _check_types("model", self)
         if self.kernel not in ("kmeans", "softmax"):
             raise ConfigError(f"model.kernel must be kmeans or softmax, got {self.kernel!r}")
         if self.image_size < 32:
@@ -73,6 +101,7 @@ class InferConfig:
     mask_binarize: float = 0.5
 
     def validate(self):
+        _check_types("infer", self)
         for f in fields(self):
             value = getattr(self, f.name)
             if not 0.0 <= value <= 1.0:
@@ -90,6 +119,8 @@ class Config:
     def validate(self):
         self.model.validate()
         self.infer.validate()
+        _check_types("train", self.train)
+        _check_types("data", self.data)
         for key in ("steps", "train_size", "val_size", "eval_interval"):
             if getattr(self.train, key) < 1:
                 raise ConfigError(f"train.{key} must be positive, got {getattr(self.train, key)}")

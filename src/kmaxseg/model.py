@@ -117,8 +117,11 @@ class KMaxModel:
         cast to ``dtype``, with no gradient. The rest of the model is deep
         copied around those tensors, so this model's parameter data and
         gradients are never copied a second time, and this model is left as
-        it was.
+        it was. A tensor holds float32 or float64 data only, so any other
+        ``dtype`` is a ``ContractError``, not a float64 copy.
         """
+        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+            raise ContractError(f"astype takes float32 or float64, got {dtype!r}")
         memo = {id(t): Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
                 for _, t, _ in self.named_parameters()}
         return copy.deepcopy(self, memo)

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,27 @@ def test_a_key_under_the_default_section_raises_config_error(text):
     # dropped; beside [model] it was applied, beside [train] it was unknown
     with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("section,key,value,kind", [
+    ("model", "d", 16.0, "an int"), ("model", "num_queries", True, "an int"),
+    ("model", "image_size", 64.0, "an int"),
+    # a list schedule used to validate and save, then fail to read back
+    ("model", "schedule", [1, 1, 1], "a tuple of ints"),
+    ("model", "schedule", (1, 1.0, 1), "a tuple of ints"),
+    *[("train", f.name, 10.0, "an int") for f in dataclasses.fields(TrainConfig)],
+    ("train", "seed", False, "an int"), ("data", "seed", 7.0, "an int"),
+    *[("infer", f.name, "0.5", "an int or a float") for f in dataclasses.fields(InferConfig)],
+    ("infer", "mask_binarize", True, "an int or a float"),
+])
+def test_a_value_of_the_wrong_type_raises_config_error(section, key, value, kind):
+    # each passed the range checks, or failed them untyped, and failed later in
+    # numpy, ``range`` or the config file
+    cfg = Config()
+    setattr(getattr(cfg, section), key, value)
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be {kind}, got "
+                                          rf"{re.escape(repr(value))}$"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("key,value", [("schedule", "2,,2,2"), ("schedule", ",2,2,2"),

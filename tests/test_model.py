@@ -246,7 +246,7 @@ def test_a_small_checkpoint_loads_within_a_few_kib_of_its_file_size(tmp_path):
 
 
 def test_checkpoint_pads_its_signed_header_so_the_payload_is_aligned(tmp_path):
-    # loading skips the pad by its length, so only the checksum reads its bytes
+    # the pad is part of the signed header, which loading compares byte for byte
     path = _saved(tmp_path)
     blob = path.read_bytes()
     config, layout, checksum, payload = _split(blob)
@@ -259,7 +259,7 @@ def test_checkpoint_pads_its_signed_header_so_the_payload_is_aligned(tmp_path):
             bad = bytearray(blob)
             bad[i] ^= 1 << bit
             path.write_bytes(bytes(bad))
-            _assert_refused(path, "fails its sha256 checksum")
+            _assert_refused(path, r"has header line b'.+' but the model writes b'\\n'$")
 
 
 def test_checkpoint_rejects_mismatched_model(tmp_path):
@@ -347,8 +347,8 @@ def test_checkpoint_with_two_swapped_parameters_is_rejected(tmp_path, key):
         entries[i], entries[j] = entries[j], entries[i]
         model.params._entries = dict(entries)
         save_checkpoint(path, model)
-        _assert_refused(path, "was saved with parameter layout [0-9a-f]{64} but the "
-                              "model has layout [0-9a-f]{64}$")
+        _assert_refused(path, r"has header line b'layout [0-9a-f]{64}\\n' but the "
+                              r"model writes b'layout [0-9a-f]{64}\\n'$")
     else:
         save_checkpoint(path, model)
         blob = bytearray(path.read_bytes())
@@ -367,8 +367,8 @@ def test_checkpoint_rejects_the_other_kernel(tmp_path):
     save_checkpoint(path, KMaxModel(_small_cfg(kernel="kmeans"), seed=0))
     model = KMaxModel(_small_cfg(kernel="softmax"), seed=1)
     before = [t.data.copy() for _, t, _ in model.named_parameters()]
-    with pytest.raises(ConfigError, match="model.kernel = kmeans but the model has "
-                                          "model.kernel = softmax"):
+    with pytest.raises(ConfigError, match=r"has header line b'config .* kernel=kmeans\\n' "
+                                          r"but the model writes b'config .* kernel=softmax"):
         load_checkpoint(path, model)
     assert all(np.array_equal(b, t.data)
                for b, (_, t, _) in zip(before, model.named_parameters()))
@@ -423,7 +423,8 @@ def test_checkpoint_with_a_manifest_that_is_not_utf8_is_rejected(tmp_path):
         blob = bytearray(saved)
         blob[blob.index(line) + len(line)] = 0xFF
         path.write_bytes(bytes(blob))
-        _assert_refused(path, f"{re.escape(str(path))} has a header that is not UTF-8$")
+        _assert_refused(path, rf"{re.escape(str(path))} (has header line|fails its sha256 "
+                              rf"checksum: the file has) b'{line.decode()}\\xff")
 
 
 def test_checkpoint_without_config_or_checksum_line_is_rejected(tmp_path):
@@ -434,7 +435,8 @@ def test_checkpoint_without_config_or_checksum_line_is_rejected(tmp_path):
     for word, lines in (("config", (layout, checksum)), ("layout", (config, checksum)),
                         ("sha256", (config, layout))):
         path.write_bytes(b"KMAXCKPT3\n" + b"\n".join(lines) + b"\n" + payload)
-        _assert_refused(path, f"has no {word} line$")
+        _assert_refused(path, rf"has header line b'.*' but the model writes "
+                              rf"b'({word} .*|\\n)'$")
 
 
 @pytest.mark.parametrize("kind,key", [("config", " kernel=kmeans")])
@@ -442,7 +444,8 @@ def test_checkpoint_line_repeating_a_key_is_rejected(tmp_path, kind, key):
     # the line used to read as valid, with the key's last value
     path = _saved(tmp_path)
     _resign(path, lambda config: config + key.encode())
-    _assert_refused(path, f"malformed {kind} line '.*{key}'$")
+    _assert_refused(path, rf"has header line b'{kind} .*{key}{key}\\n' but the model "
+                          rf"writes b'{kind} .*{key}\\n'$")
 
 
 def _assert_refused_with_config_suffix(tmp_path, suffix, key):
@@ -450,7 +453,8 @@ def _assert_refused_with_config_suffix(tmp_path, suffix, key):
     naming ``model.<key>``, and leaves the model as it was."""
     path = _saved(tmp_path)
     _resign(path, lambda config: config + suffix)
-    _assert_refused(path, f"unknown key model.{key}$")
+    _assert_refused(path, rf"has header line b'config .* {key}=[^']*' but the model "
+                          rf"writes b'config [^']*'$")
 
 
 def test_checkpoint_with_a_removed_config_key_is_rejected(tmp_path):
@@ -506,6 +510,53 @@ def test_every_model_field_changes_the_built_model(field):
     assert _built(KMaxModel(changed, seed=0)) != _built(KMaxModel(base, seed=0))
 
 
+def _params(model):
+    return [(name, t.data) for name, t, _ in model.named_parameters()]
+
+
+@pytest.mark.parametrize("field", NON_DEFAULT)
+def test_a_checkpoint_of_each_non_default_field_loads_bitwise(tmp_path, field):
+    # one function writes the header and checks it, so every config the model
+    # takes reads back its own file
+    cfg = dataclasses.replace(_small_cfg(), **{field: NON_DEFAULT[field]})
+    path = tmp_path / "model.ckpt"
+    saved = KMaxModel(cfg, seed=0)
+    save_checkpoint(path, saved)
+    model = KMaxModel(cfg, seed=1)
+    load_checkpoint(path, model)
+    for (name, want), (_, got) in zip(_params(saved), _params(model)):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_checkpoint_assembled_line_by_line_loads_bitwise(tmp_path):
+    # ``_kmaxckpt3`` lays the file out as the format defines it, apart from the
+    # program's writer, so the format is unchanged
+    saved = KMaxModel(_small_cfg(kernel="softmax"), seed=0)
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_reference_checkpoint(saved))
+    model = KMaxModel(_small_cfg(kernel="softmax"), seed=1)
+    load_checkpoint(path, model)
+    for (name, want), (_, got) in zip(_params(saved), _params(model)):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_checkpoint_ending_inside_its_header_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    blob = path.read_bytes()
+    start = len(blob) - 8 * KMaxModel(_small_cfg(), seed=0).parameter_count()
+    for end in range(len(b"KMAXCKPT3\n"), start - len(b"sha256 \n") - 64):
+        path.write_bytes(blob[:end])
+        _assert_refused(path, "has header line ")
+
+
+def test_checkpoint_without_its_checksum_line_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    config, layout, _, payload = _split(path.read_bytes())
+    padded = _kmaxckpt3(config, layout, b"")
+    path.write_bytes(padded[:padded.rindex(b"sha256 ")] + payload)
+    _assert_refused(path, "has no sha256 line$")
+
+
 def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path):
     # the checksum covers the NaN, so only a value check stops it; loaded, the
     # model would merge every image to void and score PQ 0 without an error
@@ -521,6 +572,15 @@ def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path):
             load_checkpoint(path, model)
         assert all(np.array_equal(b, t.data)
                    for b, (_, t, _) in zip(before, model.named_parameters()))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128, "float16"])
+def test_astype_to_a_dtype_a_tensor_cannot_hold_is_a_contract_error(dtype):
+    # a tensor turns any data but float32 into float64, so a float16 copy
+    # came back holding float64 parameters
+    model = KMaxModel(_small_cfg(), seed=3)
+    with pytest.raises(ContractError, match="astype takes float32 or float64, got "):
+        model.astype(dtype)
 
 
 def test_astype_twin_holds_float32_copies_of_every_parameter():

@@ -1,6 +1,6 @@
 """Fingerprint short fixed-seed training runs, to show a refactor is bitwise neutral.
 
-Usage: python tools/trace_digest.py
+Usage: python tools/trace_digest.py [--against REV]
 
 Imports the package from the ``src/`` directory beside this one. For each
 variant it runs a 12-step seed-5 ``train_loop`` and prints one line: the
@@ -15,27 +15,37 @@ steps the merged maps, PQ and mIoU rarely tell two variants apart, so the
 two logits fields are the ones that show a change to the forward pass. The
 labels and logits fields come from the trained float64 model, and logits32
 from ``model.astype(np.float32)``, the copy that ``evaluate_model`` runs; the
-PQ, mIoU and the rows' val PQ come from ``evaluate_model``. Running the
-script on two checkouts and diffing the output compares them. It uses only
+PQ, mIoU and the rows' val PQ come from ``evaluate_model``.
+
+``--against REV`` compares this checkout with the git revision ``REV``: it
+exports ``REV`` with ``git archive`` into a temporary directory, runs that
+revision's own copy of this script there and then this checkout's. It
+prints both outputs and exits 1 if any line differs. A revision whose script
+prints other fields differs on every line. The script uses only
 ``Config``, ``SyntheticDataset``, ``scene_spec_from_config``, ``train_loop``,
 ``merge_masks``, ``no_grad``, ``evaluate_model``, ``KMaxModel.astype`` and
 ``tensor.GradTape.from_output``, and reads only the two maps of a merge
 result and the ``mask_logits`` and ``class_logits`` of a prediction. It
 calls ``merge_masks(pred, cfg.infer, thing_ids)``, so the first checkout it
 runs on is the child of commit ``ca6dbc8``, where ``merge_masks`` began to
-take the ``InferConfig``; to compare against ``ca6dbc8`` or older, run that
-checkout's own copy of this script there.
+take the ``InferConfig``; an older revision needs its own copy of this
+script, as ``--against`` runs it.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import subprocess
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from kmaxseg import (Config, SyntheticDataset, evaluate_model, merge_masks,  # noqa: E402
                      no_grad)
@@ -99,10 +109,44 @@ def digest(overrides):
             f"nodes {tape_sizes[0]}")
 
 
-def main():
-    for name, overrides in VARIANTS.items():
-        print(f"{name:16s} {digest(overrides)}", flush=True)
+def line(name):
+    return f"{name:16s} {digest(VARIANTS[name])}"
+
+
+def against(rev):
+    """Run ``rev``'s own copy of this script in a ``git archive`` export of
+    ``rev``, then this checkout's; the exit status of ``compare``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        theirs = subprocess.run([sys.executable, "tools/trace_digest.py"], cwd=tmp, check=True,
+                                stdout=subprocess.PIPE, text=True).stdout.splitlines()
+    return compare(rev, theirs, [line(name) for name in VARIANTS])
+
+
+def compare(rev, theirs, ours):
+    """Print ``rev``'s lines and this checkout's; 1 if any line differs, else 0."""
+    for label, lines in ((rev, theirs), ("this checkout", ours)):
+        print(f"== {label}")
+        print(*lines, sep="\n")
+    differ = [str(i) for i, (a, b) in enumerate(zip_longest(theirs, ours), 1) if a != b]
+    print(f"== lines {', '.join(differ)} differ" if differ else "== every line is equal")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Fingerprint short fixed-seed training runs.")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the git revision REV, run by its own copy of "
+                             "this script; exit 1 if any line differs")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
+    for name in VARIANTS:
+        print(line(name), flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
