@@ -9,9 +9,9 @@ The package groups into:
 * ``layers`` - the parameter registry (naming, initialization, weight-decay
   policy) and the affine and layer-norm layers built on it; ``Params.qkv``
   declares the three projections of an attention sublayer,
-* ``kernels`` - the hard-assignment (k-means) map the decoder runs in place
-  of ``tensor.softmax_attention``, and Lloyd k-means as its oracle,
-* ``decoder`` / ``model`` - decoder blocks with deep-supervision heads and
+* ``decoder`` / ``model`` - decoder blocks with deep-supervision heads,
+  the hard-assignment (k-means) kernel they run in place of
+  ``tensor.softmax_attention`` and the ``PixelFeatures`` they read, and
   the full encoder/pyramid/cluster-path model, all of whose widths derive
   from ``d``, which validates its config,
   runs its blocks over the pyramid strides its schedule names, and has
@@ -35,8 +35,10 @@ The package groups into:
   nested in a share runs in place), and ``evaluate_model``, which labels
   images through both and scores them with ``PQStat`` in order in one
   process, so results are bitwise those of one share,
-* ``acceptance`` - the release criteria; ``train_grid`` trains the runs of
-  criteria 7-9 and ``kmaxseg ablate`` through ``run_in_shares``,
+* ``acceptance`` - the release criteria and their oracles, among them one
+  Lloyd step (``lloyd_step``) for criterion 2's k-means check;
+  ``train_grid`` trains the runs of criteria 7-9 and ``kmaxseg ablate``
+  through ``run_in_shares``,
 * ``data`` - deterministic synthetic panoptic scenes and their fixed class
   table, ``CLASS_TABLE``,
 * ``config`` / ``cli`` - configuration files, with the one check of each
@@ -53,9 +55,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .config import Config, ModelConfig, load_config, parse_config, serialize_config
 from .data import CLASS_TABLE, SceneSpec, SyntheticDataset, augment_flip, generate
-from .decoder import KMaxDecoderBlock
+from .decoder import KMaxDecoderBlock, PixelFeatures
 from .gradcheck import grad_check
-from .kernels import PixelFeatures, lloyd_kmeans
 from .layers import Affine, LayerNorm, Params
 from .metrics import evaluate_model, evaluation_report, merge_masks, panoptic_quality
 from .model import KMaxModel

@@ -2,10 +2,13 @@
 
 Each criterion returns (passed, detail). ``run_all`` prints one PASS/FAIL
 line per criterion and returns a process exit code; the pytest suite calls
-the same functions. Training-based criteria share one cached set of
-ablation runs so the kernel and decoder-count comparisons reuse the
-convergence runs. ``train_grid`` trains them, and ``kmaxseg ablate``'s runs,
-in one forked share per usable CPU through ``metrics.run_in_shares``.
+the same functions. A criterion's oracle sits beside it: one Lloyd step
+(``lloyd_step`` from ``lloyd_init``'s centers) for criterion 2, exhaustive
+assignment for criterion 4 and hand cases for criterion 5. Training-based
+criteria share one cached set of ablation runs so the kernel and
+decoder-count comparisons reuse the convergence runs. ``train_grid`` trains
+them, and ``kmaxseg ablate``'s runs, in one forked share per usable CPU
+through ``metrics.run_in_shares``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from . import tensor as T
 from .config import Config
 from .data import SceneSpec, generate
+from .decoder import _hard_aggregate
 from .gradcheck import grad_check
-from .kernels import _hard_aggregate, lloyd_init, lloyd_kmeans
 from .metrics import panoptic_quality, run_in_shares
 from .model import KMaxModel
 from .panoptic import VOID, PanopticMap, PredictionSet
@@ -99,13 +102,39 @@ def criterion_1_gradients():
     return ok, f"max relative error {worst:.2e}, {elapsed:.1f}s"
 
 
+def lloyd_init(pts, k, seed):
+    """``k`` distinct rows of the (M, D) array ``pts``, drawn by seeded sampling."""
+    distinct = np.unique(pts, axis=0)
+    if k > distinct.shape[0]:
+        raise ValueError(f"k={k} exceeds the number of distinct points")
+    rng = np.random.default_rng(seed)
+    return distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
+
+
+def lloyd_step(pts, centers):
+    """One Lloyd step on the (M, D) ``pts``: returns (new centers, labels).
+
+    Each point is labeled with its nearest center in Euclidean distance, and
+    each center moves to the mean of its points; an empty cluster keeps its
+    center. ``centers`` is not written.
+    """
+    labels = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    new = centers.copy()
+    for j in range(new.shape[0]):
+        members = pts[labels == j]
+        if members.shape[0]:
+            new[j] = members.mean(axis=0)
+    return new, labels
+
+
 def criterion_2_kmeans_equivalence():
     """The per-cluster mean of the decoder's k-means sum equals one Lloyd step.
 
     The decoder runs ``_hard_aggregate``'s sum; on 20 sets this divides that
     sum by the cluster sizes, on the raw affinity ``centers @ points.T`` of
     ``scaled_dot``, the op ``KMaxDecoderBlock._interaction`` runs. The
-    points are unit-norm and the initial centers are points, so the affinity
+    points are unit-norm, and ``lloyd_init`` draws points as the initial
+    centers once for both ``lloyd_step`` and the affinity, so the affinity
     argmax is the nearest center. An empty cluster is the one case where the
     two rules differ (Lloyd keeps its previous center, the model gives a
     zero row), so an instance with one fails the check. The model itself
@@ -122,9 +151,9 @@ def criterion_2_kmeans_equivalence():
         n = int(rng.integers(1, 5))
         pts = rng.normal(size=(m, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        centers, labels = lloyd_kmeans(pts, n, max_iters=1, seed=seed)
-        init = Tensor(lloyd_init(pts, n, seed))
-        affinity = T.scaled_dot(init, Tensor(pts), 1.0)
+        init = lloyd_init(pts, n, seed)
+        centers, labels = lloyd_step(pts, init)
+        affinity = T.scaled_dot(Tensor(init), Tensor(pts), 1.0)
         assignment = affinity.data.argmax(axis=0)
         counts = np.bincount(assignment, minlength=n)
         if counts.min() == 0:

@@ -29,11 +29,7 @@ from .training import scene_spec_from_config, train_loop
 
 
 def _load_config(path):
-    if path is None:
-        return Config()
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    return load_config(path)
+    return Config() if path is None else load_config(path)
 
 
 def _build_dataset(cfg):

@@ -78,7 +78,8 @@ class SceneSpec:
     width: int = 64
 
     def __post_init__(self):
-        if 2 * MAX_RADIUS + 2 > min(self.height, self.width):
+        # ``_shape_mask`` draws a center in [r + 1, side - r - 1)
+        if 2 * MAX_RADIUS + 3 > min(self.height, self.width):
             raise ConfigError(
                 f"shapes of radius {MAX_RADIUS} cannot fit a "
                 f"{self.height}x{self.width} image"

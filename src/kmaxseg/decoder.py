@@ -9,8 +9,13 @@ per-cluster update is a sum over assigned pixels and would otherwise scale
 with cluster size.
 Both attention sublayers call their layers directly: Q, K and V are three
 ``Affine``s declared by ``Params.qkv``, and the interaction kernel, either
-``tensor.softmax_attention`` or ``kernels._hard_aggregate``, is the block's
-one branch.
+``tensor.softmax_attention`` or the k-means kernel ``_hard_aggregate``, is
+the block's one branch. The k-means kernel hard-assigns each pixel to its
+argmax cluster and sums the value rows assigned to a cluster. The
+assignment is detached, so gradients reach the query/key projections only
+through losses on the affinity itself. Acceptance criterion 2 checks it
+against one Lloyd step. A block reads its pixels as ``PixelFeatures``: the
+flattened (H*W, D) features with their grid.
 
 Every block also emits an auxiliary prediction: a ``PredictionSet`` at the
 stride of the pixels it read, so it merges like the final one. Its mask
@@ -27,13 +32,44 @@ adopts them under ``blocks.<i>``.
 
 from __future__ import annotations
 
-from .errors import ContractError
-from .kernels import PixelFeatures, _hard_aggregate
+from dataclasses import dataclass
+
+from .errors import ContractError, ShapeError
 from .layers import Params
 from .panoptic import PredictionSet
-from .tensor import gelu, scaled_dot, softmax_attention, transpose
+from .tensor import Tensor, argmax_onehot, gelu, matmul, scaled_dot, softmax_attention, transpose
 
-__all__ = ["KMaxDecoderBlock"]
+__all__ = ["KMaxDecoderBlock", "PixelFeatures"]
+
+
+@dataclass
+class PixelFeatures:
+    """Flattened (H*W, D) pixel features plus their spatial extent."""
+
+    values: Tensor
+    height: int
+    width: int
+
+    def __post_init__(self):
+        hw = self.values.data.shape[0]
+        if hw != self.height * self.width:
+            raise ShapeError(
+                f"{hw} feature rows do not match {self.height}x{self.width}"
+            )
+
+
+def _hard_aggregate(logits, v):
+    """Per-cluster sum of V under the hard assignment of (N, HW) scaled mask logits.
+
+    Each pixel goes to its argmax cluster (detached); a cluster sums its
+    assigned value rows. An empty cluster gets a zero row, where Lloyd would
+    keep its previous center. Every call the model makes has empty clusters:
+    16 queries compete for the 4-64 pixels of a stride-32/16/8 grid, so most
+    win none. The zero-row rule is therefore the one in force in training
+    and evaluation; ``test_hard_aggregate_empty_cluster_is_zero_row`` covers
+    it, and acceptance criterion 2 covers the nonempty case.
+    """
+    return matmul(argmax_onehot(logits), v)
 
 
 class KMaxDecoderBlock:

@@ -36,9 +36,8 @@ import numpy as np
 
 from .config import ModelConfig
 from .data import CLASS_TABLE
-from .decoder import KMaxDecoderBlock
+from .decoder import KMaxDecoderBlock, PixelFeatures
 from .errors import ContractError, ShapeError
-from .kernels import PixelFeatures
 from .layers import Params
 from .panoptic import PredictionSet
 from .tensor import Tensor, conv3x3, gelu, scaled_dot, softmax_attention, upsample_nearest

@@ -21,6 +21,22 @@ def test_fast_criterion_passes(criterion):
     assert passed, detail
 
 
+def test_criterion_2_returns_its_exact_line():
+    assert acceptance.criterion_2_kmeans_equivalence() == (
+        True, "20/20 instances: _hard_aggregate on raw affinities equals one "
+              "Lloyd step (centers within 1e-12)")
+
+
+def test_criterion_2_fails_when_the_lloyd_step_skips_the_mean_update(monkeypatch):
+    real_step = acceptance.lloyd_step
+
+    def assign_only(pts, centers):
+        return centers.copy(), real_step(pts, centers)[1]
+
+    monkeypatch.setattr(acceptance, "lloyd_step", assign_only)
+    assert acceptance.criterion_2_kmeans_equivalence() == (False, "center mismatch at seed 0")
+
+
 def test_every_gradient_case_stays_two_decades_under_the_bound():
     # criterion 1's bound is 1e-4; the Richardson oracle puts each case of
     # each seed under 1e-6, so a new loss term has room before the bound

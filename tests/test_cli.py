@@ -90,6 +90,13 @@ def test_eval_with_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys)
     assert capsys.readouterr().err == f"error: config file {path} is not UTF-8\n"
 
 
+def test_eval_with_a_missing_config_exits_2_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing file: ") and str(path) in err
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_ablate_without_seeds_is_a_config_error(tmp_path, capsys, seeds):
     assert main(["ablate", "--config", _config(tmp_path), "--seeds", seeds]) == 2

@@ -86,6 +86,19 @@ def test_impossible_spec_raises():
         SceneSpec(seed=0, height=16, width=16)
 
 
+@pytest.mark.parametrize("height, width", [(28, 28), (28, 64), (64, 28), (29, 29)])
+def test_spec_side_is_what_shapes_need(height, width):
+    # a radius-13 shape's center is drawn from [14, side - 14), empty below 29
+    if min(height, width) < 29:
+        with pytest.raises(ConfigError, match="radius 13 cannot fit"):
+            SceneSpec(seed=0, height=height, width=width)
+        return
+    spec = SceneSpec(seed=0, height=height, width=width)
+    for index in range(300):
+        img, _ = generate(spec, index)
+        assert img.shape == (height, width, 3)
+
+
 def test_forced_flip_twice_is_identity():
     img, gt = generate(SPEC, 5)
     rng = np.random.default_rng(0)

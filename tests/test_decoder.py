@@ -4,9 +4,8 @@ import reference_ops as R
 
 from kmaxseg import tensor as T
 from kmaxseg.config import ModelConfig
-from kmaxseg.decoder import KMaxDecoderBlock
+from kmaxseg.decoder import KMaxDecoderBlock, PixelFeatures
 from kmaxseg.errors import ConfigError, ContractError
-from kmaxseg.kernels import PixelFeatures
 from kmaxseg.model import KMaxModel
 from kmaxseg.tensor import Tensor
 

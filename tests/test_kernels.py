@@ -3,8 +3,9 @@ import pytest
 import reference_ops as R
 
 from kmaxseg import tensor as T
+from kmaxseg.acceptance import lloyd_init, lloyd_step
+from kmaxseg.decoder import PixelFeatures, _hard_aggregate
 from kmaxseg.errors import ShapeError
-from kmaxseg.kernels import PixelFeatures, _hard_aggregate, lloyd_init, lloyd_kmeans
 from kmaxseg.layers import Affine, Params
 from kmaxseg.tensor import Tensor
 
@@ -121,12 +122,17 @@ def test_hard_aggregate_empty_cluster_is_zero_row():
     assert np.array_equal(new, [[5.0] * 3, [0.0] * 3])
 
 
+def _distortion(pts, centers):
+    return ((pts[:, None] - centers[None]) ** 2).sum(axis=2).min(axis=1).sum()
+
+
 def test_lloyd_separates_two_blobs():
     rng = np.random.default_rng(5)
     a = rng.normal((0, 0), 0.1, size=(20, 2))
     b = rng.normal((10, 10), 0.1, size=(20, 2))
     pts = np.concatenate([a, b])
-    centers, labels = lloyd_kmeans(pts, 2, max_iters=50, seed=1)
+    # one step from one init point per blob
+    centers, labels = lloyd_step(pts, pts[[3, 27]])
     assert len(set(labels[:20])) == 1 and len(set(labels[20:])) == 1
     assert labels[0] != labels[20]
     got = centers[np.argsort(centers[:, 0])]
@@ -137,7 +143,7 @@ def test_lloyd_separates_two_blobs():
 def test_lloyd_k_equals_m_zero_distortion():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(7, 3))
-    centers, labels = lloyd_kmeans(pts, 7, seed=2)
+    centers, labels = lloyd_step(pts, lloyd_init(pts, 7, seed=2))
     d2 = ((pts[:, None] - centers[None]) ** 2).sum(axis=2)
     assert np.allclose(d2[np.arange(7), labels], 0.0, atol=1e-15)
     assert len(set(labels.tolist())) == 7
@@ -146,21 +152,38 @@ def test_lloyd_k_equals_m_zero_distortion():
 def test_lloyd_distortion_non_increasing():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(40, 2))
-
-    def distortion(centers):
-        return ((pts[:, None] - centers[None]) ** 2).sum(axis=2).min(axis=1).sum()
-
-    prev = np.inf
-    for iters in range(1, 8):
-        centers, _ = lloyd_kmeans(pts, 4, max_iters=iters, seed=3)
-        cur = distortion(centers)
+    centers = lloyd_init(pts, 4, seed=3)
+    prev = _distortion(pts, centers)
+    for _ in range(7):
+        centers, _ = lloyd_step(pts, centers)
+        cur = _distortion(pts, centers)
         assert cur <= prev + 1e-9
         prev = cur
 
 
 def test_lloyd_k_too_large_raises():
     with pytest.raises(ValueError):
-        lloyd_kmeans(np.zeros((3, 2)), 4)
+        lloyd_init(np.zeros((3, 2)), 4, seed=0)
+    with pytest.raises(ValueError):   # one distinct point among the three
+        lloyd_init(np.zeros((3, 2)), 2, seed=0)
+
+
+def test_lloyd_step_empty_cluster_keeps_its_center():
+    pts = np.array([[0.0, 0.0], [0.2, 0.0], [5.0, 5.0]])
+    init = np.array([[0.0, 0.1], [5.0, 4.0], [90.0, 90.0]])
+    centers, labels = lloyd_step(pts, init)
+    assert np.array_equal(labels, [0, 0, 1])
+    assert np.array_equal(centers, [[0.1, 0.0], [5.0, 5.0], [90.0, 90.0]])
+
+
+def test_lloyd_step_does_not_write_centers():
+    rng = np.random.default_rng(19)
+    pts = rng.normal(size=(12, 3))
+    init = lloyd_init(pts, 3, seed=4)
+    kept = init.copy()
+    centers, _ = lloyd_step(pts, init)
+    assert np.array_equal(init, kept)
+    assert not np.array_equal(centers, init) and not np.shares_memory(centers, init)
 
 
 def test_kmeans_attention_cluster_update_is_assigned_value_sum():
@@ -307,13 +330,10 @@ def test_softmax_attention_rounds_as_the_composed_nodes():
         assert np.array_equal(a, b)
 
 
-
-def test_lloyd_kmeans_starts_from_lloyd_init():
+def test_lloyd_step_labels_are_the_nearest_init_center():
     rng = np.random.default_rng(18)
     pts = np.repeat(rng.normal(size=(10, 3)), 2, axis=0)  # duplicates are drawn once
     init = lloyd_init(pts, 4, seed=6)
     assert len(np.unique(init, axis=0)) == 4
-    centers, _ = lloyd_kmeans(pts, 4, max_iters=0, seed=6)
-    assert np.array_equal(centers, init) and centers is not init
-    _, labels = lloyd_kmeans(pts, 4, max_iters=1, seed=6)
+    _, labels = lloyd_step(pts, init)
     assert np.array_equal(labels, ((pts[:, None] - init[None]) ** 2).sum(axis=2).argmin(axis=1))
